@@ -21,6 +21,10 @@ __all__ = ["RunConfig", "ConfigError", "load_config", "parse_override"]
 
 CONFIG_VERSION = 1
 
+#: Execution knobs: they change how a run is carried out, not what it
+#: computes, so they stay out of the config hash.
+_EXECUTION_KEYS = ("jobs", "cache")
+
 _SCHEMA = {
     "config_version": None,
     "circuit": {
@@ -177,7 +181,8 @@ class RunConfig:
 
     @property
     def config_hash(self) -> str:
-        canon = json.dumps(self.raw, sort_keys=True, default=float)
+        physics = {k: v for k, v in self.raw.items() if k not in _EXECUTION_KEYS}
+        canon = json.dumps(physics, sort_keys=True, default=float)
         return hashlib.sha256(canon.encode()).hexdigest()[:16]
 
     def provenance(self) -> dict:

@@ -54,9 +54,14 @@ def _junction_energies(params: CircuitParams) -> tuple[float, float]:
     return (1.0 + d) * params.eps_J, (1.0 - d) * params.eps_J
 
 
-def potential(params: CircuitParams, bias: BiasPoint, point) -> float:
-    """Classical potential energy (GHz) at (vphi, phi, theta)."""
-    vphi, phi, th = point
+def potential(params: CircuitParams, bias: BiasPoint, point):
+    """Classical potential energy (GHz) at (vphi, phi, theta).
+
+    ``point`` has shape (..., 3) and the result the leading shape; a single
+    point gives a float.
+    """
+    q = np.asarray(point, dtype=float)
+    vphi, phi, th = q[..., 0], q[..., 1], q[..., 2]
     eL = params.eps_L_dressed
     dL = params.delta_L
     ej1, ej2 = _junction_energies(params)
@@ -64,23 +69,26 @@ def potential(params: CircuitParams, bias: BiasPoint, point) -> float:
     u = eL * (0.25 * dphi**2 + th**2) + eL * dL * dphi * th
     u -= ej1 * np.cos(0.5 * phi + vphi)
     u -= ej2 * np.cos(0.5 * phi - vphi)
-    return float(u)
+    return float(u) if q.ndim == 1 else u
 
 
 def potential_gradient(params: CircuitParams, bias: BiasPoint, point) -> np.ndarray:
-    vphi, phi, th = point
+    """Gradient of :func:`potential`, shape (..., 3) for points (..., 3)."""
+    q = np.asarray(point, dtype=float)
+    vphi, phi, th = q[..., 0], q[..., 1], q[..., 2]
     eL = params.eps_L_dressed
     dL = params.delta_L
     ej1, ej2 = _junction_energies(params)
     dphi = phi - bias.phi_ext
     s1 = np.sin(0.5 * phi + vphi)
     s2 = np.sin(0.5 * phi - vphi)
-    return np.array(
+    return np.stack(
         [
             ej1 * s1 - ej2 * s2,
             0.5 * eL * dphi + eL * dL * th + 0.5 * (ej1 * s1 + ej2 * s2),
             2.0 * eL * th + eL * dL * dphi,
-        ]
+        ],
+        axis=-1,
     )
 
 
@@ -168,9 +176,12 @@ class InstantonPath:
 
     ``samples`` has columns (tau, vphi, phi, theta); the endpoints are the
     clamped points offset by ``endpoint_offset`` from the true minima along
-    the slowest unstable direction of the inverted dynamics.  ``residual``
-    carries the action stationarity norm, the worst interior equation-of-
-    motion defect, and the discrete energy-conservation span.
+    the slowest unstable direction of the inverted dynamics.  ``action`` is
+    that of the returned beads.  ``residual`` carries the action
+    stationarity norm, the worst interior equation-of-motion defect, the
+    discrete energy-conservation span, the number of outer relaxation passes
+    (``outer_iterations``), and whether the relative-action stop ended them
+    (``action_stop``; otherwise the ``max_outer`` cap did).
     """
 
     samples: np.ndarray
@@ -202,13 +213,11 @@ def _action_and_grad(flat, qa, qb, M, U0, params, bias):
     MdQ = dQ @ M
     seg = np.sqrt(np.einsum("ij,ij->i", dQ, MdQ))
     mid = 0.5 * (Q[1:] + Q[:-1])
-    umid = np.array([potential(params, bias, m) for m in mid])
-    g = 2.0 * np.maximum(umid - U0, 1e-15)
+    g = 2.0 * np.maximum(potential(params, bias, mid) - U0, 1e-15)
     sq = np.sqrt(g)
     action = float(np.sum(sq * seg))
     t = MdQ / seg[:, None]
-    gU = np.array([potential_gradient(params, bias, m) for m in mid])
-    w = (seg / (2.0 * sq))[:, None] * gU
+    w = (seg / (2.0 * sq))[:, None] * potential_gradient(params, bias, mid)
     grad = sq[1:, None] * (-t[1:]) + sq[:-1, None] * t[:-1] + w[1:] + w[:-1]
     return action, grad.ravel()
 
@@ -258,8 +267,9 @@ def solve_instanton(
     )
 
     prev_action = np.inf
-    action = np.inf
-    for _ in range(max_outer):
+    outer = 0
+    action_stop = False
+    while outer < max_outer and not action_stop:
         res = minimize(
             _action_and_grad,
             Q.ravel(),
@@ -269,21 +279,23 @@ def solve_instanton(
             options={"maxiter": 400, "ftol": 1e-16, "gtol": 1e-13},
         )
         Q = _redistribute(np.vstack([qa, res.x.reshape(-1, 3), qb]), M)[1:-1]
-        action = res.fun
-        if abs(prev_action - action) <= 1e-11 * abs(action):
-            break
-        prev_action = action
+        outer += 1
+        action_stop = bool(abs(prev_action - res.fun) <= 1e-11 * abs(res.fun))
+        prev_action = res.fun
 
-    _, grad = _action_and_grad(Q.ravel(), qa, qb, M, U0, params, bias)
+    # action and stationarity of the redistributed string that is returned
+    action, grad = _action_and_grad(Q.ravel(), qa, qb, M, U0, params, bias)
     full = np.vstack([qa, Q, qb])
     tau, diag = _time_parameterization(full, M, U0, params, bias)
     samples = np.column_stack([tau, full])
     diag["action_grad_norm"] = float(np.abs(grad).max())
+    diag["outer_iterations"] = outer
+    diag["action_stop"] = action_stop
     return InstantonPath(
         samples=samples,
         endpoints=(m1, m2),
         endpoint_offset=endpoint_offset,
-        action=float(action),
+        action=action,
         residual=diag,
     )
 
@@ -291,26 +303,26 @@ def solve_instanton(
 def _time_parameterization(full, M, U0, params, bias):
     dQ = np.diff(full, axis=0)
     seg = np.sqrt(np.einsum("ij,jk,ik->i", dQ, M, dQ))
-    umid = np.array([potential(params, bias, m) for m in 0.5 * (full[1:] + full[:-1])])
+    umid = potential(params, bias, 0.5 * (full[1:] + full[:-1]))
     g = 2.0 * np.maximum(umid - U0, 1e-300)
     dtau = seg / np.sqrt(g)
     tau = np.concatenate([[0.0], np.cumsum(dtau)])
 
     # equation-of-motion defect M q'' = grad U on the nonuniform tau grid
-    vphi = full[:, 0]
+    h1, h2 = dtau[:-1, None], dtau[1:, None]
+    qdd = 2 * (h1 * full[2:] - (h1 + h2) * full[1:-1] + h2 * full[:-2]) / (
+        h1 * h2 * (h1 + h2)
+    )
     resid = np.full(len(tau), np.nan)
-    for i in range(1, len(tau) - 1):
-        h1, h2 = tau[i] - tau[i - 1], tau[i + 1] - tau[i]
-        qdd = 2 * (h1 * full[i + 1] - (h1 + h2) * full[i] + h2 * full[i - 1]) / (
-            h1 * h2 * (h1 + h2)
-        )
-        resid[i] = np.linalg.norm(M @ qdd - potential_gradient(params, bias, full[i]))
+    resid[1:-1] = np.linalg.norm(
+        qdd @ M.T - potential_gradient(params, bias, full[1:-1]), axis=1
+    )
+    vphi = full[:, 0]
     interior = (vphi > 0.2) & (vphi < np.pi - 0.2)
     # centered velocities for the discrete energy check
     vel = np.gradient(full, tau, axis=0)
     kin = 0.5 * np.einsum("ij,jk,ik->i", vel, M, vel)
-    upath = np.array([potential(params, bias, q) for q in full])
-    energy_dev = np.abs(kin - (upath - U0))
+    energy_dev = np.abs(kin - (potential(params, bias, full) - U0))
     return tau, {
         "eom_interior_max": float(np.nanmax(np.where(interior, resid, np.nan)))
         if interior.any()
@@ -355,9 +367,7 @@ def reduce_to_effective(
         v_fold = np.where(vg <= np.pi, vg, 2 * np.pi - vg)
         phi_of_v = np.interp(v_fold, v_samp, p_samp)
 
-    u = np.array(
-        [potential(params, bias, (v, p, 0.0)) for v, p in zip(vg, phi_of_v)]
-    )
+    u = potential(params, bias, np.stack([vg, phi_of_v, np.zeros_like(vg)], axis=-1))
     coeffs = [float(np.sum(u * np.cos(k * vg)) * 2.0 / n_quad) for k in range(1, 5)]
     ep = effective_params(params, bias, kinetic_order)
     return EffectiveParams(

@@ -3,9 +3,8 @@
 Three sub-criteria are implemented exactly as stated but are known to be
 unattainable at the stated tolerances (the closed-form dispersion accuracy,
 the full-normalization loop-phase weight, and the dispersive-shift window);
-they are marked strict-xfail with the measured values printed, and the
-analysis lives in the decisions ledger.  Everything else must pass at its
-stated tolerance.
+they are marked strict-xfail with the measured values printed.
+Everything else must pass at its stated tolerance.
 """
 
 import math
@@ -92,7 +91,7 @@ def test_criterion_02_doubled_oscillator(ls0):
     strict=True,
     reason="leading-order closed form is 8-12% from the exact dispersion on "
     "this ratio window, and the raw log-slope fit carries the power-law "
-    "prefactor; see the decisions ledger",
+    "prefactor",
 )
 def test_criterion_03_mathieu_oracle():
     ratios = np.array([40.0, 50.0, 60.0, 70.0, 80.0])
@@ -109,7 +108,7 @@ def test_criterion_03_mathieu_oracle():
         f"ACCEPTANCE 3: {'PASS' if ok else 'FAIL'} - exact vs closed-form "
         f"dispersion rel err {min(errs):.3f}..{max(errs):.3f} (need <= 0.05); "
         f"log-slope {slope:.3f} vs -sqrt2 = {-np.sqrt(2):.3f} "
-        f"(prefactor-corrected slope passes at 2%; see ledger)"
+        f"(prefactor-corrected slope passes at 2%)"
     )
     assert ok
 
@@ -186,8 +185,7 @@ def test_criterion_07_selection_rules(canonical, half_flux, ls0):
     strict=True,
     reason="with the contract normalization (weights sum to one over the "
     "full eigenbasis) the qubit loop-phase weight converges to 0.87; the "
-    "near-unity figure value uses a six-state-restricted normalization; "
-    "see the decisions ledger",
+    "near-unity figure value uses a six-state-restricted normalization",
 )
 def test_criterion_07_phase_weight(ls0):
     phi2 = normalized_matrix_elements(ls0, "phi")
@@ -315,7 +313,7 @@ def test_criterion_10_disorder_trends(canonical):
     strict=True,
     reason="the converged symmetric-circuit shift is 5 MHz, outside the "
     "stated factor-2 window around 20 MHz; with the operated asymmetry "
-    "delta_L = 0.6 the shift is 11 MHz and inside it; see the ledger",
+    "delta_L = 0.6 the shift is 11 MHz and inside it",
 )
 def test_criterion_11_dispersive_shift(ls0):
     chi = dispersive_shift(ls0)

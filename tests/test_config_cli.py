@@ -45,6 +45,14 @@ class TestConfig:
         assert a.config_hash == b.config_hash
         assert a.config_hash != c.config_hash
 
+    def test_execution_knobs_not_hashed(self):
+        # the worker count and the cache switch change how a run executes,
+        # not what it computes
+        a = load_config(None)
+        b = load_config(None, overrides=["jobs=2", "cache=false"])
+        assert b.jobs == 2 and not b.cache_enabled
+        assert a.config_hash == b.config_hash
+
     def test_bad_version(self, tmp_path):
         p = tmp_path / "v.yaml"
         p.write_text("config_version: 99\n")
@@ -87,8 +95,8 @@ class TestSolutionCache:
 _PACKAGE_ROOT = str(Path(cos2phi.__file__).resolve().parent.parent)
 
 
-def _cli(*args, cwd):
-    env = dict(os.environ)
+def _cli(*args, cwd, extra_env=None):
+    env = dict(os.environ, **(extra_env or {}))
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (_PACKAGE_ROOT, env.get("PYTHONPATH")) if p
     )
@@ -233,3 +241,17 @@ class TestCli:
         rows = [l for l in (out / "spectrum.csv").read_text().splitlines()
                 if not l.startswith("#")]
         assert len(rows) == 4
+
+    def test_jobs_flag_keeps_config_hash(self, tmp_path, fast_config):
+        # one BLAS thread per process: the pool would oversubscribe the cores
+        hashes = []
+        for name, jobs in (("serial", ()), ("pool", ("--jobs", "2"))):
+            out = tmp_path / name
+            r = _cli("spectrum", "--config", str(fast_config), "--out",
+                     str(out), *jobs, cwd=tmp_path,
+                     extra_env={"OPENBLAS_NUM_THREADS": "1"})
+            assert r.returncode == 0, r.stderr
+            first = (out / "spectrum.csv").read_text().splitlines()[0]
+            hashes.append(json.loads(first.removeprefix("# provenance: "))
+                          ["config_hash"])
+        assert hashes[0] == hashes[1]

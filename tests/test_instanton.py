@@ -33,14 +33,33 @@ class TestPotential:
     def test_gradient_matches_finite_difference(self, canonical):
         bias = BiasPoint(0.93 * np.pi, 0.0)
         p = canonical.replace(delta_L=0.2, delta_J=0.1)
-        q = np.array([0.3, 2.0, -0.4])
+        rng = np.random.default_rng(5)
+        q = np.vstack([[0.3, 2.0, -0.4], rng.uniform(-3, 3, size=(15, 3))])
         g = potential_gradient(p, bias, q)
         h = 1e-6
         for i in range(3):
             dq = np.zeros(3)
             dq[i] = h
             fd = (potential(p, bias, q + dq) - potential(p, bias, q - dq)) / (2 * h)
-            assert g[i] == pytest.approx(fd, rel=1e-6, abs=1e-8)
+            assert np.allclose(g[:, i], fd, rtol=1e-6, atol=1e-8)
+
+    @pytest.mark.parametrize("disorder", [{}, {"delta_L": 0.4, "delta_J": 0.15}])
+    def test_batch_matches_scalar_calls(self, canonical, disorder):
+        p = canonical.replace(**disorder)
+        bias = BiasPoint(0.93 * np.pi, 0.0)
+        q = np.random.default_rng(11).uniform(-4, 4, size=(40, 3))
+        u = potential(p, bias, q)
+        g = potential_gradient(p, bias, q)
+        u_rows = [potential(p, bias, row) for row in q]
+        g_rows = [potential_gradient(p, bias, row) for row in q]
+        assert all(type(v) is float for v in u_rows)
+        assert all(v.shape == (3,) for v in g_rows)
+        assert u.shape == (40,) and g.shape == (40, 3)
+        assert np.allclose(u, u_rows, rtol=1e-13, atol=1e-13)
+        assert np.allclose(g, np.stack(g_rows), rtol=1e-13, atol=1e-13)
+        # any leading shape
+        assert potential(p, bias, q.reshape(4, 10, 3)).shape == (4, 10)
+        assert potential_gradient(p, bias, q.reshape(4, 10, 3)).shape == (4, 10, 3)
 
     def test_hessian_matches_finite_difference(self, canonical):
         bias = BiasPoint(np.pi, 0.0)
@@ -154,6 +173,45 @@ class TestSolveInstanton:
         assert r["action_grad_norm"] < 0.2
         assert np.isfinite(r["eom_interior_max"])
         assert 5.0 < r["horizon"] < 50.0
+
+    def test_action_is_that_of_returned_path(self, quick_path, canonical, half_flux):
+        q = quick_path.coords
+        U0 = min(potential(canonical, half_flux, m)
+                 for m in find_minima(canonical, half_flux))
+        dq = np.diff(q, axis=0)
+        seg = np.sqrt(np.einsum("ij,jk,ik->i", dq, mass_matrix(canonical), dq))
+        umid = potential(canonical, half_flux, 0.5 * (q[1:] + q[:-1]))
+        quad = np.sum(np.sqrt(2.0 * np.maximum(umid - U0, 1e-15)) * seg)
+        assert quick_path.action == pytest.approx(quad, rel=1e-12)
+
+    def test_eom_defect_matches_pointwise_loop(self, quick_path, canonical, half_flux):
+        # reference: the three-point second difference bead by bead
+        M = mass_matrix(canonical)
+        tau, q = quick_path.tau, quick_path.coords
+        resid = np.full(len(tau), np.nan)
+        for i in range(1, len(tau) - 1):
+            h1, h2 = tau[i] - tau[i - 1], tau[i + 1] - tau[i]
+            qdd = 2 * (h1 * q[i + 1] - (h1 + h2) * q[i] + h2 * q[i - 1]) / (
+                h1 * h2 * (h1 + h2)
+            )
+            resid[i] = np.linalg.norm(
+                M @ qdd - potential_gradient(canonical, half_flux, q[i])
+            )
+        interior = (q[:, 0] > 0.2) & (q[:, 0] < np.pi - 0.2)
+        r = quick_path.residual
+        assert r["eom_interior_max"] == pytest.approx(np.nanmax(resid[interior]), rel=1e-6)
+        assert r["eom_median"] == pytest.approx(np.nanmedian(resid), rel=1e-6)
+
+    def test_outer_iterations_reported(self, quick_path):
+        r = quick_path.residual
+        assert 1 <= r["outer_iterations"] <= 40
+        # the loop ends on the relative-action stop or at the cap
+        assert r["action_stop"] or r["outer_iterations"] == 40
+
+    def test_outer_cap_reported(self, canonical, half_flux):
+        r = solve_instanton(canonical, half_flux, n_beads=33, max_outer=3).residual
+        assert r["outer_iterations"] == 3
+        assert r["action_stop"] is False
 
     def test_reversal_symmetry(self, quick_path, canonical, half_flux):
         # the action functional is parameterization-reversal invariant, so
