@@ -29,8 +29,8 @@ def main(argv=None):
 
     out = Path(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)
-    cache = SolutionCache(out.parent / ".solutions")
-    trunc = BasisTruncation(7, 7, 30)
+    solver = SolutionCache(out.parent / ".solutions", dense_threshold=16)
+    trunc = BasisTruncation()
     bias = BiasPoint(np.pi, 0.0)
 
     rows = []
@@ -38,8 +38,7 @@ def main(argv=None):
         params = CircuitParams(15.0, 2.0, 1.0, 0.02, delta_L=dL)
         rep = full_report(
             params, bias, trunc,
-            ng_grid=np.linspace(0, 1, args.ng_points),
-            dense_threshold=16, cache=cache,
+            ng_grid=np.linspace(0, 1, args.ng_points), solver=solver,
         )
         for ch, t in sorted(rep.t1.items()):
             rows.append([dL, "T1", ch, t])

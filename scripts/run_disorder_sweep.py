@@ -13,6 +13,7 @@ import numpy as np
 
 from cos2phi import CircuitParams
 from cos2phi.analysis import disorder_sweep
+from cos2phi.cache import SolutionCache
 
 
 def main(argv=None):
@@ -27,14 +28,14 @@ def main(argv=None):
     params = CircuitParams(15.0, 2.0, 1.0, 0.02)
     out = Path(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)
+    solver = SolutionCache(out.parent / ".solutions", dense_threshold=16)
     with open(out, "w", newline="") as fh:
         w = csv.writer(fh)
         w.writerow(["kind", "delta", "eps", "dE", "unresolved"])
         for kind in args.kinds:
             res = disorder_sweep(
                 params, kind, args.deltas,
-                ng_grid=np.linspace(0, 1, args.ng_points),
-                dense_threshold=16,
+                ng_grid=np.linspace(0, 1, args.ng_points), solver=solver,
             )
             for i, d in enumerate(res.grid):
                 w.writerow([kind, d, res.derived["eps"][i],

@@ -13,6 +13,7 @@ import numpy as np
 
 from cos2phi import CircuitParams
 from cos2phi.analysis import flux_sweep
+from cos2phi.cache import SolutionCache
 from cos2phi.model import BasisTruncation
 
 
@@ -26,13 +27,14 @@ def main(argv=None):
     ap.add_argument("--trunc", type=int, nargs=3, default=[6, 6, 24])
     args = ap.parse_args(argv)
 
-    params = CircuitParams(15.0, 2.0, 1.0, 0.02)
-    grid = np.linspace(np.pi - args.span, np.pi + args.span, args.points)
-    res = flux_sweep(params, grid, k=args.k,
-                     trunc=BasisTruncation(*args.trunc), dense_threshold=16)
-
     out = Path(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)
+    params = CircuitParams(15.0, 2.0, 1.0, 0.02)
+    grid = np.linspace(np.pi - args.span, np.pi + args.span, args.points)
+    res = flux_sweep(params, grid, k=args.k, trunc=BasisTruncation(*args.trunc),
+                     solver=SolutionCache(out.parent / ".solutions",
+                                          dense_threshold=16))
+
     plasmon = np.sqrt(16 * params.x * params.eps_L * params.eps_C)
     with open(out, "w", newline="") as fh:
         w = csv.writer(fh)

@@ -17,7 +17,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .eigensolver import EigenSolution, lowest_eigenpairs
+from .cache import SolutionCache
+from .eigensolver import DEFAULT_SEED, DENSE_THRESHOLD, EigenSolution, lowest_eigenpairs
 from .hamiltonians import full_hamiltonian
 from .model import BasisTruncation, BiasPoint, CircuitParams, Primitives, build_primitives
 
@@ -31,6 +32,7 @@ __all__ = [
     "flux_sweep",
     "charge_dispersion",
     "disorder_sweep",
+    "dispersion_truncation",
     "wavefunction_phase",
     "wavefunction_charge",
     "normalized_matrix_elements",
@@ -77,6 +79,11 @@ class LabeledSolution:
     def energies(self) -> np.ndarray:
         return self.solution.energies
 
+    @property
+    def splitting(self) -> float:
+        """E1 - E0 of the two lowest states (GHz)."""
+        return float(self.energies[1] - self.energies[0])
+
     def find(self, m: int, fluxon: str) -> int:
         for lab in self.labels:
             if lab.m == m and lab.fluxon == fluxon:
@@ -87,24 +94,22 @@ class LabeledSolution:
 def solve_circuit(
     params: CircuitParams,
     bias: BiasPoint,
-    trunc: BasisTruncation | None = None,
+    trunc: BasisTruncation = BasisTruncation(),
     k: int = 6,
-    dense_threshold: int | None = None,
-    seed: int = 7,
+    dense_threshold: int = DENSE_THRESHOLD,
+    seed: int = DEFAULT_SEED,
 ) -> LabeledSolution:
-    """Build, diagonalize, gauge-fix, and label the circuit at one bias."""
-    from .eigensolver import DENSE_THRESHOLD
+    """Build, diagonalize, gauge-fix, and label the circuit at one bias.
 
-    if trunc is None:
-        from .hamiltonians import cos2phi_default_truncation
-
-        trunc = cos2phi_default_truncation()
+    Uncached; ``SolutionCache.get_or_solve`` is the entry point that
+    consults the store and calls this on a miss.
+    """
     prim = build_primitives(trunc, params)
     H = full_hamiltonian(params, bias, trunc, primitives=prim)
     sol = lowest_eigenpairs(
         H,
         k,
-        dense_threshold=DENSE_THRESHOLD if dense_threshold is None else dense_threshold,
+        dense_threshold=dense_threshold,
         seed=seed,
         gauge_operator=prim.parity,
         meta={"trunc": trunc.as_tuple()},
@@ -112,19 +117,6 @@ def solve_circuit(
     labels = label_states(sol, bias, prim)
     return LabeledSolution(
         solution=sol, labels=labels, primitives=prim, params=params, bias=bias
-    )
-
-
-def _solve(params, bias, trunc, k, dense_threshold, seed, cache):
-    if cache is not None:
-        from .hamiltonians import cos2phi_default_truncation
-
-        tr = trunc if trunc is not None else cos2phi_default_truncation()
-        return cache.get_or_solve(
-            params, bias, tr, k, seed=seed, dense_threshold=dense_threshold
-        )
-    return solve_circuit(
-        params, bias, trunc, k=k, dense_threshold=dense_threshold, seed=seed
     )
 
 
@@ -232,10 +224,8 @@ def flux_sweep(
     phi_grid,
     N_g: float = 0.0,
     k: int = 6,
-    trunc: BasisTruncation | None = None,
-    dense_threshold: int | None = None,
-    seed: int = 7,
-    cache=None,
+    trunc: BasisTruncation = BasisTruncation(),
+    solver: SolutionCache | None = None,
 ) -> SweepResult:
     """Diagonalize along an external-flux grid and label every point."""
     phi_grid = np.asarray(phi_grid, dtype=float)
@@ -243,9 +233,10 @@ def flux_sweep(
         raise ValueError("need a one-dimensional flux grid")
     if len(phi_grid) > 1 and not np.all(np.diff(phi_grid) > 0):
         raise ValueError("flux grid must be strictly increasing")
+    solver = solver or SolutionCache()
     rows, labels = [], []
     for p in phi_grid:
-        ls = _solve(params, BiasPoint(p, N_g), trunc, k, dense_threshold, seed, cache)
+        ls = solver.get_or_solve(params, BiasPoint(p, N_g), trunc, k)
         rows.append(ls.energies)
         labels.append(ls.labels)
     E = np.vstack(rows)
@@ -262,11 +253,9 @@ def flux_sweep(
 def charge_dispersion(
     params: CircuitParams,
     phi_ext: float = np.pi,
-    trunc: BasisTruncation | None = None,
+    trunc: BasisTruncation = BasisTruncation(),
     ng_grid=None,
-    dense_threshold: int | None = None,
-    seed: int = 7,
-    cache=None,
+    solver: SolutionCache | None = None,
 ) -> tuple[float, float, SweepResult]:
     """Signed qubit splitting at Ng = 0 and its swing over one charge period.
 
@@ -278,15 +267,15 @@ def charge_dispersion(
     ng_grid = np.asarray(ng_grid, dtype=float)
     if ng_grid.min() > 0.0 or ng_grid.max() < 1.0:
         raise ValueError("Ng grid must cover [0, 1]")
+    solver = solver or SolutionCache()
     rows, labels = [], []
     signed_dE = None
     for ng in ng_grid:
-        ls = _solve(params, BiasPoint(phi_ext, ng), trunc, 2, dense_threshold, seed, cache)
+        ls = solver.get_or_solve(params, BiasPoint(phi_ext, ng), trunc, 2)
         rows.append(ls.energies)
         labels.append(ls.labels)
         if ng == 0.0:
-            split = ls.energies[1] - ls.energies[0]
-            signed_dE = split if ls.labels[0].parity > 0 else -split
+            signed_dE = ls.splitting if ls.labels[0].parity > 0 else -ls.splitting
     if signed_dE is None:
         idx = int(np.argmin(np.abs(ng_grid)))
         split = rows[idx][1] - rows[idx][0]
@@ -310,17 +299,24 @@ def charge_dispersion(
 #: asymmetry and needs a larger basis before the truncation artifact drops
 #: below it
 DISPERSION_TRUNCATIONS = (
-    (0.45, BasisTruncation(7, 7, 30)),
+    (0.45, BasisTruncation()),
     (0.70, BasisTruncation(10, 10, 46)),
     (1.00, BasisTruncation(12, 12, 56)),
 )
 
 
-def _dispersion_trunc_for(delta: float) -> BasisTruncation:
-    for hi, tr in DISPERSION_TRUNCATIONS:
-        if delta <= hi:
-            return tr
-    return DISPERSION_TRUNCATIONS[-1][1]
+def dispersion_truncation(
+    delta: float, floor: BasisTruncation = BasisTruncation()
+) -> BasisTruncation:
+    """Schedule basis for a charge dispersion at asymmetry ``delta``.
+
+    Never smaller than ``floor`` in any dimension.
+    """
+    sched = next(
+        (tr for hi, tr in DISPERSION_TRUNCATIONS if delta <= hi),
+        DISPERSION_TRUNCATIONS[-1][1],
+    )
+    return BasisTruncation(*map(max, floor.as_tuple(), sched.as_tuple()))
 
 
 def disorder_sweep(
@@ -330,9 +326,7 @@ def disorder_sweep(
     phi_ext: float = np.pi,
     trunc: BasisTruncation | None = None,
     ng_grid=None,
-    dense_threshold: int | None = None,
-    seed: int = 7,
-    cache=None,
+    solver: SolutionCache | None = None,
 ) -> SweepResult:
     """Charge dispersion and splitting versus one disorder parameter.
 
@@ -348,13 +342,13 @@ def disorder_sweep(
         raise ValueError("disorder grid must lie within [0, 0.9]")
     field_name = {"J": "delta_J", "C": "delta_C", "A": "delta_A", "L": "delta_L"}[kind]
 
+    solver = solver or SolutionCache()
     eps_list, dE_list, unresolved, rows = [], [], [], []
     for d in deltas:
         p = params.replace(**{field_name: float(d)})
-        tr = trunc if trunc is not None else _dispersion_trunc_for(float(d))
+        tr = trunc or dispersion_truncation(float(d))
         dE, eps, table = charge_dispersion(
-            p, phi_ext, tr, ng_grid=ng_grid, dense_threshold=dense_threshold,
-            seed=seed, cache=cache,
+            p, phi_ext, tr, ng_grid=ng_grid, solver=solver
         )
         eps_list.append(eps)
         dE_list.append(dE)

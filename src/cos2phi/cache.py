@@ -1,9 +1,12 @@
-"""Content-addressed store of diagonalization results.
+"""The one solve path: labelled solutions through a content-addressed store.
 
-Keys hash the full problem description (circuit parameters, bias,
-truncation, solver knobs), so identical physics never diagonalizes twice
-regardless of which config asked for it.  Hit and miss counts feed the run
-log for idempotence checks.
+A ``SolutionCache`` carries the solver policy (Krylov seed and dense/Krylov
+threshold) and, when it has a ``root``, a directory of serialized
+eigen-solutions.  Keys hash the full problem description (circuit
+parameters, bias, truncation, solver knobs), so identical physics never
+diagonalizes twice regardless of which config asked for it.  Without a
+root every request is solved.  Hit and miss counts feed the run log for
+idempotence checks.
 """
 
 from __future__ import annotations
@@ -14,7 +17,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .eigensolver import EigenSolution
+from .eigensolver import DEFAULT_SEED, DENSE_THRESHOLD, EigenSolution
 from .model import BasisTruncation, BiasPoint, CircuitParams
 
 __all__ = ["SolutionCache"]
@@ -26,7 +29,7 @@ def _problem_key(
     trunc: BasisTruncation,
     k: int,
     seed: int,
-    dense_threshold,
+    dense_threshold: int,
 ) -> str:
     payload = json.dumps(
         {
@@ -45,24 +48,32 @@ def _problem_key(
 
 
 class SolutionCache:
-    """Directory of serialized eigen-solutions, addressed by problem hash."""
+    """Solver policy plus an optional directory of solutions by problem hash.
 
-    def __init__(self, root: str | Path, enabled: bool = True):
-        self.root = Path(root)
-        self.enabled = enabled
+    ``root=None`` keeps nothing on disk: every request diagonalizes.
+    """
+
+    def __init__(
+        self,
+        root: str | Path | None = None,
+        seed: int = DEFAULT_SEED,
+        dense_threshold: int = DENSE_THRESHOLD,
+    ):
+        self.root = None if root is None else Path(root)
+        self.seed = seed
+        self.dense_threshold = dense_threshold
         self.hits = 0
         self.misses = 0
-        if enabled:
+        if self.root is not None:
             self.root.mkdir(parents=True, exist_ok=True)
 
     def _path(self, key: str) -> Path:
         return self.root / f"{key}.npz"
 
     def load(self, key: str) -> EigenSolution | None:
-        path = self._path(key)
-        if not self.enabled or not path.exists():
+        if self.root is None or not self._path(key).exists():
             return None
-        data = np.load(path, allow_pickle=False)
+        data = np.load(self._path(key), allow_pickle=False)
         meta = json.loads(str(data["meta_json"]))
         return EigenSolution(
             energies=data["energies"],
@@ -73,7 +84,7 @@ class SolutionCache:
         )
 
     def store(self, key: str, sol: EigenSolution) -> None:
-        if not self.enabled:
+        if self.root is None:
             return
         np.savez_compressed(
             self._path(key),
@@ -90,14 +101,12 @@ class SolutionCache:
         bias: BiasPoint,
         trunc: BasisTruncation,
         k: int,
-        seed: int = 7,
-        dense_threshold=None,
     ):
-        """LabeledSolution via the cache; labels are recomputed on load."""
+        """LabeledSolution via the store; labels are recomputed on load."""
         from .analysis import LabeledSolution, label_states, solve_circuit
         from .model import build_primitives
 
-        key = _problem_key(params, bias, trunc, k, seed, dense_threshold)
+        key = _problem_key(params, bias, trunc, k, self.seed, self.dense_threshold)
         sol = self.load(key)
         if sol is not None:
             prim = build_primitives(trunc, params)
@@ -110,7 +119,31 @@ class SolutionCache:
                 )
         self.misses += 1
         ls = solve_circuit(
-            params, bias, trunc, k=k, dense_threshold=dense_threshold, seed=seed
+            params, bias, trunc, k=k,
+            dense_threshold=self.dense_threshold, seed=self.seed,
         )
         self.store(key, ls.solution)
         return ls
+
+    def map(self, problems: list, jobs: int = 1) -> list:
+        """``get_or_solve`` over ``(params, bias, trunc, k)`` tuples, in order.
+
+        With ``jobs > 1`` the problems run in a pool of worker processes,
+        each through a copy of this store; their hits and misses are added
+        to this store's counts.
+        """
+        if jobs <= 1 or len(problems) <= 1:
+            return [self.get_or_solve(*p) for p in problems]
+        from concurrent.futures import ProcessPoolExecutor
+
+        with ProcessPoolExecutor(max_workers=jobs) as ex:
+            done = list(ex.map(self._solve_in_worker, problems))
+        for _, hit in done:
+            self.hits += hit
+            self.misses += not hit
+        return [ls for ls, _ in done]
+
+    def _solve_in_worker(self, problem) -> tuple:
+        hits = self.hits
+        ls = self.get_or_solve(*problem)
+        return ls, self.hits > hits

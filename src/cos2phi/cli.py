@@ -24,7 +24,6 @@ import math
 import os
 import sys
 import traceback
-from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 
 import click
@@ -93,13 +92,6 @@ def _out_dir(cfg: RunConfig, explicit: str | None) -> Path:
     return root
 
 
-def _pmap(fn, items, jobs: int):
-    if jobs <= 1 or len(items) <= 1:
-        return [fn(it) for it in items]
-    with ProcessPoolExecutor(max_workers=jobs) as ex:
-        return list(ex.map(fn, items))
-
-
 class _Runner:
     """Shared per-invocation state: config, cache, output dir, run log."""
 
@@ -113,7 +105,9 @@ class _Runner:
         self.out = _out_dir(self.cfg, out)
         self.provenance = {**self.cfg.provenance(), "subcommand": subcommand}
         self.cache = SolutionCache(
-            self.out / ".solutions", enabled=self.cfg.cache_enabled
+            self.out / ".solutions" if self.cfg.cache_enabled else None,
+            seed=self.cfg.seed,
+            dense_threshold=self.cfg.dense_threshold,
         )
         self.marker = self.out / f"{subcommand}_done.json"
 
@@ -224,17 +218,6 @@ def main() -> None:
 # spectrum
 # ---------------------------------------------------------------------------
 
-def _spectrum_point(args):
-    from .analysis import solve_circuit
-
-    params, phi, ng, trunc_t, k, dense_threshold, seed = args
-    tr = BasisTruncation(*trunc_t)
-    ls = solve_circuit(params, BiasPoint(phi, ng), tr, k=k,
-                       dense_threshold=dense_threshold, seed=seed)
-    labels = [f"{l.m}{l.fluxon}" for l in ls.labels]
-    return ls.energies, labels
-
-
 @main.command()
 @_common
 def spectrum(config_path, out, overrides, jobs, no_cache):
@@ -246,29 +229,15 @@ def spectrum(config_path, out, overrides, jobs, no_cache):
         grid = np.linspace(float(sw["flux_start"]), float(sw["flux_stop"]),
                            int(sw["flux_points"]))
         k = int(sw["k"])
-        if cfg.jobs > 1:
-            args = [
-                (cfg.circuit, float(p), cfg.bias.N_g, cfg.truncation.as_tuple(),
-                 k, cfg.dense_threshold, cfg.seed)
-                for p in grid
-            ]
-            results = _pmap(_spectrum_point, args, cfg.jobs)
-            r.cache.misses += len(results)  # workers bypass the store
-            rows = []
-            for p, (energies, labels) in zip(grid, results):
-                trans = energies - energies[0]
-                rows.append([p, *energies, *trans, *labels])
-        else:
-            rows = []
-            for p in grid:
-                ls = r.cache.get_or_solve(
-                    cfg.circuit, BiasPoint(float(p), cfg.bias.N_g),
-                    cfg.truncation, k, seed=cfg.seed,
-                    dense_threshold=cfg.dense_threshold,
-                )
-                trans = ls.energies - ls.energies[0]
-                labels = [f"{l.m}{l.fluxon}" for l in ls.labels]
-                rows.append([float(p), *ls.energies, *trans, *labels])
+        problems = [
+            (cfg.circuit, BiasPoint(float(p), cfg.bias.N_g), cfg.truncation, k)
+            for p in grid
+        ]
+        rows = []
+        for p, ls in zip(grid, r.cache.map(problems, cfg.jobs)):
+            trans = ls.energies - ls.energies[0]
+            labels = [f"{l.m}{l.fluxon}" for l in ls.labels]
+            rows.append([float(p), *ls.energies, *trans, *labels])
         header = (
             ["phi_ext"]
             + [f"E{i}" for i in range(k)]
@@ -294,10 +263,7 @@ def wavefunctions(config_path, out, overrides, jobs, no_cache):
         from .analysis import wavefunction_charge, wavefunction_phase
 
         cfg = r.cfg
-        ls = r.cache.get_or_solve(
-            cfg.circuit, cfg.bias, cfg.truncation, 4,
-            seed=cfg.seed, dense_threshold=cfg.dense_threshold,
-        )
+        ls = r.cache.get_or_solve(cfg.circuit, cfg.bias, cfg.truncation, 4)
         artifacts = []
         rows = []
         for idx in range(4):
@@ -339,10 +305,7 @@ def matrix_elements(config_path, out, overrides, jobs, no_cache):
 
         cfg = r.cfg
         k = int(cfg.section("sweep")["k"])
-        ls = r.cache.get_or_solve(
-            cfg.circuit, cfg.bias, cfg.truncation, k,
-            seed=cfg.seed, dense_threshold=cfg.dense_threshold,
-        )
+        ls = r.cache.get_or_solve(cfg.circuit, cfg.bias, cfg.truncation, k)
         eta2 = normalized_matrix_elements(ls, "eta")
         phi2 = normalized_matrix_elements(ls, "phi")
         rows = []
@@ -385,9 +348,7 @@ def disorder(config_path, out, overrides, jobs, no_cache):
             phi_ext=cfg.bias.phi_ext,
             trunc=None,  # escalation schedule keeps tiny dispersions honest
             ng_grid=np.linspace(0.0, 1.0, ng_points),
-            dense_threshold=cfg.dense_threshold,
-            seed=cfg.seed,
-            cache=r.cache,
+            solver=r.cache,
         )
         rows = [
             [d, res.derived["eps"][i], res.derived["dE"][i],
@@ -449,8 +410,7 @@ def coherence(config_path, out, overrides, jobs, no_cache):
             cfg.circuit, cfg.bias, cfg.truncation,
             constants=constants, channels=channels,
             ng_grid=np.linspace(0.0, 1.0, ng_points),
-            dense_threshold=cfg.dense_threshold,
-            cache=r.cache,
+            solver=r.cache,
         )
         rows = [["T1", k, v] for k, v in sorted(report.t1.items())]
         rows += [["Tphi", k, v] for k, v in sorted(report.tphi.items())]
@@ -562,7 +522,7 @@ def converge(config_path, out, overrides, jobs, no_cache):
     """Truncation-ladder convergence of the lowest energies."""
 
     def impl(r: _Runner):
-        from .eigensolver import DENSE_THRESHOLD, convergence_ladder
+        from .eigensolver import convergence_ladder
 
         cfg = r.cfg
         cc = cfg.section("converge")
@@ -570,8 +530,7 @@ def converge(config_path, out, overrides, jobs, no_cache):
         rep = convergence_ladder(
             cfg.circuit, cfg.bias, levels, k=int(cc["k"]),
             tolerance=float(cc["tolerance"]),
-            dense_threshold=(cfg.dense_threshold if cfg.dense_threshold is not None
-                             else DENSE_THRESHOLD),
+            dense_threshold=cfg.dense_threshold,
         )
         rows = []
         for i, lv in enumerate(rep.levels):

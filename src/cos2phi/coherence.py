@@ -31,8 +31,10 @@ from .analysis import (
     LabeledSolution,
     LabelingError,
     charge_dispersion,
+    dispersion_truncation,
     dispersive_shift,
 )
+from .cache import SolutionCache
 from .constants import GHZ_TO_RAD_PER_S, PhysicalConstants, DEFAULT_CONSTANTS
 from .hamiltonians import UnsupportedBiasError
 from .model import (
@@ -40,8 +42,10 @@ from .model import (
     BiasPoint,
     CircuitParams,
     Primitives,
+    charge_hops,
     displaced_cosine,
     displaced_sine,
+    kron3,
 )
 
 __all__ = [
@@ -183,22 +187,15 @@ def _quasiparticle_elements(params: CircuitParams, bias: BiasPoint, prim: Primit
     E = sp.csr_matrix(
         (np.ones(nN), (embed_rows, np.arange(nN))), shape=(next_, nN)
     )
-    shift = sp.diags([np.ones(next_ - 1)], [1], shape=(next_, next_)).tocsr()
-    cos_half = 0.5 * (shift + shift.T)
-    sin_half = (shift - shift.T) * (1.0 / 2.0j)
+    cos_half, sin_half = charge_hops(next_)
 
     sin_quarter = displaced_sine(prim.phi_zpf / 2.0, bias.phi_ext / 2.0, t.p0)
     cos_quarter = displaced_cosine(prim.phi_zpf / 2.0, bias.phi_ext / 2.0, t.p0)
     Ib = sp.identity(t.q0 + 1)
-
-    def k3(cb, ab):
-        return sp.kron(sp.kron(sp.csr_matrix(cb), sp.csr_matrix(ab), format="csr"),
-                       Ib, format="csr")
-
     embed_full = sp.kron(E, sp.identity((t.p0 + 1) * (t.q0 + 1)), format="csr")
     for s in (+1.0, -1.0):
         eps_J_i = (1.0 + s * params.delta_J_eff) * params.eps_J
-        op = k3(cos_half, sin_quarter) + s * k3(sin_half, cos_quarter)
+        op = kron3(cos_half, sin_quarter, Ib) + s * kron3(sin_half, cos_quarter, Ib)
         yield eps_J_i, op, embed_full
 
 
@@ -328,23 +325,15 @@ def tphi_charge(eps_GHz: float) -> float:
     return 1e3 / rate
 
 
-def _splitting(params, bias, trunc, dense_threshold=None, seed=7, cache=None) -> float:
-    from .analysis import _solve
-
-    ls = _solve(params, bias, trunc, 2, dense_threshold, seed, cache)
-    return float(ls.energies[1] - ls.energies[0])
-
-
 def tphi_flux(
     params: CircuitParams,
     bias: BiasPoint,
-    trunc: BasisTruncation | None = None,
+    trunc: BasisTruncation = BasisTruncation(),
     sqrt_A: float = FLUX_NOISE_SQRT_A,
     h0: float = 1e-2,
     max_halvings: int = 14,
     rel_tol: float = 0.01,
-    dense_threshold: int | None = None,
-    cache=None,
+    solver: SolutionCache | None = None,
 ) -> float:
     """Second-order flux dephasing at the half-flux sweet spot (ms).
 
@@ -357,14 +346,18 @@ def tphi_flux(
     """
     if abs((bias.phi_ext % (2 * np.pi)) - np.pi) > 1e-9:
         raise UnsupportedBiasError("flux dephasing bound applies at phi_ext = pi")
-    d0 = _splitting(params, bias, trunc, dense_threshold, cache=cache)
+    solver = solver or SolutionCache()
+
+    def splitting(phi_ext):
+        return solver.get_or_solve(
+            params, BiasPoint(phi_ext, bias.N_g), trunc, 2).splitting
+
+    d0 = splitting(bias.phi_ext)
     h = h0
     prev = None
     for _ in range(max_halvings):
-        dp = _splitting(params, BiasPoint(bias.phi_ext + h, bias.N_g), trunc,
-                        dense_threshold, cache=cache)
-        dm = _splitting(params, BiasPoint(bias.phi_ext - h, bias.N_g), trunc,
-                        dense_threshold, cache=cache)
+        dp = splitting(bias.phi_ext + h)
+        dm = splitting(bias.phi_ext - h)
         curv = (dp - 2.0 * d0 + dm) / h**2
         if prev is not None and abs(curv - prev) <= rel_tol * abs(curv):
             rate = sqrt_A**2 * abs(curv) * GHZ_TO_RAD_PER_S
@@ -404,13 +397,12 @@ def tphi_shot(
 def tphi_critical_current(
     params: CircuitParams,
     bias: BiasPoint,
-    trunc: BasisTruncation | None = None,
+    trunc: BasisTruncation = BasisTruncation(),
     sqrt_A_rel: float = CRITICAL_CURRENT_SQRT_A,
     rel_step: float = 1e-3,
     max_halvings: int = 8,
     rel_tol: float = 0.01,
-    dense_threshold: int | None = None,
-    cache=None,
+    solver: SolutionCache | None = None,
 ) -> float:
     """Junction-energy-fluctuation dephasing (ms).
 
@@ -419,13 +411,17 @@ def tphi_critical_current(
     """
     if sqrt_A_rel == 0:
         return math.inf
+    solver = solver or SolutionCache()
+
+    def splitting(eps_J):
+        return solver.get_or_solve(
+            params.replace(eps_J=eps_J), bias, trunc, 2).splitting
+
     s = rel_step
     prev = None
     for _ in range(max_halvings):
-        dp = _splitting(params.replace(eps_J=params.eps_J * (1 + s)), bias, trunc,
-                        dense_threshold, cache=cache)
-        dm = _splitting(params.replace(eps_J=params.eps_J * (1 - s)), bias, trunc,
-                        dense_threshold, cache=cache)
+        dp = splitting(params.eps_J * (1 + s))
+        dm = splitting(params.eps_J * (1 - s))
         deriv = (dp - dm) / (2.0 * s)  # eps_J d(dE)/d eps_J, GHz
         if prev is not None and abs(deriv - prev) <= rel_tol * abs(deriv):
             rate = sqrt_A_rel * abs(deriv) * GHZ_TO_RAD_PER_S
@@ -475,24 +471,23 @@ def _combine(times: dict) -> float:
 def full_report(
     params: CircuitParams,
     bias: BiasPoint,
-    trunc: BasisTruncation | None = None,
+    trunc: BasisTruncation = BasisTruncation(),
     constants: PhysicalConstants = DEFAULT_CONSTANTS,
     channels: dict[str, NoiseChannel] | None = None,
     ng_grid=None,
-    dense_threshold: int | None = None,
     dispersion_trunc: BasisTruncation | None = None,
-    cache=None,
+    solver: SolutionCache | None = None,
 ) -> CoherenceReport:
     """All-channel coherence budget at one operating point.
 
-    ``dispersion_trunc`` optionally enlarges the basis for the charge
-    dispersion only, where truncation artifacts dominate first.
+    ``dispersion_trunc`` optionally sets the basis for the charge dispersion
+    only, where truncation artifacts dominate first; by default it is the
+    escalation schedule at ``delta_L``, never smaller than ``trunc``.
     """
     if channels is None:
         channels = default_channels()
-    from .analysis import _solve
-
-    ls = _solve(params, bias, trunc, 6, dense_threshold, 7, cache)
+    solver = solver or SolutionCache()
+    ls = solver.get_or_solve(params, bias, trunc, 6)
 
     t1: dict[str, float] = {}
     for kind in ("capacitive", "inductive", "purcell", "quasiparticle"):
@@ -501,31 +496,18 @@ def full_report(
 
     tphi: dict[str, float] = {}
     if "charge" in channels:
-        from .analysis import _dispersion_trunc_for
-        from .hamiltonians import cos2phi_default_truncation
-
-        d_tr = dispersion_trunc
-        if d_tr is None:
-            # dispersions shrink exponentially with asymmetry and fall below
-            # the truncation artifact of the working basis; take the larger
-            # of the requested basis and the escalation schedule
-            base = trunc if trunc is not None else cos2phi_default_truncation()
-            sched = _dispersion_trunc_for(params.delta_L)
-            d_tr = BasisTruncation(
-                max(base.N0, sched.N0), max(base.p0, sched.p0),
-                max(base.q0, sched.q0),
-            )
+        # dispersions shrink exponentially with asymmetry and fall below the
+        # truncation artifact of the working basis
+        d_tr = dispersion_trunc or dispersion_truncation(params.delta_L, trunc)
         _, eps, _ = charge_dispersion(
-            params, bias.phi_ext, d_tr, ng_grid=ng_grid,
-            dense_threshold=dense_threshold, cache=cache,
+            params, bias.phi_ext, d_tr, ng_grid=ng_grid, solver=solver
         )
         tphi["charge"] = tphi_charge(eps)
     if "flux" in channels:
         tphi["flux"] = tphi_flux(
             params, bias, trunc,
             sqrt_A=channels["flux"].amplitude,
-            dense_threshold=dense_threshold,
-            cache=cache,
+            solver=solver,
         )
     if "shot" in channels:
         chi = dispersive_shift(ls)
@@ -538,8 +520,7 @@ def full_report(
         tphi["critical_current"] = tphi_critical_current(
             params, bias, trunc,
             sqrt_A_rel=channels["critical_current"].amplitude,
-            dense_threshold=dense_threshold,
-            cache=cache,
+            solver=solver,
         )
 
     t1_total = _combine(t1)
@@ -562,7 +543,7 @@ def full_report(
                 "delta_A": params.delta_A, "delta_L": params.delta_L,
             },
             "bias": {"phi_ext": bias.phi_ext, "N_g": bias.N_g},
-            "trunc": (trunc.as_tuple() if trunc is not None else None),
+            "trunc": trunc.as_tuple(),
             "temperature_K": constants.temperature,
         },
     )

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -47,7 +47,7 @@ _SCHEMA = {
         "enabled": None, "q_cap": None, "q_ind": None,
         "sqrt_A_flux": None, "sqrt_A_epsJ_rel": None, "x_qp": None,
     },
-    "mathieu": {"E_J": None, "E_C": None, "N0_toy": None, "ratios": None},
+    "mathieu": {"E_C": None, "N0_toy": None, "ratios": None},
     "instanton": {"n_beads": None, "max_outer": None},
     "converge": {"levels": None, "k": None, "tolerance": None},
 }
@@ -59,7 +59,7 @@ _DEFAULTS = {
         "delta_J": 0.0, "delta_C": 0.0, "delta_A": 0.0, "delta_L": 0.0,
     },
     "bias": {"phi_ext": float(np.pi), "N_g": 0.0},
-    "truncation": {"N0": 7, "p0": 7, "q0": 30},
+    "truncation": asdict(BasisTruncation()),
     "temperature": 0.016,
     "seed": 7,
     "jobs": 1,
@@ -80,7 +80,7 @@ _DEFAULTS = {
         "sqrt_A_flux": 2 * float(np.pi) * 3.0e-6,
         "sqrt_A_epsJ_rel": 5.0e-7, "x_qp": 3.3e-6,
     },
-    "mathieu": {"E_J": 100.0, "E_C": 2.0, "N0_toy": 60,
+    "mathieu": {"E_C": 2.0, "N0_toy": 60,
                 "ratios": [30, 40, 50, 60, 70, 80]},
     "instanton": {"n_beads": 385, "max_outer": 200},
     "converge": {"levels": [[5, 5, 20], [7, 7, 30], [9, 9, 40]], "k": 4,
@@ -172,9 +172,11 @@ class RunConfig:
         return bool(self.raw["cache"])
 
     @property
-    def dense_threshold(self) -> int | None:
+    def dense_threshold(self) -> int:
+        from .eigensolver import DENSE_THRESHOLD
+
         v = self.raw.get("dense_threshold")
-        return None if v is None else int(v)
+        return DENSE_THRESHOLD if v is None else int(v)
 
     def section(self, name: str) -> dict:
         return self.raw[name]

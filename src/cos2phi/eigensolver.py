@@ -23,9 +23,11 @@ __all__ = [
     "LadderReport",
     "NonConvergenceError",
     "DENSE_THRESHOLD",
+    "DEFAULT_SEED",
 ]
 
 DENSE_THRESHOLD = 4096
+DEFAULT_SEED = 7  # Krylov start-vector seed
 DEGENERACY_WINDOW = 1e-9  # GHz; clusters inside are gauge-fixed together
 
 
@@ -113,7 +115,7 @@ def lowest_eigenpairs(
     k: int,
     tol: float = 1e-10,
     dense_threshold: int = DENSE_THRESHOLD,
-    seed: int = 7,
+    seed: int = DEFAULT_SEED,
     gauge_operator: Operator | None = None,
     meta: dict | None = None,
 ) -> EigenSolution:
@@ -138,9 +140,8 @@ def lowest_eigenpairs(
             M = M.real
         evals, evecs = sla.eigh(M)
         energies, vectors = evals[:k], evecs[:, :k]
-        iterations = 0
     else:
-        energies, vectors, iterations = _krylov_lowest(H, k, tol, seed)
+        energies, vectors = _krylov_lowest(H, k, tol, seed)
 
     energies, vectors = _gauge_fix_clusters(H, energies, vectors, gauge_operator)
     vectors = _fix_phases(vectors)
@@ -157,7 +158,7 @@ def lowest_eigenpairs(
             f"krylov residuals {resid} exceed tolerance {tol}", residuals=resid
         )
 
-    info = {"backend": backend, "tol": tol, "seed": seed, "iterations": iterations}
+    info = {"backend": backend, "tol": tol, "seed": seed}
     if meta:
         info.update(meta)
     return EigenSolution(
@@ -188,7 +189,7 @@ def _krylov_lowest(H: HermitianOperator, k: int, tol: float, seed: int):
             f"ARPACK failed to converge: {exc}", residuals=getattr(exc, "eigenvalues", None)
         ) from exc
     order = np.argsort(evals)
-    return evals[order], evecs[:, order], k
+    return evals[order], evecs[:, order]
 
 
 @dataclass(frozen=True)

@@ -39,8 +39,11 @@ from .model import (
     HermitianOperator,
     Primitives,
     build_primitives,
+    charge_hops,
     displaced_cosine,
     displaced_sine,
+    kron3,
+    ladder,
 )
 
 __all__ = [
@@ -54,17 +57,11 @@ __all__ = [
     "parity_sector_hamiltonians",
     "NormalModeReport",
     "UnsupportedBiasError",
-    "cos2phi_default_truncation",
 ]
 
 
 class UnsupportedBiasError(ValueError):
     """Operation defined only at a particular bias point."""
-
-
-# production defaults for the three-mode basis
-def cos2phi_default_truncation() -> BasisTruncation:
-    return BasisTruncation(N0=7, p0=7, q0=30)
 
 
 # ---------------------------------------------------------------------------
@@ -115,7 +112,7 @@ def _josephson_block(prim: Primitives, phi_ext: float) -> np.ndarray:
 def full_hamiltonian(
     params: CircuitParams,
     bias: BiasPoint,
-    trunc: BasisTruncation | None = None,
+    trunc: BasisTruncation = BasisTruncation(),
     primitives: Primitives | None = None,
 ) -> HermitianOperator:
     """Assemble the complete (possibly disordered) circuit Hamiltonian.
@@ -124,13 +121,12 @@ def full_hamiltonian(
     inside ``build_primitives``) and through the explicit asymmetry terms.
     Passing ``primitives`` skips rebuilding the operator toolbox.
     """
-    if trunc is None:
-        trunc = cos2phi_default_truncation()
-    if trunc.N0 < 7 or trunc.p0 < 7 or trunc.q0 < 30:
+    floor = BasisTruncation()
+    if trunc.N0 < floor.N0 or trunc.p0 < floor.p0 or trunc.q0 < floor.q0:
         warnings.warn(
             f"truncation {trunc.as_tuple()} is below the recommended "
-            "(7, 7, 30); check convergence before trusting low-energy "
-            "differences",
+            f"{floor.as_tuple()}; check convergence before trusting "
+            "low-energy differences",
             stacklevel=2,
         )
     prim = primitives if primitives is not None else build_primitives(trunc, params)
@@ -139,7 +135,7 @@ def full_hamiltonian(
     eJ = params.eps_J
     Ng = bias.N_g
 
-    cos_b, _ = _hop_blocks(trunc)
+    cos_b, _ = charge_hops(2 * trunc.N0 + 1)
     charge = prim.N - Ng * prim.identity - prim.eta
     H = (
         prim.omega_a * prim.num_a
@@ -147,7 +143,7 @@ def full_hamiltonian(
         + 2.0 * eC * (charge @ charge).hermitize()
         - 2.0 * eJ
         * prim.wrap_hermitian(
-            prim.kron3(
+            kron3(
                 cos_b,
                 _josephson_block(prim, bias.phi_ext),
                 sp.identity(trunc.q0 + 1),
@@ -165,19 +161,11 @@ def full_hamiltonian(
     return H.hermitize() if not isinstance(H, HermitianOperator) else H
 
 
-def _hop_blocks(trunc: BasisTruncation) -> tuple[sp.csr_matrix, sp.csr_matrix]:
-    nN = 2 * trunc.N0 + 1
-    hop = sp.diags([np.ones(nN - 1)], [1], shape=(nN, nN)).tocsr()
-    cos_b = 0.5 * (hop + hop.T)
-    sin_b = (hop - hop.T) * (1.0 / 2.0j)
-    return cos_b.tocsr(), sin_b.tocsr()
-
-
 def disorder_perturbation(
     kind: str,
     params: CircuitParams,
     bias: BiasPoint,
-    trunc: BasisTruncation | None = None,
+    trunc: BasisTruncation = BasisTruncation(),
     primitives: Primitives | None = None,
 ) -> tuple[HermitianOperator, dict]:
     """Asymmetry term H' for one disorder kind, with its coefficient dressing.
@@ -189,8 +177,6 @@ def disorder_perturbation(
     """
     if kind not in ("J", "C", "L", "A"):
         raise ValueError(f"unknown disorder kind {kind!r}")
-    if trunc is None:
-        trunc = cos2phi_default_truncation()
     prim = primitives if primitives is not None else build_primitives(trunc, params)
 
     if kind == "A":
@@ -228,10 +214,10 @@ def _perturbation_term(
         return zero.hermitize(), meta
 
     if kind == "J":
-        _, sin_b = _hop_blocks(trunc)
+        _, sin_b = charge_hops(2 * trunc.N0 + 1)
         sin_d = displaced_sine(prim.phi_zpf, bias.phi_ext, trunc.p0)
         Hp = (2.0 * params.eps_J * delta) * prim.wrap_hermitian(
-            prim.kron3(sin_b, sin_d, sp.identity(trunc.q0 + 1))
+            kron3(sin_b, sin_d, sp.identity(trunc.q0 + 1))
         )
         return Hp, meta
 
@@ -335,10 +321,7 @@ def effective_hamiltonian(
     Nv = np.arange(-N0, N0 + 1).astype(float)
     fp = f"effective:{order}:{N0}:{q0}:{eL:.12e}:{eC:.12e}:{x:.12e}"
 
-    hop = sp.diags([np.ones(nN - 1)], [1], shape=(nN, nN)).tocsr()
-    v = np.sqrt(np.arange(1, nb))
-    b = sp.diags([v], [1], shape=(nb, nb)).tocsr()
-    bdag = b.T.tocsr()
+    b, bdag = ladder(nb)
     Ib, IN = sp.identity(nb), sp.identity(nN)
 
     omega_b = np.sqrt(16.0 * x * eC * eL)
@@ -352,8 +335,8 @@ def effective_hamiltonian(
     for k, ck in enumerate(ep.coefficients(), start=1):
         if ck == 0.0:
             continue
-        hk = sp.diags([np.ones(nN - k)], [k], shape=(nN, nN)).tocsr()
-        H = H + ck * sp.kron(0.5 * (hk + hk.T), Ib)
+        cos_k, _ = charge_hops(nN, k)
+        H = H + ck * sp.kron(cos_k, Ib)
     return HermitianOperator(H.tocsr(), fp), ep
 
 
@@ -394,15 +377,12 @@ def parity_sector_hamiltonians(
     nN = 2 * N0_sector + 1
     nb = q0 + 1
     Ntil = np.arange(-N0_sector, N0_sector + 1).astype(float)
-    v = np.sqrt(np.arange(1, nb))
-    b = sp.diags([v], [1], shape=(nb, nb)).tocsr()
-    bdag = b.T.tocsr()
+    b, bdag = ladder(nb)
     Ib, IN = sp.identity(nb), sp.identity(nN)
     omega_b = np.sqrt(16.0 * x * eC * eL)
     eta_zpf = 0.5 * (eL / (x * eC)) ** 0.25
     eta1 = 1j * eta_zpf * (bdag - b)
-    hop = sp.diags([np.ones(nN - 1)], [1], shape=(nN, nN)).tocsr()
-    cos_til = 0.5 * (hop + hop.T)
+    cos_til, _ = charge_hops(nN)
 
     out = []
     for k_pm in (0.0, 1.0):

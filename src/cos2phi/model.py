@@ -33,6 +33,9 @@ __all__ = [
     "HermitianOperator",
     "Primitives",
     "build_primitives",
+    "kron3",
+    "charge_hops",
+    "ladder",
     "displaced_cosine",
     "displaced_sine",
     "displaced_trig_quadrature",
@@ -262,9 +265,6 @@ class HermitianOperator(Operator):
 
     __rmul__ = __mul__
 
-    def is_numerically_real(self) -> bool:
-        return bool(np.abs(self.matrix.data.imag).max() == 0.0) if self.matrix.nnz else True
-
 
 # ---------------------------------------------------------------------------
 # displaced cosine / sine on a Fock space
@@ -342,6 +342,21 @@ def displaced_trig_quadrature(
 # primitive operator set on the full tensor product space
 # ---------------------------------------------------------------------------
 
+def kron3(cb, ab, bb) -> sp.csr_matrix:
+    """Charge (x) loop-sum (x) imbalance block product on the |N p q> basis."""
+    return sp.kron(
+        sp.kron(sp.csr_matrix(cb), sp.csr_matrix(ab), format="csr"),
+        sp.csr_matrix(bb),
+        format="csr",
+    )
+
+
+def charge_hops(n: int, step: int = 1) -> tuple[sp.csr_matrix, sp.csr_matrix]:
+    """cos and sin of ``step`` times the compact phase on ``n`` charge states."""
+    hop = sp.diags([np.ones(n - step)], [step], shape=(n, n)).tocsr()
+    return 0.5 * (hop + hop.T), (hop - hop.T) * (1.0 / (2.0j))
+
+
 @dataclass(frozen=True)
 class Primitives:
     """Operator toolbox on the |N p q> basis for one (params, truncation).
@@ -383,42 +398,11 @@ class Primitives:
     def wrap_hermitian(self, matrix: sp.spmatrix) -> HermitianOperator:
         return HermitianOperator(matrix, self.fingerprint)
 
-    def embed_charge(self, block: np.ndarray | sp.spmatrix) -> sp.csr_matrix:
-        na, nb = self.trunc.p0 + 1, self.trunc.q0 + 1
-        return sp.kron(
-            sp.kron(sp.csr_matrix(block), sp.identity(na), format="csr"),
-            sp.identity(nb),
-            format="csr",
-        )
-
-    def embed_a(self, block: np.ndarray | sp.spmatrix) -> sp.csr_matrix:
-        nN, nb = 2 * self.trunc.N0 + 1, self.trunc.q0 + 1
-        return sp.kron(
-            sp.kron(sp.identity(nN), sp.csr_matrix(block), format="csr"),
-            sp.identity(nb),
-            format="csr",
-        )
-
-    def embed_b(self, block: np.ndarray | sp.spmatrix) -> sp.csr_matrix:
-        nN, na = 2 * self.trunc.N0 + 1, self.trunc.p0 + 1
-        return sp.kron(
-            sp.identity(nN * na), sp.csr_matrix(block), format="csr"
-        )
-
-    def kron3(
-        self,
-        cb: np.ndarray | sp.spmatrix,
-        ab: np.ndarray | sp.spmatrix,
-        bb: np.ndarray | sp.spmatrix,
-    ) -> sp.csr_matrix:
-        return sp.kron(
-            sp.kron(sp.csr_matrix(cb), sp.csr_matrix(ab), format="csr"),
-            sp.csr_matrix(bb),
-            format="csr",
-        )
+    kron3 = staticmethod(kron3)
 
 
-def _ladder(dim: int) -> tuple[sp.csr_matrix, sp.csr_matrix]:
+def ladder(dim: int) -> tuple[sp.csr_matrix, sp.csr_matrix]:
+    """Oscillator lowering and raising operators on ``dim`` Fock states."""
     v = np.sqrt(np.arange(1, dim))
     low = sp.diags([v], [1], shape=(dim, dim)).tocsr()
     return low, low.T.tocsr()
@@ -456,29 +440,22 @@ def build_primitives(
     na, nb = trunc.p0 + 1, trunc.q0 + 1
     Nvals = np.arange(-trunc.N0, trunc.N0 + 1).astype(float)
 
-    hop = sp.diags([np.ones(nN - 1)], [1], shape=(nN, nN)).tocsr()
-    cos_hop = 0.5 * (hop + hop.T)
-    sin_hop = (hop - hop.T) * (1.0 / (2.0j))
-
-    a1, adag1 = _ladder(na)
-    b1, bdag1 = _ladder(nb)
-
-    def k3(cb, ab, bb):
-        return sp.kron(sp.kron(sp.csr_matrix(cb), sp.csr_matrix(ab), format="csr"),
-                       sp.csr_matrix(bb), format="csr")
+    cos_hop, sin_hop = charge_hops(nN)
+    a1, adag1 = ladder(na)
+    b1, bdag1 = ladder(nb)
 
     IN, Ia, Ib = sp.identity(nN), sp.identity(na), sp.identity(nb)
-    eye = k3(IN, Ia, Ib)
+    eye = kron3(IN, Ia, Ib)
 
-    Nmat = k3(sp.diags(Nvals), Ia, Ib)
-    cosp = k3(cos_hop, Ia, Ib)
-    sinp = k3(sin_hop, Ia, Ib)
-    a_full = k3(IN, a1, Ib)
-    adag_full = k3(IN, adag1, Ib)
-    b_full = k3(IN, Ia, b1)
-    bdag_full = k3(IN, Ia, bdag1)
-    num_a = k3(IN, sp.diags(np.arange(na).astype(float)), Ib)
-    num_b = k3(IN, Ia, sp.diags(np.arange(nb).astype(float)))
+    Nmat = kron3(sp.diags(Nvals), Ia, Ib)
+    cosp = kron3(cos_hop, Ia, Ib)
+    sinp = kron3(sin_hop, Ia, Ib)
+    a_full = kron3(IN, a1, Ib)
+    adag_full = kron3(IN, adag1, Ib)
+    b_full = kron3(IN, Ia, b1)
+    bdag_full = kron3(IN, Ia, bdag1)
+    num_a = kron3(IN, sp.diags(np.arange(na).astype(float)), Ib)
+    num_b = kron3(IN, Ia, sp.diags(np.arange(nb).astype(float)))
 
     n_zpf = 1.0 / (2.0 * phi_zpf)
     n_full = 1j * n_zpf * (adag_full - a_full)
@@ -489,7 +466,7 @@ def build_primitives(
     # combined Cooper-pair parity: (-1)^N on the charge index times the
     # Fock parity of the loop-sum mode; this is the symmetry the junction
     # term preserves at half flux
-    parity = k3(
+    parity = kron3(
         sp.diags((-1.0) ** np.arange(-trunc.N0, trunc.N0 + 1)),
         sp.diags((-1.0) ** np.arange(na)),
         Ib,

@@ -21,6 +21,7 @@ from cos2phi.analysis import (
     normalized_matrix_elements,
     solve_circuit,
 )
+from cos2phi.cache import SolutionCache
 from cos2phi.coherence import (
     t1_channel,
     tphi_charge,
@@ -231,7 +232,7 @@ def test_criterion_09_coherence_regression(canonical, half_flux, ls0, ls06):
                  f"{'ok' if cond else 'FAIL'}")
 
     _, eps0, _ = charge_dispersion(canonical, np.pi, PROD, ng_grid=NG5,
-                                   dense_threshold=16)
+                                   solver=SolutionCache(dense_threshold=16))
     tphi0 = tphi_charge(eps0)
     cond = abs(tphi0 / 0.0037 - 1) <= 0.25
     ok &= cond
@@ -240,7 +241,7 @@ def test_criterion_09_coherence_regression(canonical, half_flux, ls0, ls06):
 
     _, eps6, _ = charge_dispersion(
         canonical.replace(delta_L=0.6), np.pi, BasisTruncation(10, 10, 46),
-        ng_grid=NG5, dense_threshold=16,
+        ng_grid=NG5, solver=SolutionCache(dense_threshold=16),
     )
     tphi6 = tphi_charge(eps6)
     cond = 74.0 / 2 <= tphi6 <= 74.0 * 2
@@ -248,7 +249,8 @@ def test_criterion_09_coherence_regression(canonical, half_flux, ls0, ls06):
     lines.append(f"charge Tphi(0.6) = {tphi6:.1f} ms vs 74 x2: "
                  f"{'ok' if cond else 'FAIL'}")
 
-    tflux = tphi_flux(canonical, half_flux, PROD, dense_threshold=16)
+    tflux = tphi_flux(canonical, half_flux, PROD,
+                      solver=SolutionCache(dense_threshold=16))
     cond = 0.022 / 2 <= tflux <= 0.022 * 2
     ok &= cond
     lines.append(f"flux Tphi(0) = {tflux:.4f} ms vs 0.022 x2: "
@@ -263,7 +265,8 @@ def test_criterion_09_coherence_regression(canonical, half_flux, ls0, ls06):
     lines.append(f"shot Tphi(0) = {tshot:.2f} ms vs 4.6 x2: "
                  f"{'ok' if cond else 'FAIL'}")
 
-    tcc = tphi_critical_current(canonical, half_flux, PROD, dense_threshold=16)
+    tcc = tphi_critical_current(canonical, half_flux, PROD,
+                                solver=SolutionCache(dense_threshold=16))
     cond = 210.0 / 2 <= tcc <= 210.0 * 2
     ok &= cond
     lines.append(f"critical-current Tphi(0) = {tcc:.0f} ms vs 210 x2: "
@@ -288,7 +291,7 @@ def test_criterion_10_disorder_trends(canonical):
     for dL, tr in schedule.items():
         p = canonical.replace(delta_L=dL)
         dE, e, _ = charge_dispersion(p, np.pi, tr, ng_grid=NG5,
-                                     dense_threshold=16)
+                                     solver=SolutionCache(dense_threshold=16))
         eps.append(e)
         dEs.append(abs(dE))
     eps = np.array(eps)

@@ -17,6 +17,7 @@ from cos2phi.analysis import (
     wavefunction_charge,
     wavefunction_phase,
 )
+from cos2phi.cache import SolutionCache
 from cos2phi.model import BasisTruncation, BiasPoint, CircuitParams
 from cos2phi.hamiltonians import full_hamiltonian
 
@@ -52,7 +53,7 @@ class TestLabels:
 class TestFluxSweep:
     def test_single_point_matches_direct(self, canonical, half_flux, small_trunc):
         res = flux_sweep(canonical, [np.pi], k=4, trunc=small_trunc,
-                         dense_threshold=16)
+                         solver=SolutionCache(dense_threshold=16))
         ls = solve_circuit(canonical, half_flux, small_trunc, k=4,
                           dense_threshold=16)
         assert np.allclose(res.energies[0], ls.energies, atol=1e-10)
@@ -60,7 +61,7 @@ class TestFluxSweep:
     def test_plasmon_branch_flux_flat(self, canonical, medium_trunc):
         grid = np.linspace(0.85 * np.pi, 1.15 * np.pi, 5)
         res = flux_sweep(canonical, grid, k=4, trunc=medium_trunc,
-                         dense_threshold=16)
+                         solver=SolutionCache(dense_threshold=16))
         plasmon = []
         for i in range(len(grid)):
             labs = {(l.m, l.fluxon): l.index for l in res.labels[i]}
@@ -85,7 +86,7 @@ class TestChargeDispersion:
     def test_symmetric_dispersion_equals_splitting(self, canonical, medium_trunc):
         dE, eps, table = charge_dispersion(
             canonical, np.pi, medium_trunc,
-            ng_grid=np.linspace(0, 1, 5), dense_threshold=16,
+            ng_grid=np.linspace(0, 1, 5), solver=SolutionCache(dense_threshold=16),
         )
         assert eps >= 0
         # perfect symmetry: the swing over one period equals the splitting,
@@ -107,7 +108,7 @@ class TestDisorderSweep:
         for kind in ("J", "C", "A", "L"):
             res = disorder_sweep(
                 canonical, kind, [0.0], trunc=small_trunc,
-                ng_grid=np.linspace(0, 1, 3), dense_threshold=16,
+                ng_grid=np.linspace(0, 1, 3), solver=SolutionCache(dense_threshold=16),
             )
             rows[kind] = (res.derived["eps"][0], res.derived["dE"][0])
         vals = list(rows.values())
@@ -123,7 +124,7 @@ class TestDisorderSweep:
         for kind in ("J", "C", "A", "L"):
             res = disorder_sweep(
                 canonical, kind, [0.3], trunc=tr,
-                ng_grid=np.linspace(0, 1, 5), dense_threshold=16,
+                ng_grid=np.linspace(0, 1, 5), solver=SolutionCache(dense_threshold=16),
             )
             eps[kind] = res.derived["eps"][0]
         assert eps["L"] < eps["J"]
@@ -135,7 +136,7 @@ class TestDisorderSweep:
         for kind in ("A", "L"):
             res = disorder_sweep(
                 canonical, kind, [0.15], trunc=medium_trunc,
-                ng_grid=np.linspace(0, 1, 3), dense_threshold=16,
+                ng_grid=np.linspace(0, 1, 3), solver=SolutionCache(dense_threshold=16),
             )
             dEs[kind] = abs(res.derived["dE"][0])
         assert dEs["A"] == pytest.approx(dEs["L"], rel=0.5)

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from cos2phi.analysis import solve_circuit
+from cos2phi.cache import SolutionCache
 from cos2phi.coherence import (
     default_channels,
     full_report,
@@ -136,7 +137,8 @@ class TestDephasing:
 
     def test_flux_curvature_against_two_level_model(self, canonical):
         tr = BasisTruncation(4, 4, 14)
-        t = tphi_flux(canonical, BiasPoint(np.pi, 0.0), tr, dense_threshold=16)
+        t = tphi_flux(canonical, BiasPoint(np.pi, 0.0), tr,
+                      solver=SolutionCache(dense_threshold=16))
         ls = solve_circuit(canonical, BiasPoint(np.pi, 0.0), tr, k=2,
                           dense_threshold=16)
         dE = ls.energies[1] - ls.energies[0]
@@ -165,7 +167,7 @@ class TestDephasing:
             b = BiasPoint(np.pi, 0.0)
             ls = solve_circuit(p, b, tr, k=2, dense_threshold=16)
             dE = ls.energies[1] - ls.energies[0]
-            t = tphi_flux(p, b, tr, dense_threshold=16)
+            t = tphi_flux(p, b, tr, solver=SolutionCache(dense_threshold=16))
             rate = 1e3 / t
             curv = rate / ((2 * np.pi * 3e-6) ** 2 * 2 * np.pi * 1e9)
             prods.append(curv * dE)
@@ -193,7 +195,7 @@ class TestDephasing:
     def test_critical_current_magnitude(self, canonical):
         tr = BasisTruncation(4, 4, 14)
         t = tphi_critical_current(canonical, BiasPoint(np.pi, 0.0), tr,
-                                  dense_threshold=16)
+                                  solver=SolutionCache(dense_threshold=16))
         # the splitting depends exponentially on the junction energy, so the
         # logarithmic derivative is a few times the splitting itself
         assert 50.0 < t < 500.0
@@ -204,7 +206,7 @@ def report(canonical):
     tr = BasisTruncation(4, 4, 14)
     return full_report(
         canonical, BiasPoint(np.pi, 0.0), tr,
-        ng_grid=np.linspace(0, 1, 3), dense_threshold=16,
+        ng_grid=np.linspace(0, 1, 3), solver=SolutionCache(dense_threshold=16),
         dispersion_trunc=tr,
     )
 
@@ -227,7 +229,7 @@ class TestFullReport:
             canonical, BiasPoint(np.pi, 0.0), tr,
             channels={k: v for k, v in default_channels().items()
                       if k != "charge"},
-            ng_grid=np.linspace(0, 1, 3), dense_threshold=16,
+            ng_grid=np.linspace(0, 1, 3), solver=SolutionCache(dense_threshold=16),
             dispersion_trunc=tr,
         )
         assert partial.t2 >= report.t2
@@ -235,7 +237,7 @@ class TestFullReport:
     def test_all_disabled_sentinel(self, canonical):
         tr = BasisTruncation(4, 4, 14)
         rep = full_report(canonical, BiasPoint(np.pi, 0.0), tr, channels={},
-                          dense_threshold=16)
+                          solver=SolutionCache(dense_threshold=16))
         assert math.isinf(rep.t2)
 
     def test_serialization(self, report):
@@ -243,3 +245,26 @@ class TestFullReport:
         assert d["t1_ms"]["purcell"] == "inf"
         assert isinstance(d["t2_ms"], float)
         assert d["inputs"]["temperature_K"] == pytest.approx(0.016)
+
+    def test_solver_seed_reaches_every_channel(self, tmp_path, canonical):
+        # the store keys on the solver's Krylov seed, so a store filled at
+        # one seed serves none of the budget's solves at another
+        tr = BasisTruncation(3, 3, 8)
+        channels = {k: v for k, v in default_channels().items()
+                    if k in ("inductive", "charge", "flux", "critical_current")}
+
+        def run(seed):
+            solver = SolutionCache(tmp_path / "store", seed=seed,
+                                   dense_threshold=16)
+            full_report(canonical, BiasPoint(np.pi, 0.0), tr,
+                        channels=channels, ng_grid=np.linspace(0, 1, 3),
+                        dispersion_trunc=BasisTruncation(4, 3, 8),
+                        solver=solver)
+            return solver
+
+        first = run(5)
+        assert first.hits == 0 and first.misses > 0
+        again = run(5)
+        assert again.hits == first.misses and again.misses == 0
+        other = run(11)
+        assert other.hits == 0 and other.misses == first.misses

@@ -62,29 +62,28 @@ class TestConfig:
 
 class TestSolutionCache:
     def test_round_trip_and_hit_counting(self, tmp_path, canonical, half_flux):
-        cache = SolutionCache(tmp_path / "store")
+        cache = SolutionCache(tmp_path / "store", dense_threshold=16)
         tr = BasisTruncation(3, 3, 8)
-        a = cache.get_or_solve(canonical, half_flux, tr, k=3, dense_threshold=16)
+        a = cache.get_or_solve(canonical, half_flux, tr, k=3)
         assert cache.misses == 1 and cache.hits == 0
-        b = cache.get_or_solve(canonical, half_flux, tr, k=3, dense_threshold=16)
+        b = cache.get_or_solve(canonical, half_flux, tr, k=3)
         assert cache.misses == 1 and cache.hits == 1
         assert np.array_equal(a.energies, b.energies)
         assert np.array_equal(a.solution.vectors, b.solution.vectors)
         assert [l.fluxon for l in a.labels] == [l.fluxon for l in b.labels]
 
     def test_distinct_problems_distinct_entries(self, tmp_path, canonical, half_flux):
-        cache = SolutionCache(tmp_path / "store")
+        cache = SolutionCache(tmp_path / "store", dense_threshold=16)
         tr = BasisTruncation(3, 3, 8)
-        cache.get_or_solve(canonical, half_flux, tr, k=2, dense_threshold=16)
-        cache.get_or_solve(canonical, BiasPoint(np.pi, 0.1), tr, k=2,
-                           dense_threshold=16)
+        cache.get_or_solve(canonical, half_flux, tr, k=2)
+        cache.get_or_solve(canonical, BiasPoint(np.pi, 0.1), tr, k=2)
         assert cache.misses == 2
 
     def test_disabled_cache(self, tmp_path, canonical, half_flux):
-        cache = SolutionCache(tmp_path / "store", enabled=False)
+        cache = SolutionCache(None, dense_threshold=16)
         tr = BasisTruncation(3, 3, 8)
-        cache.get_or_solve(canonical, half_flux, tr, k=2, dense_threshold=16)
-        cache.get_or_solve(canonical, half_flux, tr, k=2, dense_threshold=16)
+        cache.get_or_solve(canonical, half_flux, tr, k=2)
+        cache.get_or_solve(canonical, half_flux, tr, k=2)
         assert cache.misses == 2 and cache.hits == 0
 
 
@@ -255,3 +254,21 @@ class TestCli:
             hashes.append(json.loads(first.removeprefix("# provenance: "))
                           ["config_hash"])
         assert hashes[0] == hashes[1]
+
+    def test_jobs_run_served_from_store(self, tmp_path, fast_config):
+        # serial and pooled runs take the same per-point path through the
+        # solution store, so a pooled rerun diagonalizes nothing
+        out = tmp_path / "o7"
+        env = {"OPENBLAS_NUM_THREADS": "1"}
+        r = _cli("spectrum", "--config", str(fast_config), "--out", str(out),
+                 cwd=tmp_path, extra_env=env)
+        assert r.returncode == 0, r.stderr
+        serial, _ = _csv_parts(out / "spectrum.csv")
+        (out / "spectrum_done.json").unlink()
+        r = _cli("spectrum", "--config", str(fast_config), "--out", str(out),
+                 "--jobs", "2", cwd=tmp_path, extra_env=env)
+        assert r.returncode == 0, r.stderr
+        log = json.loads((out / "spectrum_runlog.json").read_text())
+        assert log["diagonalizations"] == 0 and log["cache_hits"] == 3
+        pooled, _ = _csv_parts(out / "spectrum.csv")
+        assert pooled == serial

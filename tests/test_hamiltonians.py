@@ -134,6 +134,29 @@ class TestFullHamiltonian:
         assert np.abs(comm).max() > 1e-3 * np.abs(H.toarray()).max()
 
 
+class TestChargeReflection:
+    """N -> -N with complex conjugation maps H(N_g) onto H(-N_g), so the
+    spectrum is even in the offset charge for any disorder and flux."""
+
+    @pytest.mark.parametrize("disorder", [
+        {}, {"delta_J": 0.2}, {"delta_C": 0.15}, {"delta_A": 0.1},
+        {"delta_L": 0.6}, {"delta_J": 0.1, "delta_C": 0.05, "delta_L": 0.3},
+    ])
+    @pytest.mark.parametrize("phi_ext", [0.8 * np.pi, np.pi, 1.37])
+    def test_spectrum_even_in_offset_charge(self, canonical, disorder, phi_ext):
+        tr = BasisTruncation(3, 3, 8)
+        params = canonical.replace(**disorder)
+
+        def lowest(N_g):
+            H = full_hamiltonian(params, BiasPoint(phi_ext, N_g), tr)
+            return np.linalg.eigvalsh(H.toarray())[:6]
+
+        plus = lowest(0.3)
+        assert np.abs(plus - lowest(-0.3)).max() <= 1e-10
+        # the offset charge does move the levels
+        assert np.abs(plus - lowest(0.0)).max() > 1e-2
+
+
 class TestDisorder:
     def test_zero_delta_zero_operator(self, canonical, half_flux):
         tr = BasisTruncation(3, 3, 8)
