@@ -29,7 +29,7 @@ def main(argv=None):
 
     out = Path(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)
-    solver = SolutionCache(out.parent / ".solutions", dense_threshold=16)
+    solver = SolutionCache(out.parent / ".solutions")
     trunc = BasisTruncation()
     bias = BiasPoint(np.pi, 0.0)
 

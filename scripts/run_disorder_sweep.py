@@ -28,7 +28,7 @@ def main(argv=None):
     params = CircuitParams(15.0, 2.0, 1.0, 0.02)
     out = Path(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)
-    solver = SolutionCache(out.parent / ".solutions", dense_threshold=16)
+    solver = SolutionCache(out.parent / ".solutions")
     with open(out, "w", newline="") as fh:
         w = csv.writer(fh)
         w.writerow(["kind", "delta", "eps", "dE", "unresolved"])

@@ -32,8 +32,7 @@ def main(argv=None):
     params = CircuitParams(15.0, 2.0, 1.0, 0.02)
     grid = np.linspace(np.pi - args.span, np.pi + args.span, args.points)
     res = flux_sweep(params, grid, k=args.k, trunc=BasisTruncation(*args.trunc),
-                     solver=SolutionCache(out.parent / ".solutions",
-                                          dense_threshold=16))
+                     solver=SolutionCache(out.parent / ".solutions"))
 
     plasmon = np.sqrt(16 * params.x * params.eps_L * params.eps_C)
     with open(out, "w", newline="") as fh:

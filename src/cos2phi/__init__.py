@@ -24,12 +24,13 @@ from .hamiltonians import (
     parity_sector_hamiltonians,
     toy_hamiltonian,
 )
-from .eigensolver import EigenSolution, convergence_ladder, lowest_eigenpairs
+from .eigensolver import EigenSolution, lowest_eigenpairs
 from .analysis import (
     LabeledSolution,
     StateLabel,
     SweepResult,
     charge_dispersion,
+    convergence_ladder,
     dispersive_shift,
     disorder_sweep,
     flux_sweep,

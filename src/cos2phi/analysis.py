@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .cache import SolutionCache
-from .eigensolver import DEFAULT_SEED, DENSE_THRESHOLD, EigenSolution, lowest_eigenpairs
+from .eigensolver import DEFAULT_SEED, EigenSolution, lowest_eigenpairs
 from .hamiltonians import full_hamiltonian
 from .model import BasisTruncation, BiasPoint, CircuitParams, Primitives, build_primitives
 
@@ -33,6 +33,8 @@ __all__ = [
     "charge_dispersion",
     "disorder_sweep",
     "dispersion_truncation",
+    "convergence_ladder",
+    "LadderReport",
     "wavefunction_phase",
     "wavefunction_charge",
     "normalized_matrix_elements",
@@ -96,7 +98,6 @@ def solve_circuit(
     bias: BiasPoint,
     trunc: BasisTruncation = BasisTruncation(),
     k: int = 6,
-    dense_threshold: int = DENSE_THRESHOLD,
     seed: int = DEFAULT_SEED,
 ) -> LabeledSolution:
     """Build, diagonalize, gauge-fix, and label the circuit at one bias.
@@ -109,7 +110,6 @@ def solve_circuit(
     sol = lowest_eigenpairs(
         H,
         k,
-        dense_threshold=dense_threshold,
         seed=seed,
         gauge_operator=prim.parity,
         meta={"trunc": trunc.as_tuple()},
@@ -374,6 +374,48 @@ def disorder_sweep(
             "dE_monotone_increasing": dE_monotone,
         },
         provenance=_provenance(params, trunc, {"kind": kind, "phi_ext": phi_ext}),
+    )
+
+
+@dataclass(frozen=True)
+class LadderReport:
+    """Per-level lowest-k energies of a truncation ladder and their deltas."""
+
+    levels: list
+    energies: np.ndarray  # (n_levels, k)
+    deltas: np.ndarray    # (n_levels - 1, k) successive |differences|
+    converged: bool
+    tolerance: float
+
+
+def convergence_ladder(
+    params: CircuitParams,
+    bias: BiasPoint,
+    levels,
+    k: int = 4,
+    tolerance: float = 1e-4,
+    solver: SolutionCache | None = None,
+) -> LadderReport:
+    """Diagonalize on an increasing truncation ladder and report drift.
+
+    ``levels`` must be strictly increasing in every dimension.  Convergence
+    is flagged when every lowest-k energy moves by less than ``tolerance``
+    between the last two rungs.
+    """
+    if len(levels) < 2:
+        raise ValueError("need at least two ladder levels")
+    for lo, hi in zip(levels, levels[1:]):
+        if hi.N0 < lo.N0 or hi.p0 < lo.p0 or hi.q0 < lo.q0:
+            raise ValueError("ladder levels must not decrease in any dimension")
+
+    solver = solver or SolutionCache()
+    E = np.vstack([solver.get_or_solve(params, bias, lv, k).energies
+                   for lv in levels])
+    deltas = np.abs(np.diff(E, axis=0))
+    converged = bool(np.all(deltas[-1] < tolerance))
+    return LadderReport(
+        levels=list(levels), energies=E, deltas=deltas,
+        converged=converged, tolerance=tolerance,
     )
 
 

@@ -1,11 +1,10 @@
 """The one solve path: labelled solutions through a content-addressed store.
 
-A ``SolutionCache`` carries the solver policy (Krylov seed and dense/Krylov
-threshold) and, when it has a ``root``, a directory of serialized
-eigen-solutions.  Keys hash the full problem description (circuit
-parameters, bias, truncation, solver knobs), so identical physics never
-diagonalizes twice regardless of which config asked for it.  Without a
-root every request is solved.  Hit and miss counts feed the run log for
+A ``SolutionCache`` carries the Krylov seed and, when it has a ``root``, a
+directory of serialized eigen-solutions.  Keys hash the full problem
+description (circuit parameters, bias, truncation, k, seed), so identical
+physics never diagonalizes twice regardless of which config asked for it.
+Without a root every request is solved.  Hit and miss counts feed the run log for
 idempotence checks.
 """
 
@@ -17,7 +16,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .eigensolver import DEFAULT_SEED, DENSE_THRESHOLD, EigenSolution
+from .eigensolver import DEFAULT_SEED, EigenSolution
 from .model import BasisTruncation, BiasPoint, CircuitParams
 
 __all__ = ["SolutionCache"]
@@ -29,7 +28,6 @@ def _problem_key(
     trunc: BasisTruncation,
     k: int,
     seed: int,
-    dense_threshold: int,
 ) -> str:
     payload = json.dumps(
         {
@@ -39,8 +37,7 @@ def _problem_key(
             "t": trunc.as_tuple(),
             "k": k,
             "seed": seed,
-            "dense_threshold": dense_threshold,
-            "v": 1,
+            "v": 2,
         },
         sort_keys=True,
     )
@@ -48,20 +45,14 @@ def _problem_key(
 
 
 class SolutionCache:
-    """Solver policy plus an optional directory of solutions by problem hash.
+    """Krylov seed plus an optional directory of solutions by problem hash.
 
     ``root=None`` keeps nothing on disk: every request diagonalizes.
     """
 
-    def __init__(
-        self,
-        root: str | Path | None = None,
-        seed: int = DEFAULT_SEED,
-        dense_threshold: int = DENSE_THRESHOLD,
-    ):
+    def __init__(self, root: str | Path | None = None, seed: int = DEFAULT_SEED):
         self.root = None if root is None else Path(root)
         self.seed = seed
-        self.dense_threshold = dense_threshold
         self.hits = 0
         self.misses = 0
         if self.root is not None:
@@ -106,7 +97,7 @@ class SolutionCache:
         from .analysis import LabeledSolution, label_states, solve_circuit
         from .model import build_primitives
 
-        key = _problem_key(params, bias, trunc, k, self.seed, self.dense_threshold)
+        key = _problem_key(params, bias, trunc, k, self.seed)
         sol = self.load(key)
         if sol is not None:
             prim = build_primitives(trunc, params)
@@ -118,10 +109,7 @@ class SolutionCache:
                     params=params, bias=bias,
                 )
         self.misses += 1
-        ls = solve_circuit(
-            params, bias, trunc, k=k,
-            dense_threshold=self.dense_threshold, seed=self.seed,
-        )
+        ls = solve_circuit(params, bias, trunc, k=k, seed=self.seed)
         self.store(key, ls.solution)
         return ls
 

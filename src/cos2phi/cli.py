@@ -107,7 +107,6 @@ class _Runner:
         self.cache = SolutionCache(
             self.out / ".solutions" if self.cfg.cache_enabled else None,
             seed=self.cfg.seed,
-            dense_threshold=self.cfg.dense_threshold,
         )
         self.marker = self.out / f"{subcommand}_done.json"
 
@@ -392,10 +391,10 @@ def coherence(config_path, out, overrides, jobs, no_cache):
         constants = PhysicalConstants(temperature=cfg.temperature,
                                       x_qp=float(ch_cfg["x_qp"]))
         channels = default_channels()
-        channels["capacitive"] = NoiseChannel("capacitive", float(ch_cfg["q_cap"]), 6e9)
-        channels["purcell"] = NoiseChannel("purcell", float(ch_cfg["q_cap"]), 6e9)
-        channels["shot"] = NoiseChannel("shot", float(ch_cfg["q_cap"]), 6e9)
-        channels["inductive"] = NoiseChannel("inductive", float(ch_cfg["q_ind"]), 0.5e9)
+        channels["capacitive"] = NoiseChannel("capacitive", float(ch_cfg["q_cap"]))
+        channels["purcell"] = NoiseChannel("purcell", float(ch_cfg["q_cap"]))
+        channels["shot"] = NoiseChannel("shot", float(ch_cfg["q_cap"]))
+        channels["inductive"] = NoiseChannel("inductive", float(ch_cfg["q_ind"]))
         channels["flux"] = NoiseChannel("flux", float(ch_cfg["sqrt_A_flux"]))
         channels["critical_current"] = NoiseChannel(
             "critical_current", float(ch_cfg["sqrt_A_epsJ_rel"])
@@ -522,15 +521,14 @@ def converge(config_path, out, overrides, jobs, no_cache):
     """Truncation-ladder convergence of the lowest energies."""
 
     def impl(r: _Runner):
-        from .eigensolver import convergence_ladder
+        from .analysis import convergence_ladder
 
         cfg = r.cfg
         cc = cfg.section("converge")
         levels = [BasisTruncation(*map(int, lv)) for lv in cc["levels"]]
         rep = convergence_ladder(
             cfg.circuit, cfg.bias, levels, k=int(cc["k"]),
-            tolerance=float(cc["tolerance"]),
-            dense_threshold=cfg.dense_threshold,
+            tolerance=float(cc["tolerance"]), solver=r.cache,
         )
         rows = []
         for i, lv in enumerate(rep.levels):

@@ -87,27 +87,24 @@ class NoiseChannel:
 
     kind: str
     amplitude: float
-    reference_freq: float = 0.0
     extras: dict = field(default_factory=dict)
 
     def __post_init__(self) -> None:
         if self.amplitude < 0:
             raise ValueError("channel amplitude must be nonnegative")
-        if self.kind in ("capacitive", "inductive") and self.reference_freq <= 0:
-            raise ValueError("quality-factor channels need a reference frequency")
 
 
 def default_channels() -> dict[str, NoiseChannel]:
     return {
-        "capacitive": NoiseChannel("capacitive", Q_CAP_NOMINAL, Q_CAP_REF_HZ),
-        "inductive": NoiseChannel("inductive", Q_IND_NOMINAL, Q_IND_REF_HZ),
-        "purcell": NoiseChannel("purcell", Q_CAP_NOMINAL, Q_CAP_REF_HZ),
+        "capacitive": NoiseChannel("capacitive", Q_CAP_NOMINAL),
+        "inductive": NoiseChannel("inductive", Q_IND_NOMINAL),
+        "purcell": NoiseChannel("purcell", Q_CAP_NOMINAL),
         "quasiparticle": NoiseChannel(
             "quasiparticle", 1.0, extras={"x_qp": DEFAULT_CONSTANTS.x_qp}
         ),
         "charge": NoiseChannel("charge", 1e-4),
         "flux": NoiseChannel("flux", FLUX_NOISE_SQRT_A),
-        "shot": NoiseChannel("shot", Q_CAP_NOMINAL, Q_CAP_REF_HZ),
+        "shot": NoiseChannel("shot", Q_CAP_NOMINAL),
         "critical_current": NoiseChannel("critical_current", CRITICAL_CURRENT_SQRT_A),
     }
 

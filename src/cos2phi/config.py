@@ -21,9 +21,9 @@ __all__ = ["RunConfig", "ConfigError", "load_config", "parse_override"]
 
 CONFIG_VERSION = 1
 
-#: Execution knobs: they change how a run is carried out, not what it
-#: computes, so they stay out of the config hash.
-_EXECUTION_KEYS = ("jobs", "cache")
+#: Execution knobs and the output location: they change how or where a run
+#: is carried out, not what it computes, so they stay out of the config hash.
+_EXECUTION_KEYS = ("jobs", "cache", "output_dir")
 
 _SCHEMA = {
     "config_version": None,
@@ -38,7 +38,7 @@ _SCHEMA = {
     "jobs": None,
     "cache": None,
     "output_dir": None,
-    "dense_threshold": None,
+    "dense_threshold": None,  # retired; load_config drops it
     "sweep": {
         "flux_start": None, "flux_stop": None, "flux_points": None,
         "ng_points": None, "deltas": None, "kind": None, "k": None,
@@ -65,7 +65,6 @@ _DEFAULTS = {
     "jobs": 1,
     "cache": True,
     "output_dir": None,
-    "dense_threshold": None,
     "sweep": {
         "flux_start": 0.6 * float(np.pi), "flux_stop": 1.4 * float(np.pi),
         "flux_points": 21, "ng_points": 41,
@@ -171,13 +170,6 @@ class RunConfig:
     def cache_enabled(self) -> bool:
         return bool(self.raw["cache"])
 
-    @property
-    def dense_threshold(self) -> int:
-        from .eigensolver import DENSE_THRESHOLD
-
-        v = self.raw.get("dense_threshold")
-        return DENSE_THRESHOLD if v is None else int(v)
-
     def section(self, name: str) -> dict:
         return self.raw[name]
 
@@ -211,6 +203,11 @@ def load_config(path: str | Path | None, overrides=()) -> RunConfig:
         o = parse_override(text)
         _validate(o, _SCHEMA)
         merged = _merge(merged, o)
+    # The eigensolver picks its backend from the problem size, but older
+    # configs, the benchmark's among them, still set ``dense_threshold``:
+    # the key is accepted and dropped unread, so it neither fails validation
+    # nor changes the hash.
+    merged.pop("dense_threshold", None)
     if int(merged["config_version"]) != CONFIG_VERSION:
         raise ConfigError(
             f"unsupported config_version {merged['config_version']!r}; "

@@ -1,9 +1,10 @@
-"""Lowest-eigenpair solvers with dense and Krylov backends.
+"""Lowest-eigenpair solver with dense and Krylov backends.
 
-Dense diagonalization is the default below ``DENSE_THRESHOLD`` (the desk
-scale default basis lands there).  Above it, shift-invert Lanczos with a
-seeded start vector takes over; the two backends agree to well below 1e-8
-on anything either can do, which the test suite checks directly.
+The backend follows from the problem: dense ``eigh`` up to
+``DENSE_THRESHOLD`` (the measured crossover, well below every circuit
+basis the CLI uses) or when (nearly) all eigenpairs are asked for, and
+shift-invert Lanczos with a seeded start vector otherwise.  The two
+backends agree to well below 1e-8, which the test suite checks directly.
 """
 
 from __future__ import annotations
@@ -19,14 +20,13 @@ from .model import HermitianOperator, Operator
 __all__ = [
     "EigenSolution",
     "lowest_eigenpairs",
-    "convergence_ladder",
-    "LadderReport",
     "NonConvergenceError",
     "DENSE_THRESHOLD",
     "DEFAULT_SEED",
 ]
 
-DENSE_THRESHOLD = 4096
+DENSE_THRESHOLD = 160  # dim; measured dense/Krylov crossover: 150-180
+KRYLOV_TOL = 1e-10  # Krylov residuals above 100 * KRYLOV_TOL * |E| raise
 DEFAULT_SEED = 7  # Krylov start-vector seed
 DEGENERACY_WINDOW = 1e-9  # GHz; clusters inside are gauge-fixed together
 
@@ -113,13 +113,11 @@ def _gauge_fix_clusters(
 def lowest_eigenpairs(
     H: HermitianOperator,
     k: int,
-    tol: float = 1e-10,
-    dense_threshold: int = DENSE_THRESHOLD,
     seed: int = DEFAULT_SEED,
     gauge_operator: Operator | None = None,
     meta: dict | None = None,
 ) -> EigenSolution:
-    """Lowest k eigenpairs; dense below ``dense_threshold``, else Krylov.
+    """Lowest k eigenpairs; dense up to ``DENSE_THRESHOLD`` or for k near dim.
 
     The Krylov path locates the spectrum floor with a cheap Lanczos pass and
     then runs shift-invert from just below it, with the start vector drawn
@@ -128,12 +126,11 @@ def lowest_eigenpairs(
     dim = H.dim
     if not (1 <= k <= dim):
         raise ValueError(f"need 1 <= k <= dim, got k={k}, dim={dim}")
-    if tol <= 0:
-        raise ValueError("tol must be positive")
     if gauge_operator is not None and gauge_operator.fingerprint != H.fingerprint:
         raise ValueError("gauge operator built on a different basis")
 
-    backend = "dense" if dim <= dense_threshold else "krylov"
+    # ARPACK needs k < dim - 1 on complex matrices
+    backend = "dense" if dim <= DENSE_THRESHOLD or k >= dim - 1 else "krylov"
     if backend == "dense":
         M = H.toarray()
         if np.abs(M.imag).max() == 0.0:
@@ -141,7 +138,7 @@ def lowest_eigenpairs(
         evals, evecs = sla.eigh(M)
         energies, vectors = evals[:k], evecs[:, :k]
     else:
-        energies, vectors = _krylov_lowest(H, k, tol, seed)
+        energies, vectors = _krylov_lowest(H, k, seed)
 
     energies, vectors = _gauge_fix_clusters(H, energies, vectors, gauge_operator)
     vectors = _fix_phases(vectors)
@@ -153,12 +150,13 @@ def lowest_eigenpairs(
         ]
     )
     scale = max(abs(energies[0]), abs(energies[-1]), 1.0)
-    if backend == "krylov" and np.any(resid > max(tol, 1e-12) * scale * 100):
+    if backend == "krylov" and np.any(resid > KRYLOV_TOL * scale * 100):
         raise NonConvergenceError(
-            f"krylov residuals {resid} exceed tolerance {tol}", residuals=resid
+            f"krylov residuals {resid} exceed tolerance {KRYLOV_TOL}",
+            residuals=resid,
         )
 
-    info = {"backend": backend, "tol": tol, "seed": seed}
+    info = {"backend": backend, "tol": KRYLOV_TOL, "seed": seed}
     if meta:
         info.update(meta)
     return EigenSolution(
@@ -170,7 +168,7 @@ def lowest_eigenpairs(
     )
 
 
-def _krylov_lowest(H: HermitianOperator, k: int, tol: float, seed: int):
+def _krylov_lowest(H: HermitianOperator, k: int, seed: int):
     M = H.matrix.tocsc()
     if M.nnz and np.iscomplexobj(M.data) and np.abs(M.data.imag).max() == 0.0:
         M = M.real
@@ -190,51 +188,3 @@ def _krylov_lowest(H: HermitianOperator, k: int, tol: float, seed: int):
         ) from exc
     order = np.argsort(evals)
     return evals[order], evecs[:, order]
-
-
-@dataclass(frozen=True)
-class LadderReport:
-    """Per-level lowest-k energies of a truncation ladder and their deltas."""
-
-    levels: list
-    energies: np.ndarray  # (n_levels, k)
-    deltas: np.ndarray    # (n_levels - 1, k) successive |differences|
-    converged: bool
-    tolerance: float
-
-
-def convergence_ladder(
-    params,
-    bias,
-    levels,
-    k: int = 4,
-    tolerance: float = 1e-4,
-    dense_threshold: int = DENSE_THRESHOLD,
-) -> LadderReport:
-    """Diagonalize on an increasing truncation ladder and report drift.
-
-    ``levels`` must be strictly increasing in every dimension.  Convergence
-    is flagged when every lowest-k energy moves by less than ``tolerance``
-    between the last two rungs.
-    """
-    from .hamiltonians import full_hamiltonian  # local import avoids a cycle
-
-    if len(levels) < 2:
-        raise ValueError("need at least two ladder levels")
-    for lo, hi in zip(levels, levels[1:]):
-        if hi.N0 < lo.N0 or hi.p0 < lo.p0 or hi.q0 < lo.q0:
-            raise ValueError("ladder levels must not decrease in any dimension")
-
-    rows = []
-    for lv in levels:
-        H = full_hamiltonian(params, bias, lv)
-        sol = lowest_eigenpairs(H, k, dense_threshold=dense_threshold,
-                                meta={"trunc": lv.as_tuple()})
-        rows.append(sol.energies)
-    E = np.vstack(rows)
-    deltas = np.abs(np.diff(E, axis=0))
-    converged = bool(np.all(deltas[-1] < tolerance))
-    return LadderReport(
-        levels=list(levels), energies=E, deltas=deltas,
-        converged=converged, tolerance=tolerance,
-    )

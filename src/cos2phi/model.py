@@ -219,12 +219,6 @@ class Operator:
         self._check(other)
         return Operator(self.matrix @ other.matrix, self.fingerprint)
 
-    def dagger(self) -> "Operator":
-        return Operator(self.matrix.conj().T.tocsr(), self.fingerprint)
-
-    def apply(self, vec: np.ndarray) -> np.ndarray:
-        return self.matrix @ vec
-
     def expectation(self, vec: np.ndarray) -> complex:
         return complex(np.vdot(vec, self.matrix @ vec))
 
@@ -391,9 +385,6 @@ class Primitives:
     theta: HermitianOperator
     eta: HermitianOperator
     parity: HermitianOperator
-
-    def wrap(self, matrix: sp.spmatrix) -> Operator:
-        return Operator(matrix, self.fingerprint)
 
     def wrap_hermitian(self, matrix: sp.spmatrix) -> HermitianOperator:
         return HermitianOperator(matrix, self.fingerprint)

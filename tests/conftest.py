@@ -43,4 +43,4 @@ def canonical_medium(canonical, half_flux, medium_trunc):
     """Shared labeled solution at half flux on the medium basis."""
     from cos2phi.analysis import solve_circuit
 
-    return solve_circuit(canonical, half_flux, medium_trunc, k=6, dense_threshold=16)
+    return solve_circuit(canonical, half_flux, medium_trunc, k=6)

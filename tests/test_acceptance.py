@@ -12,6 +12,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy.linalg as sla
 
 from cos2phi.analysis import (
     FLUXON_MINUS,
@@ -21,7 +22,6 @@ from cos2phi.analysis import (
     normalized_matrix_elements,
     solve_circuit,
 )
-from cos2phi.cache import SolutionCache
 from cos2phi.coherence import (
     t1_channel,
     tphi_charge,
@@ -59,13 +59,12 @@ def _fresh_report():
 
 @pytest.fixture(scope="session")
 def ls0(canonical, half_flux):
-    return solve_circuit(canonical, half_flux, PROD, k=6, dense_threshold=16)
+    return solve_circuit(canonical, half_flux, PROD, k=6)
 
 
 @pytest.fixture(scope="session")
 def ls06(canonical, half_flux):
-    return solve_circuit(canonical.replace(delta_L=0.6), half_flux, PROD, k=2,
-                         dense_threshold=16)
+    return solve_circuit(canonical.replace(delta_L=0.6), half_flux, PROD, k=2)
 
 
 def test_criterion_01_plasmon_spacing(ls0):
@@ -119,8 +118,7 @@ def test_criterion_04_fluxon_slope(canonical):
     tr = BasisTruncation(6, 6, 24)
     splits = []
     for d in dphis:
-        ls = solve_circuit(canonical, BiasPoint(np.pi + d, 0.0), tr, k=2,
-                          dense_threshold=16)
+        ls = solve_circuit(canonical, BiasPoint(np.pi + d, 0.0), tr, k=2)
         splits.append(ls.energies[1] - ls.energies[0])
     slope = np.polyfit(dphis, splits, 1)[0]
     target = 32.0 / (3 * np.pi) * canonical.eps_L
@@ -166,8 +164,7 @@ def test_criterion_07_selection_rules(canonical, half_flux, ls0):
     i_1p = ls0.find(1, FLUXON_PLUS)
     # completeness over the full eigenbasis of a dense-solved small instance
     tr = BasisTruncation(2, 2, 6)
-    ls_small = solve_circuit(canonical, half_flux, tr, k=tr.dim,
-                             dense_threshold=4096)
+    ls_small = solve_circuit(canonical, half_flux, tr, k=tr.dim)
     sums = [normalized_matrix_elements(ls_small, op).sum()
             for op in ("eta", "phi")]
     ok = (
@@ -204,8 +201,7 @@ def test_criterion_08_quasiparticle_immunity(canonical, half_flux):
 
     worst = 0.0
     for dL in (0.0, 0.3, 0.6, 0.9):
-        ls = solve_circuit(canonical.replace(delta_L=dL), half_flux, PROD, k=2,
-                          dense_threshold=16)
+        ls = solve_circuit(canonical.replace(delta_L=dL), half_flux, PROD, k=2)
         v0 = ls.solution.vectors[:, 0]
         v1 = ls.solution.vectors[:, 1]
         for _, op, embed in _quasiparticle_elements(ls.params, ls.bias,
@@ -231,8 +227,7 @@ def test_criterion_09_coherence_regression(canonical, half_flux, ls0, ls06):
     lines.append(f"inductive T1(0) = {t1_ind:.3f} ms vs 0.61 +-25%: "
                  f"{'ok' if cond else 'FAIL'}")
 
-    _, eps0, _ = charge_dispersion(canonical, np.pi, PROD, ng_grid=NG5,
-                                   solver=SolutionCache(dense_threshold=16))
+    _, eps0, _ = charge_dispersion(canonical, np.pi, PROD, ng_grid=NG5)
     tphi0 = tphi_charge(eps0)
     cond = abs(tphi0 / 0.0037 - 1) <= 0.25
     ok &= cond
@@ -241,7 +236,7 @@ def test_criterion_09_coherence_regression(canonical, half_flux, ls0, ls06):
 
     _, eps6, _ = charge_dispersion(
         canonical.replace(delta_L=0.6), np.pi, BasisTruncation(10, 10, 46),
-        ng_grid=NG5, solver=SolutionCache(dense_threshold=16),
+        ng_grid=NG5,
     )
     tphi6 = tphi_charge(eps6)
     cond = 74.0 / 2 <= tphi6 <= 74.0 * 2
@@ -249,8 +244,7 @@ def test_criterion_09_coherence_regression(canonical, half_flux, ls0, ls06):
     lines.append(f"charge Tphi(0.6) = {tphi6:.1f} ms vs 74 x2: "
                  f"{'ok' if cond else 'FAIL'}")
 
-    tflux = tphi_flux(canonical, half_flux, PROD,
-                      solver=SolutionCache(dense_threshold=16))
+    tflux = tphi_flux(canonical, half_flux, PROD)
     cond = 0.022 / 2 <= tflux <= 0.022 * 2
     ok &= cond
     lines.append(f"flux Tphi(0) = {tflux:.4f} ms vs 0.022 x2: "
@@ -265,8 +259,7 @@ def test_criterion_09_coherence_regression(canonical, half_flux, ls0, ls06):
     lines.append(f"shot Tphi(0) = {tshot:.2f} ms vs 4.6 x2: "
                  f"{'ok' if cond else 'FAIL'}")
 
-    tcc = tphi_critical_current(canonical, half_flux, PROD,
-                                solver=SolutionCache(dense_threshold=16))
+    tcc = tphi_critical_current(canonical, half_flux, PROD)
     cond = 210.0 / 2 <= tcc <= 210.0 * 2
     ok &= cond
     lines.append(f"critical-current Tphi(0) = {tcc:.0f} ms vs 210 x2: "
@@ -290,8 +283,7 @@ def test_criterion_10_disorder_trends(canonical):
     eps, dEs = [], []
     for dL, tr in schedule.items():
         p = canonical.replace(delta_L=dL)
-        dE, e, _ = charge_dispersion(p, np.pi, tr, ng_grid=NG5,
-                                     solver=SolutionCache(dense_threshold=16))
+        dE, e, _ = charge_dispersion(p, np.pi, tr, ng_grid=NG5)
         eps.append(e)
         dEs.append(abs(dE))
     eps = np.array(eps)
@@ -375,9 +367,10 @@ def test_criterion_12_property_suites(canonical, half_flux):
     checks["variational-monotonicity"] = mono
 
     Hm = full_hamiltonian(canonical, half_flux, BasisTruncation(5, 5, 20))
-    dense = lowest_eigenpairs(Hm, 6, dense_threshold=5000).energies
-    kry = lowest_eigenpairs(Hm, 6, dense_threshold=16).energies
-    checks["backend-equivalence"] = np.abs(dense - kry).max() <= 1e-8
+    dense = sla.eigh(Hm.toarray(), eigvals_only=True)[:6]
+    kry = lowest_eigenpairs(Hm, 6)
+    checks["backend-equivalence"] = (kry.meta["backend"] == "krylov"
+                                     and np.abs(dense - kry.energies).max() <= 1e-8)
 
     keep = int(0.9 * 61)
     agree = True

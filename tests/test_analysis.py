@@ -17,7 +17,6 @@ from cos2phi.analysis import (
     wavefunction_charge,
     wavefunction_phase,
 )
-from cos2phi.cache import SolutionCache
 from cos2phi.model import BasisTruncation, BiasPoint, CircuitParams
 from cos2phi.hamiltonians import full_hamiltonian
 
@@ -38,7 +37,7 @@ class TestLabels:
 
     def test_off_bias_symbols(self, canonical, medium_trunc):
         ls = solve_circuit(canonical, BiasPoint(0.9 * np.pi, 0.0), medium_trunc,
-                           k=4, dense_threshold=16)
+                           k=4)
         assert ls.labels[0].fluxon == FLUXON_ABSENT
         symbols = {l.fluxon for l in ls.labels}
         assert symbols <= {FLUXON_ABSENT, FLUXON_PRESENT}
@@ -46,22 +45,19 @@ class TestLabels:
 
     def test_integer_flux_unlabeled(self, canonical, small_trunc):
         ls = solve_circuit(canonical, BiasPoint(0.0, 0.0), small_trunc,
-                           k=2, dense_threshold=16)
+                           k=2)
         assert all(l.fluxon == FLUXON_UNLABELED for l in ls.labels)
 
 
 class TestFluxSweep:
     def test_single_point_matches_direct(self, canonical, half_flux, small_trunc):
-        res = flux_sweep(canonical, [np.pi], k=4, trunc=small_trunc,
-                         solver=SolutionCache(dense_threshold=16))
-        ls = solve_circuit(canonical, half_flux, small_trunc, k=4,
-                          dense_threshold=16)
+        res = flux_sweep(canonical, [np.pi], k=4, trunc=small_trunc)
+        ls = solve_circuit(canonical, half_flux, small_trunc, k=4)
         assert np.allclose(res.energies[0], ls.energies, atol=1e-10)
 
     def test_plasmon_branch_flux_flat(self, canonical, medium_trunc):
         grid = np.linspace(0.85 * np.pi, 1.15 * np.pi, 5)
-        res = flux_sweep(canonical, grid, k=4, trunc=medium_trunc,
-                         solver=SolutionCache(dense_threshold=16))
+        res = flux_sweep(canonical, grid, k=4, trunc=medium_trunc)
         plasmon = []
         for i in range(len(grid)):
             labs = {(l.m, l.fluxon): l.index for l in res.labels[i]}
@@ -86,7 +82,7 @@ class TestChargeDispersion:
     def test_symmetric_dispersion_equals_splitting(self, canonical, medium_trunc):
         dE, eps, table = charge_dispersion(
             canonical, np.pi, medium_trunc,
-            ng_grid=np.linspace(0, 1, 5), solver=SolutionCache(dense_threshold=16),
+            ng_grid=np.linspace(0, 1, 5),
         )
         assert eps >= 0
         # perfect symmetry: the swing over one period equals the splitting,
@@ -108,7 +104,7 @@ class TestDisorderSweep:
         for kind in ("J", "C", "A", "L"):
             res = disorder_sweep(
                 canonical, kind, [0.0], trunc=small_trunc,
-                ng_grid=np.linspace(0, 1, 3), solver=SolutionCache(dense_threshold=16),
+                ng_grid=np.linspace(0, 1, 3),
             )
             rows[kind] = (res.derived["eps"][0], res.derived["dE"][0])
         vals = list(rows.values())
@@ -124,7 +120,7 @@ class TestDisorderSweep:
         for kind in ("J", "C", "A", "L"):
             res = disorder_sweep(
                 canonical, kind, [0.3], trunc=tr,
-                ng_grid=np.linspace(0, 1, 5), solver=SolutionCache(dense_threshold=16),
+                ng_grid=np.linspace(0, 1, 5),
             )
             eps[kind] = res.derived["eps"][0]
         assert eps["L"] < eps["J"]
@@ -136,7 +132,7 @@ class TestDisorderSweep:
         for kind in ("A", "L"):
             res = disorder_sweep(
                 canonical, kind, [0.15], trunc=medium_trunc,
-                ng_grid=np.linspace(0, 1, 3), solver=SolutionCache(dense_threshold=16),
+                ng_grid=np.linspace(0, 1, 3),
             )
             dEs[kind] = abs(res.derived["dE"][0])
         assert dEs["A"] == pytest.approx(dEs["L"], rel=0.5)
@@ -230,7 +226,7 @@ class TestMatrixElements:
 
     def test_completeness_dense_instance(self, canonical, half_flux):
         tr = BasisTruncation(2, 2, 6)
-        ls = solve_circuit(canonical, half_flux, tr, k=tr.dim, dense_threshold=4096)
+        ls = solve_circuit(canonical, half_flux, tr, k=tr.dim)
         for op in ("eta", "phi"):
             w = normalized_matrix_elements(ls, op)
             assert np.sum(w) == pytest.approx(1.0, abs=1e-6)
@@ -261,7 +257,7 @@ class TestDispersiveShift:
         chis = []
         for dphi in (-0.06, 0.06):
             ls = solve_circuit(canonical, BiasPoint(np.pi + dphi, 0.0),
-                               medium_trunc, k=6, dense_threshold=16)
+                               medium_trunc, k=6)
             chis.append(dispersive_shift(ls))
         assert chis[0] == pytest.approx(chis[1], rel=1e-3)
 
@@ -284,7 +280,7 @@ class TestLabelConfidence:
         # rounding still enumerates the plasmon ladder in both parity chains
         # (the parity order within excited doublets is truncation-sensitive)
         ls = solve_circuit(canonical.replace(delta_L=0.6), half_flux,
-                           BasisTruncation(5, 5, 20), k=6, dense_threshold=16)
+                           BasisTruncation(5, 5, 20), k=6)
         got = [(l.m, l.fluxon) for l in ls.labels]
         assert set(got[:2]) == {(0, FLUXON_PLUS), (0, FLUXON_MINUS)}
         assert set(got[2:4]) == {(1, FLUXON_PLUS), (1, FLUXON_MINUS)}

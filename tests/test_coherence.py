@@ -81,7 +81,7 @@ class TestT1Channels:
 
     def test_purcell_finite_with_asymmetry(self, canonical, half_flux, medium_trunc):
         ls = solve_circuit(canonical.replace(delta_L=0.6), half_flux, medium_trunc,
-                           k=2, dense_threshold=16)
+                           k=2)
         t1 = t1_channel("purcell", ls)
         assert np.isfinite(t1) and t1 > 1.0
 
@@ -89,7 +89,7 @@ class TestT1Channels:
                                                     small_trunc):
         for dL in (0.0, 0.3, 0.6, 0.9):
             ls = solve_circuit(canonical.replace(delta_L=dL), half_flux,
-                               small_trunc, k=2, dense_threshold=16)
+                               small_trunc, k=2)
             assert math.isinf(t1_channel("quasiparticle", ls))
 
     def test_quasiparticle_element_structurally_dark(self, canonical_medium):
@@ -137,10 +137,8 @@ class TestDephasing:
 
     def test_flux_curvature_against_two_level_model(self, canonical):
         tr = BasisTruncation(4, 4, 14)
-        t = tphi_flux(canonical, BiasPoint(np.pi, 0.0), tr,
-                      solver=SolutionCache(dense_threshold=16))
-        ls = solve_circuit(canonical, BiasPoint(np.pi, 0.0), tr, k=2,
-                          dense_threshold=16)
+        t = tphi_flux(canonical, BiasPoint(np.pi, 0.0), tr)
+        ls = solve_circuit(canonical, BiasPoint(np.pi, 0.0), tr, k=2)
         dE = ls.energies[1] - ls.energies[0]
         curv_model = (np.pi * canonical.eps_L) ** 2 / dE
         rate_model = (2 * np.pi * 3e-6) ** 2 * curv_model * 2 * np.pi * 1e9
@@ -151,8 +149,7 @@ class TestDephasing:
         h = 1e-3
 
         def split(p):
-            ls = solve_circuit(canonical, BiasPoint(p, 0.0), tr, k=2,
-                               dense_threshold=16)
+            ls = solve_circuit(canonical, BiasPoint(p, 0.0), tr, k=2)
             return ls.energies[1] - ls.energies[0]
 
         d1 = (split(np.pi + h) - split(np.pi - h)) / (2 * h)
@@ -165,9 +162,9 @@ class TestDephasing:
         for dL in (0.0, 0.3):
             p = canonical.replace(delta_L=dL)
             b = BiasPoint(np.pi, 0.0)
-            ls = solve_circuit(p, b, tr, k=2, dense_threshold=16)
+            ls = solve_circuit(p, b, tr, k=2)
             dE = ls.energies[1] - ls.energies[0]
-            t = tphi_flux(p, b, tr, solver=SolutionCache(dense_threshold=16))
+            t = tphi_flux(p, b, tr)
             rate = 1e3 / t
             curv = rate / ((2 * np.pi * 3e-6) ** 2 * 2 * np.pi * 1e9)
             prods.append(curv * dE)
@@ -194,8 +191,7 @@ class TestDephasing:
 
     def test_critical_current_magnitude(self, canonical):
         tr = BasisTruncation(4, 4, 14)
-        t = tphi_critical_current(canonical, BiasPoint(np.pi, 0.0), tr,
-                                  solver=SolutionCache(dense_threshold=16))
+        t = tphi_critical_current(canonical, BiasPoint(np.pi, 0.0), tr)
         # the splitting depends exponentially on the junction energy, so the
         # logarithmic derivative is a few times the splitting itself
         assert 50.0 < t < 500.0
@@ -206,7 +202,7 @@ def report(canonical):
     tr = BasisTruncation(4, 4, 14)
     return full_report(
         canonical, BiasPoint(np.pi, 0.0), tr,
-        ng_grid=np.linspace(0, 1, 3), solver=SolutionCache(dense_threshold=16),
+        ng_grid=np.linspace(0, 1, 3),
         dispersion_trunc=tr,
     )
 
@@ -229,15 +225,14 @@ class TestFullReport:
             canonical, BiasPoint(np.pi, 0.0), tr,
             channels={k: v for k, v in default_channels().items()
                       if k != "charge"},
-            ng_grid=np.linspace(0, 1, 3), solver=SolutionCache(dense_threshold=16),
+            ng_grid=np.linspace(0, 1, 3),
             dispersion_trunc=tr,
         )
         assert partial.t2 >= report.t2
 
     def test_all_disabled_sentinel(self, canonical):
         tr = BasisTruncation(4, 4, 14)
-        rep = full_report(canonical, BiasPoint(np.pi, 0.0), tr, channels={},
-                          solver=SolutionCache(dense_threshold=16))
+        rep = full_report(canonical, BiasPoint(np.pi, 0.0), tr, channels={})
         assert math.isinf(rep.t2)
 
     def test_serialization(self, report):
@@ -254,8 +249,7 @@ class TestFullReport:
                     if k in ("inductive", "charge", "flux", "critical_current")}
 
         def run(seed):
-            solver = SolutionCache(tmp_path / "store", seed=seed,
-                                   dense_threshold=16)
+            solver = SolutionCache(tmp_path / "store", seed=seed)
             full_report(canonical, BiasPoint(np.pi, 0.0), tr,
                         channels=channels, ng_grid=np.linspace(0, 1, 3),
                         dispersion_trunc=BasisTruncation(4, 3, 8),

@@ -53,6 +53,21 @@ class TestConfig:
         assert b.jobs == 2 and not b.cache_enabled
         assert a.config_hash == b.config_hash
 
+    def test_output_dir_not_hashed(self):
+        # where a run writes is a deployment path, not physics
+        a = load_config(None)
+        b = load_config(None, overrides=["output_dir=/tmp/x"])
+        assert b.raw["output_dir"] == "/tmp/x"
+        assert a.config_hash == b.config_hash
+
+    def test_retired_dense_threshold_accepted_and_ignored(self, tmp_path):
+        # configs written for the old solver still carry the backend knob
+        p = tmp_path / "old.yaml"
+        p.write_text("dense_threshold: 16\n")
+        cfg = load_config(p)
+        assert "dense_threshold" not in cfg.raw
+        assert cfg.config_hash == load_config(None).config_hash
+
     def test_bad_version(self, tmp_path):
         p = tmp_path / "v.yaml"
         p.write_text("config_version: 99\n")
@@ -62,7 +77,7 @@ class TestConfig:
 
 class TestSolutionCache:
     def test_round_trip_and_hit_counting(self, tmp_path, canonical, half_flux):
-        cache = SolutionCache(tmp_path / "store", dense_threshold=16)
+        cache = SolutionCache(tmp_path / "store")
         tr = BasisTruncation(3, 3, 8)
         a = cache.get_or_solve(canonical, half_flux, tr, k=3)
         assert cache.misses == 1 and cache.hits == 0
@@ -73,14 +88,14 @@ class TestSolutionCache:
         assert [l.fluxon for l in a.labels] == [l.fluxon for l in b.labels]
 
     def test_distinct_problems_distinct_entries(self, tmp_path, canonical, half_flux):
-        cache = SolutionCache(tmp_path / "store", dense_threshold=16)
+        cache = SolutionCache(tmp_path / "store")
         tr = BasisTruncation(3, 3, 8)
         cache.get_or_solve(canonical, half_flux, tr, k=2)
         cache.get_or_solve(canonical, BiasPoint(np.pi, 0.1), tr, k=2)
         assert cache.misses == 2
 
     def test_disabled_cache(self, tmp_path, canonical, half_flux):
-        cache = SolutionCache(None, dense_threshold=16)
+        cache = SolutionCache(None)
         tr = BasisTruncation(3, 3, 8)
         cache.get_or_solve(canonical, half_flux, tr, k=2)
         cache.get_or_solve(canonical, half_flux, tr, k=2)
@@ -119,7 +134,6 @@ def fast_config(tmp_path):
     p = tmp_path / "fast.yaml"
     p.write_text(
         "truncation: {N0: 4, p0: 4, q0: 12}\n"
-        "dense_threshold: 16\n"
         "sweep: {flux_points: 3, flux_start: 2.9, flux_stop: 3.4, k: 4,\n"
         "        ng_points: 3, deltas: [0.0, 0.3], kind: L}\n"
         "mathieu: {ratios: [50], N0_toy: 40}\n"
@@ -209,6 +223,9 @@ class TestCli:
                      cwd=tmp_path)
             assert r.returncode == 0, (sub, r.stderr)
         assert (out / "converge.json").exists()
+        # every rung of the two-level ladder is one solve through the store
+        log = json.loads((out / "converge_runlog.json").read_text())
+        assert log["diagonalizations"] == 2 and log["cache_hits"] == 0
         path_csv = (out / "instanton_path.csv").read_text().splitlines()
         assert path_csv[0].startswith("# provenance:")
         assert path_csv[1].startswith("# checksum:")

@@ -1,8 +1,10 @@
 import numpy as np
 import pytest
+import scipy.linalg as sla
 import scipy.sparse as sp
 
-from cos2phi.eigensolver import convergence_ladder, lowest_eigenpairs
+from cos2phi.analysis import convergence_ladder
+from cos2phi.eigensolver import DENSE_THRESHOLD, lowest_eigenpairs
 from cos2phi.hamiltonians import full_hamiltonian
 from cos2phi.model import BasisTruncation, HermitianOperator, build_primitives
 
@@ -36,19 +38,35 @@ class TestLowestEigenpairs:
 
     def test_backend_equivalence(self, canonical, half_flux, medium_trunc):
         H = full_hamiltonian(canonical, half_flux, medium_trunc)  # dim 1386
-        dense = lowest_eigenpairs(H, k=6, dense_threshold=5000)
-        kry = lowest_eigenpairs(H, k=6, dense_threshold=16)
-        assert dense.meta["backend"] == "dense"
+        dense = sla.eigh(H.toarray(), eigvals_only=True)[:6]
+        kry = lowest_eigenpairs(H, k=6)
         assert kry.meta["backend"] == "krylov"
-        assert np.abs(dense.energies - kry.energies).max() < 1e-8
+        assert np.abs(dense - kry.energies).max() < 1e-8
+
+    def test_backend_follows_dimension(self, canonical, half_flux, medium_trunc):
+        small = _wrap(np.diag(np.arange(DENSE_THRESHOLD, 0.0, -1.0)))
+        assert lowest_eigenpairs(small, k=2).meta["backend"] == "dense"
+        H = full_hamiltonian(canonical, half_flux, medium_trunc)  # dim 1386
+        assert H.dim > DENSE_THRESHOLD
+        assert lowest_eigenpairs(H, k=2).meta["backend"] == "krylov"
+
+    def test_all_eigenpairs_above_threshold_are_dense(self, canonical, half_flux):
+        # ARPACK cannot return k >= dim - 1 eigenpairs of a complex matrix
+        H = full_hamiltonian(canonical, half_flux, BasisTruncation(2, 2, 10))
+        assert H.dim > DENSE_THRESHOLD
+        ref = sla.eigh(H.toarray(), eigvals_only=True)
+        for k in (H.dim - 1, H.dim):
+            sol = lowest_eigenpairs(H, k=k)
+            assert sol.meta["backend"] == "dense"
+            assert np.abs(sol.energies - ref[:k]).max() < 1e-10
 
     def test_krylov_deterministic(self, canonical, half_flux, small_trunc):
         H = full_hamiltonian(canonical, half_flux, small_trunc)
-        a = lowest_eigenpairs(H, k=4, dense_threshold=16, seed=11)
-        b = lowest_eigenpairs(H, k=4, dense_threshold=16, seed=11)
+        a = lowest_eigenpairs(H, k=4, seed=11)
+        b = lowest_eigenpairs(H, k=4, seed=11)
         assert np.array_equal(a.energies, b.energies)
         assert np.array_equal(a.vectors, b.vectors)
-        assert a.meta["seed"] == 11
+        assert a.meta["seed"] == 11 and a.meta["backend"] == "krylov"
 
     def test_gauge_fixing_parity(self, canonical, half_flux, small_trunc):
         # the near-degenerate doublet is rotated onto parity eigenstates
@@ -92,7 +110,7 @@ class TestConvergenceLadder:
         levels = [BasisTruncation(5, 5, 20), BasisTruncation(7, 7, 30),
                   BasisTruncation(9, 9, 40)]
         rep = convergence_ladder(canonical, half_flux, levels, k=2,
-                                 tolerance=1e-2, dense_threshold=16)
+                                 tolerance=1e-2)
         ground_deltas = rep.deltas[:, 0]
         assert np.all(np.diff(ground_deltas) < 0)
         split = rep.energies[:, 1] - rep.energies[:, 0]
@@ -120,10 +138,10 @@ class TestConvergenceLadder:
 
 
 def test_backend_equivalence_at_production_basis(canonical, half_flux):
-    # the production basis sits just under the dense threshold; both
-    # backends must agree there too (slow: one full dense solve)
+    # the production basis (dim 3720) is solved by Krylov; it must agree
+    # with an independent full dense solve there too (slow)
     H = full_hamiltonian(canonical, half_flux, BasisTruncation(7, 7, 30))
-    dense = lowest_eigenpairs(H, k=6)
-    assert dense.meta["backend"] == "dense"
-    kry = lowest_eigenpairs(H, k=6, dense_threshold=16)
-    assert np.abs(dense.energies - kry.energies).max() < 1e-8
+    dense = sla.eigh(H.toarray(), eigvals_only=True)[:6]
+    kry = lowest_eigenpairs(H, k=6)
+    assert kry.meta["backend"] == "krylov"
+    assert np.abs(dense - kry.energies).max() < 1e-8
