@@ -379,7 +379,11 @@ def disorder_sweep(
 
 @dataclass(frozen=True)
 class LadderReport:
-    """Per-level lowest-k energies of a truncation ladder and their deltas."""
+    """Per-level lowest-k energies of a truncation ladder and their deltas.
+
+    ``deltas`` are the successive |differences| of the absolute energies;
+    ``converged`` judges the transition energies E_i - E_0 instead.
+    """
 
     levels: list
     energies: np.ndarray  # (n_levels, k)
@@ -399,11 +403,15 @@ def convergence_ladder(
     """Diagonalize on an increasing truncation ladder and report drift.
 
     ``levels`` must be strictly increasing in every dimension.  Convergence
-    is flagged when every lowest-k energy moves by less than ``tolerance``
-    between the last two rungs.
+    is flagged when every transition energy E_i - E_0 (i = 1 .. k-1) moves
+    by less than ``tolerance`` between the last two rungs.  The absolute
+    energies are not judged: they carry a zero-point offset of the
+    imbalance sector that converges much more slowly than any transition.
     """
     if len(levels) < 2:
         raise ValueError("need at least two ladder levels")
+    if k < 2:
+        raise ValueError("need k >= 2 to judge a transition energy")
     for lo, hi in zip(levels, levels[1:]):
         if hi.N0 < lo.N0 or hi.p0 < lo.p0 or hi.q0 < lo.q0:
             raise ValueError("ladder levels must not decrease in any dimension")
@@ -412,7 +420,8 @@ def convergence_ladder(
     E = np.vstack([solver.get_or_solve(params, bias, lv, k).energies
                    for lv in levels])
     deltas = np.abs(np.diff(E, axis=0))
-    converged = bool(np.all(deltas[-1] < tolerance))
+    transitions = E[:, 1:] - E[:, :1]
+    converged = bool(np.all(np.abs(transitions[-1] - transitions[-2]) < tolerance))
     return LadderReport(
         levels=list(levels), energies=E, deltas=deltas,
         converged=converged, tolerance=tolerance,

@@ -41,12 +41,11 @@ _DOMAIN_ERRORS = (ConfigError, ValueError, DimensionCapError, KeyError)
 
 
 def _numeric_errors():
-    from .coherence import DerivativeError
     from .eigensolver import NonConvergenceError
     from .instanton import MinimizationError
     from .mathieu import TruncationError
 
-    return (NonConvergenceError, DerivativeError, MinimizationError, TruncationError)
+    return (NonConvergenceError, MinimizationError, TruncationError)
 
 
 # ---------------------------------------------------------------------------
@@ -398,9 +397,6 @@ def coherence(config_path, out, overrides, jobs, no_cache):
         channels["flux"] = NoiseChannel("flux", float(ch_cfg["sqrt_A_flux"]))
         channels["critical_current"] = NoiseChannel(
             "critical_current", float(ch_cfg["sqrt_A_epsJ_rel"])
-        )
-        channels["quasiparticle"] = NoiseChannel(
-            "quasiparticle", 1.0, extras={"x_qp": float(ch_cfg["x_qp"])}
         )
         enabled = set(ch_cfg["enabled"])
         channels = {k: v for k, v in channels.items() if k in enabled}

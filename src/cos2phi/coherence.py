@@ -20,9 +20,11 @@ infinity).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
+import scipy.sparse as sp
+from scipy.sparse.linalg import splu
 from scipy.special import kv
 
 from .analysis import (
@@ -36,7 +38,8 @@ from .analysis import (
 )
 from .cache import SolutionCache
 from .constants import GHZ_TO_RAD_PER_S, PhysicalConstants, DEFAULT_CONSTANTS
-from .hamiltonians import UnsupportedBiasError
+from .eigensolver import NonConvergenceError
+from .hamiltonians import UnsupportedBiasError, full_hamiltonian, josephson_term
 from .model import (
     BasisTruncation,
     BiasPoint,
@@ -59,7 +62,6 @@ __all__ = [
     "tphi_shot",
     "tphi_critical_current",
     "full_report",
-    "DerivativeError",
     "Q_CAP_NOMINAL",
     "Q_IND_NOMINAL",
     "FLUX_NOISE_SQRT_A",
@@ -76,9 +78,9 @@ CRITICAL_CURRENT_SQRT_A = 5e-7           # sqrt(A_epsJ) / eps_J
 ME_FLOOR = 1e-10        # normalized coupling amplitude below this -> inf
 RATE_FLOOR = 1e-9       # 1/s, i.e. 1e-12 per ms
 
-
-class DerivativeError(RuntimeError):
-    """Finite-difference derivative failed to converge across step halvings."""
+STERNHEIMER_SHIFT = 1.0     # GHz; the LU shift sits this far below E0
+STERNHEIMER_RTOL = 1e-12    # relative change that ends the Neumann iteration
+STERNHEIMER_MAX_ITER = 200  # the cap raises NonConvergenceError
 
 
 @dataclass(frozen=True)
@@ -87,7 +89,6 @@ class NoiseChannel:
 
     kind: str
     amplitude: float
-    extras: dict = field(default_factory=dict)
 
     def __post_init__(self) -> None:
         if self.amplitude < 0:
@@ -99,9 +100,7 @@ def default_channels() -> dict[str, NoiseChannel]:
         "capacitive": NoiseChannel("capacitive", Q_CAP_NOMINAL),
         "inductive": NoiseChannel("inductive", Q_IND_NOMINAL),
         "purcell": NoiseChannel("purcell", Q_CAP_NOMINAL),
-        "quasiparticle": NoiseChannel(
-            "quasiparticle", 1.0, extras={"x_qp": DEFAULT_CONSTANTS.x_qp}
-        ),
+        "quasiparticle": NoiseChannel("quasiparticle", 1.0),
         "charge": NoiseChannel("charge", 1e-4),
         "flux": NoiseChannel("flux", FLUX_NOISE_SQRT_A),
         "shot": NoiseChannel("shot", Q_CAP_NOMINAL),
@@ -175,8 +174,6 @@ def _quasiparticle_elements(params: CircuitParams, bias: BiasPoint, prim: Primit
     its integer sublattice; matrix elements between physical states then
     vanish by charge-parity structure rather than by fiat.
     """
-    import scipy.sparse as sp
-
     t = prim.trunc
     nN = 2 * t.N0 + 1
     next_ = 2 * nN - 1  # half-integer lattice covering the same charge range
@@ -265,14 +262,13 @@ def t1_channel(
                 omega, channel.amplitude
             )
     else:  # quasiparticle
-        x_qp = channel.extras.get("x_qp", constants.x_qp)
         for eps_J_i, op, embed in _quasiparticle_elements(params, ls.bias, prim):
             w0 = embed @ v0
             w1 = embed @ v1
             me2, amp = _normalized_amp(op, w0, w1)
             if amp < ME_FLOOR:
                 continue
-            re_y = _re_y_qp(eps_J_i, omega, temperature, x_qp, constants)
+            re_y = _re_y_qp(eps_J_i, omega, temperature, constants.x_qp, constants)
             s_sum = 2.0 * constants.hbar * omega * re_y * coth
             rate += me2 * s_sum / constants.e**2  # (2 phi0)^2 / hbar^2 = 1/e^2
 
@@ -322,49 +318,66 @@ def tphi_charge(eps_GHz: float) -> float:
     return 1e3 / rate
 
 
-def tphi_flux(
-    params: CircuitParams,
-    bias: BiasPoint,
-    trunc: BasisTruncation = BasisTruncation(),
-    sqrt_A: float = FLUX_NOISE_SQRT_A,
-    h0: float = 1e-2,
-    max_halvings: int = 14,
-    rel_tol: float = 0.01,
-    solver: SolutionCache | None = None,
-) -> float:
+def _flux_curvature(ls: LabeledSolution) -> float:
+    """d^2(E1 - E0)/dphi_ext^2 (GHz / rad^2) of the lowest pair of ``ls``.
+
+    Second-order perturbation theory on the solution's own eigenpairs, with
+    the exact H' = H_J(phi_ext + pi)/2 and H'' = -H_J(phi_ext)/4.  Level n
+    of the pair, with partner m, has
+
+        E_n'' = <n|H''|n> + 2 |<m|H'|n>|^2 / (E_n - E_m) - 2 Re <Q H'n | x_n>,
+
+    where Q projects out the pair and x_n solves the Sternheimer equation
+    (H - E_n) x_n = Q H'n on range(Q).  Both x_n come from one sparse LU of
+    H - sigma below the spectrum, by the Neumann iteration
+    x <- Q (H - sigma)^-1 (Q H'n + (E_n - sigma) x), which contracts by
+    (E_n - sigma) / (E_2 - sigma) per step.
+    """
+    params, bias, prim = ls.params, ls.bias, ls.primitives
+    H = full_hamiltonian(params, bias, prim.trunc, primitives=prim).matrix
+    d1 = 0.5 * josephson_term(params, bias.phi_ext + np.pi, prim).matrix
+    d2 = -0.25 * josephson_term(params, bias.phi_ext, prim).matrix
+    V, E = ls.solution.vectors[:, :2], ls.energies[:2]
+    sigma = E[0] - STERNHEIMER_SHIFT
+    lu = splu((H - sigma * sp.identity(H.shape[0], format="csr")).tocsc())
+
+    def project(v):
+        return v - V @ (V.conj().T @ v)
+
+    curv = []
+    for n, m in ((0, 1), (1, 0)):
+        d1n = d1 @ V[:, n]
+        b = project(d1n)
+        x = np.zeros_like(b)
+        for _ in range(STERNHEIMER_MAX_ITER):
+            x_new = project(lu.solve(b + (E[n] - sigma) * x))
+            step = np.linalg.norm(x_new - x)
+            x = x_new
+            if step <= STERNHEIMER_RTOL * np.linalg.norm(x):
+                break
+        else:
+            raise NonConvergenceError(
+                f"Sternheimer iteration for level {n} did not reach a relative "
+                f"change of {STERNHEIMER_RTOL:g} in {STERNHEIMER_MAX_ITER} steps"
+            )
+        curv.append(
+            np.vdot(V[:, n], d2 @ V[:, n]).real
+            + 2.0 * abs(np.vdot(V[:, m], d1n)) ** 2 / (E[n] - E[m])
+            - 2.0 * np.vdot(b, x).real
+        )
+    return float(curv[1] - curv[0])
+
+
+def tphi_flux(ls: LabeledSolution, sqrt_A: float = FLUX_NOISE_SQRT_A) -> float:
     """Second-order flux dephasing at the half-flux sweet spot (ms).
 
-    The curvature of the splitting is extracted by central differences with
-    step halving until two successive estimates agree to ``rel_tol``.  The
-    crossover step below which the sweet-spot quadratic dominates scales
-    with the splitting itself, so small-splitting circuits need many
-    halvings; the cap raises ``DerivativeError`` rather than returning an
-    unconverged number.
+    The curvature of the splitting of the two lowest states of ``ls`` is
+    exact for its truncated Hamiltonian; no further diagonalization is made.
     """
-    if abs((bias.phi_ext % (2 * np.pi)) - np.pi) > 1e-9:
+    if abs((ls.bias.phi_ext % (2 * np.pi)) - np.pi) > 1e-9:
         raise UnsupportedBiasError("flux dephasing bound applies at phi_ext = pi")
-    solver = solver or SolutionCache()
-
-    def splitting(phi_ext):
-        return solver.get_or_solve(
-            params, BiasPoint(phi_ext, bias.N_g), trunc, 2).splitting
-
-    d0 = splitting(bias.phi_ext)
-    h = h0
-    prev = None
-    for _ in range(max_halvings):
-        dp = splitting(bias.phi_ext + h)
-        dm = splitting(bias.phi_ext - h)
-        curv = (dp - 2.0 * d0 + dm) / h**2
-        if prev is not None and abs(curv - prev) <= rel_tol * abs(curv):
-            rate = sqrt_A**2 * abs(curv) * GHZ_TO_RAD_PER_S
-            return math.inf if rate < RATE_FLOOR else 1e3 / rate
-        prev = curv
-        h *= 0.5
-    raise DerivativeError(
-        f"flux curvature did not converge to {rel_tol:.0%} within "
-        f"{max_halvings} halvings from h0 = {h0}"
-    )
+    rate = sqrt_A**2 * abs(_flux_curvature(ls)) * GHZ_TO_RAD_PER_S
+    return math.inf if rate < RATE_FLOOR else 1e3 / rate
 
 
 def tphi_shot(
@@ -392,43 +405,22 @@ def tphi_shot(
 
 
 def tphi_critical_current(
-    params: CircuitParams,
-    bias: BiasPoint,
-    trunc: BasisTruncation = BasisTruncation(),
-    sqrt_A_rel: float = CRITICAL_CURRENT_SQRT_A,
-    rel_step: float = 1e-3,
-    max_halvings: int = 8,
-    rel_tol: float = 0.01,
-    solver: SolutionCache | None = None,
+    ls: LabeledSolution, sqrt_A_rel: float = CRITICAL_CURRENT_SQRT_A
 ) -> float:
     """Junction-energy-fluctuation dephasing (ms).
 
     Both junctions scale together; the bound uses |d(dE)/d ln eps_J| with a
     relative spectral amplitude, so only the logarithmic derivative enters.
+    H is exactly linear in eps_J, so by Hellmann-Feynman
+    eps_J d(E1 - E0)/d eps_J = <1|H_J|1> - <0|H_J|0>.
     """
     if sqrt_A_rel == 0:
         return math.inf
-    solver = solver or SolutionCache()
-
-    def splitting(eps_J):
-        return solver.get_or_solve(
-            params.replace(eps_J=eps_J), bias, trunc, 2).splitting
-
-    s = rel_step
-    prev = None
-    for _ in range(max_halvings):
-        dp = splitting(params.eps_J * (1 + s))
-        dm = splitting(params.eps_J * (1 - s))
-        deriv = (dp - dm) / (2.0 * s)  # eps_J d(dE)/d eps_J, GHz
-        if prev is not None and abs(deriv - prev) <= rel_tol * abs(deriv):
-            rate = sqrt_A_rel * abs(deriv) * GHZ_TO_RAD_PER_S
-            return math.inf if rate < RATE_FLOOR else 1e3 / rate
-        prev = deriv
-        s *= 0.5
-    raise DerivativeError(
-        f"eps_J derivative did not converge to {rel_tol:.0%} within "
-        f"{max_halvings} halvings from relative step {rel_step}"
-    )
+    HJ = josephson_term(ls.params, ls.bias.phi_ext, ls.primitives)
+    v0, v1 = ls.solution.vectors[:, 0], ls.solution.vectors[:, 1]
+    deriv = HJ.expectation(v1).real - HJ.expectation(v0).real  # GHz
+    rate = sqrt_A_rel * abs(deriv) * GHZ_TO_RAD_PER_S
+    return math.inf if rate < RATE_FLOOR else 1e3 / rate
 
 
 # ---------------------------------------------------------------------------
@@ -501,11 +493,7 @@ def full_report(
         )
         tphi["charge"] = tphi_charge(eps)
     if "flux" in channels:
-        tphi["flux"] = tphi_flux(
-            params, bias, trunc,
-            sqrt_A=channels["flux"].amplitude,
-            solver=solver,
-        )
+        tphi["flux"] = tphi_flux(ls, sqrt_A=channels["flux"].amplitude)
     if "shot" in channels:
         chi = dispersive_shift(ls)
         i0, i1 = ls.find(0, FLUXON_PLUS), ls.find(1, FLUXON_PLUS)
@@ -515,9 +503,7 @@ def full_report(
         )
     if "critical_current" in channels:
         tphi["critical_current"] = tphi_critical_current(
-            params, bias, trunc,
-            sqrt_A_rel=channels["critical_current"].amplitude,
-            solver=solver,
+            ls, sqrt_A_rel=channels["critical_current"].amplitude
         )
 
     t1_total = _combine(t1)

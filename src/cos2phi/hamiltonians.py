@@ -50,6 +50,7 @@ __all__ = [
     "ToyParams",
     "toy_hamiltonian",
     "full_hamiltonian",
+    "josephson_term",
     "disorder_perturbation",
     "EffectiveParams",
     "effective_params",
@@ -105,8 +106,28 @@ def toy_hamiltonian(tp: ToyParams) -> HermitianOperator:
 # full three-mode circuit
 # ---------------------------------------------------------------------------
 
-def _josephson_block(prim: Primitives, phi_ext: float) -> np.ndarray:
-    return displaced_cosine(prim.phi_zpf, phi_ext, prim.trunc.p0)
+def josephson_term(
+    params: CircuitParams, phi_ext: float, prim: Primitives
+) -> HermitianOperator:
+    """The whole eps_J-proportional part of the circuit Hamiltonian,
+
+        H_J = -2 eJ cos(vphi) cos(phi_zpf (a + a^)/2 + phi_ext/2)
+              + 2 eJ dJ sin(vphi) sin(phi_zpf (a + a^)/2 + phi_ext/2),
+
+    with dJ the junction-energy asymmetry, direct or through area disorder.
+    Nothing else in H depends on eJ or on phi_ext, so H is exactly linear
+    in eJ with slope H_J / eJ, and dH/dphi_ext = H_J(phi_ext + pi) / 2.
+    """
+    trunc = prim.trunc
+    cos_b, _ = charge_hops(2 * trunc.N0 + 1)
+    cos_d = displaced_cosine(prim.phi_zpf, phi_ext, trunc.p0)
+    H = (-2.0 * params.eps_J) * prim.wrap_hermitian(
+        kron3(cos_b, cos_d, sp.identity(trunc.q0 + 1))
+    )
+    Hs, _ = _perturbation_term(
+        "J", params.delta_J_eff, params, BiasPoint(phi_ext), prim
+    )
+    return H + Hs
 
 
 def full_hamiltonian(
@@ -131,34 +152,17 @@ def full_hamiltonian(
         )
     prim = primitives if primitives is not None else build_primitives(trunc, params)
 
-    eC = params.eps_C_dressed
-    eJ = params.eps_J
-    Ng = bias.N_g
-
-    cos_b, _ = charge_hops(2 * trunc.N0 + 1)
-    charge = prim.N - Ng * prim.identity - prim.eta
+    charge = prim.N - bias.N_g * prim.identity - prim.eta
     H = (
         prim.omega_a * prim.num_a
         + prim.omega_b * prim.num_b
-        + 2.0 * eC * (charge @ charge).hermitize()
-        - 2.0 * eJ
-        * prim.wrap_hermitian(
-            kron3(
-                cos_b,
-                _josephson_block(prim, bias.phi_ext),
-                sp.identity(trunc.q0 + 1),
-            )
-        )
+        + 2.0 * params.eps_C_dressed * (charge @ charge).hermitize()
+        + josephson_term(params, bias.phi_ext, prim)
     )
-
-    for kind in ("J", "C", "L"):
-        Hp, _ = disorder_perturbation(kind, params, bias, trunc, primitives=prim)
+    for kind, delta in (("C", params.delta_C_eff), ("L", params.delta_L)):
+        Hp, _ = _perturbation_term(kind, delta, params, bias, prim)
         H = H + Hp
-    if params.delta_A != 0.0:
-        for kind in ("J", "C"):
-            Hp, _ = _area_component(kind, params, bias, prim)
-            H = H + Hp
-    return H.hermitize() if not isinstance(H, HermitianOperator) else H
+    return H
 
 
 def disorder_perturbation(
@@ -182,19 +186,13 @@ def disorder_perturbation(
     if kind == "A":
         if params.delta_A >= 1.0:
             raise ValueError("delta_A must be below 1")
-        hj, mj = _area_component("J", params, bias, prim)
-        hc, mc = _area_component("C", params, bias, prim)
+        hj, _ = _perturbation_term("J", params.delta_A, params, bias, prim)
+        hc, mc = _perturbation_term("C", params.delta_A, params, bias, prim)
         meta = {"kind": "A", "delta": params.delta_A, "dressing": mc["dressing"]}
         return (hj + hc).hermitize(), meta
 
     delta = {"J": params.delta_J, "C": params.delta_C, "L": params.delta_L}[kind]
     return _perturbation_term(kind, delta, params, bias, prim)
-
-
-def _area_component(
-    kind: str, params: CircuitParams, bias: BiasPoint, prim: Primitives
-) -> tuple[HermitianOperator, dict]:
-    return _perturbation_term(kind, params.delta_A, params, bias, prim)
 
 
 def _perturbation_term(

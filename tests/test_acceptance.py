@@ -244,7 +244,7 @@ def test_criterion_09_coherence_regression(canonical, half_flux, ls0, ls06):
     lines.append(f"charge Tphi(0.6) = {tphi6:.1f} ms vs 74 x2: "
                  f"{'ok' if cond else 'FAIL'}")
 
-    tflux = tphi_flux(canonical, half_flux, PROD)
+    tflux = tphi_flux(ls0)
     cond = 0.022 / 2 <= tflux <= 0.022 * 2
     ok &= cond
     lines.append(f"flux Tphi(0) = {tflux:.4f} ms vs 0.022 x2: "
@@ -259,7 +259,7 @@ def test_criterion_09_coherence_regression(canonical, half_flux, ls0, ls06):
     lines.append(f"shot Tphi(0) = {tshot:.2f} ms vs 4.6 x2: "
                  f"{'ok' if cond else 'FAIL'}")
 
-    tcc = tphi_critical_current(canonical, half_flux, PROD)
+    tcc = tphi_critical_current(ls0)
     cond = 210.0 / 2 <= tcc <= 210.0 * 2
     ok &= cond
     lines.append(f"critical-current Tphi(0) = {tcc:.0f} ms vs 210 x2: "

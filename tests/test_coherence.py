@@ -2,7 +2,9 @@ import math
 
 import numpy as np
 import pytest
+import scipy.linalg as sla
 
+from cos2phi import coherence
 from cos2phi.analysis import solve_circuit
 from cos2phi.cache import SolutionCache
 from cos2phi.coherence import (
@@ -16,8 +18,9 @@ from cos2phi.coherence import (
     tphi_flux,
     tphi_shot,
 )
-from cos2phi.constants import DEFAULT_CONSTANTS, PhysicalConstants
-from cos2phi.hamiltonians import UnsupportedBiasError
+from cos2phi.constants import DEFAULT_CONSTANTS, GHZ_TO_RAD_PER_S, PhysicalConstants
+from cos2phi.eigensolver import NonConvergenceError
+from cos2phi.hamiltonians import UnsupportedBiasError, full_hamiltonian
 from cos2phi.model import BasisTruncation, BiasPoint
 
 
@@ -132,13 +135,14 @@ class TestDephasing:
         assert math.isinf(tphi_charge(0.0))
 
     def test_flux_sweet_spot_guard(self, canonical, small_trunc):
+        ls = solve_circuit(canonical, BiasPoint(0.9 * np.pi), small_trunc, k=2)
         with pytest.raises(UnsupportedBiasError):
-            tphi_flux(canonical, BiasPoint(0.9 * np.pi), small_trunc)
+            tphi_flux(ls)
 
     def test_flux_curvature_against_two_level_model(self, canonical):
         tr = BasisTruncation(4, 4, 14)
-        t = tphi_flux(canonical, BiasPoint(np.pi, 0.0), tr)
         ls = solve_circuit(canonical, BiasPoint(np.pi, 0.0), tr, k=2)
+        t = tphi_flux(ls)
         dE = ls.energies[1] - ls.energies[0]
         curv_model = (np.pi * canonical.eps_L) ** 2 / dE
         rate_model = (2 * np.pi * 3e-6) ** 2 * curv_model * 2 * np.pi * 1e9
@@ -164,7 +168,7 @@ class TestDephasing:
             b = BiasPoint(np.pi, 0.0)
             ls = solve_circuit(p, b, tr, k=2)
             dE = ls.energies[1] - ls.energies[0]
-            t = tphi_flux(p, b, tr)
+            t = tphi_flux(ls)
             rate = 1e3 / t
             curv = rate / ((2 * np.pi * 3e-6) ** 2 * 2 * np.pi * 1e9)
             prods.append(curv * dE)
@@ -184,18 +188,72 @@ class TestDephasing:
         assert math.isinf(tphi_shot(-5e-3, 0.78, 1e-6, constants=cold))
 
     def test_critical_current_zero_amplitude(self, canonical, small_trunc):
-        assert math.isinf(
-            tphi_critical_current(canonical, BiasPoint(np.pi), small_trunc,
-                                  sqrt_A_rel=0.0)
-        )
+        ls = solve_circuit(canonical, BiasPoint(np.pi), small_trunc, k=2)
+        assert math.isinf(tphi_critical_current(ls, sqrt_A_rel=0.0))
 
     def test_critical_current_magnitude(self, canonical):
         tr = BasisTruncation(4, 4, 14)
-        t = tphi_critical_current(canonical, BiasPoint(np.pi, 0.0), tr)
+        ls = solve_circuit(canonical, BiasPoint(np.pi, 0.0), tr, k=2)
+        t = tphi_critical_current(ls)
         # the splitting depends exponentially on the junction energy, so the
         # logarithmic derivative is a few times the splitting itself
         assert 50.0 < t < 500.0
 
+
+    @pytest.mark.parametrize("disorder", [
+        {}, {"delta_L": 0.3}, {"delta_J": 0.1}, {"delta_A": 0.1, "delta_L": 0.3},
+    ])
+    def test_critical_current_slope_against_finite_differences(
+        self, canonical, disorder
+    ):
+        # Hellmann-Feynman slope eps_J d(E1 - E0)/d eps_J against central
+        # differences of dense splittings, Richardson-extrapolated
+        tr = BasisTruncation(4, 4, 14)
+        p = canonical.replace(**disorder)
+        b = BiasPoint(np.pi, 0.0)
+        t = tphi_critical_current(solve_circuit(p, b, tr, k=2), sqrt_A_rel=1.0)
+        slope = 1e3 / (t * GHZ_TO_RAD_PER_S)
+
+        def central(s):
+            up = _dense_splitting(p.replace(eps_J=p.eps_J * (1 + s)), b, tr)
+            dn = _dense_splitting(p.replace(eps_J=p.eps_J * (1 - s)), b, tr)
+            return (up - dn) / (2 * s)
+
+        fd = (4 * central(5e-4) - central(1e-3)) / 3
+        assert slope == pytest.approx(abs(fd), rel=1e-6)
+
+    def test_flux_curvature_against_finite_differences(self, canonical):
+        # Sternheimer curvature against Richardson-extrapolated second
+        # differences of dense splittings; steps stay inside the sweet-spot
+        # quadratic, whose width scales with the splitting
+        tr = BasisTruncation(4, 4, 14)
+        p = canonical.replace(delta_L=0.3)
+        ls = solve_circuit(p, BiasPoint(np.pi, 0.0), tr, k=2)
+        curv = 1e3 / (tphi_flux(ls, sqrt_A=1.0) * GHZ_TO_RAD_PER_S)
+
+        mid = _dense_splitting(p, BiasPoint(np.pi), tr)
+
+        def second(h):
+            up = _dense_splitting(p, BiasPoint(np.pi + h), tr)
+            dn = _dense_splitting(p, BiasPoint(np.pi - h), tr)
+            return (up - 2 * mid + dn) / h**2
+
+        fd = (4 * second(1e-5) - second(2e-5)) / 3
+        assert curv == pytest.approx(abs(fd), rel=1e-5)
+
+
+    def test_flux_curvature_iteration_cap(self, canonical, small_trunc,
+                                          monkeypatch):
+        # an unconverged Sternheimer solve is a non-convergence, not a number
+        monkeypatch.setattr(coherence, "STERNHEIMER_MAX_ITER", 2)
+        ls = solve_circuit(canonical, BiasPoint(np.pi, 0.0), small_trunc, k=2)
+        with pytest.raises(NonConvergenceError):
+            tphi_flux(ls)
+
+def _dense_splitting(params, bias, trunc):
+    H = full_hamiltonian(params, bias, trunc).toarray()
+    w = sla.eigh(H, eigvals_only=True, subset_by_index=[0, 1])
+    return w[1] - w[0]
 
 @pytest.fixture(scope="module")
 def report(canonical):

@@ -205,6 +205,10 @@ class TestCli:
         assert float(doc["t1_ms"]["inductive"]) > 0.1
         csv = (out / "coherence.csv").read_text()
         assert "T2,total" in csv
+        # the report's own solve plus one per offset charge: both dephasing
+        # derivatives come from the report's solve
+        log = json.loads((out / "coherence_runlog.json").read_text())
+        assert log["diagonalizations"] == 1 + 3 and log["cache_hits"] == 0
 
     def test_disorder_artifacts(self, tmp_path, fast_config):
         out = tmp_path / "o4"

@@ -116,6 +116,24 @@ class TestConvergenceLadder:
         split = rep.energies[:, 1] - rep.energies[:, 0]
         assert abs(split[2] - split[1]) < 1e-4
 
+    def test_verdict_judges_transitions(self, canonical, half_flux):
+        # between these rungs every absolute energy moves by 0.061 GHz, the
+        # zero-point offset of the imbalance sector, while the splitting
+        # E1 - E0 moves by 2.5e-5 GHz; the verdict follows the splitting
+        levels = [BasisTruncation(4, 4, 12), BasisTruncation(5, 5, 16)]
+        rep = convergence_ladder(canonical, half_flux, levels, k=2,
+                                 tolerance=1e-3)
+        assert np.all(rep.deltas[-1] > 1e-2)
+        assert rep.converged
+        strict = convergence_ladder(canonical, half_flux, levels, k=2,
+                                    tolerance=1e-5)
+        assert not strict.converged
+
+    def test_single_state_ladder_rejected(self, canonical, half_flux):
+        lv = BasisTruncation(3, 3, 8)
+        with pytest.raises(ValueError):
+            convergence_ladder(canonical, half_flux, [lv, lv], k=1)
+
     def test_decreasing_levels_rejected(self, canonical, half_flux):
         with pytest.raises(ValueError):
             convergence_ladder(

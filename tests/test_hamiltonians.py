@@ -9,6 +9,7 @@ from cos2phi.hamiltonians import (
     effective_hamiltonian,
     effective_params,
     full_hamiltonian,
+    josephson_term,
     parity_sector_hamiltonians,
     toy_hamiltonian,
 )
@@ -83,6 +84,21 @@ class TestFullHamiltonian:
                     )
         analytic = np.sort(analytic)
         assert np.allclose(w[:10], analytic[:10], atol=2e-6)
+
+    @pytest.mark.parametrize("disorder", [
+        {}, {"delta_J": 0.1, "delta_L": 0.3}, {"delta_A": 0.1, "delta_L": 0.3},
+    ])
+    @pytest.mark.parametrize("bias", [BiasPoint(np.pi, 0.0), BiasPoint(1.37, 0.3)])
+    def test_linear_in_junction_energy(self, canonical, disorder, bias):
+        # the Josephson term is the whole eps_J dependence of H
+        tr = BasisTruncation(3, 3, 8)
+        p = canonical.replace(**disorder)
+        prim = build_primitives(tr, p)
+        diff = (full_hamiltonian(p.replace(eps_J=2 * p.eps_J), bias, tr)
+                - full_hamiltonian(p, bias, tr))
+        HJ = josephson_term(p, bias.phi_ext, prim)
+        assert diff.fingerprint == HJ.fingerprint
+        assert np.abs((diff - HJ).toarray()).max() <= 1e-15 * np.abs(HJ.toarray()).max()
 
     def test_flux_periodicity(self, canonical):
         tr = BasisTruncation(3, 3, 8)
