@@ -42,7 +42,6 @@ from .analysis import (
 )
 from .coherence import (
     CoherenceReport,
-    NoiseChannel,
     full_report,
     q_cap,
     q_ind,

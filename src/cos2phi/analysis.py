@@ -193,30 +193,6 @@ class SweepResult:
     energies: np.ndarray          # (n, k), absolute energies (GHz)
     labels: list                  # list of per-point label lists
     derived: dict = field(default_factory=dict)
-    provenance: dict = field(default_factory=dict)
-
-    @property
-    def transitions(self) -> np.ndarray:
-        return self.energies - self.energies[:, :1]
-
-
-def _provenance(params, trunc, extra=None) -> dict:
-    out = {
-        "params": {
-            "eps_J": params.eps_J,
-            "eps_C": params.eps_C,
-            "eps_L": params.eps_L,
-            "x": params.x,
-            "delta_J": params.delta_J,
-            "delta_C": params.delta_C,
-            "delta_A": params.delta_A,
-            "delta_L": params.delta_L,
-        },
-        "trunc": trunc.as_tuple() if trunc is not None else None,
-    }
-    if extra:
-        out.update(extra)
-    return out
 
 
 def flux_sweep(
@@ -246,7 +222,6 @@ def flux_sweep(
         energies=E,
         labels=labels,
         derived={"splitting": E[:, 1] - E[:, 0]},
-        provenance=_provenance(params, trunc, {"N_g": N_g, "k": k}),
     )
 
 
@@ -289,7 +264,6 @@ def charge_dispersion(
         energies=E,
         labels=labels,
         derived={"splitting": splittings},
-        provenance=_provenance(params, trunc, {"phi_ext": phi_ext}),
     )
     return float(signed_dE), eps, table
 
@@ -373,7 +347,6 @@ def disorder_sweep(
             "eps_monotone_decreasing": eps_monotone,
             "dE_monotone_increasing": dE_monotone,
         },
-        provenance=_provenance(params, trunc, {"kind": kind, "phi_ext": phi_ext}),
     )
 
 

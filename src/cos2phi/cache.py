@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+from dataclasses import astuple
 from pathlib import Path
 
 import numpy as np
@@ -31,8 +32,7 @@ def _problem_key(
 ) -> str:
     payload = json.dumps(
         {
-            "p": [params.eps_J, params.eps_C, params.eps_L, params.x,
-                  params.delta_J, params.delta_C, params.delta_A, params.delta_L],
+            "p": astuple(params),
             "b": [bias.phi_ext, bias.N_g],
             "t": trunc.as_tuple(),
             "k": k,

@@ -383,27 +383,21 @@ def coherence(config_path, out, overrides, jobs, no_cache):
     """Relaxation and dephasing budget at the configured operating point."""
 
     def impl(r: _Runner):
-        from .coherence import NoiseChannel, default_channels, full_report
+        from .coherence import full_report
 
         cfg = r.cfg
         ch_cfg = cfg.section("channels")
-        constants = PhysicalConstants(temperature=cfg.temperature,
-                                      x_qp=float(ch_cfg["x_qp"]))
-        channels = default_channels()
-        channels["capacitive"] = NoiseChannel("capacitive", float(ch_cfg["q_cap"]))
-        channels["purcell"] = NoiseChannel("purcell", float(ch_cfg["q_cap"]))
-        channels["shot"] = NoiseChannel("shot", float(ch_cfg["q_cap"]))
-        channels["inductive"] = NoiseChannel("inductive", float(ch_cfg["q_ind"]))
-        channels["flux"] = NoiseChannel("flux", float(ch_cfg["sqrt_A_flux"]))
-        channels["critical_current"] = NoiseChannel(
-            "critical_current", float(ch_cfg["sqrt_A_epsJ_rel"])
+        # every channels key but ``enabled`` is a PhysicalConstants field;
+        # float() because PyYAML reads 1e6 or 2.0e6 (no dot, or no exponent
+        # sign) as a string
+        constants = PhysicalConstants(
+            temperature=cfg.temperature,
+            **{k: float(v) for k, v in ch_cfg.items() if k != "enabled"},
         )
-        enabled = set(ch_cfg["enabled"])
-        channels = {k: v for k, v in channels.items() if k in enabled}
         ng_points = int(cfg.section("sweep")["ng_points"])
         report = full_report(
             cfg.circuit, cfg.bias, cfg.truncation,
-            constants=constants, channels=channels,
+            constants=constants, channels=ch_cfg["enabled"],
             ng_grid=np.linspace(0.0, 1.0, ng_points),
             solver=r.cache,
         )

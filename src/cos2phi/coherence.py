@@ -10,7 +10,9 @@ junctions or superinductances where the channel has two elements.  The
 element decompositions use the pairing conventions fixed in
 ``hamiltonians`` (which arm is "left").  All four dephasing channels use
 the closed-form bounds with frequency-dependent quality factors; energies
-arrive as GHz and leave as rates in 1/s, reported as times in ms.
+arrive as GHz and leave as rates in 1/s, reported as times in ms.  Every
+environment number (temperature, quality factors, noise amplitudes,
+quasiparticle density) comes from one ``PhysicalConstants`` record.
 
 A channel whose normalized coupling amplitude falls below 1e-10, or whose
 rate falls below 1e-12 per ms, reports the sentinel ``inf`` (numerical
@@ -20,7 +22,8 @@ infinity).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections.abc import Collection
+from dataclasses import asdict, dataclass
 
 import numpy as np
 import scipy.sparse as sp
@@ -52,7 +55,7 @@ from .model import (
 )
 
 __all__ = [
-    "NoiseChannel",
+    "CHANNELS",
     "CoherenceReport",
     "q_cap",
     "q_ind",
@@ -62,18 +65,14 @@ __all__ = [
     "tphi_shot",
     "tphi_critical_current",
     "full_report",
-    "Q_CAP_NOMINAL",
-    "Q_IND_NOMINAL",
-    "FLUX_NOISE_SQRT_A",
-    "CRITICAL_CURRENT_SQRT_A",
 ]
 
-Q_CAP_NOMINAL = 1e6
-Q_IND_NOMINAL = 500e6
+#: every channel of the budget: relaxation first, then pure dephasing
+T1_CHANNELS = ("capacitive", "inductive", "purcell", "quasiparticle")
+CHANNELS = T1_CHANNELS + ("charge", "flux", "shot", "critical_current")
+
 Q_CAP_REF_HZ = 6e9
 Q_IND_REF_HZ = 0.5e9
-FLUX_NOISE_SQRT_A = 2 * np.pi * 3e-6     # sqrt(A_phi_ext), radians
-CRITICAL_CURRENT_SQRT_A = 5e-7           # sqrt(A_epsJ) / eps_J
 
 ME_FLOOR = 1e-10        # normalized coupling amplitude below this -> inf
 RATE_FLOOR = 1e-9       # 1/s, i.e. 1e-12 per ms
@@ -83,61 +82,32 @@ STERNHEIMER_RTOL = 1e-12    # relative change that ends the Neumann iteration
 STERNHEIMER_MAX_ITER = 200  # the cap raises NonConvergenceError
 
 
-@dataclass(frozen=True)
-class NoiseChannel:
-    """Configuration record for one noise channel."""
-
-    kind: str
-    amplitude: float
-
-    def __post_init__(self) -> None:
-        if self.amplitude < 0:
-            raise ValueError("channel amplitude must be nonnegative")
-
-
-def default_channels() -> dict[str, NoiseChannel]:
-    return {
-        "capacitive": NoiseChannel("capacitive", Q_CAP_NOMINAL),
-        "inductive": NoiseChannel("inductive", Q_IND_NOMINAL),
-        "purcell": NoiseChannel("purcell", Q_CAP_NOMINAL),
-        "quasiparticle": NoiseChannel("quasiparticle", 1.0),
-        "charge": NoiseChannel("charge", 1e-4),
-        "flux": NoiseChannel("flux", FLUX_NOISE_SQRT_A),
-        "shot": NoiseChannel("shot", Q_CAP_NOMINAL),
-        "critical_current": NoiseChannel("critical_current", CRITICAL_CURRENT_SQRT_A),
-    }
-
-
 # ---------------------------------------------------------------------------
 # frequency-dependent quality factors
 # ---------------------------------------------------------------------------
 
-def q_cap(omega: float, nominal: float = Q_CAP_NOMINAL) -> float:
-    """Dielectric quality factor Q (2 pi 6 GHz / |omega|)^0.7."""
+def q_cap(omega: float, constants: PhysicalConstants = DEFAULT_CONSTANTS) -> float:
+    """Dielectric quality factor Q0 (2 pi 6 GHz / |omega|)^0.7, Q0 = ``q_cap``."""
     if omega == 0:
         raise ValueError("q_cap undefined at zero frequency")
-    return nominal * (2 * np.pi * Q_CAP_REF_HZ / abs(omega)) ** 0.7
+    return constants.q_cap * (2 * np.pi * Q_CAP_REF_HZ / abs(omega)) ** 0.7
 
 
-def q_ind(
-    omega: float,
-    temperature: float,
-    nominal: float = Q_IND_NOMINAL,
-    constants: PhysicalConstants = DEFAULT_CONSTANTS,
-) -> float:
+def q_ind(omega: float, constants: PhysicalConstants = DEFAULT_CONSTANTS) -> float:
     """Inductive quality factor with the Bessel frequency dependence.
 
-    Referenced so the nominal value corresponds to a 0.5 GHz measurement:
-    Q(omega) = Q0 K0(x_ref) sinh(x_ref) / (K0(x) sinh(x)) with
+    Referenced so the nominal ``q_ind`` Q0 corresponds to a 0.5 GHz
+    measurement: Q(omega) = Q0 K0(x_ref) sinh(x_ref) / (K0(x) sinh(x)) with
     x = hbar |omega| / 2 kB T.
     """
     if omega == 0:
         raise ValueError("q_ind undefined at zero frequency")
-    if temperature <= 0:
-        raise ValueError("q_ind needs a positive temperature")
-    x_ref = constants.h * Q_IND_REF_HZ / (2 * constants.k_B * temperature)
-    x = constants.hbar * abs(omega) / (2 * constants.k_B * temperature)
-    return nominal * (kv(0, x_ref) * np.sinh(x_ref)) / (kv(0, x) * np.sinh(x))
+    two_kT = 2 * constants.k_B * constants.temperature
+    x_ref = constants.h * Q_IND_REF_HZ / two_kT
+    x = constants.hbar * abs(omega) / two_kT
+    return constants.q_ind * (kv(0, x_ref) * np.sinh(x_ref)) / (
+        kv(0, x) * np.sinh(x)
+    )
 
 
 def _coth(x: float) -> float:
@@ -216,25 +186,19 @@ def t1_channel(
     kind: str,
     ls: LabeledSolution,
     constants: PhysicalConstants = DEFAULT_CONSTANTS,
-    channel: NoiseChannel | None = None,
 ) -> float:
     """Relaxation time (ms) of the qubit doublet through one loss channel.
 
     Returns ``inf`` when the coupling matrix element is numerically absent.
     """
-    if kind not in ("capacitive", "inductive", "purcell", "quasiparticle"):
+    if kind not in T1_CHANNELS:
         raise ValueError(f"unknown T1 channel {kind!r}")
-    temperature = constants.temperature
-    if temperature <= 0:
-        raise ValueError("temperature must be positive")
     params, prim = ls.params, ls.primitives
-    if channel is None:
-        channel = default_channels()[kind]
     v0, v1, dE = _qubit_pair(ls)
     omega = dE * GHZ_TO_RAD_PER_S
     if omega == 0:
         raise ValueError("degenerate qubit pair: relaxation rate undefined")
-    x_th = constants.hbar * omega / (2 * constants.k_B * temperature)
+    x_th = constants.hbar * omega / (2 * constants.k_B * constants.temperature)
     coth = _coth(x_th)
 
     rate = 0.0
@@ -244,7 +208,7 @@ def t1_channel(
             if amp < ME_FLOOR:
                 continue
             rate += 2.0 * (eps_L_i * GHZ_TO_RAD_PER_S) * me2 * coth / q_ind(
-                omega, temperature, channel.amplitude, constants
+                omega, constants
             )
     elif kind == "capacitive":
         for eps_C_i, op in _capacitive_elements(params, prim):
@@ -252,14 +216,14 @@ def t1_channel(
             if amp < ME_FLOOR:
                 continue
             rate += 2.0 * (8.0 * eps_C_i * GHZ_TO_RAD_PER_S) * me2 * coth / q_cap(
-                omega, channel.amplitude
+                omega, constants
             )
     elif kind == "purcell":
         me2, amp = _normalized_amp(prim.eta.matrix, v0, v1)
         if amp >= ME_FLOOR:
             shunt_energy = 8.0 * params.x * params.eps_C  # (2e)^2 / C_shunt, GHz
             rate = 2.0 * (shunt_energy * GHZ_TO_RAD_PER_S) * me2 * coth / q_cap(
-                omega, channel.amplitude
+                omega, constants
             )
     else:  # quasiparticle
         for eps_J_i, op, embed in _quasiparticle_elements(params, ls.bias, prim):
@@ -268,7 +232,7 @@ def t1_channel(
             me2, amp = _normalized_amp(op, w0, w1)
             if amp < ME_FLOOR:
                 continue
-            re_y = _re_y_qp(eps_J_i, omega, temperature, constants.x_qp, constants)
+            re_y = _re_y_qp(eps_J_i, omega, constants)
             s_sum = 2.0 * constants.hbar * omega * re_y * coth
             rate += me2 * s_sum / constants.e**2  # (2 phi0)^2 / hbar^2 = 1/e^2
 
@@ -277,23 +241,17 @@ def t1_channel(
     return 1e3 / rate
 
 
-def _re_y_qp(
-    eps_J_GHz: float,
-    omega: float,
-    temperature: float,
-    x_qp: float,
-    constants: PhysicalConstants,
-) -> float:
+def _re_y_qp(eps_J_GHz: float, omega: float, constants: PhysicalConstants) -> float:
     """Dissipative junction admittance from thermal-equilibrium tunneling."""
     eps_J = eps_J_GHz * 1e9 * constants.h  # J
     delta = constants.delta_gap
     hw = constants.hbar * abs(omega)
-    x = hw / (2 * constants.k_B * temperature)
+    x = hw / (2 * constants.k_B * constants.temperature)
     return (
         math.sqrt(2.0 / math.pi)
         * (8.0 * eps_J / (constants.R_K * delta))
         * (2.0 * delta / hw) ** 1.5
-        * x_qp
+        * constants.x_qp
         * math.sqrt(x)
         * kv(0, x)
         * math.sinh(x)
@@ -368,36 +326,38 @@ def _flux_curvature(ls: LabeledSolution) -> float:
     return float(curv[1] - curv[0])
 
 
-def tphi_flux(ls: LabeledSolution, sqrt_A: float = FLUX_NOISE_SQRT_A) -> float:
+def tphi_flux(
+    ls: LabeledSolution, constants: PhysicalConstants = DEFAULT_CONSTANTS
+) -> float:
     """Second-order flux dephasing at the half-flux sweet spot (ms).
 
     The curvature of the splitting of the two lowest states of ``ls`` is
     exact for its truncated Hamiltonian; no further diagonalization is made.
+    The noise amplitude is ``constants.sqrt_A_flux``.
     """
     if abs((ls.bias.phi_ext % (2 * np.pi)) - np.pi) > 1e-9:
         raise UnsupportedBiasError("flux dephasing bound applies at phi_ext = pi")
-    rate = sqrt_A**2 * abs(_flux_curvature(ls)) * GHZ_TO_RAD_PER_S
+    rate = constants.sqrt_A_flux**2 * abs(_flux_curvature(ls)) * GHZ_TO_RAD_PER_S
     return math.inf if rate < RATE_FLOOR else 1e3 / rate
 
 
 def tphi_shot(
     chi_GHz: float,
     omega_p_GHz: float,
-    temperature: float | None = None,
-    q_cap_nominal: float = Q_CAP_NOMINAL,
     constants: PhysicalConstants = DEFAULT_CONSTANTS,
 ) -> float:
     """Thermal-photon dephasing through the plasmon mode (ms)."""
     if omega_p_GHz <= 0:
         raise ValueError("plasmon frequency must be positive")
-    T = constants.temperature if temperature is None else temperature
     omega_p = omega_p_GHz * GHZ_TO_RAD_PER_S
     chi = chi_GHz * GHZ_TO_RAD_PER_S
     try:
-        n_th = 1.0 / math.expm1(constants.hbar * omega_p / (constants.k_B * T))
+        n_th = 1.0 / math.expm1(
+            constants.hbar * omega_p / (constants.k_B * constants.temperature)
+        )
     except OverflowError:
         n_th = 0.0
-    kappa = omega_p / q_cap(omega_p, q_cap_nominal)
+    kappa = omega_p / q_cap(omega_p, constants)
     rate = n_th * kappa * chi**2 / (chi**2 + kappa**2)
     if rate < RATE_FLOOR:
         return math.inf
@@ -405,21 +365,21 @@ def tphi_shot(
 
 
 def tphi_critical_current(
-    ls: LabeledSolution, sqrt_A_rel: float = CRITICAL_CURRENT_SQRT_A
+    ls: LabeledSolution, constants: PhysicalConstants = DEFAULT_CONSTANTS
 ) -> float:
     """Junction-energy-fluctuation dephasing (ms).
 
-    Both junctions scale together; the bound uses |d(dE)/d ln eps_J| with a
-    relative spectral amplitude, so only the logarithmic derivative enters.
-    H is exactly linear in eps_J, so by Hellmann-Feynman
-    eps_J d(E1 - E0)/d eps_J = <1|H_J|1> - <0|H_J|0>.
+    Both junctions scale together; the bound uses |d(dE)/d ln eps_J| with the
+    relative spectral amplitude ``constants.sqrt_A_epsJ_rel``, so only the
+    logarithmic derivative enters.  H is exactly linear in eps_J, so by
+    Hellmann-Feynman eps_J d(E1 - E0)/d eps_J = <1|H_J|1> - <0|H_J|0>.
     """
-    if sqrt_A_rel == 0:
+    if constants.sqrt_A_epsJ_rel == 0:
         return math.inf
     HJ = josephson_term(ls.params, ls.bias.phi_ext, ls.primitives)
     v0, v1 = ls.solution.vectors[:, 0], ls.solution.vectors[:, 1]
     deriv = HJ.expectation(v1).real - HJ.expectation(v0).real  # GHz
-    rate = sqrt_A_rel * abs(deriv) * GHZ_TO_RAD_PER_S
+    rate = constants.sqrt_A_epsJ_rel * abs(deriv) * GHZ_TO_RAD_PER_S
     return math.inf if rate < RATE_FLOOR else 1e3 / rate
 
 
@@ -462,26 +422,31 @@ def full_report(
     bias: BiasPoint,
     trunc: BasisTruncation = BasisTruncation(),
     constants: PhysicalConstants = DEFAULT_CONSTANTS,
-    channels: dict[str, NoiseChannel] | None = None,
+    channels: Collection[str] = CHANNELS,
     ng_grid=None,
     dispersion_trunc: BasisTruncation | None = None,
     solver: SolutionCache | None = None,
 ) -> CoherenceReport:
-    """All-channel coherence budget at one operating point.
+    """Coherence budget at one operating point over the named ``channels``.
 
-    ``dispersion_trunc`` optionally sets the basis for the charge dispersion
-    only, where truncation artifacts dominate first; by default it is the
-    escalation schedule at ``delta_L``, never smaller than ``trunc``.
+    Every channel reads its environment from ``constants``; a name outside
+    ``CHANNELS`` raises ``ValueError``.  ``dispersion_trunc`` optionally sets
+    the basis for the charge dispersion only, where truncation artifacts
+    dominate first; by default it is the escalation schedule at
+    ``delta_L``, never smaller than ``trunc``.
     """
-    if channels is None:
-        channels = default_channels()
+    unknown = sorted(set(channels) - set(CHANNELS))
+    if unknown:
+        raise ValueError(
+            f"unknown coherence channels {unknown}; known: {list(CHANNELS)}"
+        )
     solver = solver or SolutionCache()
     ls = solver.get_or_solve(params, bias, trunc, 6)
 
     t1: dict[str, float] = {}
-    for kind in ("capacitive", "inductive", "purcell", "quasiparticle"):
+    for kind in T1_CHANNELS:
         if kind in channels:
-            t1[kind] = t1_channel(kind, ls, constants, channels[kind])
+            t1[kind] = t1_channel(kind, ls, constants)
 
     tphi: dict[str, float] = {}
     if "charge" in channels:
@@ -493,18 +458,14 @@ def full_report(
         )
         tphi["charge"] = tphi_charge(eps)
     if "flux" in channels:
-        tphi["flux"] = tphi_flux(ls, sqrt_A=channels["flux"].amplitude)
+        tphi["flux"] = tphi_flux(ls, constants)
     if "shot" in channels:
         chi = dispersive_shift(ls)
         i0, i1 = ls.find(0, FLUXON_PLUS), ls.find(1, FLUXON_PLUS)
         omega_p = float(ls.energies[i1] - ls.energies[i0])
-        tphi["shot"] = tphi_shot(
-            chi, omega_p, constants.temperature, channels["shot"].amplitude, constants
-        )
+        tphi["shot"] = tphi_shot(chi, omega_p, constants)
     if "critical_current" in channels:
-        tphi["critical_current"] = tphi_critical_current(
-            ls, sqrt_A_rel=channels["critical_current"].amplitude
-        )
+        tphi["critical_current"] = tphi_critical_current(ls, constants)
 
     t1_total = _combine(t1)
     tphi_total = _combine(tphi)
@@ -519,12 +480,7 @@ def full_report(
         tphi_total=tphi_total,
         t2=t2,
         inputs={
-            "params": {
-                "eps_J": params.eps_J, "eps_C": params.eps_C,
-                "eps_L": params.eps_L, "x": params.x,
-                "delta_J": params.delta_J, "delta_C": params.delta_C,
-                "delta_A": params.delta_A, "delta_L": params.delta_L,
-            },
+            "params": asdict(params),
             "bias": {"phi_ext": bias.phi_ext, "N_g": bias.N_g},
             "trunc": trunc.as_tuple(),
             "temperature_K": constants.temperature,

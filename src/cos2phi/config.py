@@ -15,6 +15,8 @@ from pathlib import Path
 import numpy as np
 import yaml
 
+from .coherence import CHANNELS
+from .constants import DEFAULT_CONSTANTS
 from .model import BasisTruncation, BiasPoint, CircuitParams
 
 __all__ = ["RunConfig", "ConfigError", "load_config", "parse_override"]
@@ -24,6 +26,10 @@ CONFIG_VERSION = 1
 #: Execution knobs and the output location: they change how or where a run
 #: is carried out, not what it computes, so they stay out of the config hash.
 _EXECUTION_KEYS = ("jobs", "cache", "output_dir")
+
+#: ``channels`` keys besides ``enabled``; each names a ``PhysicalConstants``
+#: field and takes its default from there
+_CHANNEL_KEYS = ("q_cap", "q_ind", "sqrt_A_flux", "sqrt_A_epsJ_rel", "x_qp")
 
 _SCHEMA = {
     "config_version": None,
@@ -43,10 +49,7 @@ _SCHEMA = {
         "flux_start": None, "flux_stop": None, "flux_points": None,
         "ng_points": None, "deltas": None, "kind": None, "k": None,
     },
-    "channels": {
-        "enabled": None, "q_cap": None, "q_ind": None,
-        "sqrt_A_flux": None, "sqrt_A_epsJ_rel": None, "x_qp": None,
-    },
+    "channels": {"enabled": None, **dict.fromkeys(_CHANNEL_KEYS)},
     "mathieu": {"E_C": None, "N0_toy": None, "ratios": None},
     "instanton": {"n_beads": None, "max_outer": None},
     "converge": {"levels": None, "k": None, "tolerance": None},
@@ -60,7 +63,7 @@ _DEFAULTS = {
     },
     "bias": {"phi_ext": float(np.pi), "N_g": 0.0},
     "truncation": asdict(BasisTruncation()),
-    "temperature": 0.016,
+    "temperature": DEFAULT_CONSTANTS.temperature,
     "seed": 7,
     "jobs": 1,
     "cache": True,
@@ -71,13 +74,8 @@ _DEFAULTS = {
         "deltas": [0.0, 0.3, 0.6, 0.9], "kind": "L", "k": 6,
     },
     "channels": {
-        "enabled": [
-            "capacitive", "inductive", "purcell", "quasiparticle",
-            "charge", "flux", "shot", "critical_current",
-        ],
-        "q_cap": 1.0e6, "q_ind": 5.0e8,
-        "sqrt_A_flux": 2 * float(np.pi) * 3.0e-6,
-        "sqrt_A_epsJ_rel": 5.0e-7, "x_qp": 3.3e-6,
+        "enabled": list(CHANNELS),
+        **{k: getattr(DEFAULT_CONSTANTS, k) for k in _CHANNEL_KEYS},
     },
     "mathieu": {"E_C": 2.0, "N0_toy": 60,
                 "ratios": [30, 40, 50, 60, 70, 80]},

@@ -7,6 +7,7 @@ assembled in rad/s and reported in ms.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 GHZ_TO_RAD_PER_S = 2.0e9 * 3.141592653589793  # angular frequency of a 1 GHz tone
@@ -28,6 +29,20 @@ class PhysicalConstants:
     roughly 180 ueV) and ``temperature`` the bath temperature in kelvin.
     The default 16 mK is the calibration point for which the thermal
     plasmon occupation at 0.8 GHz is about 0.1.
+
+    The noise environment of the coherence budget:
+
+    ``q_cap``
+        dielectric quality factor at 6 GHz (capacitive, Purcell and
+        thermal-photon channels);
+    ``q_ind``
+        inductive quality factor at 0.5 GHz;
+    ``sqrt_A_flux``
+        1/f flux-noise amplitude sqrt(A) in radians of phi_ext;
+    ``sqrt_A_epsJ_rel``
+        1/f critical-current amplitude sqrt(A_epsJ) / eps_J;
+    ``x_qp``
+        normalized quasiparticle density.
     """
 
     h: float = H_PLANCK
@@ -37,11 +52,19 @@ class PhysicalConstants:
     delta_gap: float = ALUMINUM_GAP_K * K_B
     temperature: float = 0.016
     x_qp: float = 3.3e-6
+    q_cap: float = 1e6
+    q_ind: float = 5e8
+    sqrt_A_flux: float = 2 * math.pi * 3e-6
+    sqrt_A_epsJ_rel: float = 5e-7
 
     def __post_init__(self) -> None:
-        for name in ("h", "hbar", "k_B", "e", "delta_gap", "temperature"):
-            if getattr(self, name) <= 0:
+        for name in ("h", "hbar", "k_B", "e", "delta_gap", "temperature",
+                     "q_cap", "q_ind"):
+            if not getattr(self, name) > 0:
                 raise ValueError(f"{name} must be positive")
+        for name in ("x_qp", "sqrt_A_flux", "sqrt_A_epsJ_rel"):
+            if not getattr(self, name) >= 0:
+                raise ValueError(f"{name} must be nonnegative")
 
     @property
     def R_K(self) -> float:

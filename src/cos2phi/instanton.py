@@ -37,7 +37,6 @@ __all__ = [
     "path_approx",
     "solve_instanton",
     "reduce_to_effective",
-    "write_path_csv",
     "MinimizationError",
 ]
 
@@ -380,10 +379,3 @@ def reduce_to_effective(
         phi_ext_folded=bias.phi_ext_folded,
         order=f"quadrature/{kinetic_order}",
     )
-
-
-def write_path_csv(path: InstantonPath, fileobj) -> None:
-    """Dump the path samples as CSV with columns tau, vphi, phi, theta."""
-    fileobj.write("tau,vphi,phi,theta\n")
-    for row in path.samples:
-        fileobj.write(",".join(f"{v:.17g}" for v in row) + "\n")

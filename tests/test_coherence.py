@@ -8,7 +8,7 @@ from cos2phi import coherence
 from cos2phi.analysis import solve_circuit
 from cos2phi.cache import SolutionCache
 from cos2phi.coherence import (
-    default_channels,
+    CHANNELS,
     full_report,
     q_cap,
     q_ind,
@@ -42,11 +42,11 @@ class TestQualityFactors:
 
     def test_q_ind_nominal(self):
         w = 2 * np.pi * 0.5e9
-        assert q_ind(w, 0.016) == pytest.approx(500e6, rel=1e-12)
+        assert q_ind(w) == pytest.approx(500e6, rel=1e-12)
 
     def test_q_ind_even(self):
         w = 2 * np.pi * 0.1e9
-        assert q_ind(w, 0.016) == pytest.approx(q_ind(-w, 0.016), rel=1e-14)
+        assert q_ind(w) == pytest.approx(q_ind(-w), rel=1e-14)
 
     def test_q_ind_small_frequency_series(self):
         # K0(x) sinh(x) -> x (ln 2 - ln x - gamma) for small x
@@ -59,13 +59,35 @@ class TestQualityFactors:
         from scipy.special import kv
 
         ref = kv(0, x_ref) * np.sinh(x_ref)
-        assert q_ind(w, T) == pytest.approx(500e6 * ref / series, rel=1e-3)
+        assert q_ind(w, PhysicalConstants(temperature=T)) == pytest.approx(
+            500e6 * ref / series, rel=1e-3)
 
     def test_q_ind_domain(self):
         with pytest.raises(ValueError):
-            q_ind(0.0, 0.016)
-        with pytest.raises(ValueError):
-            q_ind(1e9, -1.0)
+            q_ind(0.0)
+
+    def test_nominal_values_scale(self):
+        # the quality factors are linear in their nominal field
+        c = PhysicalConstants(q_cap=2e6, q_ind=1e9)
+        w = 2 * np.pi * 1.3e9
+        assert q_cap(w, c) == pytest.approx(2 * q_cap(w), rel=1e-15)
+        assert q_ind(w, c) == pytest.approx(2 * q_ind(w), rel=1e-15)
+
+
+class TestEnvironment:
+    @pytest.mark.parametrize("field,value", [
+        ("q_cap", 0.0), ("q_ind", 0.0), ("q_cap", -1.0), ("q_ind", -5e8),
+        ("temperature", 0.0), ("temperature", -1.0), ("x_qp", -1.0),
+        ("sqrt_A_flux", -1e-6), ("sqrt_A_epsJ_rel", -1e-7),
+        ("q_cap", float("nan")),
+    ])
+    def test_out_of_range_rejected(self, field, value):
+        with pytest.raises(ValueError, match=field):
+            PhysicalConstants(**{field: value})
+
+    def test_zero_amplitudes_allowed(self):
+        c = PhysicalConstants(x_qp=0.0, sqrt_A_flux=0.0, sqrt_A_epsJ_rel=0.0)
+        assert c.x_qp == c.sqrt_A_flux == c.sqrt_A_epsJ_rel == 0.0
 
 
 class TestT1Channels:
@@ -185,11 +207,12 @@ class TestDephasing:
         assert t == pytest.approx(1e3 / rate, rel=1e-9)
         assert math.isinf(tphi_shot(0.0, 0.78))
         cold = PhysicalConstants(temperature=1e-6)
-        assert math.isinf(tphi_shot(-5e-3, 0.78, 1e-6, constants=cold))
+        assert math.isinf(tphi_shot(-5e-3, 0.78, constants=cold))
 
     def test_critical_current_zero_amplitude(self, canonical, small_trunc):
         ls = solve_circuit(canonical, BiasPoint(np.pi), small_trunc, k=2)
-        assert math.isinf(tphi_critical_current(ls, sqrt_A_rel=0.0))
+        quiet = PhysicalConstants(sqrt_A_epsJ_rel=0.0)
+        assert math.isinf(tphi_critical_current(ls, quiet))
 
     def test_critical_current_magnitude(self, canonical):
         tr = BasisTruncation(4, 4, 14)
@@ -211,7 +234,8 @@ class TestDephasing:
         tr = BasisTruncation(4, 4, 14)
         p = canonical.replace(**disorder)
         b = BiasPoint(np.pi, 0.0)
-        t = tphi_critical_current(solve_circuit(p, b, tr, k=2), sqrt_A_rel=1.0)
+        t = tphi_critical_current(solve_circuit(p, b, tr, k=2),
+                                  PhysicalConstants(sqrt_A_epsJ_rel=1.0))
         slope = 1e3 / (t * GHZ_TO_RAD_PER_S)
 
         def central(s):
@@ -229,7 +253,8 @@ class TestDephasing:
         tr = BasisTruncation(4, 4, 14)
         p = canonical.replace(delta_L=0.3)
         ls = solve_circuit(p, BiasPoint(np.pi, 0.0), tr, k=2)
-        curv = 1e3 / (tphi_flux(ls, sqrt_A=1.0) * GHZ_TO_RAD_PER_S)
+        unit = PhysicalConstants(sqrt_A_flux=1.0)
+        curv = 1e3 / (tphi_flux(ls, unit) * GHZ_TO_RAD_PER_S)
 
         mid = _dense_splitting(p, BiasPoint(np.pi), tr)
 
@@ -281,8 +306,7 @@ class TestFullReport:
         tr = BasisTruncation(4, 4, 14)
         partial = full_report(
             canonical, BiasPoint(np.pi, 0.0), tr,
-            channels={k: v for k, v in default_channels().items()
-                      if k != "charge"},
+            channels=[k for k in CHANNELS if k != "charge"],
             ng_grid=np.linspace(0, 1, 3),
             dispersion_trunc=tr,
         )
@@ -290,8 +314,17 @@ class TestFullReport:
 
     def test_all_disabled_sentinel(self, canonical):
         tr = BasisTruncation(4, 4, 14)
-        rep = full_report(canonical, BiasPoint(np.pi, 0.0), tr, channels={})
+        rep = full_report(canonical, BiasPoint(np.pi, 0.0), tr, channels=())
         assert math.isinf(rep.t2)
+
+    def test_unknown_channel_rejected(self, canonical):
+        # checked before any solve, so a typo costs nothing
+        tr = BasisTruncation(4, 4, 14)
+        solver = SolutionCache()
+        with pytest.raises(ValueError, match="capactive"):
+            full_report(canonical, BiasPoint(np.pi, 0.0), tr,
+                        channels=("capactive", "inductive"), solver=solver)
+        assert solver.misses == 0
 
     def test_serialization(self, report):
         d = report.as_dict()
@@ -303,8 +336,7 @@ class TestFullReport:
         # the store keys on the solver's Krylov seed, so a store filled at
         # one seed serves none of the budget's solves at another
         tr = BasisTruncation(3, 3, 8)
-        channels = {k: v for k, v in default_channels().items()
-                    if k in ("inductive", "charge", "flux", "critical_current")}
+        channels = ("inductive", "charge", "flux", "critical_current")
 
         def run(seed):
             solver = SolutionCache(tmp_path / "store", seed=seed)

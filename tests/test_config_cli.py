@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import os
 import subprocess
@@ -8,7 +9,7 @@ import numpy as np
 import pytest
 
 import cos2phi
-from cos2phi.cache import SolutionCache
+from cos2phi.cache import SolutionCache, _problem_key
 from cos2phi.config import ConfigError, load_config, parse_override
 from cos2phi.model import BasisTruncation, BiasPoint
 
@@ -68,6 +69,15 @@ class TestConfig:
         assert "dense_threshold" not in cfg.raw
         assert cfg.config_hash == load_config(None).config_hash
 
+    def test_hashes_pinned(self):
+        # the channel and temperature defaults are read from
+        # PhysicalConstants; a drift in any of them moves these hashes, and
+        # with them the provenance of every artifact
+        root = Path(__file__).resolve().parent.parent
+        assert load_config(None).config_hash == "c6fd2dcdbecfc821"
+        assert (load_config(root / "configs" / "protected_point.yaml").config_hash
+                == "8e37a8e2f19e1270")
+
     def test_bad_version(self, tmp_path):
         p = tmp_path / "v.yaml"
         p.write_text("config_version: 99\n")
@@ -93,6 +103,21 @@ class TestSolutionCache:
         cache.get_or_solve(canonical, half_flux, tr, k=2)
         cache.get_or_solve(canonical, BiasPoint(np.pi, 0.1), tr, k=2)
         assert cache.misses == 2
+
+    def test_key_sees_every_circuit_field(self, half_flux):
+        # a field left out of the key would serve one circuit's solution for
+        # another; delta_A excludes delta_J and delta_C, so it moves on a
+        # base of its own
+        tr = BasisTruncation(3, 3, 8)
+        default = cos2phi.CircuitParams(15.0, 2.0, 1.0, 0.02, delta_J=0.1,
+                                        delta_C=0.1, delta_L=0.1)
+        bases = {"delta_A": cos2phi.CircuitParams(15.0, 2.0, 1.0, 0.02,
+                                                  delta_A=0.1)}
+        for f in dataclasses.fields(default):
+            base = bases.get(f.name, default)
+            moved = base.replace(**{f.name: getattr(base, f.name) + 0.05})
+            assert (_problem_key(moved, half_flux, tr, 2, 0)
+                    != _problem_key(base, half_flux, tr, 2, 0)), f.name
 
     def test_disabled_cache(self, tmp_path, canonical, half_flux):
         cache = SolutionCache(None)
@@ -210,6 +235,40 @@ class TestCli:
         log = json.loads((out / "coherence_runlog.json").read_text())
         assert log["diagonalizations"] == 1 + 3 and log["cache_hits"] == 0
 
+    @pytest.mark.parametrize("override", [
+        "channels.enabled=[capactive,inductive]",
+        "channels.q_ind=0",
+        "channels.q_cap=0",
+        "channels.x_qp=-1.0",
+    ])
+    def test_coherence_environment_rejected(self, tmp_path, fast_config,
+                                            override):
+        # a misspelt channel or an out-of-range environment value is a
+        # domain error, not a silently wrong budget
+        out = tmp_path / "bad_env"
+        r = _cli("coherence", "--config", str(fast_config), "--out", str(out),
+                 "--set", override, cwd=tmp_path)
+        assert r.returncode == 1, r.stderr
+        diag = json.loads(r.stderr.strip().splitlines()[-1])
+        assert diag["error_kind"] == "domain"
+        assert not (out / "coherence.csv").exists()
+
+    def test_coherence_q_cap_reaches_budget(self, tmp_path, fast_config):
+        # T1 through the dielectric is linear in its quality factor; YAML
+        # reads 2.0e6 (no exponent sign) as a string, which must still count
+        t1 = []
+        for name, q in (("q1", "1.0e+6"), ("q2", "2.0e6")):
+            out = tmp_path / name
+            r = _cli("coherence", "--config", str(fast_config), "--out",
+                     str(out), "--set", "channels.enabled=[capacitive,inductive]",
+                     "--set", f"channels.q_cap={q}", cwd=tmp_path)
+            assert r.returncode == 0, r.stderr
+            doc = json.loads((out / "coherence.json").read_text())
+            t1.append(doc["t1_ms"])
+        assert t1[1]["capacitive"] == pytest.approx(2 * t1[0]["capacitive"],
+                                                    rel=1e-12)
+        assert t1[1]["inductive"] == t1[0]["inductive"]
+
     def test_disorder_artifacts(self, tmp_path, fast_config):
         out = tmp_path / "o4"
         r = _cli("disorder", "--config", str(fast_config), "--out", str(out),
@@ -234,6 +293,9 @@ class TestCli:
         assert path_csv[0].startswith("# provenance:")
         assert path_csv[1].startswith("# checksum:")
         assert path_csv[2] == "tau,vphi,phi,theta"
+        # one row per bead plus the two clamped endpoints, from tau = 0
+        assert len(path_csv) == 3 + 65 + 2
+        assert float(path_csv[3].split(",")[0]) == 0.0
         assert (out / "wavefunction_charge.csv").exists()
 
     def test_domain_error_exit_code(self, tmp_path):

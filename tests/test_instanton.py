@@ -262,19 +262,3 @@ class TestReduction:
         printed = effective_params(canonical, bias, "extended")
         assert ep.c1 == pytest.approx(printed.c1, rel=1e-2)
         assert ep.c3 == pytest.approx(printed.c3, rel=5e-2)
-
-
-def test_path_csv_dump(canonical, half_flux, tmp_path):
-    import io
-
-    from cos2phi.instanton import write_path_csv
-
-    path = solve_instanton(canonical, half_flux, n_beads=33, max_outer=3)
-    buf = io.StringIO()
-    write_path_csv(path, buf)
-    lines = buf.getvalue().splitlines()
-    assert lines[0] == "tau,vphi,phi,theta"
-    assert len(lines) == len(path.samples) + 1
-    first = [float(x) for x in lines[1].split(",")]
-    assert first[0] == 0.0
-    assert abs(first[1] - path.coords[0, 0]) < 1e-15
