@@ -12,6 +12,8 @@ from __future__ import annotations
 
 import hashlib
 import json
+import os
+from contextlib import contextmanager
 from dataclasses import astuple
 from pathlib import Path
 
@@ -20,7 +22,36 @@ import numpy as np
 from .eigensolver import DEFAULT_SEED, EigenSolution
 from .model import BasisTruncation, BiasPoint, CircuitParams
 
-__all__ = ["SolutionCache"]
+__all__ = ["SolutionCache", "worker_pool"]
+
+#: set in each worker's environment before numpy loads, so that a pool of
+#: ``jobs`` workers runs ``jobs`` BLAS threads, not ``jobs`` times ``nproc``
+WORKER_ENV = {"OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1"}
+
+
+@contextmanager
+def worker_pool(jobs: int):
+    """A process pool of ``jobs`` fresh interpreters with one BLAS thread each.
+
+    Spawned workers inherit the environment of the moment they start, so
+    ``WORKER_ENV`` is in place while the pool runs and restored after.
+    """
+    from concurrent.futures import ProcessPoolExecutor
+    from multiprocessing import get_context
+
+    saved = {k: os.environ.get(k) for k in WORKER_ENV}
+    os.environ.update(WORKER_ENV)
+    try:
+        with ProcessPoolExecutor(
+            max_workers=jobs, mp_context=get_context("spawn")
+        ) as ex:
+            yield ex
+    finally:
+        for k, v in saved.items():
+            if v is None:
+                os.environ.pop(k, None)
+            else:
+                os.environ[k] = v
 
 
 def _problem_key(
@@ -37,7 +68,7 @@ def _problem_key(
             "t": trunc.as_tuple(),
             "k": k,
             "seed": seed,
-            "v": 2,
+            "v": 3,
         },
         sort_keys=True,
     )
@@ -116,15 +147,13 @@ class SolutionCache:
     def map(self, problems: list, jobs: int = 1) -> list:
         """``get_or_solve`` over ``(params, bias, trunc, k)`` tuples, in order.
 
-        With ``jobs > 1`` the problems run in a pool of worker processes,
-        each through a copy of this store; their hits and misses are added
-        to this store's counts.
+        With ``jobs > 1`` the problems run in a ``worker_pool``, each through
+        a copy of this store; their hits and misses are added to this
+        store's counts.
         """
         if jobs <= 1 or len(problems) <= 1:
             return [self.get_or_solve(*p) for p in problems]
-        from concurrent.futures import ProcessPoolExecutor
-
-        with ProcessPoolExecutor(max_workers=jobs) as ex:
+        with worker_pool(jobs) as ex:
             done = list(ex.map(self._solve_in_worker, problems))
         for _, hit in done:
             self.hits += hit

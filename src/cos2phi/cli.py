@@ -37,7 +37,7 @@ from .model import BasisTruncation, BiasPoint, DimensionCapError
 
 OUTPUT_ROOT_ENV = "COS2PHI_OUTPUT_ROOT"
 
-_DOMAIN_ERRORS = (ConfigError, ValueError, DimensionCapError, KeyError)
+_DOMAIN_ERRORS = (ConfigError, ValueError, TypeError, DimensionCapError, KeyError)
 
 
 def _numeric_errors():
@@ -387,6 +387,11 @@ def coherence(config_path, out, overrides, jobs, no_cache):
 
         cfg = r.cfg
         ch_cfg = cfg.section("channels")
+        if not isinstance(ch_cfg["enabled"], list):
+            raise ConfigError(
+                f"channels.enabled must be a list of channel names, "
+                f"got {ch_cfg['enabled']!r}"
+            )
         # every channels key but ``enabled`` is a PhysicalConstants field;
         # float() because PyYAML reads 1e6 or 2.0e6 (no dot, or no exponent
         # sign) as a string

@@ -27,7 +27,6 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.sparse.linalg import splu
 from scipy.special import kv
 
 from .analysis import (
@@ -41,7 +40,7 @@ from .analysis import (
 )
 from .cache import SolutionCache
 from .constants import GHZ_TO_RAD_PER_S, PhysicalConstants, DEFAULT_CONSTANTS
-from .eigensolver import NonConvergenceError
+from .eigensolver import NonConvergenceError, factor_below_spectrum
 from .hamiltonians import UnsupportedBiasError, full_hamiltonian, josephson_term
 from .model import (
     BasisTruncation,
@@ -287,7 +286,8 @@ def _flux_curvature(ls: LabeledSolution) -> float:
 
     where Q projects out the pair and x_n solves the Sternheimer equation
     (H - E_n) x_n = Q H'n on range(Q).  Both x_n come from one sparse LU of
-    H - sigma below the spectrum, by the Neumann iteration
+    H - sigma below the spectrum (``factor_below_spectrum``), by the Neumann
+    iteration
     x <- Q (H - sigma)^-1 (Q H'n + (E_n - sigma) x), which contracts by
     (E_n - sigma) / (E_2 - sigma) per step.
     """
@@ -297,7 +297,7 @@ def _flux_curvature(ls: LabeledSolution) -> float:
     d2 = -0.25 * josephson_term(params, bias.phi_ext, prim).matrix
     V, E = ls.solution.vectors[:, :2], ls.energies[:2]
     sigma = E[0] - STERNHEIMER_SHIFT
-    lu = splu((H - sigma * sp.identity(H.shape[0], format="csr")).tocsc())
+    lu = factor_below_spectrum(H, sigma)
 
     def project(v):
         return v - V @ (V.conj().T @ v)

@@ -5,6 +5,11 @@ The backend follows from the problem: dense ``eigh`` up to
 basis the CLI uses) or when (nearly) all eigenpairs are asked for, and
 shift-invert Lanczos with a seeded start vector otherwise.  The two
 backends agree to well below 1e-8, which the test suite checks directly.
+
+Every shifted factorization in the package, the Lanczos operator here and
+the Sternheimer solve of the flux curvature, comes from
+``factor_below_spectrum``: with the shift below the spectrum floor, H - sigma
+is positive definite, so one symmetric-ordered LU without pivoting serves.
 """
 
 from __future__ import annotations
@@ -13,6 +18,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.linalg as sla
+import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from .model import HermitianOperator, Operator
@@ -23,10 +29,12 @@ __all__ = [
     "NonConvergenceError",
     "DENSE_THRESHOLD",
     "DEFAULT_SEED",
+    "factor_below_spectrum",
 ]
 
 DENSE_THRESHOLD = 160  # dim; measured dense/Krylov crossover: 150-180
 KRYLOV_TOL = 1e-10  # Krylov residuals above 100 * KRYLOV_TOL * |E| raise
+FLOOR_TOL = 1e-2  # relative residual of the Lanczos pass that finds the floor
 DEFAULT_SEED = 7  # Krylov start-vector seed
 DEGENERACY_WINDOW = 1e-9  # GHz; clusters inside are gauge-fixed together
 
@@ -46,7 +54,8 @@ class EigenSolution:
     ``energies`` ascend; ``vectors[:, i]`` is the i-th eigenvector with the
     global phase fixed so its largest-magnitude component is real positive.
     ``meta`` records backend, tolerance, seed, and the basis truncation when
-    the caller supplies one.
+    the caller supplies one; Krylov solves add the ``shift`` sigma, the
+    fill ``lu_nnz`` of the LU of H - sigma and the ``lu_solves`` made on it.
     """
 
     energies: np.ndarray
@@ -119,9 +128,9 @@ def lowest_eigenpairs(
 ) -> EigenSolution:
     """Lowest k eigenpairs; dense up to ``DENSE_THRESHOLD`` or for k near dim.
 
-    The Krylov path locates the spectrum floor with a cheap Lanczos pass and
-    then runs shift-invert from just below it, with the start vector drawn
-    from a seeded generator so repeated runs are bit-identical.
+    The Krylov path locates the spectrum floor with a coarse Lanczos pass and
+    then runs shift-invert from below it, with the start vector drawn from a
+    seeded generator so repeated runs are bit-identical.
     """
     dim = H.dim
     if not (1 <= k <= dim):
@@ -137,8 +146,9 @@ def lowest_eigenpairs(
             M = M.real
         evals, evecs = sla.eigh(M)
         energies, vectors = evals[:k], evecs[:, :k]
+        solve_info = {}
     else:
-        energies, vectors = _krylov_lowest(H, k, seed)
+        energies, vectors, solve_info = _krylov_lowest(H, k, seed)
 
     energies, vectors = _gauge_fix_clusters(H, energies, vectors, gauge_operator)
     vectors = _fix_phases(vectors)
@@ -156,7 +166,7 @@ def lowest_eigenpairs(
             residuals=resid,
         )
 
-    info = {"backend": backend, "tol": KRYLOV_TOL, "seed": seed}
+    info = {"backend": backend, "tol": KRYLOV_TOL, "seed": seed, **solve_info}
     if meta:
         info.update(meta)
     return EigenSolution(
@@ -168,7 +178,29 @@ def lowest_eigenpairs(
     )
 
 
+def factor_below_spectrum(M, sigma: float):
+    """Sparse LU of M - sigma for a Hermitian M and sigma below its spectrum.
+
+    M - sigma is then positive definite: the symmetric minimum-degree
+    ordering of M + M^T keeps the fill low and the diagonal pivots need no
+    row exchanges.  ``nnz`` of the result is the fill; the factors are not
+    read, because each access to ``L`` or ``U`` copies them.
+    """
+    A = (M - sigma * sp.identity(M.shape[0], dtype=M.dtype, format="csc")).tocsc()
+    return spla.splu(
+        A, permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
+        options={"SymmetricMode": True},
+    )
+
+
 def _krylov_lowest(H: HermitianOperator, k: int, seed: int):
+    """Lowest k eigenpairs by shift-invert Lanczos, plus the solve's meta.
+
+    The coarse floor pass returns a Ritz value theta >= E0 with residual at
+    most ``FLOOR_TOL * |theta|``, which bounds theta - E0; the shift
+    sigma = theta - max(1, 2 FLOOR_TOL |theta|) therefore lies below E0 for
+    any |E0|.
+    """
     M = H.matrix.tocsc()
     if M.nnz and np.iscomplexobj(M.data) and np.abs(M.data.imag).max() == 0.0:
         M = M.real
@@ -176,15 +208,26 @@ def _krylov_lowest(H: HermitianOperator, k: int, seed: int):
     v0 = rng.standard_normal(M.shape[0])
     try:
         floor = spla.eigsh(
-            M, k=1, which="SA", return_eigenvectors=False, tol=1e-4, v0=v0
+            M, k=1, which="SA", return_eigenvectors=False, tol=FLOOR_TOL, v0=v0
         )[0]
-        sigma = floor - 1.0
+        sigma = floor - max(1.0, 2.0 * FLOOR_TOL * abs(floor))
+        lu = factor_below_spectrum(M, sigma)
+        solves = 0
+
+        def inverse(x):
+            nonlocal solves
+            solves += 1
+            return lu.solve(x)
+
+        OPinv = spla.LinearOperator(M.shape, matvec=inverse, dtype=M.dtype)
         evals, evecs = spla.eigsh(
-            M, k=k, sigma=sigma, which="LM", tol=0, v0=v0, maxiter=5000
+            M, k=k, sigma=sigma, which="LM", tol=0, v0=v0, maxiter=5000,
+            OPinv=OPinv,
         )
     except spla.ArpackNoConvergence as exc:
         raise NonConvergenceError(
             f"ARPACK failed to converge: {exc}", residuals=getattr(exc, "eigenvalues", None)
         ) from exc
     order = np.argsort(evals)
-    return evals[order], evecs[:, order]
+    info = {"shift": float(sigma), "lu_nnz": int(lu.nnz), "lu_solves": solves}
+    return evals[order], evecs[:, order], info

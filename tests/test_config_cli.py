@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 import cos2phi
-from cos2phi.cache import SolutionCache, _problem_key
+from cos2phi.cache import SolutionCache, _problem_key, worker_pool
 from cos2phi.config import ConfigError, load_config, parse_override
 from cos2phi.model import BasisTruncation, BiasPoint
 
@@ -119,12 +119,56 @@ class TestSolutionCache:
             assert (_problem_key(moved, half_flux, tr, 2, 0)
                     != _problem_key(base, half_flux, tr, 2, 0)), f.name
 
+    def test_pooled_map_matches_serial(self, canonical):
+        # (3, 3, 8) has dim 252, so every point is a Krylov solve
+        tr = BasisTruncation(3, 3, 8)
+        problems = [(canonical, BiasPoint(phi, 0.0), tr, 3)
+                    for phi in (2.9, np.pi, 3.4)]
+        serial = SolutionCache(None).map(problems)
+        store = SolutionCache(None)
+        pooled = store.map(problems, jobs=2)
+        assert store.misses == 3 and store.hits == 0
+        for a, b in zip(serial, pooled):
+            assert a.solution.meta["backend"] == "krylov"
+            assert np.abs(a.energies - b.energies).max() < 1e-12
+
+    def test_worker_runs_one_blas_thread(self):
+        before = os.environ.get("OPENBLAS_NUM_THREADS")
+        with worker_pool(2) as ex:
+            env, threads = ex.submit(_blas_threads).result()
+        assert env == "1"
+        assert threads and all(n == 1 for n in threads)
+        # the pool's environment does not leak into this process
+        assert os.environ.get("OPENBLAS_NUM_THREADS") == before
+
     def test_disabled_cache(self, tmp_path, canonical, half_flux):
         cache = SolutionCache(None)
         tr = BasisTruncation(3, 3, 8)
         cache.get_or_solve(canonical, half_flux, tr, k=2)
         cache.get_or_solve(canonical, half_flux, tr, k=2)
         assert cache.misses == 2 and cache.hits == 0
+
+
+def _blas_threads():
+    """This process's OPENBLAS_NUM_THREADS and the thread count of each
+    OpenBLAS that numpy and scipy bundle (the wheels' ``*.libs`` folders)."""
+    import ctypes
+
+    import scipy
+
+    threads = []
+    for pkg in (np, scipy):
+        libs = Path(pkg.__file__).resolve().parent.parent / f"{pkg.__name__}.libs"
+        for lib in sorted(libs.glob("libscipy_openblas*.so")):
+            handle = ctypes.CDLL(str(lib))
+            for sym in ("scipy_openblas_get_num_threads64_",
+                        "scipy_openblas_get_num_threads"):
+                if hasattr(handle, sym):
+                    get = getattr(handle, sym)
+                    get.argtypes, get.restype = [], ctypes.c_int
+                    threads.append(get())
+                    break
+    return os.environ.get("OPENBLAS_NUM_THREADS"), threads
 
 
 # Directory that holds the imported ``cos2phi`` package.  The CLI runs in a
@@ -251,6 +295,26 @@ class TestCli:
         assert r.returncode == 1, r.stderr
         diag = json.loads(r.stderr.strip().splitlines()[-1])
         assert diag["error_kind"] == "domain"
+        assert (out / "coherence_diagnostics.json").exists()
+        assert not (out / "coherence.csv").exists()
+
+    @pytest.mark.parametrize("override, reason", [
+        ("channels.enabled=null", "must be a list"),
+        ("channels.q_cap=[1]", "not 'list'"),
+        # a scalar name would otherwise be read as the set of its letters
+        ("channels.enabled=flux", "must be a list"),
+    ])
+    def test_coherence_wrong_type_rejected(self, tmp_path, fast_config,
+                                           override, reason):
+        out = tmp_path / "bad_type"
+        r = _cli("coherence", "--config", str(fast_config), "--out", str(out),
+                 "--set", override, cwd=tmp_path)
+        assert r.returncode == 1, r.stderr
+        diag = json.loads(r.stderr.strip().splitlines()[-1])
+        assert diag["error_kind"] == "domain"
+        assert reason in diag["message"]
+        written = json.loads((out / "coherence_diagnostics.json").read_text())
+        assert written["error_kind"] == "domain"
         assert not (out / "coherence.csv").exists()
 
     def test_coherence_q_cap_reaches_budget(self, tmp_path, fast_config):

@@ -4,9 +4,15 @@ import scipy.linalg as sla
 import scipy.sparse as sp
 
 from cos2phi.analysis import convergence_ladder
-from cos2phi.eigensolver import DENSE_THRESHOLD, lowest_eigenpairs
+from cos2phi.eigensolver import DENSE_THRESHOLD, FLOOR_TOL, lowest_eigenpairs
 from cos2phi.hamiltonians import full_hamiltonian
-from cos2phi.model import BasisTruncation, HermitianOperator, build_primitives
+from cos2phi.model import (
+    BasisTruncation,
+    BiasPoint,
+    CircuitParams,
+    HermitianOperator,
+    build_primitives,
+)
 
 
 def _wrap(mat):
@@ -59,6 +65,44 @@ class TestLowestEigenpairs:
             sol = lowest_eigenpairs(H, k=k)
             assert sol.meta["backend"] == "dense"
             assert np.abs(sol.energies - ref[:k]).max() < 1e-10
+
+    @pytest.mark.parametrize("k", [2, 6])
+    def test_backend_equivalence_disordered_complex(self, k):
+        # an asymmetric circuit off N_g = 0 has a genuinely complex H, so the
+        # floor pass, the shifted LU and Lanczos all run in complex arithmetic
+        params = CircuitParams(15.0, 2.0, 1.0, 0.02, delta_L=0.6)
+        H = full_hamiltonian(params, BiasPoint(np.pi, 0.125),
+                             BasisTruncation(4, 4, 14))
+        assert H.dim > DENSE_THRESHOLD
+        assert np.abs(H.matrix.data.imag).max() > 0.1
+        dense = sla.eigh(H.toarray(), eigvals_only=True)[:k]
+        kry = lowest_eigenpairs(H, k=k)
+        assert kry.meta["backend"] == "krylov"
+        assert np.abs(dense - kry.energies).max() < 1e-10
+
+    def test_shift_margin_at_large_ground_energy(self, half_flux, small_trunc):
+        # at eps_J = 60 the margin 2 * FLOOR_TOL * |floor| exceeds 1 GHz, so
+        # the relative branch of the rule sets the shift; it must still lie
+        # below E0 and the spectrum be exact
+        params = CircuitParams(60.0, 2.0, 1.0, 0.02)
+        H = full_hamiltonian(params, half_flux, small_trunc)
+        dense = sla.eigh(H.toarray(), eigvals_only=True)[:4]
+        kry = lowest_eigenpairs(H, k=4)
+        assert kry.meta["backend"] == "krylov"
+        assert 2 * FLOOR_TOL * abs(dense[0]) > 1.0
+        assert kry.meta["shift"] < dense[0]
+        assert np.abs(dense - kry.energies).max() < 1e-10
+
+    def test_krylov_meta_records_the_factorization(self, canonical, half_flux,
+                                                   small_trunc):
+        H = full_hamiltonian(canonical, half_flux, small_trunc)
+        sol = lowest_eigenpairs(H, k=4)
+        assert sol.meta["shift"] < sol.energies[0]
+        # the LU of H - sigma fills in beyond H's own pattern
+        assert sol.meta["lu_nnz"] > H.matrix.nnz
+        assert sol.meta["lu_solves"] >= sol.k
+        dense = lowest_eigenpairs(_wrap(np.diag([3.0, 1.0, 2.0])), k=2)
+        assert not {"shift", "lu_nnz", "lu_solves"} & set(dense.meta)
 
     def test_krylov_deterministic(self, canonical, half_flux, small_trunc):
         H = full_hamiltonian(canonical, half_flux, small_trunc)
