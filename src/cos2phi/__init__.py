@@ -20,7 +20,6 @@ from .hamiltonians import (
     effective_hamiltonian,
     effective_params,
     full_hamiltonian,
-    disorder_perturbation,
     parity_sector_hamiltonians,
     toy_hamiltonian,
 )

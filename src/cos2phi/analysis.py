@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .cache import SolutionCache
-from .eigensolver import DEFAULT_SEED, EigenSolution, lowest_eigenpairs
+from .eigensolver import DEFAULT_SEED, EigenSolution, fix_global_phase, lowest_eigenpairs
 from .hamiltonians import full_hamiltonian
 from .model import BasisTruncation, BiasPoint, CircuitParams, Primitives, build_primitives
 
@@ -42,7 +42,6 @@ __all__ = [
     "DISPERSION_FLOOR",
 ]
 
-HALF_FLUX_TOL = 1e-9
 CONFIDENCE_WARN = 0.7
 DISPERSION_FLOOR = 1e-9  # GHz; smaller dispersions are flagged unresolved
 
@@ -140,9 +139,9 @@ def label_states(
     """
     if sol.fingerprint != prim.fingerprint:
         raise LabelingError("solution and primitives built on different bases")
-    flux_mod = bias.phi_ext % (2 * np.pi)
-    at_half = abs(flux_mod - np.pi) < HALF_FLUX_TOL
-    at_zero = flux_mod < HALF_FLUX_TOL or (2 * np.pi - flux_mod) < HALF_FLUX_TOL
+    at_half = bias.at_half_flux
+    # phi_ext is at integer flux exactly when phi_ext + pi is at half flux
+    at_zero = BiasPoint(bias.phi_ext + np.pi).at_half_flux
 
     parities = []
     occupations = []
@@ -426,27 +425,21 @@ def _hermite_column(p_max: int, xi: np.ndarray) -> np.ndarray:
 
 
 def wavefunction_phase(
-    ls: LabeledSolution,
-    index: int,
-    vphi_grid=None,
-    phi_grid=None,
+    ls: LabeledSolution, index: int
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Phase-space wavefunction <vphi, phi | psi> projected onto theta = 0.
 
     Returns (vphi_grid, phi_grid, field) with the field normalized to unit
-    double integral on the grid and its global phase fixed so the largest
-    amplitude is real positive.
+    double integral on the grid and its global phase fixed by
+    ``fix_global_phase``.  The grid spans one vphi period in 121 points and
+    phi_ext +/- (pi + 4 phi_zpf) in 141.
     """
     prim = ls.primitives
     t = prim.trunc
-    if vphi_grid is None:
-        vphi_grid = np.linspace(0.0, 2 * np.pi, 121)
-    if phi_grid is None:
-        center = ls.bias.phi_ext
-        half = 4.0 * prim.phi_zpf
-        phi_grid = np.linspace(center - np.pi - half, center + np.pi + half, 141)
-    vphi_grid = np.asarray(vphi_grid, float)
-    phi_grid = np.asarray(phi_grid, float)
+    vphi_grid = np.linspace(0.0, 2 * np.pi, 121)
+    center = ls.bias.phi_ext
+    half = 4.0 * prim.phi_zpf
+    phi_grid = np.linspace(center - np.pi - half, center + np.pi + half, 141)
 
     vec = ls.solution.vectors[:, index].reshape(
         2 * t.N0 + 1, t.p0 + 1, t.q0 + 1
@@ -464,26 +457,23 @@ def wavefunction_phase(
     norm2 = np.trapezoid(
         np.trapezoid(np.abs(fieldT) ** 2, phi_grid, axis=1), vphi_grid
     )
-    fieldT = fieldT / np.sqrt(norm2)
-    peak = np.unravel_index(np.argmax(np.abs(fieldT)), fieldT.shape)
-    ph = fieldT[peak]
-    if ph != 0:
-        fieldT = fieldT * (np.conj(ph) / abs(ph))
+    fieldT = fix_global_phase(fieldT / np.sqrt(norm2))
     return vphi_grid, phi_grid, fieldT
 
 
 def wavefunction_charge(
-    ls: LabeledSolution, index: int, n_vphi: int = 512
+    ls: LabeledSolution, index: int
 ) -> tuple[np.ndarray, np.ndarray]:
     """Charge wavefunction <N | psi> via constraint to the tunneling path.
 
     Projects onto theta = 0, constrains the loop phase to the analytic
     path, normalizes on the compact circle, and Fourier transforms.  The
     returned amplitudes are renormalized to unit total weight, so parity
-    support can be read off directly.
+    support can be read off directly.  The path is sampled at 512 points.
     """
     from .instanton import path_approx
 
+    n_vphi = 512
     prim = ls.primitives
     t = prim.trunc
     vg = np.arange(n_vphi) * 2.0 * np.pi / n_vphi
@@ -505,27 +495,21 @@ def wavefunction_charge(
     # normalize on the circle, transform, then renormalize discretely
     f = f / np.sqrt(np.sum(np.abs(f) ** 2) * (2 * np.pi / n_vphi))
     amps = (plane.conj() @ f) / n_vphi  # (1/2pi) integral e^{iNv} f(v) dv
-    amps = amps / np.sqrt(np.sum(np.abs(amps) ** 2))
-    j = int(np.argmax(np.abs(amps)))
-    if amps[j] != 0:
-        amps = amps * (np.conj(amps[j]) / abs(amps[j]))
+    amps = fix_global_phase(amps / np.sqrt(np.sum(np.abs(amps) ** 2)))
     return Nvals, amps
 
 
-def normalized_matrix_elements(
-    ls: LabeledSolution, operator: str, ground_index: int | None = None
-) -> np.ndarray:
+def normalized_matrix_elements(ls: LabeledSolution, operator: str) -> np.ndarray:
     """Transition weights |<psi| O |g>|^2 / <g| O^2 |g> for O in {eta, phi}.
 
+    ``g`` is the ground state of ``ls``.
     The phi operator is the dynamical loop phase (zero static offset), so
     the weights lie in [0, 1] and sum to one over a complete eigenbasis.
     """
     if operator not in ("eta", "phi"):
         raise ValueError("operator must be 'eta' or 'phi'")
     O = ls.primitives.eta if operator == "eta" else ls.primitives.dphi
-    if ground_index is None:
-        ground_index = 0
-    g = ls.solution.vectors[:, ground_index]
+    g = ls.solution.vectors[:, 0]
     Og = O.matrix @ g
     denom = float(np.real(np.vdot(Og, Og)))
     out = np.empty(ls.solution.k)

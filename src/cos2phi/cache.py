@@ -68,7 +68,7 @@ def _problem_key(
             "t": trunc.as_tuple(),
             "k": k,
             "seed": seed,
-            "v": 3,
+            "v": 4,
         },
         sort_keys=True,
     )

@@ -10,7 +10,7 @@ Subcommands
     mathieu          toy-model dispersion versus the closed form
     converge         truncation-ladder convergence report
 
-Exit codes: 0 success; 1 domain or configuration error; 2 numerical
+Exit codes: 0 success; 1 domain, configuration or usage error; 2 numerical
 non-convergence.  Every artifact carries a provenance comment block and a
 checksum of its data section; re-running an unchanged config is a no-op
 served from the artifact cache.
@@ -24,6 +24,7 @@ import math
 import os
 import sys
 import traceback
+from contextlib import contextmanager
 from pathlib import Path
 
 import click
@@ -94,7 +95,7 @@ def _out_dir(cfg: RunConfig, explicit: str | None) -> Path:
 class _Runner:
     """Shared per-invocation state: config, cache, output dir, run log."""
 
-    def __init__(self, subcommand, config_path, out, overrides, jobs, no_cache):
+    def __init__(self, subcommand, config_path, out, overrides, no_cache, jobs):
         self.subcommand = subcommand
         self.cfg = load_config(config_path, overrides)
         if jobs is not None:
@@ -166,14 +167,13 @@ def _common(fn):
     fn = click.option("--out", default=None, help="output directory")(fn)
     fn = click.option("--set", "overrides", multiple=True,
                       help="dotted-path config override, e.g. circuit.delta_L=0.6")(fn)
-    fn = click.option("--jobs", type=int, default=None, help="worker pool size")(fn)
     fn = click.option("--no-cache", is_flag=True, help="disable all caching")(fn)
     return fn
 
 
-def _run(subcommand, impl, config_path, out, overrides, jobs, no_cache):
+def _run(subcommand, impl, config_path, out, overrides, no_cache, jobs=None):
     try:
-        runner = _Runner(subcommand, config_path, out, overrides, jobs, no_cache)
+        runner = _Runner(subcommand, config_path, out, overrides, no_cache, jobs)
     except _DOMAIN_ERRORS as exc:
         _emit_diagnostic(None, subcommand, "domain", exc)
         sys.exit(1)
@@ -206,7 +206,34 @@ def _emit_diagnostic(out_dir, subcommand, kind, exc) -> None:
         )
 
 
-@click.group()
+class _Group(click.Group):
+    """Click's command group, except that a usage error (no or an unknown
+    subcommand, an unknown option, a bad option value) exits 1 like any
+    other bad input: click's own code for it, 2, is the one this CLI keeps
+    for numerical non-convergence.  Click's usage text goes to stderr as
+    usual, followed by a ``domain`` diagnostic line."""
+
+    def make_context(self, *args, **kwargs):
+        with _usage_errors_exit_1():
+            return super().make_context(*args, **kwargs)
+
+    def invoke(self, ctx):
+        with _usage_errors_exit_1():
+            return super().invoke(ctx)
+
+
+@contextmanager
+def _usage_errors_exit_1():
+    try:
+        yield
+    except click.UsageError as exc:
+        exc.show()
+        sub = exc.ctx.info_name if exc.ctx is not None and exc.ctx.parent else None
+        _emit_diagnostic(None, sub, "domain", exc)
+        sys.exit(1)
+
+
+@click.group(cls=_Group)
 @click.version_option(__version__)
 def main() -> None:
     """Simulator for the capacitively shunted pair-tunneling qubit."""
@@ -218,7 +245,8 @@ def main() -> None:
 
 @main.command()
 @_common
-def spectrum(config_path, out, overrides, jobs, no_cache):
+@click.option("--jobs", type=int, default=None, help="worker pool size")
+def spectrum(config_path, out, overrides, no_cache, jobs):
     """Transition energies versus external flux."""
 
     def impl(r: _Runner):
@@ -245,7 +273,7 @@ def spectrum(config_path, out, overrides, jobs, no_cache):
         write_csv(r.out / "spectrum.csv", header, rows, r.provenance)
         return ["spectrum.csv"]
 
-    _run("spectrum", impl, config_path, out, overrides, jobs, no_cache)
+    _run("spectrum", impl, config_path, out, overrides, no_cache, jobs)
 
 
 # ---------------------------------------------------------------------------
@@ -254,7 +282,7 @@ def spectrum(config_path, out, overrides, jobs, no_cache):
 
 @main.command()
 @_common
-def wavefunctions(config_path, out, overrides, jobs, no_cache):
+def wavefunctions(config_path, out, overrides, no_cache):
     """Charge and phase wavefunctions of the four lowest states."""
 
     def impl(r: _Runner):
@@ -286,7 +314,7 @@ def wavefunctions(config_path, out, overrides, jobs, no_cache):
             artifacts.append(name)
         return artifacts
 
-    _run("wavefunctions", impl, config_path, out, overrides, jobs, no_cache)
+    _run("wavefunctions", impl, config_path, out, overrides, no_cache)
 
 
 # ---------------------------------------------------------------------------
@@ -295,7 +323,7 @@ def wavefunctions(config_path, out, overrides, jobs, no_cache):
 
 @main.command("matrix-elements")
 @_common
-def matrix_elements(config_path, out, overrides, jobs, no_cache):
+def matrix_elements(config_path, out, overrides, no_cache):
     """Normalized transition weights from the ground state."""
 
     def impl(r: _Runner):
@@ -321,7 +349,7 @@ def matrix_elements(config_path, out, overrides, jobs, no_cache):
         )
         return ["matrix_elements.csv"]
 
-    _run("matrix-elements", impl, config_path, out, overrides, jobs, no_cache)
+    _run("matrix-elements", impl, config_path, out, overrides, no_cache)
 
 
 # ---------------------------------------------------------------------------
@@ -330,7 +358,7 @@ def matrix_elements(config_path, out, overrides, jobs, no_cache):
 
 @main.command()
 @_common
-def disorder(config_path, out, overrides, jobs, no_cache):
+def disorder(config_path, out, overrides, no_cache):
     """Charge dispersion and splitting versus one asymmetry parameter."""
 
     def impl(r: _Runner):
@@ -370,7 +398,7 @@ def disorder(config_path, out, overrides, jobs, no_cache):
         )
         return ["disorder.csv", "disorder.json"]
 
-    _run("disorder", impl, config_path, out, overrides, jobs, no_cache)
+    _run("disorder", impl, config_path, out, overrides, no_cache)
 
 
 # ---------------------------------------------------------------------------
@@ -379,7 +407,7 @@ def disorder(config_path, out, overrides, jobs, no_cache):
 
 @main.command()
 @_common
-def coherence(config_path, out, overrides, jobs, no_cache):
+def coherence(config_path, out, overrides, no_cache):
     """Relaxation and dephasing budget at the configured operating point."""
 
     def impl(r: _Runner):
@@ -422,7 +450,7 @@ def coherence(config_path, out, overrides, jobs, no_cache):
         write_json(r.out / "coherence.json", report.as_dict(), r.provenance)
         return ["coherence.csv", "coherence.json"]
 
-    _run("coherence", impl, config_path, out, overrides, jobs, no_cache)
+    _run("coherence", impl, config_path, out, overrides, no_cache)
 
 
 # ---------------------------------------------------------------------------
@@ -431,7 +459,7 @@ def coherence(config_path, out, overrides, jobs, no_cache):
 
 @main.command()
 @_common
-def instanton(config_path, out, overrides, jobs, no_cache):
+def instanton(config_path, out, overrides, no_cache):
     """Minimum-action tunneling path and its Fourier reduction."""
 
     def impl(r: _Runner):
@@ -468,7 +496,7 @@ def instanton(config_path, out, overrides, jobs, no_cache):
         )
         return ["instanton_path.csv", "instanton.json"]
 
-    _run("instanton", impl, config_path, out, overrides, jobs, no_cache)
+    _run("instanton", impl, config_path, out, overrides, no_cache)
 
 
 # ---------------------------------------------------------------------------
@@ -477,7 +505,7 @@ def instanton(config_path, out, overrides, jobs, no_cache):
 
 @main.command()
 @_common
-def mathieu(config_path, out, overrides, jobs, no_cache):
+def mathieu(config_path, out, overrides, no_cache):
     """Toy-model dispersion: exact bands versus the closed form."""
 
     def impl(r: _Runner):
@@ -503,7 +531,7 @@ def mathieu(config_path, out, overrides, jobs, no_cache):
         )
         return ["mathieu.csv"]
 
-    _run("mathieu", impl, config_path, out, overrides, jobs, no_cache)
+    _run("mathieu", impl, config_path, out, overrides, no_cache)
 
 
 # ---------------------------------------------------------------------------
@@ -512,7 +540,7 @@ def mathieu(config_path, out, overrides, jobs, no_cache):
 
 @main.command()
 @_common
-def converge(config_path, out, overrides, jobs, no_cache):
+def converge(config_path, out, overrides, no_cache):
     """Truncation-ladder convergence of the lowest energies."""
 
     def impl(r: _Runner):
@@ -547,7 +575,7 @@ def converge(config_path, out, overrides, jobs, no_cache):
         )
         return ["converge.csv", "converge.json"]
 
-    _run("converge", impl, config_path, out, overrides, jobs, no_cache)
+    _run("converge", impl, config_path, out, overrides, no_cache)
 
 
 if __name__ == "__main__":

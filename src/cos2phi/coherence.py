@@ -335,7 +335,7 @@ def tphi_flux(
     exact for its truncated Hamiltonian; no further diagonalization is made.
     The noise amplitude is ``constants.sqrt_A_flux``.
     """
-    if abs((ls.bias.phi_ext % (2 * np.pi)) - np.pi) > 1e-9:
+    if not ls.bias.at_half_flux:
         raise UnsupportedBiasError("flux dephasing bound applies at phi_ext = pi")
     rate = constants.sqrt_A_flux**2 * abs(_flux_curvature(ls)) * GHZ_TO_RAD_PER_S
     return math.inf if rate < RATE_FLOOR else 1e3 / rate

@@ -17,6 +17,7 @@ import yaml
 
 from .coherence import CHANNELS
 from .constants import DEFAULT_CONSTANTS
+from .eigensolver import DEFAULT_SEED
 from .model import BasisTruncation, BiasPoint, CircuitParams
 
 __all__ = ["RunConfig", "ConfigError", "load_config", "parse_override"]
@@ -31,40 +32,16 @@ _EXECUTION_KEYS = ("jobs", "cache", "output_dir")
 #: field and takes its default from there
 _CHANNEL_KEYS = ("q_cap", "q_ind", "sqrt_A_flux", "sqrt_A_epsJ_rel", "x_qp")
 
-_SCHEMA = {
-    "config_version": None,
-    "circuit": {
-        "eps_J": None, "eps_C": None, "eps_L": None, "x": None,
-        "delta_J": None, "delta_C": None, "delta_A": None, "delta_L": None,
-    },
-    "bias": {"phi_ext": None, "N_g": None},
-    "truncation": {"N0": None, "p0": None, "q0": None},
-    "temperature": None,
-    "seed": None,
-    "jobs": None,
-    "cache": None,
-    "output_dir": None,
-    "dense_threshold": None,  # retired; load_config drops it
-    "sweep": {
-        "flux_start": None, "flux_stop": None, "flux_points": None,
-        "ng_points": None, "deltas": None, "kind": None, "k": None,
-    },
-    "channels": {"enabled": None, **dict.fromkeys(_CHANNEL_KEYS)},
-    "mathieu": {"E_C": None, "N0_toy": None, "ratios": None},
-    "instanton": {"n_beads": None, "max_outer": None},
-    "converge": {"levels": None, "k": None, "tolerance": None},
-}
-
 _DEFAULTS = {
     "config_version": CONFIG_VERSION,
     "circuit": {
         "eps_J": 15.0, "eps_C": 2.0, "eps_L": 1.0, "x": 0.02,
         "delta_J": 0.0, "delta_C": 0.0, "delta_A": 0.0, "delta_L": 0.0,
     },
-    "bias": {"phi_ext": float(np.pi), "N_g": 0.0},
+    "bias": asdict(BiasPoint()),
     "truncation": asdict(BasisTruncation()),
     "temperature": DEFAULT_CONSTANTS.temperature,
-    "seed": 7,
+    "seed": DEFAULT_SEED,
     "jobs": 1,
     "cache": True,
     "output_dir": None,
@@ -85,15 +62,20 @@ _DEFAULTS = {
 }
 
 
+#: every key a config may set: those of ``_DEFAULTS`` and the retired
+#: ``dense_threshold``, which ``load_config`` drops unread
+_ACCEPTED = {**_DEFAULTS, "dense_threshold": None}
+
+
 class ConfigError(ValueError):
     """Invalid or unknown configuration content."""
 
 
-def _validate(tree: dict, schema: dict, path: str = "") -> None:
+def _validate(tree: dict, accepted: dict, path: str = "") -> None:
     for key, val in tree.items():
-        if key not in schema:
+        if key not in accepted:
             raise ConfigError(f"unknown config key {path + key!r}")
-        sub = schema[key]
+        sub = accepted[key]
         if isinstance(sub, dict):
             if not isinstance(val, dict):
                 raise ConfigError(f"{path + key!r} must be a mapping")
@@ -195,11 +177,11 @@ def load_config(path: str | Path | None, overrides=()) -> RunConfig:
             tree = yaml.safe_load(fh) or {}
         if not isinstance(tree, dict):
             raise ConfigError("config root must be a mapping")
-    _validate(tree, _SCHEMA)
+    _validate(tree, _ACCEPTED)
     merged = _merge(_DEFAULTS, tree)
     for text in overrides:
         o = parse_override(text)
-        _validate(o, _SCHEMA)
+        _validate(o, _ACCEPTED)
         merged = _merge(merged, o)
     # The eigensolver picks its backend from the problem size, but older
     # configs, the benchmark's among them, still set ``dense_threshold``:

@@ -30,6 +30,7 @@ __all__ = [
     "DENSE_THRESHOLD",
     "DEFAULT_SEED",
     "factor_below_spectrum",
+    "fix_global_phase",
 ]
 
 DENSE_THRESHOLD = 160  # dim; measured dense/Krylov crossover: 150-180
@@ -37,6 +38,7 @@ KRYLOV_TOL = 1e-10  # Krylov residuals above 100 * KRYLOV_TOL * |E| raise
 FLOOR_TOL = 1e-2  # relative residual of the Lanczos pass that finds the floor
 DEFAULT_SEED = 7  # Krylov start-vector seed
 DEGENERACY_WINDOW = 1e-9  # GHz; clusters inside are gauge-fixed together
+PHASE_TIE_RTOL = 1e-8  # entries this close to the largest magnitude tie
 
 
 class NonConvergenceError(RuntimeError):
@@ -51,8 +53,8 @@ class NonConvergenceError(RuntimeError):
 class EigenSolution:
     """Converged lowest-k eigenpairs of a Hermitian operator.
 
-    ``energies`` ascend; ``vectors[:, i]`` is the i-th eigenvector with the
-    global phase fixed so its largest-magnitude component is real positive.
+    ``energies`` ascend; ``vectors[:, i]`` is the i-th eigenvector with its
+    global phase fixed by ``fix_global_phase``.
     ``meta`` records backend, tolerance, seed, and the basis truncation when
     the caller supplies one; Krylov solves add the ``shift`` sigma, the
     fill ``lu_nnz`` of the LU of H - sigma and the ``lu_solves`` made on it.
@@ -69,14 +71,21 @@ class EigenSolution:
         return len(self.energies)
 
 
+def fix_global_phase(v: np.ndarray) -> np.ndarray:
+    """``v`` times the unit phase that makes its anchor entry real positive.
+
+    The anchor is the first entry, in flat order, whose magnitude lies
+    within a relative ``PHASE_TIE_RTOL`` of the largest.  The mirror-image
+    entries of a parity-symmetric state tie to roundoff, and a plain argmax
+    would let the last bits pick between them, and so pick the sign.
+    """
+    mag = np.abs(v).ravel()
+    ph = v.flat[int(np.argmax(mag >= (1.0 - PHASE_TIE_RTOL) * mag.max()))]
+    return v * (np.conj(ph) / abs(ph)) if ph != 0 else v
+
+
 def _fix_phases(vectors: np.ndarray) -> np.ndarray:
-    out = vectors.copy()
-    for i in range(out.shape[1]):
-        j = int(np.argmax(np.abs(out[:, i])))
-        ph = out[j, i]
-        if ph != 0:
-            out[:, i] *= np.conj(ph) / abs(ph)
-    return out
+    return np.column_stack([fix_global_phase(v) for v in vectors.T])
 
 
 def _gauge_fix_clusters(

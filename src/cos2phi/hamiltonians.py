@@ -51,7 +51,6 @@ __all__ = [
     "toy_hamiltonian",
     "full_hamiltonian",
     "josephson_term",
-    "disorder_perturbation",
     "EffectiveParams",
     "effective_params",
     "effective_hamiltonian",
@@ -119,15 +118,17 @@ def josephson_term(
     in eJ with slope H_J / eJ, and dH/dphi_ext = H_J(phi_ext + pi) / 2.
     """
     trunc = prim.trunc
-    cos_b, _ = charge_hops(2 * trunc.N0 + 1)
+    cos_b, sin_b = charge_hops(2 * trunc.N0 + 1)
+    Ib = sp.identity(trunc.q0 + 1)
     cos_d = displaced_cosine(prim.phi_zpf, phi_ext, trunc.p0)
-    H = (-2.0 * params.eps_J) * prim.wrap_hermitian(
-        kron3(cos_b, cos_d, sp.identity(trunc.q0 + 1))
-    )
-    Hs, _ = _perturbation_term(
-        "J", params.delta_J_eff, params, BiasPoint(phi_ext), prim
-    )
-    return H + Hs
+    H = (-2.0 * params.eps_J) * prim.wrap_hermitian(kron3(cos_b, cos_d, Ib))
+    dJ = params.delta_J_eff
+    if dJ != 0.0:
+        sin_d = displaced_sine(prim.phi_zpf, phi_ext, trunc.p0)
+        H = H + (2.0 * params.eps_J * dJ) * prim.wrap_hermitian(
+            kron3(sin_b, sin_d, Ib)
+        )
+    return H
 
 
 def full_hamiltonian(
@@ -138,9 +139,11 @@ def full_hamiltonian(
 ) -> HermitianOperator:
     """Assemble the complete (possibly disordered) circuit Hamiltonian.
 
-    Disorder enters both through the dressed quadratic coefficients (handled
-    inside ``build_primitives``) and through the explicit asymmetry terms.
-    Passing ``primitives`` skips rebuilding the operator toolbox.
+    Term by term as in the module docstring: disorder enters through the
+    dressed coefficients of ``params`` (the oscillator frequencies come
+    from ``build_primitives``) and through the asymmetry terms, each added
+    only when its asymmetry is nonzero.  Passing ``primitives`` skips
+    rebuilding the operator toolbox.
     """
     floor = BasisTruncation()
     if trunc.N0 < floor.N0 or trunc.p0 < floor.p0 or trunc.q0 < floor.q0:
@@ -159,79 +162,14 @@ def full_hamiltonian(
         + 2.0 * params.eps_C_dressed * (charge @ charge).hermitize()
         + josephson_term(params, bias.phi_ext, prim)
     )
-    for kind, delta in (("C", params.delta_C_eff), ("L", params.delta_L)):
-        Hp, _ = _perturbation_term(kind, delta, params, bias, prim)
-        H = H + Hp
-    return H
-
-
-def disorder_perturbation(
-    kind: str,
-    params: CircuitParams,
-    bias: BiasPoint,
-    trunc: BasisTruncation = BasisTruncation(),
-    primitives: Primitives | None = None,
-) -> tuple[HermitianOperator, dict]:
-    """Asymmetry term H' for one disorder kind, with its coefficient dressing.
-
-    Returns ``(H', metadata)`` where the metadata records the analytic
-    dressings the base Hamiltonian must carry alongside H'.  For ``kind
-    "A"`` the returned operator is the sum of the correlated junction-energy
-    and junction-capacitance terms at delta = delta_A.
-    """
-    if kind not in ("J", "C", "L", "A"):
-        raise ValueError(f"unknown disorder kind {kind!r}")
-    prim = primitives if primitives is not None else build_primitives(trunc, params)
-
-    if kind == "A":
-        if params.delta_A >= 1.0:
-            raise ValueError("delta_A must be below 1")
-        hj, _ = _perturbation_term("J", params.delta_A, params, bias, prim)
-        hc, mc = _perturbation_term("C", params.delta_A, params, bias, prim)
-        meta = {"kind": "A", "delta": params.delta_A, "dressing": mc["dressing"]}
-        return (hj + hc).hermitize(), meta
-
-    delta = {"J": params.delta_J, "C": params.delta_C, "L": params.delta_L}[kind]
-    return _perturbation_term(kind, delta, params, bias, prim)
-
-
-def _perturbation_term(
-    kind: str,
-    delta: float,
-    params: CircuitParams,
-    bias: BiasPoint,
-    prim: Primitives,
-) -> tuple[HermitianOperator, dict]:
-    if not (0.0 <= delta < 1.0):
-        raise ValueError("disorder parameter must lie in [0, 1)")
-    trunc = prim.trunc
-    zero = 0.0 * prim.identity
-    meta: dict = {"kind": kind, "delta": delta, "dressing": {}}
-
-    if delta == 0.0:
-        return zero.hermitize(), meta
-
-    if kind == "J":
-        _, sin_b = charge_hops(2 * trunc.N0 + 1)
-        sin_d = displaced_sine(prim.phi_zpf, bias.phi_ext, trunc.p0)
-        Hp = (2.0 * params.eps_J * delta) * prim.wrap_hermitian(
-            kron3(sin_b, sin_d, sp.identity(trunc.q0 + 1))
-        )
-        return Hp, meta
-
-    if kind == "C":
-        eC_d = params.eps_C / (1.0 - delta**2)
-        meta["dressing"]["eps_C"] = eC_d
-        charge = prim.N - bias.N_g * prim.identity - prim.eta
+    dC = params.delta_C_eff
+    if dC != 0.0:
         cross = (prim.n @ charge + charge @ prim.n) * 0.5
-        Hp = (-8.0 * eC_d * delta) * cross.hermitize()
-        return Hp, meta
-
-    # kind == "L"
-    eL_d = params.eps_L / (1.0 - delta**2)
-    meta["dressing"]["eps_L"] = eL_d
-    Hp = (eL_d * delta) * (prim.dphi @ prim.theta).hermitize()
-    return Hp, meta
+        H = H + (-8.0 * params.eps_C_dressed * dC) * cross.hermitize()
+    dL = params.delta_L
+    if dL != 0.0:
+        H = H + (params.eps_L_dressed * dL) * (prim.dphi @ prim.theta).hermitize()
+    return H
 
 
 # ---------------------------------------------------------------------------
@@ -312,30 +250,39 @@ def effective_hamiltonian(
     ):
         raise ValueError("effective model is defined for the symmetric circuit")
     ep = effective_params(params, bias, order)
-    eL, eC, x = params.eps_L, params.eps_C, params.x
-
-    nN = 2 * N0 + 1
-    nb = q0 + 1
     Nv = np.arange(-N0, N0 + 1).astype(float)
-    fp = f"effective:{order}:{N0}:{q0}:{eL:.12e}:{eC:.12e}:{x:.12e}"
+    fp = (f"effective:{order}:{N0}:{q0}:{params.eps_L:.12e}:{params.eps_C:.12e}"
+          f":{params.x:.12e}")
+    harmonics = enumerate(ep.coefficients(), start=1)
+    H = _reduced_model(params, Nv - bias.N_g, ep.kinetic_prefactor, harmonics, q0)
+    return HermitianOperator(H, fp), ep
 
+
+def _reduced_model(
+    params: CircuitParams, charge: np.ndarray, kappa: float, harmonics, q0: int
+) -> sp.csr_matrix:
+    """omega_b b^b + 4 eC kappa (charge - eta)^2 + sum_k c_k cos(k vphi).
+
+    ``charge`` is the diagonal of the compact-mode charge, offset included,
+    and ``harmonics`` yields the pairs (k, c_k); the imbalance mode is an
+    oscillator on q0 + 1 Fock states, whose theta^2 + x eta^2 quadratic
+    sector is the omega_b ladder.
+    """
+    eL, eC, x = params.eps_L, params.eps_C, params.x
+    nN, nb = len(charge), q0 + 1
     b, bdag = ladder(nb)
     Ib, IN = sp.identity(nb), sp.identity(nN)
-
     omega_b = np.sqrt(16.0 * x * eC * eL)
     eta_zpf = 0.5 * (eL / (x * eC)) ** 0.25
     eta1 = 1j * eta_zpf * (bdag - b)
 
-    charge = sp.kron(sp.diags(Nv - bias.N_g), Ib) - sp.kron(IN, eta1)
+    q = sp.kron(sp.diags(charge), Ib) - sp.kron(IN, eta1)
     H = sp.kron(IN, omega_b * sp.diags(np.arange(nb).astype(float))).tocsr()
-    H = H + 4.0 * eC * ep.kinetic_prefactor * (charge @ charge)
-    # the theta^2 + x eta^2 quadratic sector is already the omega_b ladder
-    for k, ck in enumerate(ep.coefficients(), start=1):
-        if ck == 0.0:
-            continue
-        cos_k, _ = charge_hops(nN, k)
-        H = H + ck * sp.kron(cos_k, Ib)
-    return HermitianOperator(H.tocsr(), fp), ep
+    H = H + 4.0 * eC * kappa * (q @ q)
+    for k, ck in harmonics:
+        if ck != 0.0:
+            H = H + ck * sp.kron(charge_hops(nN, k)[0], Ib)
+    return H.tocsr()
 
 
 # ---------------------------------------------------------------------------
@@ -363,7 +310,7 @@ def parity_sector_hamiltonians(
     doubled charge variable with sector offsets k+- in {0, 1} captures both
     parity manifolds exactly.
     """
-    if abs((bias.phi_ext % (2 * np.pi)) - np.pi) > 1e-12:
+    if not bias.at_half_flux:
         raise UnsupportedBiasError(
             "parity sector factorization is defined at phi_ext = pi"
         )
@@ -371,25 +318,13 @@ def parity_sector_hamiltonians(
     eL, eC, eJ, x = params.eps_L, params.eps_C, params.eps_J, params.x
     kappa = 1.0 / (4.0 * (1.0 - z))
     cJ = eJ * (1.0 - 1.25 * z)
-
-    nN = 2 * N0_sector + 1
-    nb = q0 + 1
     Ntil = np.arange(-N0_sector, N0_sector + 1).astype(float)
-    b, bdag = ladder(nb)
-    Ib, IN = sp.identity(nb), sp.identity(nN)
-    omega_b = np.sqrt(16.0 * x * eC * eL)
-    eta_zpf = 0.5 * (eL / (x * eC)) ** 0.25
-    eta1 = 1j * eta_zpf * (bdag - b)
-    cos_til, _ = charge_hops(nN)
 
     out = []
     for k_pm in (0.0, 1.0):
         fp = f"sector:{k_pm:.0f}:{N0_sector}:{q0}:{eL:.12e}:{eC:.12e}:{eJ:.12e}:{x:.12e}"
-        charge = sp.kron(sp.diags(2.0 * Ntil + k_pm - bias.N_g), Ib) - sp.kron(IN, eta1)
-        H = sp.kron(IN, omega_b * sp.diags(np.arange(nb).astype(float))).tocsr()
-        H = H + 4.0 * eC * kappa * (charge @ charge)
-        H = H - cJ * sp.kron(cos_til, Ib)
-        out.append(HermitianOperator(H.tocsr(), fp))
+        H = _reduced_model(params, 2.0 * Ntil + k_pm - bias.N_g, kappa, [(1, -cJ)], q0)
+        out.append(HermitianOperator(H, fp))
 
     report = NormalModeReport(
         plasmon_freq=np.sqrt(16.0 * x * eL * eC),

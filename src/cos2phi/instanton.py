@@ -42,6 +42,7 @@ __all__ = [
 
 ENDPOINT_OFFSET = 1e-3  # rad; clamp offset from the true minima
 GRADIENT_TOL = 1e-8
+N_QUAD = 1024  # uniform quadrature points of the path Fourier reduction
 
 
 class MinimizationError(RuntimeError):
@@ -235,14 +236,13 @@ def _redistribute(Qfull: np.ndarray, M: np.ndarray) -> np.ndarray:
 def solve_instanton(
     params: CircuitParams,
     bias: BiasPoint,
-    n_beads: int = 385,
-    max_outer: int = 200,
-    endpoint_offset: float = ENDPOINT_OFFSET,
+    n_beads: int,
+    max_outer: int,
 ) -> InstantonPath:
     """Relax the minimum-action string between the two adjacent minima.
 
     The true trajectory takes infinite time, so the endpoints are clamped at
-    ``endpoint_offset`` from the minima along the slowest unstable mode of
+    ``ENDPOINT_OFFSET`` from the minima along the slowest unstable mode of
     the linearized inverted dynamics (the direction the exact trajectory
     departs along).  The clamp offset and all residual diagnostics are
     reported on the result.
@@ -254,8 +254,8 @@ def solve_instanton(
     d1 = _slow_unstable_direction(params, bias, m1)
     if d1[2] < 0:
         d1 = -d1
-    qa = m1 + endpoint_offset * d1
-    qb = m2 - endpoint_offset * d1
+    qa = m1 + ENDPOINT_OFFSET * d1
+    qb = m2 - ENDPOINT_OFFSET * d1
     U0 = min(potential(params, bias, m1), potential(params, bias, m2))
 
     sg = np.linspace(0.0, 1.0, n_beads + 2)[1:-1]
@@ -293,7 +293,7 @@ def solve_instanton(
     return InstantonPath(
         samples=samples,
         endpoints=(m1, m2),
-        endpoint_offset=endpoint_offset,
+        endpoint_offset=ENDPOINT_OFFSET,
         action=action,
         residual=diag,
     )
@@ -336,8 +336,6 @@ def reduce_to_effective(
     params: CircuitParams,
     bias: BiasPoint,
     path: InstantonPath | str = "approx",
-    n_quad: int = 1024,
-    kinetic_order: str = "leading",
 ) -> EffectiveParams:
     """Fourier-reduce the potential along the tunneling path.
 
@@ -345,16 +343,16 @@ def reduce_to_effective(
     period on a uniform grid (trapezoid quadrature is spectrally accurate
     for the smooth periodic integrand) and extracts the cos(k vphi)
     coefficients for k = 1..4.  The kinetic prefactor is taken from the
-    closed-form reduction at the requested order.
+    leading-order closed-form reduction.
     """
     z = params.z
-    vg = np.arange(n_quad) * 2.0 * np.pi / n_quad
+    vg = np.arange(N_QUAD) * 2.0 * np.pi / N_QUAD
     if isinstance(path, str):
         if path != "approx":
             raise ValueError("path must be an InstantonPath or 'approx'")
         phi_of_v = path_approx(vg, bias, z)
     else:
-        if abs((bias.phi_ext % (2 * np.pi)) - np.pi) > 1e-9:
+        if not bias.at_half_flux:
             raise ValueError(
                 "numeric-path reduction uses the half-flux reflection "
                 "symmetry; solve at phi_ext = pi or use the approx path"
@@ -367,8 +365,8 @@ def reduce_to_effective(
         phi_of_v = np.interp(v_fold, v_samp, p_samp)
 
     u = potential(params, bias, np.stack([vg, phi_of_v, np.zeros_like(vg)], axis=-1))
-    coeffs = [float(np.sum(u * np.cos(k * vg)) * 2.0 / n_quad) for k in range(1, 5)]
-    ep = effective_params(params, bias, kinetic_order)
+    coeffs = [float(np.sum(u * np.cos(k * vg)) * 2.0 / N_QUAD) for k in range(1, 5)]
+    ep = effective_params(params, bias, "leading")
     return EffectiveParams(
         z=z,
         c1=coeffs[0],
@@ -377,5 +375,5 @@ def reduce_to_effective(
         c4=coeffs[3],
         kinetic_prefactor=ep.kinetic_prefactor,
         phi_ext_folded=bias.phi_ext_folded,
-        order=f"quadrature/{kinetic_order}",
+        order="quadrature/leading",
     )

@@ -12,11 +12,11 @@ from __future__ import annotations
 
 from math import factorial
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .hamiltonians import ToyParams
+from .hamiltonians import ToyParams, toy_hamiltonian
 
 __all__ = [
     "DispersionResult",
@@ -54,18 +54,11 @@ class DispersionResult:
     method: str
 
 
-def _sector_matrices(tp: ToyParams, ng: float):
-    """Even/odd charge-sector blocks of the toy Hamiltonian."""
-    out = []
-    for parity in (0, 1):
-        Nv = np.arange(-tp.N0_toy, tp.N0_toy + 1)
-        Nv = Nv[(Nv % 2) == parity].astype(float)
-        n = len(Nv)
-        H = np.diag(4.0 * tp.E_C * (Nv - ng) ** 2)
-        idx = np.arange(n - 1)
-        H[idx, idx + 1] = H[idx + 1, idx] = -0.5 * tp.E_J
-        out.append((Nv, H))
-    return out
+def _sector_matrices(tp: ToyParams, ng: float) -> list[np.ndarray]:
+    """Even and odd charge-sector blocks of ``toy_hamiltonian`` at ``ng``."""
+    H = toy_hamiltonian(replace(tp, N_g=ng)).toarray()
+    N = np.arange(-tp.N0_toy, tp.N0_toy + 1)
+    return [H[np.ix_(N % 2 == parity, N % 2 == parity)] for parity in (0, 1)]
 
 
 def _check_boundary(tp: ToyParams, vecs_by_sector) -> None:
@@ -88,12 +81,12 @@ def toy_band_energies(tp: ToyParams, ng: float, nbands: int) -> np.ndarray:
     whole offset-charge period.
     """
     order = _band_order(tp, nbands)
-    per_sector = [np.linalg.eigvalsh(H) for _, H in _sector_matrices(tp, ng)]
+    per_sector = [np.linalg.eigvalsh(H) for H in _sector_matrices(tp, ng)]
     return np.array([per_sector[s][i] for s, i in order])
 
 
 def _band_order(tp: ToyParams, nbands: int) -> list[tuple[int, int]]:
-    ref = [np.linalg.eigvalsh(H) for _, H in _sector_matrices(tp, 0.0)]
+    ref = [np.linalg.eigvalsh(H) for H in _sector_matrices(tp, 0.0)]
     tagged = [(ref[s][i], s, i) for s in (0, 1) for i in range(nbands)]
     tagged.sort()
     return [(s, i) for _, s, i in tagged[:nbands]]
@@ -117,13 +110,7 @@ def exact_dispersion(
     pair = k + 1 if k % 2 == 0 else k - 1
     s_p, i_p = order[pair]
     for j, ng in enumerate(ng_grid):
-        sect = _sector_matrices(tp, ng)
-        evals = []
-        vecs = []
-        for Nv, H in sect:
-            w, v = np.linalg.eigh(H)
-            evals.append(w)
-            vecs.append(v)
+        evals, vecs = zip(*(np.linalg.eigh(H) for H in _sector_matrices(tp, ng)))
         if j == 0:
             _check_boundary(tp, [vecs[s][:, i] for (s, i) in (order[k], order[pair])])
         band[j] = evals[s_k][i_k]

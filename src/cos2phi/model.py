@@ -45,7 +45,7 @@ __all__ = [
 
 HERMITICITY_RTOL = 1e-12
 #: hard cap on tensor product dimension; beyond this a solve is not desk scale
-DEFAULT_DIM_CAP = 400_000
+DIM_CAP = 400_000
 
 
 class DimensionCapError(RuntimeError):
@@ -146,6 +146,11 @@ class BiasPoint:
         """|phi_ext - 4 pi round(phi_ext / 4 pi)|: flux folded into [0, 2 pi]."""
         p = self.phi_ext
         return abs(p - 4 * np.pi * np.round(p / (4 * np.pi)))
+
+    @property
+    def at_half_flux(self) -> bool:
+        """phi_ext within 1e-9 rad of pi (mod 2 pi): Cooper-pair parity is exact."""
+        return abs(self.phi_ext % (2 * np.pi) - np.pi) < 1e-9
 
     def reduced(self) -> "BiasPoint":
         """Canonical representative with N_g mod 1 and phi_ext mod 4 pi.
@@ -376,8 +381,6 @@ class Primitives:
     sin_phi_hop: HermitianOperator
     a: Operator
     adag: Operator
-    b: Operator
-    bdag: Operator
     num_a: HermitianOperator
     num_b: HermitianOperator
     n: HermitianOperator
@@ -399,21 +402,16 @@ def ladder(dim: int) -> tuple[sp.csr_matrix, sp.csr_matrix]:
     return low, low.T.tocsr()
 
 
-def build_primitives(
-    trunc: BasisTruncation,
-    params: CircuitParams,
-    dim_cap: int = DEFAULT_DIM_CAP,
-) -> Primitives:
+def build_primitives(trunc: BasisTruncation, params: CircuitParams) -> Primitives:
     """Assemble the primitive operator set on the tensor product basis.
 
     Oscillator frequencies and zero point amplitudes use the disorder
     dressed coefficients of ``params`` so that the basis stays adapted to
     the quadratic sector for any asymmetry.
     """
-    if trunc.dim > dim_cap:
+    if trunc.dim > DIM_CAP:
         raise DimensionCapError(
-            f"dim = {trunc.dim} exceeds the cap {dim_cap}; raise dim_cap "
-            "explicitly if this size is intended"
+            f"dim = {trunc.dim} exceeds the desk-scale cap {DIM_CAP}"
         )
     eL = params.eps_L_dressed
     eC = params.eps_C_dressed
@@ -477,8 +475,6 @@ def build_primitives(
         sin_phi_hop=HermitianOperator(sinp, fp),
         a=Operator(a_full, fp),
         adag=Operator(adag_full, fp),
-        b=Operator(b_full, fp),
-        bdag=Operator(bdag_full, fp),
         num_a=HermitianOperator(num_a, fp),
         num_b=HermitianOperator(num_b, fp),
         n=HermitianOperator(n_full, fp),

@@ -371,6 +371,20 @@ class TestCli:
         diag = json.loads(r.stderr.strip().splitlines()[-1])
         assert diag["error_kind"] == "domain"
 
+    @pytest.mark.parametrize("args", [
+        ("coherence", "--bogus"),
+        ("nosuch",),
+        ("coherence", "--jobs", "2"),  # --jobs belongs to spectrum alone
+        ("spectrum", "--jobs", "two"),
+    ])
+    def test_usage_error_exit_code(self, tmp_path, args):
+        # exit 2 is kept for non-convergence, so a usage error exits 1
+        r = _cli(*args, cwd=tmp_path)
+        assert r.returncode == 1, r.stderr
+        diag = json.loads(r.stderr.strip().splitlines()[-1])
+        assert diag["error_kind"] == "domain"
+        assert diag["error_type"] in ("NoSuchOption", "NoSuchCommand", "BadParameter")
+
     def test_numerical_error_exit_code(self, tmp_path):
         cfg = tmp_path / "qc.yaml"
         cfg.write_text("mathieu: {ratios: [4000], N0_toy: 4, E_C: 1.0}\n")

@@ -4,7 +4,12 @@ import scipy.linalg as sla
 import scipy.sparse as sp
 
 from cos2phi.analysis import convergence_ladder
-from cos2phi.eigensolver import DENSE_THRESHOLD, FLOOR_TOL, lowest_eigenpairs
+from cos2phi.eigensolver import (
+    DENSE_THRESHOLD,
+    FLOOR_TOL,
+    _fix_phases,
+    lowest_eigenpairs,
+)
 from cos2phi.hamiltonians import full_hamiltonian
 from cos2phi.model import (
     BasisTruncation,
@@ -128,6 +133,18 @@ class TestLowestEigenpairs:
             j = np.argmax(np.abs(sol.vectors[:, i]))
             lead = sol.vectors[j, i]
             assert abs(lead.imag) < 1e-12 and lead.real > 0
+
+    def test_phase_tie_keeps_sign(self):
+        # the two largest entries of a parity-odd state are mirror images of
+        # equal magnitude; roundoff of 1e-13 either way must not pick the sign
+        v = np.array([0.1, -0.7, 0.0, 0.7, -0.1])
+        fixed = []
+        for eps in (1e-13, -1e-13):
+            w = v.copy()
+            w[3] += eps
+            fixed.append(_fix_phases(w[:, None])[:, 0])
+        assert np.abs(fixed[0] - fixed[1]).max() < 1e-12
+        assert fixed[0][1] > 0
 
     def test_variational_monotonicity(self, canonical, half_flux):
         prev = np.inf

@@ -5,7 +5,6 @@ from cos2phi.eigensolver import lowest_eigenpairs
 from cos2phi.hamiltonians import (
     ToyParams,
     UnsupportedBiasError,
-    disorder_perturbation,
     effective_hamiltonian,
     effective_params,
     full_hamiltonian,
@@ -174,27 +173,21 @@ class TestChargeReflection:
 
 
 class TestDisorder:
-    def test_zero_delta_zero_operator(self, canonical, half_flux):
-        tr = BasisTruncation(3, 3, 8)
-        for kind in ("J", "C", "L", "A"):
-            Hp, meta = disorder_perturbation(kind, canonical, half_flux, tr)
-            assert Hp.matrix.nnz == 0 or np.abs(Hp.toarray()).max() == 0.0
-            assert meta["delta"] == 0.0
-
     def test_inductive_prefactor(self, canonical, half_flux):
-        # H'(delta) equals [delta/(1-delta^2)] times the unit-coefficient
-        # coupling built on the same dressed basis
+        # H'_L, the part of H that delta_L adds on a fixed dressed basis,
+        # equals [delta/(1-delta^2)] times the unit-coefficient coupling
         tr = BasisTruncation(3, 3, 8)
         d = 0.3
         p = canonical.replace(delta_L=d)
         prim = build_primitives(tr, p)
-        Hp, meta = disorder_perturbation("L", p, half_flux, tr, primitives=prim)
+        Hp = (full_hamiltonian(p, half_flux, tr, primitives=prim)
+              - full_hamiltonian(p.replace(delta_L=0.0), half_flux, tr,
+                                 primitives=prim))
         slope = canonical.eps_L * (prim.dphi @ prim.theta).hermitize()
         ratio = d / (1 - d**2)
         assert ratio == pytest.approx(0.32967, rel=1e-4)
         diff = (Hp - ratio * slope).toarray()
         assert np.abs(diff).max() < 1e-12
-        assert meta["dressing"]["eps_L"] == pytest.approx(1.0 / (1 - d**2))
 
     def test_area_equals_joint_jc(self, canonical, half_flux):
         tr = BasisTruncation(3, 3, 8)
@@ -213,7 +206,9 @@ class TestDisorder:
         tr = BasisTruncation(3, 3, 6)
         p = canonical.replace(delta_J=0.4)
         prim = build_primitives(tr, p)
-        Hp, _ = disorder_perturbation("J", p, half_flux, tr, primitives=prim)
+        Hp = (josephson_term(p, half_flux.phi_ext, prim)
+              - josephson_term(p.replace(delta_J=0.0), half_flux.phi_ext, prim))
+        assert np.abs(Hp.toarray()).max() > 1.0
         anti = (prim.parity @ Hp + Hp @ prim.parity).toarray()
         assert np.abs(anti).max() < 1e-12
 

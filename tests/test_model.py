@@ -65,6 +65,12 @@ class TestBiasPoint:
         assert BiasPoint(3.5 * np.pi).phi_ext_folded == pytest.approx(0.5 * np.pi)
         assert BiasPoint(-0.3).phi_ext_folded == pytest.approx(0.3)
 
+    def test_at_half_flux(self):
+        for phi in (np.pi, 3 * np.pi, -np.pi, np.pi + 5e-10):
+            assert BiasPoint(phi).at_half_flux
+        for phi in (0.0, 2 * np.pi, np.pi + 2e-9, 0.9 * np.pi):
+            assert not BiasPoint(phi).at_half_flux
+
     def test_reduction_explicit_not_silent(self):
         b = BiasPoint(5 * np.pi, 1.25)
         assert b.phi_ext == pytest.approx(5 * np.pi)  # untouched
