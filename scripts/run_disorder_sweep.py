@@ -37,12 +37,11 @@ def main(argv=None):
                 params, kind, args.deltas,
                 ng_grid=np.linspace(0, 1, args.ng_points), solver=solver,
             )
-            for i, d in enumerate(res.grid):
-                w.writerow([kind, d, res.derived["eps"][i],
-                            res.derived["dE"][i],
-                            bool(res.derived["unresolved"][i])])
+            for d, eps, dE, unresolved in zip(res.deltas, res.eps, res.dE,
+                                              res.unresolved):
+                w.writerow([kind, d, eps, dE, bool(unresolved)])
             print(f"kind {kind}: eps = "
-                  + ", ".join(f"{e:.3e}" for e in res.derived["eps"]))
+                  + ", ".join(f"{e:.3e}" for e in res.eps))
     print(f"wrote {out}")
     return 0
 

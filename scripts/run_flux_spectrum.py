@@ -31,8 +31,8 @@ def main(argv=None):
     out.parent.mkdir(parents=True, exist_ok=True)
     params = CircuitParams(15.0, 2.0, 1.0, 0.02)
     grid = np.linspace(np.pi - args.span, np.pi + args.span, args.points)
-    res = flux_sweep(params, grid, k=args.k, trunc=BasisTruncation(*args.trunc),
-                     solver=SolutionCache(out.parent / ".solutions"))
+    sols = flux_sweep(params, grid, k=args.k, trunc=BasisTruncation(*args.trunc),
+                      solver=SolutionCache(out.parent / ".solutions"))
 
     plasmon = np.sqrt(16 * params.x * params.eps_L * params.eps_C)
     with open(out, "w", newline="") as fh:
@@ -40,9 +40,9 @@ def main(argv=None):
         w.writerow(["phi_ext"]
                    + [f"T{i}_over_plasmon" for i in range(1, args.k)]
                    + [f"label{i}" for i in range(args.k)])
-        for i, p in enumerate(grid):
-            trans = (res.energies[i, 1:] - res.energies[i, 0]) / plasmon
-            labels = [f"{l.m}{l.fluxon}" for l in res.labels[i]]
+        for p, ls in zip(grid, sols):
+            trans = (ls.energies[1:] - ls.energies[0]) / plasmon
+            labels = [f"{l.m}{l.fluxon}" for l in ls.labels]
             w.writerow([p, *trans, *labels])
     print(f"wrote {out}")
     return 0

@@ -25,9 +25,9 @@ from .hamiltonians import (
 )
 from .eigensolver import EigenSolution, lowest_eigenpairs
 from .analysis import (
+    DisorderSweep,
     LabeledSolution,
     StateLabel,
-    SweepResult,
     charge_dispersion,
     convergence_ladder,
     dispersive_shift,

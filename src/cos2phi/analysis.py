@@ -13,7 +13,7 @@ cosine ridge the state occupies relative to the true ground state, and
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -25,7 +25,7 @@ from .model import BasisTruncation, BiasPoint, CircuitParams, Primitives, build_
 __all__ = [
     "StateLabel",
     "LabeledSolution",
-    "SweepResult",
+    "DisorderSweep",
     "LabelingError",
     "solve_circuit",
     "label_states",
@@ -40,10 +40,12 @@ __all__ = [
     "normalized_matrix_elements",
     "dispersive_shift",
     "DISPERSION_FLOOR",
+    "ME_FLOOR",
 ]
 
 CONFIDENCE_WARN = 0.7
 DISPERSION_FLOOR = 1e-9  # GHz; smaller dispersions are flagged unresolved
+ME_FLOOR = 1e-10         # normalized coupling amplitude below this is absent
 
 FLUXON_PLUS = "+"
 FLUXON_MINUS = "-"
@@ -119,12 +121,6 @@ def solve_circuit(
     )
 
 
-def _mode_population(vec: np.ndarray, prim: Primitives, q: int) -> float:
-    t = prim.trunc
-    resh = vec.reshape(2 * t.N0 + 1, t.p0 + 1, t.q0 + 1)
-    return float(np.sum(np.abs(resh[:, :, q]) ** 2))
-
-
 def label_states(
     sol: EigenSolution, bias: BiasPoint, prim: Primitives
 ) -> list[StateLabel]:
@@ -183,17 +179,6 @@ def label_states(
     return labels
 
 
-@dataclass(frozen=True)
-class SweepResult:
-    """Tabulated sweep output: one row per grid point, fixed k everywhere."""
-
-    axis: str
-    grid: np.ndarray
-    energies: np.ndarray          # (n, k), absolute energies (GHz)
-    labels: list                  # list of per-point label lists
-    derived: dict = field(default_factory=dict)
-
-
 def flux_sweep(
     params: CircuitParams,
     phi_grid,
@@ -201,27 +186,21 @@ def flux_sweep(
     k: int = 6,
     trunc: BasisTruncation = BasisTruncation(),
     solver: SolutionCache | None = None,
-) -> SweepResult:
-    """Diagonalize along an external-flux grid and label every point."""
+    jobs: int = 1,
+) -> list[LabeledSolution]:
+    """Labelled solutions along an external-flux grid, in grid order.
+
+    ``jobs`` is the worker count handed to ``SolutionCache.map``.
+    """
     phi_grid = np.asarray(phi_grid, dtype=float)
     if phi_grid.ndim != 1 or len(phi_grid) < 1:
         raise ValueError("need a one-dimensional flux grid")
     if len(phi_grid) > 1 and not np.all(np.diff(phi_grid) > 0):
         raise ValueError("flux grid must be strictly increasing")
     solver = solver or SolutionCache()
-    rows, labels = [], []
-    for p in phi_grid:
-        ls = solver.get_or_solve(params, BiasPoint(p, N_g), trunc, k)
-        rows.append(ls.energies)
-        labels.append(ls.labels)
-    E = np.vstack(rows)
-    return SweepResult(
-        axis="phi_ext",
-        grid=phi_grid,
-        energies=E,
-        labels=labels,
-        derived={"splitting": E[:, 1] - E[:, 0]},
-    )
+    return list(solver.map(
+        [(params, BiasPoint(float(p), N_g), trunc, k) for p in phi_grid], jobs
+    ))
 
 
 def charge_dispersion(
@@ -230,41 +209,29 @@ def charge_dispersion(
     trunc: BasisTruncation = BasisTruncation(),
     ng_grid=None,
     solver: SolutionCache | None = None,
-) -> tuple[float, float, SweepResult]:
-    """Signed qubit splitting at Ng = 0 and its swing over one charge period.
+) -> tuple[float, float, np.ndarray]:
+    """Signed qubit splitting at Ng = 0, its swing over one charge period,
+    and the splitting at every grid point.
 
-    The swing uses the sorted (nonnegative) splitting; the signed value at
-    Ng = 0 follows the parity labels, positive when the even state is lower.
+    The grid starts at Ng = 0 and reaches 1.  The swing uses the sorted
+    (nonnegative) splitting; the signed value at Ng = 0 follows the parity
+    labels, positive when the even state is lower.
     """
     if ng_grid is None:
         ng_grid = np.linspace(0.0, 1.0, 41)
     ng_grid = np.asarray(ng_grid, dtype=float)
-    if ng_grid.min() > 0.0 or ng_grid.max() < 1.0:
-        raise ValueError("Ng grid must cover [0, 1]")
+    if ng_grid.size == 0 or ng_grid[0] != 0.0 or ng_grid.max() < 1.0:
+        raise ValueError("Ng grid must start at 0 and reach 1")
     solver = solver or SolutionCache()
-    rows, labels = [], []
-    signed_dE = None
-    for ng in ng_grid:
-        ls = solver.get_or_solve(params, BiasPoint(phi_ext, ng), trunc, 2)
-        rows.append(ls.energies)
-        labels.append(ls.labels)
-        if ng == 0.0:
-            signed_dE = ls.splitting if ls.labels[0].parity > 0 else -ls.splitting
-    if signed_dE is None:
-        idx = int(np.argmin(np.abs(ng_grid)))
-        split = rows[idx][1] - rows[idx][0]
-        signed_dE = split if labels[idx][0].parity > 0 else -split
-    E = np.vstack(rows)
-    splittings = E[:, 1] - E[:, 0]
+    # keep two numbers per point, not the solutions and their primitives
+    splittings, parities = np.array([
+        (ls.splitting, ls.labels[0].parity)
+        for ls in solver.map(
+            [(params, BiasPoint(phi_ext, ng), trunc, 2) for ng in ng_grid]
+        )
+    ]).T
     eps = float(splittings.max() - splittings.min())
-    table = SweepResult(
-        axis="N_g",
-        grid=ng_grid,
-        energies=E,
-        labels=labels,
-        derived={"splitting": splittings},
-    )
-    return float(signed_dE), eps, table
+    return float(parities[0] * splittings[0]), eps, splittings
 
 
 #: default truncation escalation for inductive-disorder dispersion hunts;
@@ -292,6 +259,18 @@ def dispersion_truncation(
     return BasisTruncation(*map(max, floor.as_tuple(), sched.as_tuple()))
 
 
+@dataclass(frozen=True)
+class DisorderSweep:
+    """Charge dispersion and signed splitting at each asymmetry of a sweep."""
+
+    deltas: np.ndarray
+    eps: np.ndarray         # dispersion over one charge period (GHz)
+    dE: np.ndarray          # signed splitting at Ng = 0 (GHz)
+    unresolved: np.ndarray  # eps below DISPERSION_FLOOR
+    eps_monotone_decreasing: bool  # over the resolved points
+    dE_monotone_increasing: bool   # in |dE|
+
+
 def disorder_sweep(
     params: CircuitParams,
     kind: str,
@@ -300,7 +279,7 @@ def disorder_sweep(
     trunc: BasisTruncation | None = None,
     ng_grid=None,
     solver: SolutionCache | None = None,
-) -> SweepResult:
+) -> DisorderSweep:
     """Charge dispersion and splitting versus one disorder parameter.
 
     With ``trunc=None`` an escalating truncation schedule keeps the
@@ -313,39 +292,25 @@ def disorder_sweep(
     deltas = np.asarray(deltas, dtype=float)
     if deltas.min() < 0 or deltas.max() > 0.9:
         raise ValueError("disorder grid must lie within [0, 0.9]")
-    field_name = {"J": "delta_J", "C": "delta_C", "A": "delta_A", "L": "delta_L"}[kind]
 
     solver = solver or SolutionCache()
-    eps_list, dE_list, unresolved, rows = [], [], [], []
-    for d in deltas:
-        p = params.replace(**{field_name: float(d)})
-        tr = trunc or dispersion_truncation(float(d))
-        dE, eps, table = charge_dispersion(
-            p, phi_ext, tr, ng_grid=ng_grid, solver=solver
-        )
-        eps_list.append(eps)
-        dE_list.append(dE)
-        unresolved.append(eps < DISPERSION_FLOOR)
-        rows.append(table.energies[0])
-    eps_arr = np.array(eps_list)
-    dE_arr = np.array(dE_list)
-    resolved = ~np.array(unresolved)
-    idx = np.where(resolved)[0]
-    eps_monotone = bool(np.all(np.diff(eps_arr[idx]) < 0)) if len(idx) > 1 else True
-    dE_monotone = bool(np.all(np.diff(np.abs(dE_arr)) > 0)) if len(deltas) > 1 else True
-    return SweepResult(
-        axis=field_name,
-        grid=deltas,
-        energies=np.vstack(rows),
-        labels=[],
-        derived={
-            "eps": eps_arr,
-            "dE": dE_arr,
-            "abs_dE": np.abs(dE_arr),
-            "unresolved": np.array(unresolved),
-            "eps_monotone_decreasing": eps_monotone,
-            "dE_monotone_increasing": dE_monotone,
-        },
+    dE, eps = np.array([
+        charge_dispersion(
+            params.replace(**{f"delta_{kind}": float(d)}), phi_ext,
+            trunc or dispersion_truncation(float(d)), ng_grid=ng_grid,
+            solver=solver,
+        )[:2]
+        for d in deltas
+    ]).T
+    unresolved = eps < DISPERSION_FLOOR
+    resolved_eps = eps[~unresolved]
+    return DisorderSweep(
+        deltas=deltas,
+        eps=eps,
+        dE=dE,
+        unresolved=unresolved,
+        eps_monotone_decreasing=bool(np.all(np.diff(resolved_eps) < 0)),
+        dE_monotone_increasing=bool(np.all(np.diff(np.abs(dE)) > 0)),
     )
 
 
@@ -389,8 +354,8 @@ def convergence_ladder(
             raise ValueError("ladder levels must not decrease in any dimension")
 
     solver = solver or SolutionCache()
-    E = np.vstack([solver.get_or_solve(params, bias, lv, k).energies
-                   for lv in levels])
+    sols = solver.map([(params, bias, lv, k) for lv in levels])
+    E = np.vstack([ls.energies for ls in sols])
     deltas = np.abs(np.diff(E, axis=0))
     transitions = E[:, 1:] - E[:, :1]
     converged = bool(np.all(np.abs(transitions[-1] - transitions[-2]) < tolerance))
@@ -424,6 +389,22 @@ def _hermite_column(p_max: int, xi: np.ndarray) -> np.ndarray:
     return out
 
 
+def _theta0_projection(
+    ls: LabeledSolution, index: int, phi: np.ndarray
+) -> np.ndarray:
+    """Amplitudes <N, phi, theta = 0 | psi>, shape (charges, len(phi))."""
+    prim = ls.primitives
+    t = prim.trunc
+    vec = ls.solution.vectors[:, index].reshape(
+        2 * t.N0 + 1, t.p0 + 1, t.q0 + 1
+    )
+    chi_q0 = _hermite_column(t.q0, np.array([0.0]))[0] / np.sqrt(prim.theta_zpf)
+    w_Np = vec @ chi_q0  # (nN, na)
+    xi = (phi - ls.bias.phi_ext) / prim.phi_zpf
+    chi_p = _hermite_column(t.p0, xi) / np.sqrt(prim.phi_zpf)  # (nphi, na)
+    return w_Np @ chi_p.T
+
+
 def wavefunction_phase(
     ls: LabeledSolution, index: int
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -441,18 +422,9 @@ def wavefunction_phase(
     half = 4.0 * prim.phi_zpf
     phi_grid = np.linspace(center - np.pi - half, center + np.pi + half, 141)
 
-    vec = ls.solution.vectors[:, index].reshape(
-        2 * t.N0 + 1, t.p0 + 1, t.q0 + 1
-    )
-    # theta = 0 slice of the imbalance mode
-    chi_q0 = _hermite_column(t.q0, np.array([0.0]))[0] / np.sqrt(prim.theta_zpf)
-    w_Np = vec @ chi_q0  # (nN, na)
-
-    xi = (phi_grid - ls.bias.phi_ext) / prim.phi_zpf
-    chi_p = _hermite_column(t.p0, xi) / np.sqrt(prim.phi_zpf)  # (nphi, na)
     Nvals = np.arange(-t.N0, t.N0 + 1)
     plane = np.exp(-1j * np.outer(Nvals, vphi_grid))  # (nN, nvphi)
-    fieldT = plane.T @ (w_Np @ chi_p.T)  # (nvphi, nphi)
+    fieldT = plane.T @ _theta0_projection(ls, index, phi_grid)  # (nvphi, nphi)
 
     norm2 = np.trapezoid(
         np.trapezoid(np.abs(fieldT) ** 2, phi_grid, axis=1), vphi_grid
@@ -474,22 +446,13 @@ def wavefunction_charge(
     from .instanton import path_approx
 
     n_vphi = 512
-    prim = ls.primitives
-    t = prim.trunc
+    t = ls.primitives.trunc
     vg = np.arange(n_vphi) * 2.0 * np.pi / n_vphi
     phi_path = path_approx(vg, ls.bias, ls.params.z)
 
-    vec = ls.solution.vectors[:, index].reshape(
-        2 * t.N0 + 1, t.p0 + 1, t.q0 + 1
-    )
-    chi_q0 = _hermite_column(t.q0, np.array([0.0]))[0] / np.sqrt(prim.theta_zpf)
-    w_Np = vec @ chi_q0  # (nN, na)
-
-    xi = (phi_path - ls.bias.phi_ext) / prim.phi_zpf
-    chi_p = _hermite_column(t.p0, xi) / np.sqrt(prim.phi_zpf)  # (nvphi, na)
     Nvals = np.arange(-t.N0, t.N0 + 1)
     plane = np.exp(-1j * np.outer(Nvals, vg))  # (nN, nvphi)
-    A = w_Np @ chi_p.T  # (nN, nvphi): loop-phase factor evaluated on the path
+    A = _theta0_projection(ls, index, phi_path)  # loop phase on the path
     f = np.einsum("nv,nv->v", plane, A)  # <vphi|psi> unnormalized
 
     # normalize on the circle, transform, then renormalize discretely
@@ -505,6 +468,8 @@ def normalized_matrix_elements(ls: LabeledSolution, operator: str) -> np.ndarray
     ``g`` is the ground state of ``ls``.
     The phi operator is the dynamical loop phase (zero static offset), so
     the weights lie in [0, 1] and sum to one over a complete eigenbasis.
+    A weight below ``ME_FLOOR**2`` (a parity-forbidden transition, roundoff
+    only) is returned as exactly 0.
     """
     if operator not in ("eta", "phi"):
         raise ValueError("operator must be 'eta' or 'phi'")
@@ -515,6 +480,7 @@ def normalized_matrix_elements(ls: LabeledSolution, operator: str) -> np.ndarray
     out = np.empty(ls.solution.k)
     for i in range(ls.solution.k):
         out[i] = abs(np.vdot(ls.solution.vectors[:, i], Og)) ** 2 / denom
+    out[out < ME_FLOOR**2] = 0.0
     return out
 
 

@@ -13,6 +13,7 @@ from __future__ import annotations
 import hashlib
 import json
 import os
+from collections.abc import Iterator
 from contextlib import contextmanager
 from dataclasses import astuple
 from pathlib import Path
@@ -20,7 +21,7 @@ from pathlib import Path
 import numpy as np
 
 from .eigensolver import DEFAULT_SEED, EigenSolution
-from .model import BasisTruncation, BiasPoint, CircuitParams
+from .model import BasisTruncation, BiasPoint, CircuitParams, build_primitives
 
 __all__ = ["SolutionCache", "worker_pool"]
 
@@ -125,8 +126,9 @@ class SolutionCache:
         k: int,
     ):
         """LabeledSolution via the store; labels are recomputed on load."""
+        # analysis imports this module for SolutionCache, so it is imported
+        # on first use, not at module level
         from .analysis import LabeledSolution, label_states, solve_circuit
-        from .model import build_primitives
 
         key = _problem_key(params, bias, trunc, k, self.seed)
         sol = self.load(key)
@@ -144,21 +146,24 @@ class SolutionCache:
         self.store(key, ls.solution)
         return ls
 
-    def map(self, problems: list, jobs: int = 1) -> list:
-        """``get_or_solve`` over ``(params, bias, trunc, k)`` tuples, in order.
+    def map(self, problems: list, jobs: int = 1) -> Iterator:
+        """``get_or_solve`` over ``(params, bias, trunc, k)`` tuples: an
+        iterator over the solutions, in order.
 
-        With ``jobs > 1`` the problems run in a ``worker_pool``, each through
-        a copy of this store; their hits and misses are added to this
-        store's counts.
+        Serially each problem is solved when the iterator reaches it, so a
+        caller that keeps only part of each solution holds one at a time.
+        With ``jobs > 1`` all problems run before this returns, in a
+        ``worker_pool``, each through a copy of this store; their hits and
+        misses are added to this store's counts.
         """
         if jobs <= 1 or len(problems) <= 1:
-            return [self.get_or_solve(*p) for p in problems]
+            return (self.get_or_solve(*p) for p in problems)
         with worker_pool(jobs) as ex:
             done = list(ex.map(self._solve_in_worker, problems))
         for _, hit in done:
             self.hits += hit
             self.misses += not hit
-        return [ls for ls, _ in done]
+        return iter([ls for ls, _ in done])
 
     def _solve_in_worker(self, problem) -> tuple:
         hits = self.hits

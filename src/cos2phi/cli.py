@@ -1,14 +1,7 @@
 """Batch front end: config-driven subcommands mirroring the main artifacts.
 
-Subcommands
-    spectrum         transition energies over an external-flux grid
-    wavefunctions    charge and phase wavefunctions of the lowest states
-    matrix-elements  normalized transition weights from the ground state
-    disorder         charge dispersion and splitting versus asymmetry
-    coherence        per-channel T1 / Tphi budget and combined T2
-    instanton        minimum-action tunneling path and its reduction
-    mathieu          toy-model dispersion versus the closed form
-    converge         truncation-ladder convergence report
+Each subcommand is one function below that formats the result of one
+analysis call; ``cos2phi --help`` lists them with their docstrings.
 
 Exit codes: 0 success; 1 domain, configuration or usage error; 2 numerical
 non-convergence.  Every artifact carries a provenance comment block and a
@@ -31,22 +24,28 @@ import click
 import numpy as np
 
 from . import __version__
+from .analysis import (
+    convergence_ladder,
+    disorder_sweep,
+    flux_sweep,
+    normalized_matrix_elements,
+    wavefunction_charge,
+    wavefunction_phase,
+)
 from .cache import SolutionCache
+from .coherence import full_report
 from .config import ConfigError, RunConfig, load_config
 from .constants import PhysicalConstants
-from .model import BasisTruncation, BiasPoint, DimensionCapError
+from .eigensolver import NonConvergenceError
+from .hamiltonians import ToyParams, effective_params
+from .instanton import MinimizationError, reduce_to_effective, solve_instanton
+from .mathieu import TruncationError, asymptotic_dispersion, exact_dispersion
+from .model import BasisTruncation, DimensionCapError
 
 OUTPUT_ROOT_ENV = "COS2PHI_OUTPUT_ROOT"
 
 _DOMAIN_ERRORS = (ConfigError, ValueError, TypeError, DimensionCapError, KeyError)
-
-
-def _numeric_errors():
-    from .eigensolver import NonConvergenceError
-    from .instanton import MinimizationError
-    from .mathieu import TruncationError
-
-    return (NonConvergenceError, MinimizationError, TruncationError)
+_NUMERIC_ERRORS = (NonConvergenceError, MinimizationError, TruncationError)
 
 
 # ---------------------------------------------------------------------------
@@ -132,15 +131,10 @@ class _Runner:
                 sort_keys=True,
             )
         )
-        log = {
-            "subcommand": self.subcommand,
-            "config_hash": self.cfg.config_hash,
-            "diagonalizations": self.cache.misses,
-            "cache_hits": self.cache.hits,
-            "artifacts": artifacts,
-        }
-        (self.out / f"{self.subcommand}_runlog.json").write_text(
-            json.dumps(log, sort_keys=True, indent=2) + "\n"
+        self._write_runlog(
+            diagonalizations=self.cache.misses,
+            cache_hits=self.cache.hits,
+            artifacts=artifacts,
         )
         click.echo(
             f"{self.subcommand}: wrote {', '.join(artifacts)} "
@@ -148,27 +142,18 @@ class _Runner:
         )
 
     def skip(self) -> None:
+        self._write_runlog(diagonalizations=0, cache_hits=0, artifact_cache_hit=True)
+        click.echo(f"{self.subcommand}: artifacts up to date (cache hit)")
+
+    def _write_runlog(self, **fields) -> None:
         log = {
             "subcommand": self.subcommand,
             "config_hash": self.cfg.config_hash,
-            "diagonalizations": 0,
-            "cache_hits": 0,
-            "artifact_cache_hit": True,
+            **fields,
         }
         (self.out / f"{self.subcommand}_runlog.json").write_text(
             json.dumps(log, sort_keys=True, indent=2) + "\n"
         )
-        click.echo(f"{self.subcommand}: artifacts up to date (cache hit)")
-
-
-def _common(fn):
-    fn = click.option("--config", "config_path", type=click.Path(exists=True),
-                      default=None, help="YAML run configuration")(fn)
-    fn = click.option("--out", default=None, help="output directory")(fn)
-    fn = click.option("--set", "overrides", multiple=True,
-                      help="dotted-path config override, e.g. circuit.delta_L=0.6")(fn)
-    fn = click.option("--no-cache", is_flag=True, help="disable all caching")(fn)
-    return fn
 
 
 def _run(subcommand, impl, config_path, out, overrides, no_cache, jobs=None):
@@ -182,7 +167,7 @@ def _run(subcommand, impl, config_path, out, overrides, no_cache, jobs=None):
         return
     try:
         artifacts = impl(runner)
-    except _numeric_errors() as exc:
+    except _NUMERIC_ERRORS as exc:
         _emit_diagnostic(runner.out, subcommand, "non-convergence", exc)
         sys.exit(2)
     except _DOMAIN_ERRORS as exc:
@@ -239,343 +224,268 @@ def main() -> None:
     """Simulator for the capacitively shunted pair-tunneling qubit."""
 
 
-# ---------------------------------------------------------------------------
-# spectrum
-# ---------------------------------------------------------------------------
+_COMMON_OPTIONS = (
+    click.Option(["--config", "config_path"], type=click.Path(exists=True),
+                 help="YAML run configuration"),
+    click.Option(["--out"], help="output directory"),
+    click.Option(["--set", "overrides"], multiple=True,
+                 help="dotted-path config override, e.g. circuit.delta_L=0.6"),
+    click.Option(["--no-cache"], is_flag=True, help="disable all caching"),
+)
 
-@main.command()
-@_common
-@click.option("--jobs", type=int, default=None, help="worker pool size")
-def spectrum(config_path, out, overrides, no_cache, jobs):
+
+def _subcommand(name: str, *extra_options: click.Option):
+    """Register ``fn(runner) -> artifact names`` as the subcommand ``name``.
+
+    The command takes the common options and ``extra_options``, runs ``fn``
+    through ``_run`` and shows ``fn``'s docstring as its help.
+    """
+
+    def register(fn):
+        main.add_command(click.Command(
+            name,
+            callback=lambda **opts: _run(name, fn, **opts),
+            params=[*_COMMON_OPTIONS, *extra_options],
+            help=fn.__doc__,
+        ))
+        return fn
+
+    return register
+
+
+@_subcommand("spectrum", click.Option(["--jobs"], type=int, help="worker pool size"))
+def spectrum(r: _Runner) -> list[str]:
     """Transition energies versus external flux."""
-
-    def impl(r: _Runner):
-        cfg = r.cfg
-        sw = cfg.section("sweep")
-        grid = np.linspace(float(sw["flux_start"]), float(sw["flux_stop"]),
-                           int(sw["flux_points"]))
-        k = int(sw["k"])
-        problems = [
-            (cfg.circuit, BiasPoint(float(p), cfg.bias.N_g), cfg.truncation, k)
-            for p in grid
-        ]
-        rows = []
-        for p, ls in zip(grid, r.cache.map(problems, cfg.jobs)):
-            trans = ls.energies - ls.energies[0]
-            labels = [f"{l.m}{l.fluxon}" for l in ls.labels]
-            rows.append([float(p), *ls.energies, *trans, *labels])
-        header = (
-            ["phi_ext"]
-            + [f"E{i}" for i in range(k)]
-            + [f"T{i}" for i in range(k)]
-            + [f"label{i}" for i in range(k)]
-        )
-        write_csv(r.out / "spectrum.csv", header, rows, r.provenance)
-        return ["spectrum.csv"]
-
-    _run("spectrum", impl, config_path, out, overrides, no_cache, jobs)
+    cfg = r.cfg
+    sw = cfg.section("sweep")
+    grid = np.linspace(float(sw["flux_start"]), float(sw["flux_stop"]),
+                       int(sw["flux_points"]))
+    k = int(sw["k"])
+    sols = flux_sweep(cfg.circuit, grid, cfg.bias.N_g, k, cfg.truncation,
+                      r.cache, cfg.jobs)
+    rows = [
+        [ls.bias.phi_ext, *ls.energies, *(ls.energies - ls.energies[0]),
+         *(f"{l.m}{l.fluxon}" for l in ls.labels)]
+        for ls in sols
+    ]
+    header = ["phi_ext"] + [f"{col}{i}" for col in ("E", "T", "label")
+                            for i in range(k)]
+    write_csv(r.out / "spectrum.csv", header, rows, r.provenance)
+    return ["spectrum.csv"]
 
 
-# ---------------------------------------------------------------------------
-# wavefunctions
-# ---------------------------------------------------------------------------
-
-@main.command()
-@_common
-def wavefunctions(config_path, out, overrides, no_cache):
+@_subcommand("wavefunctions")
+def wavefunctions(r: _Runner) -> list[str]:
     """Charge and phase wavefunctions of the four lowest states."""
-
-    def impl(r: _Runner):
-        from .analysis import wavefunction_charge, wavefunction_phase
-
-        cfg = r.cfg
-        ls = r.cache.get_or_solve(cfg.circuit, cfg.bias, cfg.truncation, 4)
-        artifacts = []
-        rows = []
-        for idx in range(4):
-            Nvals, amps = wavefunction_charge(ls, idx)
-            for Nv, a in zip(Nvals, amps):
-                rows.append([idx, int(Nv), a.real, a.imag, abs(a) ** 2])
-        write_csv(
-            r.out / "wavefunction_charge.csv",
-            ["state", "N", "re", "im", "weight"],
-            rows,
-            r.provenance,
-        )
-        artifacts.append("wavefunction_charge.csv")
-        for idx in range(4):
-            vg, pg, field = wavefunction_phase(ls, idx)
-            rows = []
-            for i, v in enumerate(vg):
-                for j, p in enumerate(pg):
-                    rows.append([v, p, field[i, j].real, field[i, j].imag])
-            name = f"wavefunction_phase_state{idx}.csv"
-            write_csv(r.out / name, ["vphi", "phi", "re", "im"], rows, r.provenance)
-            artifacts.append(name)
-        return artifacts
-
-    _run("wavefunctions", impl, config_path, out, overrides, no_cache)
+    cfg = r.cfg
+    ls = r.cache.get_or_solve(cfg.circuit, cfg.bias, cfg.truncation, 4)
+    rows = []
+    for idx in range(4):
+        Nvals, amps = wavefunction_charge(ls, idx)
+        rows += [[idx, int(Nv), a.real, a.imag, abs(a) ** 2]
+                 for Nv, a in zip(Nvals, amps)]
+    write_csv(
+        r.out / "wavefunction_charge.csv",
+        ["state", "N", "re", "im", "weight"],
+        rows,
+        r.provenance,
+    )
+    artifacts = ["wavefunction_charge.csv"]
+    for idx in range(4):
+        vg, pg, field = wavefunction_phase(ls, idx)
+        rows = [[v, p, field[i, j].real, field[i, j].imag]
+                for i, v in enumerate(vg) for j, p in enumerate(pg)]
+        name = f"wavefunction_phase_state{idx}.csv"
+        write_csv(r.out / name, ["vphi", "phi", "re", "im"], rows, r.provenance)
+        artifacts.append(name)
+    return artifacts
 
 
-# ---------------------------------------------------------------------------
-# matrix elements
-# ---------------------------------------------------------------------------
-
-@main.command("matrix-elements")
-@_common
-def matrix_elements(config_path, out, overrides, no_cache):
+@_subcommand("matrix-elements")
+def matrix_elements(r: _Runner) -> list[str]:
     """Normalized transition weights from the ground state."""
-
-    def impl(r: _Runner):
-        from .analysis import normalized_matrix_elements
-
-        cfg = r.cfg
-        k = int(cfg.section("sweep")["k"])
-        ls = r.cache.get_or_solve(cfg.circuit, cfg.bias, cfg.truncation, k)
-        eta2 = normalized_matrix_elements(ls, "eta")
-        phi2 = normalized_matrix_elements(ls, "phi")
-        rows = []
-        for lab in ls.labels:
-            i = lab.index
-            rows.append(
-                [i, lab.m, lab.fluxon, lab.parity, ls.energies[i],
-                 eta2[i], phi2[i]]
-            )
-        write_csv(
-            r.out / "matrix_elements.csv",
-            ["state", "m", "fluxon", "parity", "energy", "eta2", "phi2"],
-            rows,
-            r.provenance,
-        )
-        return ["matrix_elements.csv"]
-
-    _run("matrix-elements", impl, config_path, out, overrides, no_cache)
+    cfg = r.cfg
+    k = int(cfg.section("sweep")["k"])
+    ls = r.cache.get_or_solve(cfg.circuit, cfg.bias, cfg.truncation, k)
+    eta2 = normalized_matrix_elements(ls, "eta")
+    phi2 = normalized_matrix_elements(ls, "phi")
+    rows = [
+        [lab.index, lab.m, lab.fluxon, lab.parity, ls.energies[lab.index],
+         eta2[lab.index], phi2[lab.index]]
+        for lab in ls.labels
+    ]
+    write_csv(
+        r.out / "matrix_elements.csv",
+        ["state", "m", "fluxon", "parity", "energy", "eta2", "phi2"],
+        rows,
+        r.provenance,
+    )
+    return ["matrix_elements.csv"]
 
 
-# ---------------------------------------------------------------------------
-# disorder
-# ---------------------------------------------------------------------------
-
-@main.command()
-@_common
-def disorder(config_path, out, overrides, no_cache):
+@_subcommand("disorder")
+def disorder(r: _Runner) -> list[str]:
     """Charge dispersion and splitting versus one asymmetry parameter."""
-
-    def impl(r: _Runner):
-        from .analysis import disorder_sweep
-
-        cfg = r.cfg
-        sw = cfg.section("sweep")
-        ng_points = int(sw["ng_points"])
-        res = disorder_sweep(
-            cfg.circuit,
-            str(sw["kind"]),
-            [float(d) for d in sw["deltas"]],
-            phi_ext=cfg.bias.phi_ext,
-            trunc=None,  # escalation schedule keeps tiny dispersions honest
-            ng_grid=np.linspace(0.0, 1.0, ng_points),
-            solver=r.cache,
-        )
-        rows = [
-            [d, res.derived["eps"][i], res.derived["dE"][i],
-             res.derived["abs_dE"][i], bool(res.derived["unresolved"][i])]
-            for i, d in enumerate(res.grid)
-        ]
-        write_csv(
-            r.out / "disorder.csv",
-            ["delta", "eps", "dE", "abs_dE", "unresolved"],
-            rows,
-            r.provenance,
-        )
-        write_json(
-            r.out / "disorder.json",
-            {
-                "kind": str(sw["kind"]),
-                "eps_monotone_decreasing": res.derived["eps_monotone_decreasing"],
-                "dE_monotone_increasing": res.derived["dE_monotone_increasing"],
-            },
-            r.provenance,
-        )
-        return ["disorder.csv", "disorder.json"]
-
-    _run("disorder", impl, config_path, out, overrides, no_cache)
+    cfg = r.cfg
+    sw = cfg.section("sweep")
+    kind = str(sw["kind"])
+    # the default escalating truncation keeps tiny dispersions honest
+    res = disorder_sweep(
+        cfg.circuit, kind, [float(d) for d in sw["deltas"]],
+        phi_ext=cfg.bias.phi_ext,
+        ng_grid=np.linspace(0.0, 1.0, int(sw["ng_points"])),
+        solver=r.cache,
+    )
+    rows = [
+        [d, eps, dE, abs(dE), bool(unresolved)]
+        for d, eps, dE, unresolved in zip(res.deltas, res.eps, res.dE,
+                                          res.unresolved)
+    ]
+    write_csv(
+        r.out / "disorder.csv",
+        ["delta", "eps", "dE", "abs_dE", "unresolved"],
+        rows,
+        r.provenance,
+    )
+    write_json(
+        r.out / "disorder.json",
+        {
+            "kind": kind,
+            "eps_monotone_decreasing": res.eps_monotone_decreasing,
+            "dE_monotone_increasing": res.dE_monotone_increasing,
+        },
+        r.provenance,
+    )
+    return ["disorder.csv", "disorder.json"]
 
 
-# ---------------------------------------------------------------------------
-# coherence
-# ---------------------------------------------------------------------------
-
-@main.command()
-@_common
-def coherence(config_path, out, overrides, no_cache):
+@_subcommand("coherence")
+def coherence(r: _Runner) -> list[str]:
     """Relaxation and dephasing budget at the configured operating point."""
-
-    def impl(r: _Runner):
-        from .coherence import full_report
-
-        cfg = r.cfg
-        ch_cfg = cfg.section("channels")
-        if not isinstance(ch_cfg["enabled"], list):
-            raise ConfigError(
-                f"channels.enabled must be a list of channel names, "
-                f"got {ch_cfg['enabled']!r}"
-            )
-        # every channels key but ``enabled`` is a PhysicalConstants field;
-        # float() because PyYAML reads 1e6 or 2.0e6 (no dot, or no exponent
-        # sign) as a string
-        constants = PhysicalConstants(
-            temperature=cfg.temperature,
-            **{k: float(v) for k, v in ch_cfg.items() if k != "enabled"},
+    cfg = r.cfg
+    ch_cfg = cfg.section("channels")
+    if not isinstance(ch_cfg["enabled"], list):
+        raise ConfigError(
+            f"channels.enabled must be a list of channel names, "
+            f"got {ch_cfg['enabled']!r}"
         )
-        ng_points = int(cfg.section("sweep")["ng_points"])
-        report = full_report(
-            cfg.circuit, cfg.bias, cfg.truncation,
-            constants=constants, channels=ch_cfg["enabled"],
-            ng_grid=np.linspace(0.0, 1.0, ng_points),
-            solver=r.cache,
-        )
-        rows = [["T1", k, v] for k, v in sorted(report.t1.items())]
-        rows += [["Tphi", k, v] for k, v in sorted(report.tphi.items())]
-        rows += [
-            ["T1", "total", report.t1_total],
-            ["Tphi", "total", report.tphi_total],
-            ["T2", "total", report.t2],
-        ]
-        write_csv(
-            r.out / "coherence.csv",
-            ["type", "channel", "time_ms"],
-            rows,
-            r.provenance,
-        )
-        write_json(r.out / "coherence.json", report.as_dict(), r.provenance)
-        return ["coherence.csv", "coherence.json"]
+    # every channels key but ``enabled`` is a PhysicalConstants field;
+    # float() because PyYAML reads 1e6 or 2.0e6 (no dot, or no exponent
+    # sign) as a string
+    constants = PhysicalConstants(
+        temperature=cfg.temperature,
+        **{k: float(v) for k, v in ch_cfg.items() if k != "enabled"},
+    )
+    ng_points = int(cfg.section("sweep")["ng_points"])
+    report = full_report(
+        cfg.circuit, cfg.bias, cfg.truncation,
+        constants=constants, channels=ch_cfg["enabled"],
+        ng_grid=np.linspace(0.0, 1.0, ng_points),
+        solver=r.cache,
+    )
+    rows = [["T1", k, v] for k, v in sorted(report.t1.items())]
+    rows += [["Tphi", k, v] for k, v in sorted(report.tphi.items())]
+    rows += [
+        ["T1", "total", report.t1_total],
+        ["Tphi", "total", report.tphi_total],
+        ["T2", "total", report.t2],
+    ]
+    write_csv(
+        r.out / "coherence.csv",
+        ["type", "channel", "time_ms"],
+        rows,
+        r.provenance,
+    )
+    write_json(r.out / "coherence.json", report.as_dict(), r.provenance)
+    return ["coherence.csv", "coherence.json"]
 
-    _run("coherence", impl, config_path, out, overrides, no_cache)
 
-
-# ---------------------------------------------------------------------------
-# instanton
-# ---------------------------------------------------------------------------
-
-@main.command()
-@_common
-def instanton(config_path, out, overrides, no_cache):
+@_subcommand("instanton")
+def instanton(r: _Runner) -> list[str]:
     """Minimum-action tunneling path and its Fourier reduction."""
-
-    def impl(r: _Runner):
-        from .hamiltonians import effective_params
-        from .instanton import reduce_to_effective, solve_instanton
-
-        cfg = r.cfg
-        ic = cfg.section("instanton")
-        path = solve_instanton(
-            cfg.circuit, cfg.bias,
-            n_beads=int(ic["n_beads"]), max_outer=int(ic["max_outer"]),
-        )
-        write_csv(
-            r.out / "instanton_path.csv",
-            ["tau", "vphi", "phi", "theta"],
-            [list(map(float, row)) for row in path.samples],
-            r.provenance,
-        )
-        eff_num = reduce_to_effective(cfg.circuit, cfg.bias, path)
-        eff_approx = reduce_to_effective(cfg.circuit, cfg.bias, "approx")
-        eff_printed = effective_params(cfg.circuit, cfg.bias, "extended")
-        write_json(
-            r.out / "instanton.json",
-            {
-                "action": path.action,
-                "endpoint_offset": path.endpoint_offset,
-                "residual": path.residual,
-                "endpoints": [list(map(float, e)) for e in path.endpoints],
-                "fourier_numeric_path": list(eff_num.coefficients()),
-                "fourier_approx_path": list(eff_approx.coefficients()),
-                "fourier_printed_extended": list(eff_printed.coefficients()),
-            },
-            r.provenance,
-        )
-        return ["instanton_path.csv", "instanton.json"]
-
-    _run("instanton", impl, config_path, out, overrides, no_cache)
+    cfg = r.cfg
+    ic = cfg.section("instanton")
+    path = solve_instanton(
+        cfg.circuit, cfg.bias,
+        n_beads=int(ic["n_beads"]), max_outer=int(ic["max_outer"]),
+    )
+    write_csv(
+        r.out / "instanton_path.csv",
+        ["tau", "vphi", "phi", "theta"],
+        [list(map(float, row)) for row in path.samples],
+        r.provenance,
+    )
+    eff_num = reduce_to_effective(cfg.circuit, cfg.bias, path)
+    eff_approx = reduce_to_effective(cfg.circuit, cfg.bias, "approx")
+    eff_printed = effective_params(cfg.circuit, cfg.bias, "extended")
+    write_json(
+        r.out / "instanton.json",
+        {
+            "action": path.action,
+            "endpoint_offset": path.endpoint_offset,
+            "residual": path.residual,
+            "endpoints": [list(map(float, e)) for e in path.endpoints],
+            "fourier_numeric_path": list(eff_num.coefficients()),
+            "fourier_approx_path": list(eff_approx.coefficients()),
+            "fourier_printed_extended": list(eff_printed.coefficients()),
+        },
+        r.provenance,
+    )
+    return ["instanton_path.csv", "instanton.json"]
 
 
-# ---------------------------------------------------------------------------
-# mathieu
-# ---------------------------------------------------------------------------
-
-@main.command()
-@_common
-def mathieu(config_path, out, overrides, no_cache):
+@_subcommand("mathieu")
+def mathieu(r: _Runner) -> list[str]:
     """Toy-model dispersion: exact bands versus the closed form."""
-
-    def impl(r: _Runner):
-        from .hamiltonians import ToyParams
-        from .mathieu import asymptotic_dispersion, exact_dispersion
-
-        cfg = r.cfg
-        mc = cfg.section("mathieu")
-        E_C = float(mc["E_C"])
-        rows = []
-        for ratio in mc["ratios"]:
-            tp = ToyParams(E_J=float(ratio) * E_C, E_C=E_C,
-                           N0_toy=int(mc["N0_toy"]))
-            ex = exact_dispersion(tp, 0)
-            asym = asymptotic_dispersion(tp, 0)
-            rel = abs(ex.eps_k - asym.eps_k) / abs(asym.eps_k)
-            rows.append([float(ratio), ex.eps_k, asym.eps_k, rel])
-        write_csv(
-            r.out / "mathieu.csv",
-            ["EJ_over_EC", "eps0_exact", "eps0_asymptotic", "rel_err"],
-            rows,
-            r.provenance,
-        )
-        return ["mathieu.csv"]
-
-    _run("mathieu", impl, config_path, out, overrides, no_cache)
+    mc = r.cfg.section("mathieu")
+    E_C = float(mc["E_C"])
+    rows = []
+    for ratio in mc["ratios"]:
+        tp = ToyParams(E_J=float(ratio) * E_C, E_C=E_C, N0_toy=int(mc["N0_toy"]))
+        ex = exact_dispersion(tp, 0)
+        asym = asymptotic_dispersion(tp, 0)
+        rel = abs(ex.eps_k - asym.eps_k) / abs(asym.eps_k)
+        rows.append([float(ratio), ex.eps_k, asym.eps_k, rel])
+    write_csv(
+        r.out / "mathieu.csv",
+        ["EJ_over_EC", "eps0_exact", "eps0_asymptotic", "rel_err"],
+        rows,
+        r.provenance,
+    )
+    return ["mathieu.csv"]
 
 
-# ---------------------------------------------------------------------------
-# converge
-# ---------------------------------------------------------------------------
-
-@main.command()
-@_common
-def converge(config_path, out, overrides, no_cache):
+@_subcommand("converge")
+def converge(r: _Runner) -> list[str]:
     """Truncation-ladder convergence of the lowest energies."""
-
-    def impl(r: _Runner):
-        from .analysis import convergence_ladder
-
-        cfg = r.cfg
-        cc = cfg.section("converge")
-        levels = [BasisTruncation(*map(int, lv)) for lv in cc["levels"]]
-        rep = convergence_ladder(
-            cfg.circuit, cfg.bias, levels, k=int(cc["k"]),
-            tolerance=float(cc["tolerance"]), solver=r.cache,
-        )
-        rows = []
-        for i, lv in enumerate(rep.levels):
-            row = [str(lv.as_tuple()).replace(",", ";"), *rep.energies[i]]
-            rows.append(row)
-        k = int(cc["k"])
-        write_csv(
-            r.out / "converge.csv",
-            ["level"] + [f"E{i}" for i in range(k)],
-            rows,
-            r.provenance,
-        )
-        write_json(
-            r.out / "converge.json",
-            {
-                "deltas": [list(map(float, d)) for d in rep.deltas],
-                "converged": rep.converged,
-                "tolerance": rep.tolerance,
-            },
-            r.provenance,
-        )
-        return ["converge.csv", "converge.json"]
-
-    _run("converge", impl, config_path, out, overrides, no_cache)
+    cfg = r.cfg
+    cc = cfg.section("converge")
+    k = int(cc["k"])
+    rep = convergence_ladder(
+        cfg.circuit, cfg.bias,
+        [BasisTruncation(*map(int, lv)) for lv in cc["levels"]],
+        k=k, tolerance=float(cc["tolerance"]), solver=r.cache,
+    )
+    rows = [
+        [str(lv.as_tuple()).replace(",", ";"), *E]
+        for lv, E in zip(rep.levels, rep.energies)
+    ]
+    write_csv(
+        r.out / "converge.csv",
+        ["level"] + [f"E{i}" for i in range(k)],
+        rows,
+        r.provenance,
+    )
+    write_json(
+        r.out / "converge.json",
+        {
+            "deltas": [list(map(float, d)) for d in rep.deltas],
+            "converged": rep.converged,
+            "tolerance": rep.tolerance,
+        },
+        r.provenance,
+    )
+    return ["converge.csv", "converge.json"]
 
 
 if __name__ == "__main__":

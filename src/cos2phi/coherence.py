@@ -32,6 +32,7 @@ from scipy.special import kv
 from .analysis import (
     FLUXON_MINUS,
     FLUXON_PLUS,
+    ME_FLOOR,
     LabeledSolution,
     LabelingError,
     charge_dispersion,
@@ -73,7 +74,6 @@ CHANNELS = T1_CHANNELS + ("charge", "flux", "shot", "critical_current")
 Q_CAP_REF_HZ = 6e9
 Q_IND_REF_HZ = 0.5e9
 
-ME_FLOOR = 1e-10        # normalized coupling amplitude below this -> inf
 RATE_FLOOR = 1e-9       # 1/s, i.e. 1e-12 per ms
 
 STERNHEIMER_SHIFT = 1.0     # GHz; the LU shift sits this far below E0

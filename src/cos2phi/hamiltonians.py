@@ -314,16 +314,17 @@ def parity_sector_hamiltonians(
         raise UnsupportedBiasError(
             "parity sector factorization is defined at phi_ext = pi"
         )
-    z = params.z
     eL, eC, eJ, x = params.eps_L, params.eps_C, params.eps_J, params.x
-    kappa = 1.0 / (4.0 * (1.0 - z))
-    cJ = eJ * (1.0 - 1.25 * z)
+    ep = effective_params(params, bias, "leading")
     Ntil = np.arange(-N0_sector, N0_sector + 1).astype(float)
 
     out = []
     for k_pm in (0.0, 1.0):
         fp = f"sector:{k_pm:.0f}:{N0_sector}:{q0}:{eL:.12e}:{eC:.12e}:{eJ:.12e}:{x:.12e}"
-        H = _reduced_model(params, 2.0 * Ntil + k_pm - bias.N_g, kappa, [(1, -cJ)], q0)
+        H = _reduced_model(
+            params, 2.0 * Ntil + k_pm - bias.N_g, ep.kinetic_prefactor,
+            [(1, ep.c2)], q0,
+        )
         out.append(HermitianOperator(H, fp))
 
     report = NormalModeReport(

@@ -227,9 +227,6 @@ class Operator:
     def expectation(self, vec: np.ndarray) -> complex:
         return complex(np.vdot(vec, self.matrix @ vec))
 
-    def matrix_element(self, bra: np.ndarray, ket: np.ndarray) -> complex:
-        return complex(np.vdot(bra, self.matrix @ ket))
-
     def toarray(self) -> np.ndarray:
         return self.matrix.toarray()
 
@@ -391,8 +388,6 @@ class Primitives:
 
     def wrap_hermitian(self, matrix: sp.spmatrix) -> HermitianOperator:
         return HermitianOperator(matrix, self.fingerprint)
-
-    kron3 = staticmethod(kron3)
 
 
 def ladder(dim: int) -> tuple[sp.csr_matrix, sp.csr_matrix]:

@@ -51,21 +51,21 @@ class TestLabels:
 
 class TestFluxSweep:
     def test_single_point_matches_direct(self, canonical, half_flux, small_trunc):
-        res = flux_sweep(canonical, [np.pi], k=4, trunc=small_trunc)
+        (res,) = flux_sweep(canonical, [np.pi], k=4, trunc=small_trunc)
         ls = solve_circuit(canonical, half_flux, small_trunc, k=4)
-        assert np.allclose(res.energies[0], ls.energies, atol=1e-10)
+        assert np.allclose(res.energies, ls.energies, atol=1e-10)
 
     def test_plasmon_branch_flux_flat(self, canonical, medium_trunc):
         grid = np.linspace(0.85 * np.pi, 1.15 * np.pi, 5)
         res = flux_sweep(canonical, grid, k=4, trunc=medium_trunc)
         plasmon = []
-        for i in range(len(grid)):
-            labs = {(l.m, l.fluxon): l.index for l in res.labels[i]}
+        for ls in res:
+            labs = {(l.m, l.fluxon): l.index for l in ls.labels}
             lo = [v for (m, f), v in labs.items() if m == 0 and f in
                   (FLUXON_PLUS, FLUXON_ABSENT)][0]
             hi = [v for (m, f), v in labs.items() if m == 1 and f in
                   (FLUXON_PLUS, FLUXON_ABSENT)][0]
-            plasmon.append(res.energies[i, hi] - res.energies[i, lo])
+            plasmon.append(ls.energies[hi] - ls.energies[lo])
         plasmon = np.array(plasmon)
         assert np.all(np.abs(plasmon / plasmon.mean() - 1) < 0.02)
 
@@ -80,7 +80,7 @@ class TestFluxSweep:
 
 class TestChargeDispersion:
     def test_symmetric_dispersion_equals_splitting(self, canonical, medium_trunc):
-        dE, eps, table = charge_dispersion(
+        dE, eps, splittings = charge_dispersion(
             canonical, np.pi, medium_trunc,
             ng_grid=np.linspace(0, 1, 5),
         )
@@ -90,7 +90,7 @@ class TestChargeDispersion:
         assert eps == pytest.approx(abs(dE), rel=0.05)
         assert dE > 0  # even-parity state lies lower at integer offset charge
         # the splitting collapses at half-integer offset charge
-        assert table.derived["splitting"][2] < 0.05 * abs(dE)
+        assert splittings[2] < 0.05 * abs(dE)
 
     def test_grid_must_cover_period(self, canonical, small_trunc):
         with pytest.raises(ValueError):
@@ -106,7 +106,7 @@ class TestDisorderSweep:
                 canonical, kind, [0.0], trunc=small_trunc,
                 ng_grid=np.linspace(0, 1, 3),
             )
-            rows[kind] = (res.derived["eps"][0], res.derived["dE"][0])
+            rows[kind] = (res.eps[0], res.dE[0])
         vals = list(rows.values())
         for v in vals[1:]:
             assert v[0] == pytest.approx(vals[0][0], rel=1e-9)
@@ -122,7 +122,7 @@ class TestDisorderSweep:
                 canonical, kind, [0.3], trunc=tr,
                 ng_grid=np.linspace(0, 1, 5),
             )
-            eps[kind] = res.derived["eps"][0]
+            eps[kind] = res.eps[0]
         assert eps["L"] < eps["J"]
         assert eps["L"] < eps["C"]
         assert eps["L"] < eps["A"]
@@ -134,7 +134,7 @@ class TestDisorderSweep:
                 canonical, kind, [0.15], trunc=medium_trunc,
                 ng_grid=np.linspace(0, 1, 3),
             )
-            dEs[kind] = abs(res.derived["dE"][0])
+            dEs[kind] = abs(res.dE[0])
         assert dEs["A"] == pytest.approx(dEs["L"], rel=0.5)
 
     def test_grid_bounds(self, canonical, small_trunc):
@@ -221,8 +221,20 @@ class TestMatrixElements:
         prim = canonical_medium.primitives
         v0 = canonical_medium.solution.vectors[:, 0]
         v1 = canonical_medium.solution.vectors[:, 1]
-        assert abs(prim.eta.matrix_element(v1, v0)) < 1e-8
-        assert abs(prim.dphi.matrix_element(v1, v0)) > 1.0
+        assert abs(np.vdot(v1, prim.eta.matrix @ v0)) < 1e-8
+        assert abs(np.vdot(v1, prim.dphi.matrix @ v0)) > 1.0
+
+    def test_parity_forbidden_weights_read_zero(self, canonical_medium):
+        # at half flux eta keeps the Cooper-pair parity and the loop phase
+        # flips it; the forbidden weights are roundoff (1e-32 to 1e-23 on
+        # this basis) and come back as exactly 0
+        parity = np.array([l.parity for l in canonical_medium.labels])
+        same = parity == parity[0]
+        eta2 = normalized_matrix_elements(canonical_medium, "eta")
+        phi2 = normalized_matrix_elements(canonical_medium, "phi")
+        assert np.all(eta2[~same] == 0.0)
+        assert np.all(phi2[same] == 0.0)
+        assert eta2[same].max() > 0.9 and phi2[~same].max() > 0.8
 
     def test_completeness_dense_instance(self, canonical, half_flux):
         tr = BasisTruncation(2, 2, 6)

@@ -7,9 +7,11 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from click.testing import CliRunner
 
 import cos2phi
 from cos2phi.cache import SolutionCache, _problem_key, worker_pool
+from cos2phi.cli import main
 from cos2phi.config import ConfigError, load_config, parse_override
 from cos2phi.model import BasisTruncation, BiasPoint
 
@@ -362,6 +364,18 @@ class TestCli:
         assert float(path_csv[3].split(",")[0]) == 0.0
         assert (out / "wavefunction_charge.csv").exists()
 
+    def test_descending_flux_grid_rejected(self, tmp_path, fast_config):
+        # the spectrum grid goes through flux_sweep's check
+        out = tmp_path / "desc"
+        r = _cli("spectrum", "--config", str(fast_config), "--out", str(out),
+                 "--set", "sweep.flux_start=3.4", "--set", "sweep.flux_stop=2.9",
+                 cwd=tmp_path)
+        assert r.returncode == 1, r.stderr
+        diag = json.loads(r.stderr.strip().splitlines()[-1])
+        assert diag["error_kind"] == "domain"
+        assert "increasing" in diag["message"]
+        assert not (out / "spectrum.csv").exists()
+
     def test_domain_error_exit_code(self, tmp_path):
         bad = tmp_path / "bad.yaml"
         bad.write_text("circuit: {eps_J: -5}\n")
@@ -433,3 +447,20 @@ class TestCli:
         assert log["diagonalizations"] == 0 and log["cache_hits"] == 3
         pooled, _ = _csv_parts(out / "spectrum.csv")
         assert pooled == serial
+
+
+SUBCOMMANDS = ("spectrum", "wavefunctions", "matrix-elements", "disorder",
+               "coherence", "instanton", "mathieu", "converge")
+
+
+def test_subcommands_registered():
+    assert sorted(main.commands) == sorted(SUBCOMMANDS)
+
+
+@pytest.mark.parametrize("sub", SUBCOMMANDS)
+def test_subcommand_help_lists_options(sub):
+    r = CliRunner().invoke(main, [sub, "--help"])
+    assert r.exit_code == 0, r.output
+    for opt in ("--config", "--out", "--set", "--no-cache"):
+        assert opt in r.output
+    assert ("--jobs" in r.output) == (sub == "spectrum")

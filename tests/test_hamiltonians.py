@@ -12,7 +12,7 @@ from cos2phi.hamiltonians import (
     parity_sector_hamiltonians,
     toy_hamiltonian,
 )
-from cos2phi.model import BasisTruncation, BiasPoint, build_primitives
+from cos2phi.model import BasisTruncation, BiasPoint, build_primitives, kron3
 
 
 class TestToyHamiltonian:
@@ -141,7 +141,7 @@ class TestFullHamiltonian:
         H = full_hamiltonian(canonical, half_flux, tr, primitives=prim)
         nN, na, nb = 7, 4, 9
         charge_par = prim.wrap_hermitian(
-            prim.kron3(
+            kron3(
                 sp.diags((-1.0) ** np.arange(-3, 4)), sp.identity(na), sp.identity(nb)
             )
         )
