@@ -8,19 +8,15 @@ from .model import (
     BiasPoint,
     CircuitParams,
     HermitianOperator,
-    Operator,
     build_primitives,
     displaced_cosine,
     displaced_sine,
 )
 from .hamiltonians import (
     EffectiveParams,
-    NormalModeReport,
     ToyParams,
-    effective_hamiltonian,
     effective_params,
     full_hamiltonian,
-    parity_sector_hamiltonians,
     toy_hamiltonian,
 )
 from .eigensolver import EigenSolution, lowest_eigenpairs

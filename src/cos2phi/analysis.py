@@ -112,7 +112,7 @@ def solve_circuit(
         H,
         k,
         seed=seed,
-        gauge_operator=prim.parity,
+        gauge_operator=prim.parity(),
         meta={"trunc": trunc.as_tuple()},
     )
     labels = label_states(sol, bias, prim)
@@ -138,6 +138,9 @@ def label_states(
     at_half = bias.at_half_flux
     # phi_ext is at integer flux exactly when phi_ext + pi is at half flux
     at_zero = BiasPoint(bias.phi_ext + np.pi).at_half_flux
+    parity = prim.parity()
+    num_b = prim.kron((None, None, prim.num_b))
+    cos_hop = None if at_zero or at_half else prim.kron((prim.cos_hop, None, None))
 
     parities = []
     occupations = []
@@ -145,15 +148,15 @@ def label_states(
     cos_ground = None
     for i in range(sol.k):
         v = sol.vectors[:, i]
-        pexp = prim.parity.expectation(v).real
+        pexp = np.vdot(v, parity @ v).real
         parities.append(1 if pexp >= 0 else -1)
-        occupations.append(prim.num_b.expectation(v).real)
+        occupations.append(np.vdot(v, num_b @ v).real)
         if at_zero:
             chains.append(FLUXON_UNLABELED)
         elif at_half:
             chains.append(FLUXON_PLUS if parities[-1] > 0 else FLUXON_MINUS)
         else:
-            cexp = prim.cos_phi_hop.expectation(v).real
+            cexp = np.vdot(v, cos_hop @ v).real
             if cos_ground is None:
                 cos_ground = cexp
             same_well = np.sign(cexp) == np.sign(cos_ground) and cos_ground != 0
@@ -473,9 +476,11 @@ def normalized_matrix_elements(ls: LabeledSolution, operator: str) -> np.ndarray
     """
     if operator not in ("eta", "phi"):
         raise ValueError("operator must be 'eta' or 'phi'")
-    O = ls.primitives.eta if operator == "eta" else ls.primitives.dphi
+    prim = ls.primitives
+    O = prim.kron((None, None, prim.eta) if operator == "eta"
+                  else (None, prim.dphi, None))
     g = ls.solution.vectors[:, 0]
-    Og = O.matrix @ g
+    Og = O @ g
     denom = float(np.real(np.vdot(Og, Og)))
     out = np.empty(ls.solution.k)
     for i in range(ls.solution.k):

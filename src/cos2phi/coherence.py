@@ -51,7 +51,6 @@ from .model import (
     charge_hops,
     displaced_cosine,
     displaced_sine,
-    kron3,
 )
 
 __all__ = [
@@ -120,17 +119,18 @@ def _coth(x: float) -> float:
 def _inductive_elements(params: CircuitParams, prim: Primitives):
     for s in (+1.0, -1.0):
         eps_L_i = params.eps_L / (1.0 + s * params.delta_L)
-        op = (0.5 * prim.dphi - s * prim.theta).hermitize()
-        yield eps_L_i, op
+        yield eps_L_i, prim.kron((None, 0.5 * prim.dphi, None),
+                                 (None, None, -s * prim.theta))
 
 
 def _capacitive_elements(params: CircuitParams, prim: Primitives):
     dC = params.delta_C_eff
-    half_charge = 0.5 * (prim.N - prim.eta)
     for s in (+1.0, -1.0):
         eps_C_i = params.eps_C / (1.0 + s * dC)
-        op = (prim.n + s * half_charge).hermitize()
-        yield eps_C_i, op
+        # n + s (N - eta) / 2
+        yield eps_C_i, prim.kron((None, prim.n, None),
+                                 (0.5 * s * prim.N, None, None),
+                                 (None, None, -0.5 * s * prim.eta))
 
 
 def _quasiparticle_elements(params: CircuitParams, bias: BiasPoint, prim: Primitives):
@@ -154,11 +154,10 @@ def _quasiparticle_elements(params: CircuitParams, bias: BiasPoint, prim: Primit
 
     sin_quarter = displaced_sine(prim.phi_zpf / 2.0, bias.phi_ext / 2.0, t.p0)
     cos_quarter = displaced_cosine(prim.phi_zpf / 2.0, bias.phi_ext / 2.0, t.p0)
-    Ib = sp.identity(t.q0 + 1)
     embed_full = sp.kron(E, sp.identity((t.p0 + 1) * (t.q0 + 1)), format="csr")
     for s in (+1.0, -1.0):
         eps_J_i = (1.0 + s * params.delta_J_eff) * params.eps_J
-        op = kron3(cos_half, sin_quarter, Ib) + s * kron3(sin_half, cos_quarter, Ib)
+        op = prim.kron((cos_half, sin_quarter, None), (s * sin_half, cos_quarter, None))
         yield eps_J_i, op, embed_full
 
 
@@ -203,7 +202,7 @@ def t1_channel(
     rate = 0.0
     if kind == "inductive":
         for eps_L_i, op in _inductive_elements(params, prim):
-            me2, amp = _normalized_amp(op.matrix, v0, v1)
+            me2, amp = _normalized_amp(op, v0, v1)
             if amp < ME_FLOOR:
                 continue
             rate += 2.0 * (eps_L_i * GHZ_TO_RAD_PER_S) * me2 * coth / q_ind(
@@ -211,14 +210,14 @@ def t1_channel(
             )
     elif kind == "capacitive":
         for eps_C_i, op in _capacitive_elements(params, prim):
-            me2, amp = _normalized_amp(op.matrix, v0, v1)
+            me2, amp = _normalized_amp(op, v0, v1)
             if amp < ME_FLOOR:
                 continue
             rate += 2.0 * (8.0 * eps_C_i * GHZ_TO_RAD_PER_S) * me2 * coth / q_cap(
                 omega, constants
             )
     elif kind == "purcell":
-        me2, amp = _normalized_amp(prim.eta.matrix, v0, v1)
+        me2, amp = _normalized_amp(prim.kron((None, None, prim.eta)), v0, v1)
         if amp >= ME_FLOOR:
             shunt_energy = 8.0 * params.x * params.eps_C  # (2e)^2 / C_shunt, GHz
             rate = 2.0 * (shunt_energy * GHZ_TO_RAD_PER_S) * me2 * coth / q_cap(
@@ -293,8 +292,8 @@ def _flux_curvature(ls: LabeledSolution) -> float:
     """
     params, bias, prim = ls.params, ls.bias, ls.primitives
     H = full_hamiltonian(params, bias, prim.trunc, primitives=prim).matrix
-    d1 = 0.5 * josephson_term(params, bias.phi_ext + np.pi, prim).matrix
-    d2 = -0.25 * josephson_term(params, bias.phi_ext, prim).matrix
+    d1 = 0.5 * josephson_term(params, bias.phi_ext + np.pi, prim)
+    d2 = -0.25 * josephson_term(params, bias.phi_ext, prim)
     V, E = ls.solution.vectors[:, :2], ls.energies[:2]
     sigma = E[0] - STERNHEIMER_SHIFT
     lu = factor_below_spectrum(H, sigma)
@@ -378,7 +377,7 @@ def tphi_critical_current(
         return math.inf
     HJ = josephson_term(ls.params, ls.bias.phi_ext, ls.primitives)
     v0, v1 = ls.solution.vectors[:, 0], ls.solution.vectors[:, 1]
-    deriv = HJ.expectation(v1).real - HJ.expectation(v0).real  # GHz
+    deriv = np.vdot(v1, HJ @ v1).real - np.vdot(v0, HJ @ v0).real  # GHz
     rate = constants.sqrt_A_epsJ_rel * abs(deriv) * GHZ_TO_RAD_PER_S
     return math.inf if rate < RATE_FLOOR else 1e3 / rate
 

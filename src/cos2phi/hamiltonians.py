@@ -1,5 +1,5 @@
-"""Hamiltonian assembly: toy model, full three-mode circuit, disorder,
-effective two-mode reduction, and parity-sector forms.
+"""Hamiltonian assembly: the toy model, the full three-mode circuit with
+disorder, and the printed coefficients of the reduced model.
 
 The full circuit Hamiltonian, in the operator form used for numerics and
 with disorder-dressed coefficients (tildes), reads
@@ -22,6 +22,10 @@ conventions implied by these signs (which junction or superinductance is
     junction i = +/-:        eps_J,i = (1 +/- dJ) eJ,   phase  phi/2 +/- vphi
     junction i = +/-:        eps_C,i = eC/(1 +/- dC),   charge n +/- (N-Ng-eta)/2
     superinductance i = +/-: eps_L,i = eL/(1 +/- dL),   flux   (phi-phi_ext)/2 -/+ theta
+
+Every term is a Kronecker product of single-mode blocks (charge, loop-sum,
+imbalance), and ``full_hamiltonian`` is their sum, assembled once by
+``Primitives.kron``.
 """
 
 from __future__ import annotations
@@ -39,11 +43,8 @@ from .model import (
     HermitianOperator,
     Primitives,
     build_primitives,
-    charge_hops,
     displaced_cosine,
     displaced_sine,
-    kron3,
-    ladder,
 )
 
 __all__ = [
@@ -53,9 +54,6 @@ __all__ = [
     "josephson_term",
     "EffectiveParams",
     "effective_params",
-    "effective_hamiltonian",
-    "parity_sector_hamiltonians",
-    "NormalModeReport",
     "UnsupportedBiasError",
 ]
 
@@ -86,7 +84,7 @@ class ToyParams:
             raise ValueError("N0_toy must be at least 2")
 
 
-def toy_hamiltonian(tp: ToyParams) -> HermitianOperator:
+def toy_hamiltonian(tp: ToyParams) -> sp.csr_matrix:
     """Charge-basis matrix: diagonal 4 E_C (N - Ng)^2, hopping -E_J/2 at |dN|=2.
 
     Only pairs of Cooper pairs tunnel, so the +/-1 off-diagonals are exactly
@@ -96,18 +94,27 @@ def toy_hamiltonian(tp: ToyParams) -> HermitianOperator:
     Nv = np.arange(-tp.N0_toy, tp.N0_toy + 1).astype(float)
     diag = 4.0 * tp.E_C * (Nv - tp.N_g) ** 2
     hop = np.full(n - 2, -0.5 * tp.E_J)
-    H = sp.diags([hop, diag, hop], [-2, 0, 2]).tocsr()
-    fp = f"toy:{tp.N0_toy}"
-    return HermitianOperator(H, fp)
+    return sp.diags([hop, diag, hop], [-2, 0, 2]).tocsr()
 
 
 # ---------------------------------------------------------------------------
 # full three-mode circuit
 # ---------------------------------------------------------------------------
 
+def _josephson_terms(params: CircuitParams, phi_ext: float, prim: Primitives):
+    p0 = prim.trunc.p0
+    terms = [(-2.0 * params.eps_J * prim.cos_hop,
+              displaced_cosine(prim.phi_zpf, phi_ext, p0), None)]
+    dJ = params.delta_J_eff
+    if dJ != 0.0:
+        terms.append((2.0 * params.eps_J * dJ * prim.sin_hop,
+                      displaced_sine(prim.phi_zpf, phi_ext, p0), None))
+    return terms
+
+
 def josephson_term(
     params: CircuitParams, phi_ext: float, prim: Primitives
-) -> HermitianOperator:
+) -> sp.csr_matrix:
     """The whole eps_J-proportional part of the circuit Hamiltonian,
 
         H_J = -2 eJ cos(vphi) cos(phi_zpf (a + a^)/2 + phi_ext/2)
@@ -117,18 +124,7 @@ def josephson_term(
     Nothing else in H depends on eJ or on phi_ext, so H is exactly linear
     in eJ with slope H_J / eJ, and dH/dphi_ext = H_J(phi_ext + pi) / 2.
     """
-    trunc = prim.trunc
-    cos_b, sin_b = charge_hops(2 * trunc.N0 + 1)
-    Ib = sp.identity(trunc.q0 + 1)
-    cos_d = displaced_cosine(prim.phi_zpf, phi_ext, trunc.p0)
-    H = (-2.0 * params.eps_J) * prim.wrap_hermitian(kron3(cos_b, cos_d, Ib))
-    dJ = params.delta_J_eff
-    if dJ != 0.0:
-        sin_d = displaced_sine(prim.phi_zpf, phi_ext, trunc.p0)
-        H = H + (2.0 * params.eps_J * dJ) * prim.wrap_hermitian(
-            kron3(sin_b, sin_d, Ib)
-        )
-    return H
+    return prim.kron(*_josephson_terms(params, phi_ext, prim))
 
 
 def full_hamiltonian(
@@ -139,11 +135,12 @@ def full_hamiltonian(
 ) -> HermitianOperator:
     """Assemble the complete (possibly disordered) circuit Hamiltonian.
 
-    Term by term as in the module docstring: disorder enters through the
-    dressed coefficients of ``params`` (the oscillator frequencies come
-    from ``build_primitives``) and through the asymmetry terms, each added
-    only when its asymmetry is nonzero.  Passing ``primitives`` skips
-    rebuilding the operator toolbox.
+    Term by term as in the module docstring, with 2 eC~ (N - Ng - eta)^2 and
+    H'_C expanded mode by mode: disorder enters through the dressed
+    coefficients of ``params`` (the oscillator frequencies come from
+    ``build_primitives``) and through the asymmetry terms, each added only
+    when its asymmetry is nonzero.  Passing ``primitives`` skips rebuilding
+    the single-mode blocks.
     """
     floor = BasisTruncation()
     if trunc.N0 < floor.N0 or trunc.p0 < floor.p0 or trunc.q0 < floor.q0:
@@ -155,25 +152,28 @@ def full_hamiltonian(
         )
     prim = primitives if primitives is not None else build_primitives(trunc, params)
 
-    charge = prim.N - bias.N_g * prim.identity - prim.eta
-    H = (
-        prim.omega_a * prim.num_a
-        + prim.omega_b * prim.num_b
-        + 2.0 * params.eps_C_dressed * (charge @ charge).hermitize()
-        + josephson_term(params, bias.phi_ext, prim)
-    )
+    charging = 2.0 * params.eps_C_dressed
+    q = prim.N - bias.N_g * sp.identity(prim.N.shape[0])  # N - Ng
+    terms = [
+        (None, prim.omega_a * prim.num_a, None),
+        (None, None, prim.omega_b * prim.num_b),
+        (charging * (q @ q), None, None),
+        (-2.0 * charging * q, None, prim.eta),
+        (None, None, charging * (prim.eta @ prim.eta)),
+        *_josephson_terms(params, bias.phi_ext, prim),
+    ]
     dC = params.delta_C_eff
     if dC != 0.0:
-        cross = (prim.n @ charge + charge @ prim.n) * 0.5
-        H = H + (-8.0 * params.eps_C_dressed * dC) * cross.hermitize()
+        c = -8.0 * params.eps_C_dressed * dC
+        terms += [(c * q, prim.n, None), (None, -c * prim.n, prim.eta)]
     dL = params.delta_L
     if dL != 0.0:
-        H = H + (params.eps_L_dressed * dL) * (prim.dphi @ prim.theta).hermitize()
-    return H
+        terms.append((None, params.eps_L_dressed * dL * prim.dphi, prim.theta))
+    return HermitianOperator(prim.kron(*terms), prim.fingerprint)
 
 
 # ---------------------------------------------------------------------------
-# effective two-mode model along the tunneling path
+# printed coefficients of the reduced model along the tunneling path
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
@@ -227,109 +227,3 @@ def effective_params(
         phi_ext_folded=bias.phi_ext_folded,
         order=order,
     )
-
-
-def effective_hamiltonian(
-    params: CircuitParams,
-    bias: BiasPoint,
-    order: str = "leading",
-    N0: int = 7,
-    q0: int = 30,
-) -> tuple[HermitianOperator, EffectiveParams]:
-    """Two-mode Hamiltonian of the path-reduced model.
-
-    Compact charge basis for the junction-difference mode, oscillator basis
-    for the imbalance mode.  Only the symmetric circuit is reducible this
-    way, so all disorder parameters must be zero.
-    """
-    if params.z >= 0.3:
-        raise ValueError("effective model requires eps_L/eps_J < 0.3")
-    if any(
-        getattr(params, d) != 0.0
-        for d in ("delta_J", "delta_C", "delta_A", "delta_L")
-    ):
-        raise ValueError("effective model is defined for the symmetric circuit")
-    ep = effective_params(params, bias, order)
-    Nv = np.arange(-N0, N0 + 1).astype(float)
-    fp = (f"effective:{order}:{N0}:{q0}:{params.eps_L:.12e}:{params.eps_C:.12e}"
-          f":{params.x:.12e}")
-    harmonics = enumerate(ep.coefficients(), start=1)
-    H = _reduced_model(params, Nv - bias.N_g, ep.kinetic_prefactor, harmonics, q0)
-    return HermitianOperator(H, fp), ep
-
-
-def _reduced_model(
-    params: CircuitParams, charge: np.ndarray, kappa: float, harmonics, q0: int
-) -> sp.csr_matrix:
-    """omega_b b^b + 4 eC kappa (charge - eta)^2 + sum_k c_k cos(k vphi).
-
-    ``charge`` is the diagonal of the compact-mode charge, offset included,
-    and ``harmonics`` yields the pairs (k, c_k); the imbalance mode is an
-    oscillator on q0 + 1 Fock states, whose theta^2 + x eta^2 quadratic
-    sector is the omega_b ladder.
-    """
-    eL, eC, x = params.eps_L, params.eps_C, params.x
-    nN, nb = len(charge), q0 + 1
-    b, bdag = ladder(nb)
-    Ib, IN = sp.identity(nb), sp.identity(nN)
-    omega_b = np.sqrt(16.0 * x * eC * eL)
-    eta_zpf = 0.5 * (eL / (x * eC)) ** 0.25
-    eta1 = 1j * eta_zpf * (bdag - b)
-
-    q = sp.kron(sp.diags(charge), Ib) - sp.kron(IN, eta1)
-    H = sp.kron(IN, omega_b * sp.diags(np.arange(nb).astype(float))).tocsr()
-    H = H + 4.0 * eC * kappa * (q @ q)
-    for k, ck in harmonics:
-        if ck != 0.0:
-            H = H + ck * sp.kron(charge_hops(nN, k)[0], Ib)
-    return H.tocsr()
-
-
-# ---------------------------------------------------------------------------
-# parity sectors at half flux
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class NormalModeReport:
-    """Scalar summary of the quadratic normal modes at half flux."""
-
-    plasmon_freq: float
-    self_resonance: float
-    quartic_coefficient: float
-
-
-def parity_sector_hamiltonians(
-    params: CircuitParams,
-    bias: BiasPoint,
-    N0_sector: int = 10,
-    q0: int = 30,
-) -> tuple[HermitianOperator, HermitianOperator, NormalModeReport]:
-    """Even and odd Cooper-pair-parity blocks of the reduced model.
-
-    Valid only at half flux, where the single-pair harmonic vanishes and the
-    doubled charge variable with sector offsets k+- in {0, 1} captures both
-    parity manifolds exactly.
-    """
-    if not bias.at_half_flux:
-        raise UnsupportedBiasError(
-            "parity sector factorization is defined at phi_ext = pi"
-        )
-    eL, eC, eJ, x = params.eps_L, params.eps_C, params.eps_J, params.x
-    ep = effective_params(params, bias, "leading")
-    Ntil = np.arange(-N0_sector, N0_sector + 1).astype(float)
-
-    out = []
-    for k_pm in (0.0, 1.0):
-        fp = f"sector:{k_pm:.0f}:{N0_sector}:{q0}:{eL:.12e}:{eC:.12e}:{eJ:.12e}:{x:.12e}"
-        H = _reduced_model(
-            params, 2.0 * Ntil + k_pm - bias.N_g, ep.kinetic_prefactor,
-            [(1, ep.c2)], q0,
-        )
-        out.append(HermitianOperator(H, fp))
-
-    report = NormalModeReport(
-        plasmon_freq=np.sqrt(16.0 * x * eL * eC),
-        self_resonance=np.sqrt(8.0 * eJ * eC),
-        quartic_coefficient=-eJ / 24.0,
-    )
-    return out[0], out[1], report

@@ -1,10 +1,11 @@
-"""Domain types and the primitive operator algebra.
+"""Domain types, per-mode operator blocks and their Kronecker assembly.
 
 The circuit has one compact junction-difference mode (charge basis, Cooper
 pair number ``N``), one loop-sum phase mode ``phi`` (oscillator ``a``), and
-one inductance-imbalance mode ``theta`` (oscillator ``b``).  Everything a
-Hamiltonian needs is built here as sparse matrices on the tensor product
-basis ``|N p q>`` with ``|N| <= N0``, ``p <= p0``, ``q <= q0``.
+one inductance-imbalance mode ``theta`` (oscillator ``b``).  ``Primitives``
+holds the small single-mode matrices of each; every operator on the tensor
+product basis ``|N p q>`` with ``|N| <= N0``, ``p <= p0``, ``q <= q0`` is a
+sum of Kronecker products of them, formed by ``Primitives.kron``.
 
 Zero point amplitudes follow from the quadratic sector,
 
@@ -29,7 +30,6 @@ __all__ = [
     "CircuitParams",
     "BiasPoint",
     "BasisTruncation",
-    "Operator",
     "HermitianOperator",
     "Primitives",
     "build_primitives",
@@ -38,9 +38,7 @@ __all__ = [
     "ladder",
     "displaced_cosine",
     "displaced_sine",
-    "displaced_trig_quadrature",
     "DimensionCapError",
-    "BasisMismatchError",
 ]
 
 HERMITICITY_RTOL = 1e-12
@@ -50,10 +48,6 @@ DIM_CAP = 400_000
 
 class DimensionCapError(RuntimeError):
     """Tensor-product dimension exceeds the configured resource cap."""
-
-
-class BasisMismatchError(ValueError):
-    """Arithmetic between operators built on different bases."""
 
 
 @dataclass(frozen=True)
@@ -152,13 +146,6 @@ class BiasPoint:
         """phi_ext within 1e-9 rad of pi (mod 2 pi): Cooper-pair parity is exact."""
         return abs(self.phi_ext % (2 * np.pi) - np.pi) < 1e-9
 
-    def reduced(self) -> "BiasPoint":
-        """Canonical representative with N_g mod 1 and phi_ext mod 4 pi.
-
-        Offered explicitly; no operation applies this reduction silently.
-        """
-        return BiasPoint(self.phi_ext % (4 * np.pi), self.N_g % 1.0)
-
 
 @dataclass(frozen=True)
 class BasisTruncation:
@@ -183,7 +170,7 @@ class BasisTruncation:
 def _fingerprint(trunc: BasisTruncation, scales: Iterable[float]) -> str:
     """Hash of the truncation plus the mode scales that define the basis.
 
-    Two operators interoperate only if both the truncation and the
+    A solution belongs to a basis only if both the truncation and the
     oscillator frequencies / zero point amplitudes match, since disorder
     dressing re-adapts the basis.
     """
@@ -191,8 +178,9 @@ def _fingerprint(trunc: BasisTruncation, scales: Iterable[float]) -> str:
     return hashlib.sha256(payload.encode()).hexdigest()[:16]
 
 
-class Operator:
-    """Sparse matrix on a fingerprinted basis.  Not necessarily Hermitian."""
+class HermitianOperator:
+    """Sparse matrix on a fingerprinted basis, validated against the
+    hermiticity tolerance once, at construction."""
 
     __slots__ = ("matrix", "dim", "fingerprint")
 
@@ -200,45 +188,6 @@ class Operator:
         self.matrix = matrix.tocsr()
         self.dim = matrix.shape[0]
         self.fingerprint = fingerprint
-
-    def _check(self, other: "Operator") -> None:
-        if self.fingerprint != other.fingerprint:
-            raise BasisMismatchError(
-                "operators built on different bases cannot be combined"
-            )
-
-    def __add__(self, other: "Operator") -> "Operator":
-        self._check(other)
-        return Operator(self.matrix + other.matrix, self.fingerprint)
-
-    def __sub__(self, other: "Operator") -> "Operator":
-        self._check(other)
-        return Operator(self.matrix - other.matrix, self.fingerprint)
-
-    def __mul__(self, c: complex) -> "Operator":
-        return Operator(self.matrix * c, self.fingerprint)
-
-    __rmul__ = __mul__
-
-    def __matmul__(self, other: "Operator") -> "Operator":
-        self._check(other)
-        return Operator(self.matrix @ other.matrix, self.fingerprint)
-
-    def expectation(self, vec: np.ndarray) -> complex:
-        return complex(np.vdot(vec, self.matrix @ vec))
-
-    def toarray(self) -> np.ndarray:
-        return self.matrix.toarray()
-
-    def hermitize(self) -> "HermitianOperator":
-        return HermitianOperator(self.matrix, self.fingerprint)
-
-
-class HermitianOperator(Operator):
-    """Operator validated against the hermiticity tolerance at construction."""
-
-    def __init__(self, matrix: sp.spmatrix, fingerprint: str):
-        super().__init__(matrix, fingerprint)
         dev = sp.csr_matrix(self.matrix - self.matrix.conj().T)
         scale = max(np.abs(self.matrix.data).max() if self.matrix.nnz else 0.0, 1e-300)
         if dev.nnz and np.abs(dev.data).max() > HERMITICITY_RTOL * scale:
@@ -247,19 +196,11 @@ class HermitianOperator(Operator):
                 f"max|H - H^| = {np.abs(dev.data).max():.3e} vs scale {scale:.3e}"
             )
 
-    def __add__(self, other: Operator) -> Operator:
-        out = super().__add__(other)
-        return out.hermitize() if isinstance(other, HermitianOperator) else out
+    def expectation(self, vec: np.ndarray) -> complex:
+        return complex(np.vdot(vec, self.matrix @ vec))
 
-    def __sub__(self, other: Operator) -> Operator:
-        out = super().__sub__(other)
-        return out.hermitize() if isinstance(other, HermitianOperator) else out
-
-    def __mul__(self, c: complex) -> Operator:
-        out = super().__mul__(c)
-        return out.hermitize() if np.isreal(c) else out
-
-    __rmul__ = __mul__
+    def toarray(self) -> np.ndarray:
+        return self.matrix.toarray()
 
 
 # ---------------------------------------------------------------------------
@@ -287,6 +228,14 @@ def _displacement_amplitudes(lam: float, p0: int) -> np.ndarray:
     return A
 
 
+def _displaced_trig(f, phi_zpf: float, offset: float, p0: int) -> np.ndarray:
+    if phi_zpf < 0:
+        raise ValueError("phi_zpf must be nonnegative")
+    A = _displacement_amplitudes(0.5 * phi_zpf, p0)
+    m = np.arange(p0 + 1)
+    return A * f(0.5 * offset + 0.5 * np.pi * np.abs(m[:, None] - m[None, :]))
+
+
 def displaced_cosine(phi_zpf: float, offset: float, p0: int) -> np.ndarray:
     """Exact matrix of cos(phi_zpf (a + a^)/2 + offset/2) on p0+1 Fock states.
 
@@ -294,48 +243,16 @@ def displaced_cosine(phi_zpf: float, offset: float, p0: int) -> np.ndarray:
     each (m, n) element is cos(offset/2 + (m-n) pi/2), which keeps the
     matrix real symmetric.
     """
-    if phi_zpf < 0:
-        raise ValueError("phi_zpf must be nonnegative")
-    lam = 0.5 * phi_zpf
-    A = _displacement_amplitudes(lam, p0)
-    m = np.arange(p0 + 1)
-    phase = np.cos(0.5 * offset + 0.5 * np.pi * np.abs(m[:, None] - m[None, :]))
-    return A * phase
+    return _displaced_trig(np.cos, phi_zpf, offset, p0)
 
 
 def displaced_sine(phi_zpf: float, offset: float, p0: int) -> np.ndarray:
     """Exact matrix of sin(phi_zpf (a + a^)/2 + offset/2); real symmetric."""
-    if phi_zpf < 0:
-        raise ValueError("phi_zpf must be nonnegative")
-    lam = 0.5 * phi_zpf
-    A = _displacement_amplitudes(lam, p0)
-    m = np.arange(p0 + 1)
-    phase = np.sin(0.5 * offset + 0.5 * np.pi * np.abs(m[:, None] - m[None, :]))
-    return A * phase
-
-
-def displaced_trig_quadrature(
-    phi_zpf: float, offset: float, p0: int, kind: str = "cos", pad: int = 0
-) -> np.ndarray:
-    """Independent construction: diagonalize the quadrature, apply the trig map.
-
-    X = phi_zpf (a + a^)/2 is real symmetric tridiagonal; with X = V D V^T the
-    operator is V f(D + offset/2) V^T.  Serves as the oracle for the closed
-    form above.  Rows near the truncation edge are contaminated; ``pad``
-    enlarges the working space before restricting to (p0+1) rows so the
-    oracle is clean over the whole requested block.
-    """
-    d = p0 + 1 + pad
-    off = 0.5 * phi_zpf * np.sqrt(np.arange(1, d))
-    X = np.diag(off, 1) + np.diag(off, -1)
-    evals, V = np.linalg.eigh(X)
-    f = np.cos if kind == "cos" else np.sin
-    full = (V * f(evals + 0.5 * offset)) @ V.T
-    return full[: p0 + 1, : p0 + 1]
+    return _displaced_trig(np.sin, phi_zpf, offset, p0)
 
 
 # ---------------------------------------------------------------------------
-# primitive operator set on the full tensor product space
+# per-mode blocks and their Kronecker assembly
 # ---------------------------------------------------------------------------
 
 def kron3(cb, ab, bb) -> sp.csr_matrix:
@@ -347,47 +264,10 @@ def kron3(cb, ab, bb) -> sp.csr_matrix:
     )
 
 
-def charge_hops(n: int, step: int = 1) -> tuple[sp.csr_matrix, sp.csr_matrix]:
-    """cos and sin of ``step`` times the compact phase on ``n`` charge states."""
-    hop = sp.diags([np.ones(n - step)], [step], shape=(n, n)).tocsr()
+def charge_hops(n: int) -> tuple[sp.csr_matrix, sp.csr_matrix]:
+    """cos and sin of the compact phase on ``n`` charge states."""
+    hop = sp.diags([np.ones(n - 1)], [1], shape=(n, n)).tocsr()
     return 0.5 * (hop + hop.T), (hop - hop.T) * (1.0 / (2.0j))
-
-
-@dataclass(frozen=True)
-class Primitives:
-    """Operator toolbox on the |N p q> basis for one (params, truncation).
-
-    Mode conventions (dressed coefficients where disorder applies):
-      phi   = phi_ext + phi_zpf (a + a^)   loop-sum phase; ``dphi`` is the
-                                           dynamical part phi - phi_ext
-      n     = i n_zpf (a^ - a)             its conjugate charge
-      theta = theta_zpf (b + b^)
-      eta   = i eta_zpf (b^ - b)
-    """
-
-    trunc: BasisTruncation
-    fingerprint: str
-    omega_a: float
-    omega_b: float
-    phi_zpf: float
-    theta_zpf: float
-    eta_zpf: float
-    identity: HermitianOperator
-    N: HermitianOperator
-    cos_phi_hop: HermitianOperator
-    sin_phi_hop: HermitianOperator
-    a: Operator
-    adag: Operator
-    num_a: HermitianOperator
-    num_b: HermitianOperator
-    n: HermitianOperator
-    dphi: HermitianOperator
-    theta: HermitianOperator
-    eta: HermitianOperator
-    parity: HermitianOperator
-
-    def wrap_hermitian(self, matrix: sp.spmatrix) -> HermitianOperator:
-        return HermitianOperator(matrix, self.fingerprint)
 
 
 def ladder(dim: int) -> tuple[sp.csr_matrix, sp.csr_matrix]:
@@ -397,8 +277,72 @@ def ladder(dim: int) -> tuple[sp.csr_matrix, sp.csr_matrix]:
     return low, low.T.tocsr()
 
 
+@dataclass(frozen=True, eq=False)
+class Primitives:
+    """Single-mode blocks and mode scales for one (params, truncation).
+
+    Mode conventions (dressed coefficients where disorder applies):
+      phi   = phi_ext + phi_zpf (a + a^)   loop-sum phase; ``dphi`` is the
+                                           dynamical part phi - phi_ext
+      n     = i n_zpf (a^ - a)             its conjugate charge
+      theta = theta_zpf (b + b^)
+      eta   = i eta_zpf (b^ - b)
+
+    Full-space operators are formed where they are used, by ``kron``; the
+    displaced trig blocks of the loop-sum mode depend on the flux and come
+    from ``displaced_cosine`` / ``displaced_sine`` at ``phi_zpf``.
+    """
+
+    trunc: BasisTruncation
+    fingerprint: str
+    omega_a: float
+    omega_b: float
+    phi_zpf: float
+    theta_zpf: float
+    eta_zpf: float
+    # charge mode
+    N: sp.csr_matrix
+    cos_hop: sp.csr_matrix
+    sin_hop: sp.csr_matrix
+    charge_parity: sp.csr_matrix
+    # loop-sum mode
+    a: sp.csr_matrix
+    num_a: sp.csr_matrix
+    dphi: sp.csr_matrix
+    n: sp.csr_matrix
+    fock_parity: sp.csr_matrix
+    # imbalance mode
+    theta: sp.csr_matrix
+    eta: sp.csr_matrix
+    num_b: sp.csr_matrix
+
+    def kron(self, *terms) -> sp.csr_matrix:
+        """Sum of Kronecker products (charge, loop-sum, imbalance) on |N p q>.
+
+        Each term is a triple of single-mode blocks; ``None`` stands for the
+        identity of that mode.  The result is canonical CSR: sorted indices,
+        no duplicates.
+        """
+        t = self.trunc
+        dims = (2 * t.N0 + 1, t.p0 + 1, t.q0 + 1)
+        total = None
+        for blocks in terms:
+            m = kron3(*(sp.identity(d) if b is None else b
+                        for b, d in zip(blocks, dims)))
+            total = m if total is None else total + m
+        total.sum_duplicates()
+        return total
+
+    def parity(self) -> sp.csr_matrix:
+        """Combined Cooper-pair parity: (-1)^N times the loop-sum Fock parity.
+
+        This is the symmetry the junction term preserves at half flux.
+        """
+        return self.kron((self.charge_parity, self.fock_parity, None))
+
+
 def build_primitives(trunc: BasisTruncation, params: CircuitParams) -> Primitives:
-    """Assemble the primitive operator set on the tensor product basis.
+    """Assemble the single-mode blocks of the tensor product basis.
 
     Oscillator frequencies and zero point amplitudes use the disorder
     dressed coefficients of ``params`` so that the basis stays adapted to
@@ -420,42 +364,11 @@ def build_primitives(trunc: BasisTruncation, params: CircuitParams) -> Primitive
 
     fp = _fingerprint(trunc, (omega_a, omega_b, phi_zpf, theta_zpf, eta_zpf))
 
-    nN = 2 * trunc.N0 + 1
+    Nvals = np.arange(-trunc.N0, trunc.N0 + 1)
     na, nb = trunc.p0 + 1, trunc.q0 + 1
-    Nvals = np.arange(-trunc.N0, trunc.N0 + 1).astype(float)
-
-    cos_hop, sin_hop = charge_hops(nN)
-    a1, adag1 = ladder(na)
-    b1, bdag1 = ladder(nb)
-
-    IN, Ia, Ib = sp.identity(nN), sp.identity(na), sp.identity(nb)
-    eye = kron3(IN, Ia, Ib)
-
-    Nmat = kron3(sp.diags(Nvals), Ia, Ib)
-    cosp = kron3(cos_hop, Ia, Ib)
-    sinp = kron3(sin_hop, Ia, Ib)
-    a_full = kron3(IN, a1, Ib)
-    adag_full = kron3(IN, adag1, Ib)
-    b_full = kron3(IN, Ia, b1)
-    bdag_full = kron3(IN, Ia, bdag1)
-    num_a = kron3(IN, sp.diags(np.arange(na).astype(float)), Ib)
-    num_b = kron3(IN, Ia, sp.diags(np.arange(nb).astype(float)))
-
-    n_zpf = 1.0 / (2.0 * phi_zpf)
-    n_full = 1j * n_zpf * (adag_full - a_full)
-    dphi = phi_zpf * (a_full + adag_full)
-    theta = theta_zpf * (b_full + bdag_full)
-    eta = 1j * eta_zpf * (bdag_full - b_full)
-
-    # combined Cooper-pair parity: (-1)^N on the charge index times the
-    # Fock parity of the loop-sum mode; this is the symmetry the junction
-    # term preserves at half flux
-    parity = kron3(
-        sp.diags((-1.0) ** np.arange(-trunc.N0, trunc.N0 + 1)),
-        sp.diags((-1.0) ** np.arange(na)),
-        Ib,
-    )
-
+    cos_hop, sin_hop = charge_hops(len(Nvals))
+    a, adag = ladder(na)
+    b, bdag = ladder(nb)
     return Primitives(
         trunc=trunc,
         fingerprint=fp,
@@ -464,17 +377,16 @@ def build_primitives(trunc: BasisTruncation, params: CircuitParams) -> Primitive
         phi_zpf=phi_zpf,
         theta_zpf=theta_zpf,
         eta_zpf=eta_zpf,
-        identity=HermitianOperator(eye, fp),
-        N=HermitianOperator(Nmat, fp),
-        cos_phi_hop=HermitianOperator(cosp, fp),
-        sin_phi_hop=HermitianOperator(sinp, fp),
-        a=Operator(a_full, fp),
-        adag=Operator(adag_full, fp),
-        num_a=HermitianOperator(num_a, fp),
-        num_b=HermitianOperator(num_b, fp),
-        n=HermitianOperator(n_full, fp),
-        dphi=HermitianOperator(dphi, fp),
-        theta=HermitianOperator(theta, fp),
-        eta=HermitianOperator(eta, fp),
-        parity=HermitianOperator(parity, fp),
+        N=sp.diags(Nvals.astype(float)).tocsr(),
+        cos_hop=cos_hop,
+        sin_hop=sin_hop,
+        charge_parity=sp.diags((-1.0) ** Nvals).tocsr(),
+        a=a,
+        num_a=sp.diags(np.arange(na).astype(float)).tocsr(),
+        dphi=phi_zpf * (a + adag),
+        n=1j * (1.0 / (2.0 * phi_zpf)) * (adag - a),
+        fock_parity=sp.diags((-1.0) ** np.arange(na)).tocsr(),
+        theta=theta_zpf * (b + bdag),
+        eta=1j * eta_zpf * (bdag - b),
+        num_b=sp.diags(np.arange(nb).astype(float)).tocsr(),
     )

@@ -37,8 +37,8 @@ from cos2phi.model import (
     BiasPoint,
     build_primitives,
     displaced_cosine,
-    displaced_trig_quadrature,
 )
+from oracles import displaced_trig_quadrature
 
 REPORT = Path(__file__).resolve().parent.parent / "acceptance_report.txt"
 PROD = BasisTruncation(7, 7, 30)
@@ -336,7 +336,8 @@ def test_criterion_12_property_suites(canonical, half_flux):
         H6.matrix.data).max()
     checks["hermiticity"] = herm0 and herm6
 
-    comm = (H0 @ prim.parity - prim.parity @ H0).matrix
+    P = prim.parity()
+    comm = H0.matrix @ P - P @ H0.matrix
     checks["parity-commutation"] = (
         np.abs(comm.data).max() if comm.nnz else 0.0
     ) <= 1e-10 * scale

@@ -32,7 +32,7 @@ class TestLabels:
     def test_ground_parity_expectation(self, canonical_medium):
         prim = canonical_medium.primitives
         v0 = canonical_medium.solution.vectors[:, 0]
-        p = prim.parity.expectation(v0).real
+        p = np.vdot(v0, prim.parity() @ v0).real
         assert p == pytest.approx(1.0, abs=1e-6)
 
     def test_off_bias_symbols(self, canonical, medium_trunc):
@@ -221,8 +221,10 @@ class TestMatrixElements:
         prim = canonical_medium.primitives
         v0 = canonical_medium.solution.vectors[:, 0]
         v1 = canonical_medium.solution.vectors[:, 1]
-        assert abs(np.vdot(v1, prim.eta.matrix @ v0)) < 1e-8
-        assert abs(np.vdot(v1, prim.dphi.matrix @ v0)) > 1.0
+        eta = prim.kron((None, None, prim.eta))
+        dphi = prim.kron((None, prim.dphi, None))
+        assert abs(np.vdot(v1, eta @ v0)) < 1e-8
+        assert abs(np.vdot(v1, dphi @ v0)) > 1.0
 
     def test_parity_forbidden_weights_read_zero(self, canonical_medium):
         # at half flux eta keeps the Cooper-pair parity and the loop phase

@@ -121,9 +121,10 @@ class TestLowestEigenpairs:
         # the near-degenerate doublet is rotated onto parity eigenstates
         prim = build_primitives(small_trunc, canonical)
         H = full_hamiltonian(canonical, half_flux, small_trunc, primitives=prim)
-        sol = lowest_eigenpairs(H, k=2, gauge_operator=prim.parity)
+        P = prim.parity()
+        sol = lowest_eigenpairs(H, k=2, gauge_operator=P)
         for i in (0, 1):
-            p = prim.parity.expectation(sol.vectors[:, i]).real
+            p = np.vdot(sol.vectors[:, i], P @ sol.vectors[:, i]).real
             assert abs(abs(p) - 1.0) < 1e-6
 
     def test_phase_convention(self, canonical, half_flux, small_trunc):

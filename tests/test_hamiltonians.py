@@ -1,18 +1,20 @@
 import numpy as np
 import pytest
 
-from cos2phi.eigensolver import lowest_eigenpairs
 from cos2phi.hamiltonians import (
     ToyParams,
-    UnsupportedBiasError,
-    effective_hamiltonian,
     effective_params,
     full_hamiltonian,
     josephson_term,
-    parity_sector_hamiltonians,
     toy_hamiltonian,
 )
-from cos2phi.model import BasisTruncation, BiasPoint, build_primitives, kron3
+from cos2phi.model import BasisTruncation, BiasPoint, build_primitives
+
+#: symmetric; each asymmetry alone; mixed junction/capacitance/inductance
+DISORDER_SETS = [
+    {}, {"delta_J": 0.2}, {"delta_C": 0.15}, {"delta_A": 0.1},
+    {"delta_L": 0.6}, {"delta_J": 0.1, "delta_C": 0.05, "delta_L": 0.3},
+]
 
 
 class TestToyHamiltonian:
@@ -51,11 +53,22 @@ class TestFullHamiltonian:
         assert pair_gap == pytest.approx(0.8, rel=0.05)
         assert e[3] - e[2] < 0.01
 
-    def test_hermitian_and_real_structure(self, canonical, half_flux):
+    @pytest.mark.parametrize("disorder", DISORDER_SETS)
+    @pytest.mark.parametrize("phi_ext", [np.pi, 0.8 * np.pi])
+    @pytest.mark.parametrize("N_g", [0.0, 0.3])
+    def test_hermitian_and_real_structure(self, canonical, disorder, phi_ext, N_g):
         tr = BasisTruncation(3, 3, 8)
-        H = full_hamiltonian(canonical, half_flux, tr)
+        H = full_hamiltonian(canonical.replace(**disorder), BiasPoint(phi_ext, N_g), tr)
         m = H.toarray()
         assert np.abs(m - m.conj().T).max() < 1e-12 * np.abs(m).max()
+
+    @pytest.mark.parametrize("disorder", DISORDER_SETS)
+    def test_canonical_csr(self, canonical, disorder):
+        # sorted indices and no duplicates, so every product H @ v sums each
+        # row in one fixed order however the terms were grouped
+        tr = BasisTruncation(3, 3, 8)
+        H = full_hamiltonian(canonical.replace(**disorder), BiasPoint(0.8 * np.pi, 0.3), tr)
+        assert H.matrix.has_canonical_format
 
     def test_decoupled_junction_free_spectrum(self):
         # with the junction term off, the loop-sum mode is exact and the
@@ -93,10 +106,11 @@ class TestFullHamiltonian:
         tr = BasisTruncation(3, 3, 8)
         p = canonical.replace(**disorder)
         prim = build_primitives(tr, p)
-        diff = (full_hamiltonian(p.replace(eps_J=2 * p.eps_J), bias, tr)
-                - full_hamiltonian(p, bias, tr))
+        H2 = full_hamiltonian(p.replace(eps_J=2 * p.eps_J), bias, tr)
+        H1 = full_hamiltonian(p, bias, tr)
+        diff = H2.matrix - H1.matrix
         HJ = josephson_term(p, bias.phi_ext, prim)
-        assert diff.fingerprint == HJ.fingerprint
+        assert H2.fingerprint == H1.fingerprint == prim.fingerprint
         assert np.abs((diff - HJ).toarray()).max() <= 1e-15 * np.abs(HJ.toarray()).max()
 
     def test_flux_periodicity(self, canonical):
@@ -126,25 +140,19 @@ class TestFullHamiltonian:
     def test_parity_commutator(self, canonical, half_flux):
         tr = BasisTruncation(3, 3, 8)
         prim = build_primitives(tr, canonical)
-        H = full_hamiltonian(canonical, half_flux, tr, primitives=prim)
-        comm = (H @ prim.parity - prim.parity @ H).toarray()
+        H = full_hamiltonian(canonical, half_flux, tr, primitives=prim).matrix
+        P = prim.parity()
+        comm = (H @ P - P @ H).toarray()
         scale = np.abs(H.toarray()).max()
         assert np.abs(comm).max() <= 1e-10 * scale
 
     def test_charge_parity_alone_does_not_commute(self, canonical, half_flux):
         # the junction term flips island-charge parity and loop-mode parity
         # together; the bare charge parity is not a symmetry
-        import scipy.sparse as sp
-
         tr = BasisTruncation(3, 3, 8)
         prim = build_primitives(tr, canonical)
-        H = full_hamiltonian(canonical, half_flux, tr, primitives=prim)
-        nN, na, nb = 7, 4, 9
-        charge_par = prim.wrap_hermitian(
-            kron3(
-                sp.diags((-1.0) ** np.arange(-3, 4)), sp.identity(na), sp.identity(nb)
-            )
-        )
+        H = full_hamiltonian(canonical, half_flux, tr, primitives=prim).matrix
+        charge_par = prim.kron((prim.charge_parity, None, None))
         comm = (H @ charge_par - charge_par @ H).toarray()
         assert np.abs(comm).max() > 1e-3 * np.abs(H.toarray()).max()
 
@@ -153,10 +161,7 @@ class TestChargeReflection:
     """N -> -N with complex conjugation maps H(N_g) onto H(-N_g), so the
     spectrum is even in the offset charge for any disorder and flux."""
 
-    @pytest.mark.parametrize("disorder", [
-        {}, {"delta_J": 0.2}, {"delta_C": 0.15}, {"delta_A": 0.1},
-        {"delta_L": 0.6}, {"delta_J": 0.1, "delta_C": 0.05, "delta_L": 0.3},
-    ])
+    @pytest.mark.parametrize("disorder", DISORDER_SETS)
     @pytest.mark.parametrize("phi_ext", [0.8 * np.pi, np.pi, 1.37])
     def test_spectrum_even_in_offset_charge(self, canonical, disorder, phi_ext):
         tr = BasisTruncation(3, 3, 8)
@@ -180,10 +185,10 @@ class TestDisorder:
         d = 0.3
         p = canonical.replace(delta_L=d)
         prim = build_primitives(tr, p)
-        Hp = (full_hamiltonian(p, half_flux, tr, primitives=prim)
+        Hp = (full_hamiltonian(p, half_flux, tr, primitives=prim).matrix
               - full_hamiltonian(p.replace(delta_L=0.0), half_flux, tr,
-                                 primitives=prim))
-        slope = canonical.eps_L * (prim.dphi @ prim.theta).hermitize()
+                                 primitives=prim).matrix)
+        slope = canonical.eps_L * prim.kron((None, prim.dphi, prim.theta))
         ratio = d / (1 - d**2)
         assert ratio == pytest.approx(0.32967, rel=1e-4)
         diff = (Hp - ratio * slope).toarray()
@@ -209,7 +214,8 @@ class TestDisorder:
         Hp = (josephson_term(p, half_flux.phi_ext, prim)
               - josephson_term(p.replace(delta_J=0.0), half_flux.phi_ext, prim))
         assert np.abs(Hp.toarray()).max() > 1.0
-        anti = (prim.parity @ Hp + Hp @ prim.parity).toarray()
+        P = prim.parity()
+        anti = (P @ Hp + Hp @ P).toarray()
         assert np.abs(anti).max() < 1e-12
 
     def test_delta_out_of_range(self, canonical, half_flux):
@@ -243,47 +249,3 @@ class TestEffective:
             lead = effective_params(p, BiasPoint(np.pi), "leading")
             ext = effective_params(p, BiasPoint(np.pi), "extended")
             assert abs(lead.kinetic_prefactor - ext.kinetic_prefactor) <= z**2 / 2
-
-    def test_effective_hamiltonian_spectrum_matches_full(self, canonical, half_flux):
-        # the reduced model reproduces the full doublet splitting to the
-        # accuracy of the semiclassical reduction (same order of magnitude
-        # and the 0.8 GHz pair spacing)
-        Heff, ep = effective_hamiltonian(canonical, half_flux, "extended", N0=7, q0=25)
-        sol = lowest_eigenpairs(Heff, 4)
-        e = sol.energies - sol.energies[0]
-        assert e[2] - e[0] == pytest.approx(0.8, rel=0.06)
-        assert e[1] < 5e-3
-
-    def test_effective_rejects_disorder(self, canonical, half_flux):
-        with pytest.raises(ValueError):
-            effective_hamiltonian(canonical.replace(delta_L=0.3), half_flux)
-
-
-class TestParitySectors:
-    def test_bias_guard(self, canonical):
-        with pytest.raises(UnsupportedBiasError):
-            parity_sector_hamiltonians(canonical, BiasPoint(0.9 * np.pi))
-
-    def test_normal_mode_report(self, canonical, half_flux):
-        _, _, rep = parity_sector_hamiltonians(canonical, half_flux, 4, 6)
-        assert rep.self_resonance == pytest.approx(np.sqrt(240.0), rel=1e-12)
-        assert rep.self_resonance == pytest.approx(15.49, rel=1e-3)
-        assert rep.plasmon_freq == pytest.approx(0.8, rel=1e-12)
-        assert rep.quartic_coefficient == pytest.approx(-15.0 / 24.0)
-
-    def test_sector_spectra_pairwise_close(self, canonical, half_flux):
-        # the two sectors coincide only after the offset-charge dependence is
-        # expanded away; keeping it exactly (as built here) they agree to the
-        # measured residuals below, converged in basis size
-        Hp, Hm, _ = parity_sector_hamiltonians(canonical, half_flux, N0_sector=10, q0=30)
-        wp = np.sort(np.linalg.eigvalsh(Hp.toarray()))[:4]
-        wm = np.sort(np.linalg.eigvalsh(Hm.toarray()))[:4]
-        resid = np.abs(wp - wm)
-        assert resid[0] < 5e-4
-        assert resid.max() < 5e-2
-
-    def test_sector_plasmon_ladder(self, canonical, half_flux):
-        Hp, _, rep = parity_sector_hamiltonians(canonical, half_flux, N0_sector=10, q0=30)
-        w = np.sort(np.linalg.eigvalsh(Hp.toarray()))
-        # ladder spacing approximates the plasmon frequency
-        assert w[1] - w[0] == pytest.approx(rep.plasmon_freq, rel=0.06)

@@ -2,9 +2,11 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from cos2phi.analysis import LabelingError, label_states
 from cos2phi.constants import PhysicalConstants
+from cos2phi.eigensolver import lowest_eigenpairs
+from cos2phi.hamiltonians import full_hamiltonian
 from cos2phi.model import (
-    BasisMismatchError,
     BasisTruncation,
     BiasPoint,
     CircuitParams,
@@ -13,8 +15,8 @@ from cos2phi.model import (
     build_primitives,
     displaced_cosine,
     displaced_sine,
-    displaced_trig_quadrature,
 )
+from oracles import displaced_trig_quadrature
 import scipy.sparse as sp
 
 
@@ -71,13 +73,6 @@ class TestBiasPoint:
         for phi in (0.0, 2 * np.pi, np.pi + 2e-9, 0.9 * np.pi):
             assert not BiasPoint(phi).at_half_flux
 
-    def test_reduction_explicit_not_silent(self):
-        b = BiasPoint(5 * np.pi, 1.25)
-        assert b.phi_ext == pytest.approx(5 * np.pi)  # untouched
-        r = b.reduced()
-        assert r.phi_ext == pytest.approx(np.pi)
-        assert r.N_g == pytest.approx(0.25)
-
 
 class TestBasisTruncation:
     def test_dim(self):
@@ -89,11 +84,18 @@ class TestBasisTruncation:
 
 
 class TestOperatorAlgebra:
-    def test_fingerprint_mismatch_rejected(self, canonical):
-        p1 = build_primitives(BasisTruncation(2, 2, 2), canonical)
-        p2 = build_primitives(BasisTruncation(2, 2, 3), canonical)
-        with pytest.raises(BasisMismatchError):
-            p1.N + p2.N
+    def test_labels_reject_other_basis(self, canonical, half_flux):
+        tr = BasisTruncation(2, 2, 2)
+        sol = lowest_eigenpairs(full_hamiltonian(canonical, half_flux, tr), 2)
+        other = build_primitives(BasisTruncation(2, 2, 3), canonical)
+        with pytest.raises(LabelingError, match="different bases"):
+            label_states(sol, half_flux, other)
+
+    def test_gauge_operator_shape_checked(self, canonical, half_flux):
+        H = full_hamiltonian(canonical, half_flux, BasisTruncation(2, 2, 2))
+        other = build_primitives(BasisTruncation(2, 2, 3), canonical)
+        with pytest.raises(ValueError, match="gauge operator"):
+            lowest_eigenpairs(H, 2, gauge_operator=other.parity())
 
     def test_dressing_changes_fingerprint(self, canonical):
         tr = BasisTruncation(2, 2, 2)
@@ -114,19 +116,21 @@ class TestOperatorAlgebra:
 class TestPrimitives:
     def test_charge_number_minimal(self, canonical):
         prim = build_primitives(BasisTruncation(1, 0, 0), canonical)
-        assert np.allclose(prim.N.toarray(), np.diag([-1.0, 0.0, 1.0]))
+        N = prim.kron((prim.N, None, None))
+        assert np.allclose(N.toarray(), np.diag([-1.0, 0.0, 1.0]))
 
     def test_cos_hop_minimal(self, canonical):
         prim = build_primitives(BasisTruncation(1, 0, 0), canonical)
-        m = prim.cos_phi_hop.toarray()
+        m = prim.kron((prim.cos_hop, None, None)).toarray()
         assert np.count_nonzero(m) == 4
         assert np.allclose(m[m != 0], 0.5)
 
     def test_ladder_commutator(self, canonical):
         p0 = 6
         prim = build_primitives(BasisTruncation(1, p0, 0), canonical)
-        comm = (prim.a @ prim.adag - prim.adag @ prim.a).toarray()
-        eye = prim.identity.toarray()
+        a = prim.kron((None, prim.a, None))
+        comm = (a @ a.T - a.T @ a).toarray()
+        eye = prim.kron((None, None, None)).toarray()
         # deviation confined to the truncation corner p = p0
         diff = comm - eye
         nb = 1  # q0 = 0
@@ -148,7 +152,9 @@ class TestPrimitives:
     def test_eta_theta_conjugate(self, canonical):
         nb = 9
         prim = build_primitives(BasisTruncation(1, 0, nb - 1), canonical)
-        comm = (prim.theta @ prim.eta - prim.eta @ prim.theta).toarray()
+        theta = prim.kron((None, None, prim.theta))
+        eta = prim.kron((None, None, prim.eta))
+        comm = (theta @ eta - eta @ theta).toarray()
         # [theta, eta] = i on each charge block, up to the truncation corner
         block = comm[:nb, :nb]
         inner = block[:-1, :-1]
@@ -156,8 +162,11 @@ class TestPrimitives:
 
     def test_all_primitives_hermitian(self, canonical):
         prim = build_primitives(BasisTruncation(2, 3, 4), canonical)
-        for op in (prim.N, prim.cos_phi_hop, prim.sin_phi_hop, prim.n,
-                   prim.dphi, prim.theta, prim.eta, prim.parity):
+        blocks = ((prim.N, None, None), (prim.cos_hop, None, None),
+                  (prim.sin_hop, None, None), (None, prim.n, None),
+                  (None, prim.dphi, None), (None, None, prim.theta),
+                  (None, None, prim.eta))
+        for op in [prim.kron(b) for b in blocks] + [prim.parity()]:
             m = op.toarray()
             assert np.abs(m - m.conj().T).max() <= 1e-12 * max(np.abs(m).max(), 1e-300)
 
