@@ -2,8 +2,10 @@
 
 A ``SolutionCache`` carries the Krylov seed and, when it has a ``root``, a
 directory of serialized eigen-solutions.  Keys hash the full problem
-description (circuit parameters, bias, truncation, k, seed), so identical
-physics never diagonalizes twice regardless of which config asked for it.
+description (circuit parameters, bias, truncation, k, seed) and a format
+version, so identical physics never diagonalizes twice regardless of which
+config asked for it.  Version 5 stores vectors in the gauged frame of
+``model``: real at half flux.
 Without a root every request is solved.  Hit and miss counts feed the run log for
 idempotence checks.
 """
@@ -69,7 +71,7 @@ def _problem_key(
             "t": trunc.as_tuple(),
             "k": k,
             "seed": seed,
-            "v": 4,
+            "v": 5,
         },
         sort_keys=True,
     )

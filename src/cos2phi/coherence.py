@@ -51,6 +51,7 @@ from .model import (
     charge_hops,
     displaced_cosine,
     displaced_sine,
+    kron3,
 )
 
 __all__ = [
@@ -142,6 +143,10 @@ def _quasiparticle_elements(params: CircuitParams, bias: BiasPoint, prim: Primit
     the doubled lattice together with the embedding of physical states into
     its integer sublattice; matrix elements between physical states then
     vanish by charge-parity structure rather than by fiat.
+
+    The gauge phases of ``Primitives.kron`` do not cover the doubled lattice,
+    so the operators are built in the lab frame and the embedding takes a
+    gauged vector to its lab-frame image: callers write ``embed @ v``.
     """
     t = prim.trunc
     nN = 2 * t.N0 + 1
@@ -154,10 +159,12 @@ def _quasiparticle_elements(params: CircuitParams, bias: BiasPoint, prim: Primit
 
     sin_quarter = displaced_sine(prim.phi_zpf / 2.0, bias.phi_ext / 2.0, t.p0)
     cos_quarter = displaced_cosine(prim.phi_zpf / 2.0, bias.phi_ext / 2.0, t.p0)
-    embed_full = sp.kron(E, sp.identity((t.p0 + 1) * (t.q0 + 1)), format="csr")
+    dN, dp, dq = prim.phases()
+    embed_full = sp.kron(E @ sp.diags(dN), sp.diags(np.kron(dp, dq)), format="csr")
+    imb = sp.identity(t.q0 + 1)
     for s in (+1.0, -1.0):
         eps_J_i = (1.0 + s * params.delta_J_eff) * params.eps_J
-        op = prim.kron((cos_half, sin_quarter, None), (s * sin_half, cos_quarter, None))
+        op = kron3(cos_half, sin_quarter, imb) + kron3(s * sin_half, cos_quarter, imb)
         yield eps_J_i, op, embed_full
 
 
@@ -298,6 +305,13 @@ def _flux_curvature(ls: LabeledSolution) -> float:
     sigma = E[0] - STERNHEIMER_SHIFT
     lu = factor_below_spectrum(H, sigma)
 
+    def solve(r):
+        # at half flux the LU is real and H' imaginary, and SuperLU takes no
+        # complex right-hand side on a real factor: the real and imaginary
+        # parts go as two columns of one solve
+        y = lu.solve(np.column_stack([r.real, r.imag]))
+        return y[:, 0] + 1j * y[:, 1]
+
     def project(v):
         return v - V @ (V.conj().T @ v)
 
@@ -307,7 +321,7 @@ def _flux_curvature(ls: LabeledSolution) -> float:
         b = project(d1n)
         x = np.zeros_like(b)
         for _ in range(STERNHEIMER_MAX_ITER):
-            x_new = project(lu.solve(b + (E[n] - sigma) * x))
+            x_new = project(solve(b + (E[n] - sigma) * x))
             step = np.linalg.norm(x_new - x)
             x = x_new
             if step <= STERNHEIMER_RTOL * np.linalg.norm(x):

@@ -5,6 +5,9 @@ The backend follows from the problem: dense ``eigh`` up to
 basis the CLI uses) or when (nearly) all eigenpairs are asked for, and
 shift-invert Lanczos with a seeded start vector otherwise.  The two
 backends agree to well below 1e-8, which the test suite checks directly.
+Both run in the arithmetic of H as ``Primitives.kron`` returned it: real at
+half flux (the gauged frame of ``model``), complex elsewhere.  Nothing here
+casts H.
 
 Every shifted factorization in the package, the Lanczos operator here and
 the Sternheimer solve of the flux curvature, comes from
@@ -153,10 +156,7 @@ def lowest_eigenpairs(
     # ARPACK needs k < dim - 1 on complex matrices
     backend = "dense" if dim <= DENSE_THRESHOLD or k >= dim - 1 else "krylov"
     if backend == "dense":
-        M = H.toarray()
-        if np.abs(M.imag).max() == 0.0:
-            M = M.real
-        evals, evecs = sla.eigh(M)
+        evals, evecs = sla.eigh(H.toarray())
         energies, vectors = evals[:k], evecs[:, :k]
         solve_info = {}
     else:
@@ -214,8 +214,6 @@ def _krylov_lowest(H: HermitianOperator, k: int, seed: int):
     any |E0|.
     """
     M = H.matrix.tocsc()
-    if M.nnz and np.iscomplexobj(M.data) and np.abs(M.data.imag).max() == 0.0:
-        M = M.real
     rng = np.random.default_rng(seed)
     v0 = rng.standard_normal(M.shape[0])
     try:

@@ -43,7 +43,9 @@ class DispersionResult:
 
     ``eps_k`` is the full band swing across one offset-charge period, signed
     by the direction of travel; adjacent levels of a doublet carry opposite
-    signs.  ``splitting`` tabulates the doublet gap over ``ng_grid``.
+    signs.  ``splitting`` tabulates the doublet gap over ``ng_grid``.  The
+    closed form also gives ``eps_k_next_order``, its value with the first
+    correction of DLMF 28.8.2; an exact result leaves it NaN.
     """
 
     k: int
@@ -52,6 +54,7 @@ class DispersionResult:
     band: np.ndarray
     splitting: np.ndarray
     method: str
+    eps_k_next_order: float = float("nan")
 
 
 def _sector_matrices(tp: ToyParams, ng: float) -> list[np.ndarray]:
@@ -134,7 +137,9 @@ def asymptotic_dispersion(
 
     The printed formula indexes doublets: its k-th value is the common
     magnitude of the two levels (2k, 2k+1), which disperse with opposite
-    signs.  The splitting table is |eps_k cos(pi Ng)|.
+    signs.  The splitting table is |eps_k cos(pi Ng)|.  The next order of
+    DLMF eq. 28.8.2 multiplies the printed form by
+    1 - (6k^2 + 14k + 7) / (32 sqrt q), with sqrt q = sqrt(2 E_J / E_C) / 4.
     """
     r = tp.E_J / tp.E_C
     if r < 20:
@@ -152,6 +157,8 @@ def asymptotic_dispersion(
         * (2.0 * tp.E_J / tp.E_C) ** ((2.0 * k + 3.0) / 4.0)
         * np.exp(-np.sqrt(2.0 * tp.E_J / tp.E_C))
     )
+    sqrt_q = np.sqrt(2.0 * tp.E_J / tp.E_C) / 4.0
+    next_order = 1.0 - (6 * k**2 + 14 * k + 7) / (32.0 * sqrt_q)
     ng_grid = np.linspace(0.0, 1.0, ng_points)
     splitting = np.abs(eps * np.cos(np.pi * ng_grid))
     return DispersionResult(
@@ -161,4 +168,5 @@ def asymptotic_dispersion(
         band=np.full(ng_points, np.nan),
         splitting=splitting,
         method="asymptotic",
+        eps_k_next_order=float(eps * next_order),
     )

@@ -7,6 +7,16 @@ holds the small single-mode matrices of each; every operator on the tensor
 product basis ``|N p q>`` with ``|N| <= N0``, ``p <= p0``, ``q <= q0`` is a
 sum of Kronecker products of them, formed by ``Primitives.kron``.
 
+Every full-space matrix is in the gauged frame D^ O D, with the diagonal
+D = diag(i^N) (x) diag(i^p) (x) diag(i^q).  At half flux the circuit has exact
+Cooper-pair parity and the exact N_g -> -N_g antiunitary symmetry, and D^ H D
+is real for every circuit and offset charge, so every half-flux solve runs in
+real arithmetic.  The single-mode blocks keep their lab-frame meaning; only
+``kron`` applies the phases, and only ``kron`` decides whether a full-space
+matrix is real.  Matrix elements and expectation values are frame independent;
+a projection onto lab-frame wavefunctions multiplies a vector by the phases of
+``Primitives.phases`` first.
+
 Zero point amplitudes follow from the quadratic sector,
 
     phi_zpf = (8 eps_C / eps_L)**0.25        loop-sum mode
@@ -42,6 +52,12 @@ __all__ = [
 ]
 
 HERMITICITY_RTOL = 1e-12
+#: a full-space matrix whose imaginary part is at most this fraction of its
+#: largest entry is returned real; at half flux the gauged frame leaves only
+#: roundoff from entries such as cos(pi/2)
+REAL_RTOL = 1e-14
+#: i^k for k mod 4: the gauge phases, exact, with no complex powers
+_I_POWERS = np.array([1.0, 1.0j, -1.0, -1.0j])
 #: hard cap on tensor product dimension; beyond this a solve is not desk scale
 DIM_CAP = 400_000
 
@@ -316,21 +332,37 @@ class Primitives:
     eta: sp.csr_matrix
     num_b: sp.csr_matrix
 
+    def phases(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Gauge phases i^N, i^p, i^q of the charge, loop-sum and imbalance
+        modes; the full-space D is their Kronecker product."""
+        t = self.trunc
+        return tuple(_I_POWERS[k % 4] for k in (
+            np.arange(-t.N0, t.N0 + 1), np.arange(t.p0 + 1), np.arange(t.q0 + 1)))
+
     def kron(self, *terms) -> sp.csr_matrix:
-        """Sum of Kronecker products (charge, loop-sum, imbalance) on |N p q>.
+        """Sum of Kronecker products (charge, loop-sum, imbalance) on |N p q>,
+        in the gauged frame.
 
         Each term is a triple of single-mode blocks; ``None`` stands for the
-        identity of that mode.  The result is canonical CSR: sorted indices,
+        identity of that mode.  Each block B of a mode with phases d enters as
+        B_ij conj(d_i) d_j.  This is the one place that decides realness: the
+        sum is returned as a real matrix, without its explicit zeros, when its
+        imaginary part is at most ``REAL_RTOL`` of its largest entry, and as a
+        complex one otherwise.  The result is canonical CSR: sorted indices,
         no duplicates.
         """
-        t = self.trunc
-        dims = (2 * t.N0 + 1, t.p0 + 1, t.q0 + 1)
+        phases = self.phases()
         total = None
         for blocks in terms:
-            m = kron3(*(sp.identity(d) if b is None else b
-                        for b, d in zip(blocks, dims)))
+            m = kron3(*(sp.identity(len(ph)) if b is None
+                        else sp.diags(ph.conj()) @ b @ sp.diags(ph)
+                        for b, ph in zip(blocks, phases)))
             total = m if total is None else total + m
         total.sum_duplicates()
+        if total.nnz and np.abs(total.data.imag).max() <= (
+                REAL_RTOL * np.abs(total.data).max()):
+            total = total.real
+            total.eliminate_zeros()
         return total
 
     def parity(self) -> sp.csr_matrix:

@@ -180,7 +180,7 @@ class TestWavefunctions:
         assert norm == pytest.approx(1.0, abs=1e-9)
         # global-phase invariance of the magnitude field
         ls = canonical_medium
-        rotated = ls.solution.vectors.copy()
+        rotated = ls.solution.vectors.astype(complex)
         rotated[:, 0] *= np.exp(0.7j)
         from dataclasses import replace
 

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 import scipy.linalg as sla
+import scipy.sparse as sp
 
 from cos2phi import coherence
 from cos2phi.analysis import solve_circuit
@@ -130,6 +131,29 @@ class TestT1Channels:
             denom = np.sqrt(np.real(np.vdot(op @ w0, op @ w0)))
             assert denom > 0.1  # the operator itself is far from zero
             assert me / denom < 1e-8
+
+    def test_quasiparticle_embedding_undoes_the_gauge(self, canonical, small_trunc):
+        # the returned embedding takes a gauged vector v to the lab-frame
+        # vector D v on the integer sublattice of the doubled charge lattice
+        from cos2phi.coherence import _quasiparticle_elements
+
+        ls = solve_circuit(canonical, BiasPoint(0.9 * np.pi, 0.0), small_trunc, k=2)
+        t = small_trunc
+        N, p, q = np.meshgrid(np.arange(-t.N0, t.N0 + 1), np.arange(t.p0 + 1),
+                              np.arange(t.q0 + 1), indexing="ij")
+        d = (1j ** (N + p + q)).ravel()
+        nN = 2 * t.N0 + 1
+        sublattice = sp.csr_matrix((np.ones(nN), (np.arange(0, 2 * nN - 1, 2),
+                                                  np.arange(nN))),
+                                   shape=(2 * nN - 1, nN))
+        lab_embed = sp.kron(sublattice, sp.identity((t.p0 + 1) * (t.q0 + 1)))
+        for _, op, embed in _quasiparticle_elements(ls.params, ls.bias,
+                                                    ls.primitives):
+            for v in ls.solution.vectors.T:
+                w = lab_embed @ (d * v)
+                assert np.abs(embed @ v - w).max() <= 1e-15
+                # the lab-frame operator acts on it far from trivially
+                assert np.linalg.norm(op @ w) > 0.1
 
     def test_unknown_channel(self, canonical_medium):
         with pytest.raises(ValueError):

@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 import json
 import os
 import subprocess
@@ -98,6 +99,28 @@ class TestSolutionCache:
         assert np.array_equal(a.energies, b.energies)
         assert np.array_equal(a.solution.vectors, b.solution.vectors)
         assert [l.fluxon for l in a.labels] == [l.fluxon for l in b.labels]
+
+    def test_half_flux_store_is_real(self, tmp_path, canonical):
+        # in the gauged frame a disordered circuit at half flux and N_g != 0
+        # has a real Hamiltonian, so the store keeps float64 vectors
+        params = canonical.replace(delta_L=0.6)
+        bias = BiasPoint(np.pi, 0.3)
+        tr = BasisTruncation(3, 3, 8)
+        cache = SolutionCache(tmp_path / "store")
+        a = cache.get_or_solve(params, bias, tr, k=3)
+        b = cache.get_or_solve(params, bias, tr, k=3)
+        assert cache.misses == 1 and cache.hits == 1
+        (stored,) = (tmp_path / "store").glob("*.npz")
+        with np.load(stored) as data:
+            assert data["vectors"].dtype == np.float64
+        assert a.solution.vectors.dtype == b.solution.vectors.dtype == np.float64
+        assert np.array_equal(a.energies, b.energies)
+        assert a.labels == b.labels
+        # stored vectors are in the gauged frame: the key carries version 5
+        payload = json.dumps({"p": dataclasses.astuple(params),
+                              "b": [bias.phi_ext, bias.N_g], "t": tr.as_tuple(),
+                              "k": 3, "seed": cache.seed, "v": 5}, sort_keys=True)
+        assert stored.stem == hashlib.sha256(payload.encode()).hexdigest()
 
     def test_distinct_problems_distinct_entries(self, tmp_path, canonical, half_flux):
         cache = SolutionCache(tmp_path / "store")

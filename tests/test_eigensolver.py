@@ -73,10 +73,11 @@ class TestLowestEigenpairs:
 
     @pytest.mark.parametrize("k", [2, 6])
     def test_backend_equivalence_disordered_complex(self, k):
-        # an asymmetric circuit off N_g = 0 has a genuinely complex H, so the
-        # floor pass, the shifted LU and Lanczos all run in complex arithmetic
+        # off half flux an asymmetric circuit has a genuinely complex H, even
+        # in the gauged frame, so the floor pass, the shifted LU and Lanczos
+        # all run in complex arithmetic
         params = CircuitParams(15.0, 2.0, 1.0, 0.02, delta_L=0.6)
-        H = full_hamiltonian(params, BiasPoint(np.pi, 0.125),
+        H = full_hamiltonian(params, BiasPoint(0.8 * np.pi, 0.125),
                              BasisTruncation(4, 4, 14))
         assert H.dim > DENSE_THRESHOLD
         assert np.abs(H.matrix.data.imag).max() > 0.1

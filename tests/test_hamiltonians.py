@@ -249,3 +249,67 @@ class TestEffective:
             lead = effective_params(p, BiasPoint(np.pi), "leading")
             ext = effective_params(p, BiasPoint(np.pi), "extended")
             assert abs(lead.kinetic_prefactor - ext.kinetic_prefactor) <= z**2 / 2
+
+
+class TestGaugedFrame:
+    """D^ H D with D = diag(i^N) (x) diag(i^p) (x) diag(i^q) is real at half
+    flux for every circuit and offset charge (ROADMAP M4)."""
+
+    @pytest.mark.parametrize("disorder", DISORDER_SETS)
+    @pytest.mark.parametrize("phi_ext", [np.pi, 3 * np.pi])
+    @pytest.mark.parametrize("N_g", [0.0, 0.3, 0.5])
+    def test_real_at_half_flux(self, canonical, disorder, phi_ext, N_g):
+        tr = BasisTruncation(3, 3, 8)
+        params = canonical.replace(**disorder)
+        H = full_hamiltonian(params, BiasPoint(phi_ext, N_g), tr)
+        assert H.matrix.dtype == np.float64
+        HJ = josephson_term(params, phi_ext, build_primitives(tr, params))
+        assert not np.iscomplexobj(HJ.data)
+
+    @pytest.mark.parametrize("disorder", DISORDER_SETS)
+    def test_complex_off_half_flux(self, canonical, disorder):
+        tr = BasisTruncation(3, 3, 8)
+        H = full_hamiltonian(canonical.replace(**disorder),
+                             BiasPoint(0.8 * np.pi, 0.0), tr)
+        assert H.matrix.dtype == np.complex128
+        assert np.abs(H.matrix.data.imag).max() > 1e-3 * np.abs(H.matrix.data).max()
+
+    @staticmethod
+    def _lab_phases(tr):
+        # an independent D: complex powers of i, not the phase table
+        N, p, q = np.meshgrid(np.arange(-tr.N0, tr.N0 + 1), np.arange(tr.p0 + 1),
+                              np.arange(tr.q0 + 1), indexing="ij")
+        return (1j ** (N + p + q)).ravel()
+
+    @pytest.mark.parametrize("disorder", [{}, DISORDER_SETS[-1]])
+    def test_energies_equal_lab_frame(self, canonical, disorder):
+        from cos2phi.analysis import solve_circuit
+
+        tr = BasisTruncation(4, 4, 14)
+        params = canonical.replace(**disorder)
+        bias = BiasPoint(np.pi, 0.3)
+        d = self._lab_phases(tr)
+        H = full_hamiltonian(params, bias, tr).toarray()
+        lab = d[:, None] * H * d.conj()[None, :]
+        assert np.abs(lab.imag).max() > 1e-3  # the lab frame is complex
+        ref = np.linalg.eigvalsh(lab)[:6]
+        ls = solve_circuit(params, bias, tr, k=6)
+        assert ls.solution.meta["backend"] == "krylov"
+        assert ls.solution.vectors.dtype == np.float64
+        assert np.abs(ls.energies - ref).max() <= 1e-12 * np.abs(ref).max()
+
+    def test_projection_undoes_the_gauge(self, canonical_medium):
+        from cos2phi.analysis import _hermite_column, _theta0_projection
+
+        ls = canonical_medium
+        prim, tr = ls.primitives, ls.primitives.trunc
+        phi = np.linspace(0.0, 2 * np.pi, 37)
+        chi_q0 = _hermite_column(tr.q0, np.array([0.0]))[0] / np.sqrt(prim.theta_zpf)
+        chi_p = (_hermite_column(tr.p0, (phi - ls.bias.phi_ext) / prim.phi_zpf)
+                 / np.sqrt(prim.phi_zpf))
+        for i in range(2):
+            lab = (self._lab_phases(tr) * ls.solution.vectors[:, i]).reshape(
+                2 * tr.N0 + 1, tr.p0 + 1, tr.q0 + 1)
+            expect = (lab @ chi_q0) @ chi_p.T
+            got = _theta0_projection(ls, i, phi)
+            assert np.abs(got - expect).max() <= 1e-13

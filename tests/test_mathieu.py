@@ -134,3 +134,30 @@ class TestAsymptoticQuality:
         corrected = np.polyfit(np.sqrt(rs), lny - 0.75 * np.log(2 * rs), 1)[0]
         assert plain == pytest.approx(-1.188, abs=0.01)
         assert corrected == pytest.approx(-np.sqrt(2.0), rel=0.02)
+
+
+class TestNextOrder:
+    """The DLMF 28.8.2 correction against the exact bands (ROADMAP M7)."""
+
+    @pytest.mark.parametrize("k, bound", [(0, 0.01), (1, 0.03)])
+    def test_next_order_error(self, k, bound):
+        for r in (40, 50, 60, 70, 80):
+            tp = ToyParams(E_J=2.0 * r, E_C=2.0, N0_toy=40)
+            # doublet k of the closed form is exact band 2k
+            ex = exact_dispersion(tp, 2 * k, ng_points=5).eps_k
+            res = asymptotic_dispersion(tp, k)
+            assert abs(abs(ex) / abs(res.eps_k_next_order) - 1) <= bound
+            # the correction is what moves the closed form onto the bands
+            assert abs(abs(ex) / abs(res.eps_k) - 1) > bound
+
+    def test_next_order_factor(self):
+        tp = ToyParams(E_J=100.0, E_C=2.0)
+        sqrt_q = np.sqrt(2 * tp.E_J / tp.E_C) / 4
+        for k in (0, 1, 2):
+            res = asymptotic_dispersion(tp, k)
+            expect = res.eps_k * (1 - (6 * k**2 + 14 * k + 7) / (32 * sqrt_q))
+            assert res.eps_k_next_order == pytest.approx(expect, rel=1e-14)
+
+    def test_exact_result_has_no_next_order(self):
+        res = exact_dispersion(ToyParams(E_J=100.0, E_C=2.0, N0_toy=40), 0, 5)
+        assert np.isnan(res.eps_k_next_order)
