@@ -24,7 +24,6 @@ def main(argv=None):
     ap.add_argument("--out", default="runs/coherence_table.csv")
     ap.add_argument("--deltas", type=float, nargs="+",
                     default=[0.0, 0.3, 0.6, 0.9])
-    ap.add_argument("--ng-points", type=int, default=9)
     args = ap.parse_args(argv)
 
     out = Path(args.out)
@@ -36,10 +35,7 @@ def main(argv=None):
     rows = []
     for dL in args.deltas:
         params = CircuitParams(15.0, 2.0, 1.0, 0.02, delta_L=dL)
-        rep = full_report(
-            params, bias, trunc,
-            ng_grid=np.linspace(0, 1, args.ng_points), solver=solver,
-        )
+        rep = full_report(params, bias, trunc, solver=solver)
         for ch, t in sorted(rep.t1.items()):
             rows.append([dL, "T1", ch, t])
         for ch, t in sorted(rep.tphi.items()):

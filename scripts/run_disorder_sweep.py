@@ -1,15 +1,14 @@
 #!/usr/bin/env python3
 """Charge dispersion and doublet splitting versus asymmetry, for all four
-disorder kinds.  Points whose dispersion falls below the numerical floor
-are flagged unresolved rather than extrapolated.
+disorder kinds.  Points whose dispersion falls below the numerical floor,
+or whose truncation defect is too large, are flagged unresolved rather
+than extrapolated.
 """
 
 import argparse
 import csv
 import sys
 from pathlib import Path
-
-import numpy as np
 
 from cos2phi import CircuitParams
 from cos2phi.analysis import disorder_sweep
@@ -22,7 +21,6 @@ def main(argv=None):
     ap.add_argument("--kinds", nargs="+", default=["J", "C", "A", "L"])
     ap.add_argument("--deltas", type=float, nargs="+",
                     default=[0.0, 0.15, 0.3, 0.45, 0.6])
-    ap.add_argument("--ng-points", type=int, default=9)
     args = ap.parse_args(argv)
 
     params = CircuitParams(15.0, 2.0, 1.0, 0.02)
@@ -31,15 +29,11 @@ def main(argv=None):
     solver = SolutionCache(out.parent / ".solutions")
     with open(out, "w", newline="") as fh:
         w = csv.writer(fh)
-        w.writerow(["kind", "delta", "eps", "dE", "unresolved"])
+        w.writerow(["kind", "delta", "eps", "defect", "dE", "unresolved"])
         for kind in args.kinds:
-            res = disorder_sweep(
-                params, kind, args.deltas,
-                ng_grid=np.linspace(0, 1, args.ng_points), solver=solver,
-            )
-            for d, eps, dE, unresolved in zip(res.deltas, res.eps, res.dE,
-                                              res.unresolved):
-                w.writerow([kind, d, eps, dE, bool(unresolved)])
+            res = disorder_sweep(params, kind, args.deltas, solver=solver)
+            w.writerows((kind, *row) for row in zip(
+                res.deltas, res.eps, res.defect, res.dE, res.unresolved))
             print(f"kind {kind}: eps = "
                   + ", ".join(f"{e:.3e}" for e in res.eps))
     print(f"wrote {out}")

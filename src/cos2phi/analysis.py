@@ -18,7 +18,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .cache import SolutionCache
-from .eigensolver import DEFAULT_SEED, EigenSolution, fix_global_phase, lowest_eigenpairs
+from .eigensolver import (DEFAULT_SEED, EigenSolution, NonConvergenceError,
+                          fix_global_phase, lowest_eigenpairs)
 from .hamiltonians import full_hamiltonian
 from .model import BasisTruncation, BiasPoint, CircuitParams, Primitives, build_primitives
 
@@ -40,11 +41,13 @@ __all__ = [
     "normalized_matrix_elements",
     "dispersive_shift",
     "DISPERSION_FLOOR",
+    "DEFECT_MAX",
     "ME_FLOOR",
 ]
 
 CONFIDENCE_WARN = 0.7
 DISPERSION_FLOOR = 1e-9  # GHz; smaller dispersions are flagged unresolved
+DEFECT_MAX = 0.1         # larger truncation defects are flagged unresolved
 ME_FLOOR = 1e-10         # normalized coupling amplitude below this is absent
 
 FLUXON_PLUS = "+"
@@ -210,31 +213,33 @@ def charge_dispersion(
     params: CircuitParams,
     phi_ext: float = np.pi,
     trunc: BasisTruncation = BasisTruncation(),
-    ng_grid=None,
     solver: SolutionCache | None = None,
-) -> tuple[float, float, np.ndarray]:
+) -> tuple[float, float, float]:
     """Signed qubit splitting at Ng = 0, its swing over one charge period,
-    and the splitting at every grid point.
+    and the truncation defect of that swing.
 
-    The grid starts at Ng = 0 and reaches 1.  The swing uses the sorted
-    (nonnegative) splitting; the signed value at Ng = 0 follows the parity
-    labels, positive when the even state is lower.
+    The spectrum is even in Ng and of unit period, so the splitting s is
+    stationary at Ng = 0 and 1/2 and the swing is eps = |s(0) - s(1/2)|.
+    s(1/4) must lie strictly between the two, else the extrema lie elsewhere
+    and ``NonConvergenceError`` is raised.  The defect |s(1) - s(0)| / eps
+    is how far the truncated basis breaks the period.  The signed value at
+    Ng = 0 follows the parity labels, positive when the even state is lower.
     """
-    if ng_grid is None:
-        ng_grid = np.linspace(0.0, 1.0, 41)
-    ng_grid = np.asarray(ng_grid, dtype=float)
-    if ng_grid.size == 0 or ng_grid[0] != 0.0 or ng_grid.max() < 1.0:
-        raise ValueError("Ng grid must start at 0 and reach 1")
     solver = solver or SolutionCache()
     # keep two numbers per point, not the solutions and their primitives
-    splittings, parities = np.array([
+    (s0, parity), (s4, _), (s2, _), (s1, _) = [
         (ls.splitting, ls.labels[0].parity)
         for ls in solver.map(
-            [(params, BiasPoint(phi_ext, ng), trunc, 2) for ng in ng_grid]
+            [(params, BiasPoint(phi_ext, ng), trunc, 2) for ng in (0.0, 0.25, 0.5, 1.0)]
         )
-    ]).T
-    eps = float(splittings.max() - splittings.min())
-    return float(parities[0] * splittings[0]), eps, splittings
+    ]
+    if not min(s0, s2) < s4 < max(s0, s2):
+        raise NonConvergenceError(
+            f"splitting not monotone in Ng on [0, 1/2]: s(0) = {s0:.6e}, "
+            f"s(1/4) = {s4:.6e}, s(1/2) = {s2:.6e} GHz"
+        )
+    eps = abs(s0 - s2)
+    return parity * s0, eps, abs(s1 - s0) / eps
 
 
 #: default truncation escalation for inductive-disorder dispersion hunts;
@@ -268,8 +273,9 @@ class DisorderSweep:
 
     deltas: np.ndarray
     eps: np.ndarray         # dispersion over one charge period (GHz)
+    defect: np.ndarray      # truncation defect of eps, |s(1) - s(0)| / eps
     dE: np.ndarray          # signed splitting at Ng = 0 (GHz)
-    unresolved: np.ndarray  # eps below DISPERSION_FLOOR
+    unresolved: np.ndarray  # eps below DISPERSION_FLOOR or defect above DEFECT_MAX
     eps_monotone_decreasing: bool  # over the resolved points
     dE_monotone_increasing: bool   # in |dE|
 
@@ -280,15 +286,15 @@ def disorder_sweep(
     deltas,
     phi_ext: float = np.pi,
     trunc: BasisTruncation | None = None,
-    ng_grid=None,
     solver: SolutionCache | None = None,
 ) -> DisorderSweep:
     """Charge dispersion and splitting versus one disorder parameter.
 
     With ``trunc=None`` an escalating truncation schedule keeps the
     truncation artifact below the shrinking physical dispersion.  Points
-    whose dispersion falls below ``DISPERSION_FLOOR`` are flagged
-    unresolved rather than extrapolated.
+    whose dispersion falls below ``DISPERSION_FLOOR``, or whose truncation
+    defect exceeds ``DEFECT_MAX``, are flagged unresolved rather than
+    extrapolated.
     """
     if kind not in ("J", "C", "A", "L"):
         raise ValueError("kind must be one of J, C, A, L")
@@ -297,19 +303,19 @@ def disorder_sweep(
         raise ValueError("disorder grid must lie within [0, 0.9]")
 
     solver = solver or SolutionCache()
-    dE, eps = np.array([
+    dE, eps, defect = np.array([
         charge_dispersion(
             params.replace(**{f"delta_{kind}": float(d)}), phi_ext,
-            trunc or dispersion_truncation(float(d)), ng_grid=ng_grid,
-            solver=solver,
-        )[:2]
+            trunc or dispersion_truncation(float(d)), solver=solver,
+        )
         for d in deltas
     ]).T
-    unresolved = eps < DISPERSION_FLOOR
+    unresolved = (eps < DISPERSION_FLOOR) | (defect > DEFECT_MAX)
     resolved_eps = eps[~unresolved]
     return DisorderSweep(
         deltas=deltas,
         eps=eps,
+        defect=defect,
         dE=dE,
         unresolved=unresolved,
         eps_monotone_decreasing=bool(np.all(np.diff(resolved_eps) < 0)),

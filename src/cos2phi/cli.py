@@ -332,18 +332,13 @@ def disorder(r: _Runner) -> list[str]:
     # the default escalating truncation keeps tiny dispersions honest
     res = disorder_sweep(
         cfg.circuit, kind, [float(d) for d in sw["deltas"]],
-        phi_ext=cfg.bias.phi_ext,
-        ng_grid=np.linspace(0.0, 1.0, int(sw["ng_points"])),
-        solver=r.cache,
+        phi_ext=cfg.bias.phi_ext, solver=r.cache,
     )
-    rows = [
-        [d, eps, dE, abs(dE), bool(unresolved)]
-        for d, eps, dE, unresolved in zip(res.deltas, res.eps, res.dE,
-                                          res.unresolved)
-    ]
+    rows = zip(res.deltas, res.eps, res.defect, res.dE, np.abs(res.dE),
+               res.unresolved)
     write_csv(
         r.out / "disorder.csv",
-        ["delta", "eps", "dE", "abs_dE", "unresolved"],
+        ["delta", "eps", "defect", "dE", "abs_dE", "unresolved"],
         rows,
         r.provenance,
     )
@@ -376,12 +371,9 @@ def coherence(r: _Runner) -> list[str]:
         temperature=cfg.temperature,
         **{k: float(v) for k, v in ch_cfg.items() if k != "enabled"},
     )
-    ng_points = int(cfg.section("sweep")["ng_points"])
     report = full_report(
         cfg.circuit, cfg.bias, cfg.truncation,
-        constants=constants, channels=ch_cfg["enabled"],
-        ng_grid=np.linspace(0.0, 1.0, ng_points),
-        solver=r.cache,
+        constants=constants, channels=ch_cfg["enabled"], solver=r.cache,
     )
     rows = [["T1", k, v] for k, v in sorted(report.t1.items())]
     rows += [["Tphi", k, v] for k, v in sorted(report.tphi.items())]

@@ -402,7 +402,11 @@ def tphi_critical_current(
 
 @dataclass(frozen=True)
 class CoherenceReport:
-    """Per-channel lifetimes (ms, inf = numerical infinity) and totals."""
+    """Per-channel lifetimes (ms, inf = numerical infinity) and totals.
+
+    ``eps`` and ``defect`` are the charge dispersion (GHz) behind the charge
+    channel and its truncation defect; ``None`` when that channel is off.
+    """
 
     t1: dict
     tphi: dict
@@ -410,6 +414,8 @@ class CoherenceReport:
     tphi_total: float
     t2: float
     inputs: dict
+    eps: float | None
+    defect: float | None
 
     def as_dict(self) -> dict:
         def clean(d):
@@ -421,6 +427,8 @@ class CoherenceReport:
             "t1_total_ms": "inf" if math.isinf(self.t1_total) else self.t1_total,
             "tphi_total_ms": "inf" if math.isinf(self.tphi_total) else self.tphi_total,
             "t2_ms": "inf" if math.isinf(self.t2) else self.t2,
+            "charge_dispersion_ghz": self.eps,
+            "charge_dispersion_defect": self.defect,
             "inputs": self.inputs,
         }
 
@@ -436,17 +444,14 @@ def full_report(
     trunc: BasisTruncation = BasisTruncation(),
     constants: PhysicalConstants = DEFAULT_CONSTANTS,
     channels: Collection[str] = CHANNELS,
-    ng_grid=None,
-    dispersion_trunc: BasisTruncation | None = None,
     solver: SolutionCache | None = None,
 ) -> CoherenceReport:
     """Coherence budget at one operating point over the named ``channels``.
 
     Every channel reads its environment from ``constants``; a name outside
-    ``CHANNELS`` raises ``ValueError``.  ``dispersion_trunc`` optionally sets
-    the basis for the charge dispersion only, where truncation artifacts
-    dominate first; by default it is the escalation schedule at
-    ``delta_L``, never smaller than ``trunc``.
+    ``CHANNELS`` raises ``ValueError``.  The charge dispersion, where
+    truncation artifacts dominate first, is solved on the escalation
+    schedule at ``delta_L``, never smaller than ``trunc``.
     """
     unknown = sorted(set(channels) - set(CHANNELS))
     if unknown:
@@ -462,12 +467,13 @@ def full_report(
             t1[kind] = t1_channel(kind, ls, constants)
 
     tphi: dict[str, float] = {}
+    eps = defect = None
     if "charge" in channels:
         # dispersions shrink exponentially with asymmetry and fall below the
         # truncation artifact of the working basis
-        d_tr = dispersion_trunc or dispersion_truncation(params.delta_L, trunc)
-        _, eps, _ = charge_dispersion(
-            params, bias.phi_ext, d_tr, ng_grid=ng_grid, solver=solver
+        _, eps, defect = charge_dispersion(
+            params, bias.phi_ext, dispersion_truncation(params.delta_L, trunc),
+            solver=solver,
         )
         tphi["charge"] = tphi_charge(eps)
     if "flux" in channels:
@@ -498,4 +504,6 @@ def full_report(
             "trunc": trunc.as_tuple(),
             "temperature_K": constants.temperature,
         },
+        eps=eps,
+        defect=defect,
     )

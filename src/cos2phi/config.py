@@ -47,7 +47,7 @@ _DEFAULTS = {
     "output_dir": None,
     "sweep": {
         "flux_start": 0.6 * float(np.pi), "flux_stop": 1.4 * float(np.pi),
-        "flux_points": 21, "ng_points": 41,
+        "flux_points": 21,
         "deltas": [0.0, 0.3, 0.6, 0.9], "kind": "L", "k": 6,
     },
     "channels": {
@@ -62,9 +62,11 @@ _DEFAULTS = {
 }
 
 
-#: every key a config may set: those of ``_DEFAULTS`` and the retired
-#: ``dense_threshold``, which ``load_config`` drops unread
-_ACCEPTED = {**_DEFAULTS, "dense_threshold": None}
+#: keys that older configs, the benchmark's among them, still set: the
+#: eigensolver picks its backend from the problem size, and the charge
+#: dispersion solves fixed offset charges.  ``load_config`` drops them
+#: unread, so they neither fail validation nor change the hash.
+_RETIRED = {"dense_threshold": None, "sweep": {"ng_points": None}}
 
 
 class ConfigError(ValueError):
@@ -90,6 +92,16 @@ def _merge(base: dict, override: dict) -> dict:
         else:
             out[k] = v
     return out
+
+
+#: every key a config may set: those of ``_DEFAULTS`` and ``_RETIRED``
+_ACCEPTED = _merge(_DEFAULTS, _RETIRED)
+
+
+def _drop_retired(tree: dict, retired: dict = _RETIRED) -> dict:
+    """``tree`` without the leaves of ``retired``."""
+    return {k: _drop_retired(v, retired[k]) if k in retired else v
+            for k, v in tree.items() if retired.get(k, {}) is not None}
 
 
 def parse_override(text: str) -> dict:
@@ -183,11 +195,7 @@ def load_config(path: str | Path | None, overrides=()) -> RunConfig:
         o = parse_override(text)
         _validate(o, _ACCEPTED)
         merged = _merge(merged, o)
-    # The eigensolver picks its backend from the problem size, but older
-    # configs, the benchmark's among them, still set ``dense_threshold``:
-    # the key is accepted and dropped unread, so it neither fails validation
-    # nor changes the hash.
-    merged.pop("dense_threshold", None)
+    merged = _drop_retired(merged)
     if int(merged["config_version"]) != CONFIG_VERSION:
         raise ConfigError(
             f"unsupported config_version {merged['config_version']!r}; "

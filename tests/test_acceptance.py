@@ -42,7 +42,6 @@ from oracles import displaced_trig_quadrature
 
 REPORT = Path(__file__).resolve().parent.parent / "acceptance_report.txt"
 PROD = BasisTruncation(7, 7, 30)
-NG5 = np.linspace(0.0, 1.0, 5)
 
 
 def report(line: str) -> None:
@@ -227,7 +226,7 @@ def test_criterion_09_coherence_regression(canonical, half_flux, ls0, ls06):
     lines.append(f"inductive T1(0) = {t1_ind:.3f} ms vs 0.61 +-25%: "
                  f"{'ok' if cond else 'FAIL'}")
 
-    _, eps0, _ = charge_dispersion(canonical, np.pi, PROD, ng_grid=NG5)
+    _, eps0, _ = charge_dispersion(canonical, np.pi, PROD)
     tphi0 = tphi_charge(eps0)
     cond = abs(tphi0 / 0.0037 - 1) <= 0.25
     ok &= cond
@@ -235,8 +234,7 @@ def test_criterion_09_coherence_regression(canonical, half_flux, ls0, ls06):
                  f"{'ok' if cond else 'FAIL'}")
 
     _, eps6, _ = charge_dispersion(
-        canonical.replace(delta_L=0.6), np.pi, BasisTruncation(10, 10, 46),
-        ng_grid=NG5,
+        canonical.replace(delta_L=0.6), np.pi, BasisTruncation(10, 10, 46)
     )
     tphi6 = tphi_charge(eps6)
     cond = 74.0 / 2 <= tphi6 <= 74.0 * 2
@@ -283,7 +281,7 @@ def test_criterion_10_disorder_trends(canonical):
     eps, dEs = [], []
     for dL, tr in schedule.items():
         p = canonical.replace(delta_L=dL)
-        dE, e, _ = charge_dispersion(p, np.pi, tr, ng_grid=NG5)
+        dE, e, _ = charge_dispersion(p, np.pi, tr)
         eps.append(e)
         dEs.append(abs(dE))
     eps = np.array(eps)

@@ -1,3 +1,5 @@
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
@@ -17,8 +19,11 @@ from cos2phi.analysis import (
     wavefunction_charge,
     wavefunction_phase,
 )
+from cos2phi.cache import SolutionCache
+from cos2phi.eigensolver import NonConvergenceError
 from cos2phi.model import BasisTruncation, BiasPoint, CircuitParams
 from cos2phi.hamiltonians import full_hamiltonian
+from test_hamiltonians import DISORDER_SETS
 
 
 class TestLabels:
@@ -78,34 +83,82 @@ class TestFluxSweep:
             flux_sweep(canonical, [3.0, 2.0], trunc=small_trunc)
 
 
+class _RecordingSolver:
+    """Stands in for ``SolutionCache``: records the problems of ``map`` and
+    answers each with a fixed splitting and ground-state parity."""
+
+    def __init__(self, splittings, parity):
+        self.splittings = splittings  # {N_g: E1 - E0}
+        self.parity = parity
+        self.problems = []
+
+    def map(self, problems, jobs=1):
+        self.problems += problems
+        for _, bias, _, _ in problems:
+            yield SimpleNamespace(splitting=self.splittings[bias.N_g],
+                                  labels=[SimpleNamespace(parity=self.parity)])
+
+
 class TestChargeDispersion:
     def test_symmetric_dispersion_equals_splitting(self, canonical, medium_trunc):
-        dE, eps, splittings = charge_dispersion(
-            canonical, np.pi, medium_trunc,
-            ng_grid=np.linspace(0, 1, 5),
-        )
+        dE, eps, defect = charge_dispersion(canonical, np.pi, medium_trunc)
         assert eps >= 0
         # perfect symmetry: the swing over one period equals the splitting,
         # up to the charge-window asymmetry of this small basis (~3%)
         assert eps == pytest.approx(abs(dE), rel=0.05)
         assert dE > 0  # even-parity state lies lower at integer offset charge
         # the splitting collapses at half-integer offset charge
-        assert splittings[2] < 0.05 * abs(dE)
+        half = SolutionCache().get_or_solve(
+            canonical, BiasPoint(np.pi, 0.5), medium_trunc, 2
+        )
+        assert half.splitting < 0.05 * abs(dE)
 
-    def test_grid_must_cover_period(self, canonical, small_trunc):
-        with pytest.raises(ValueError):
-            charge_dispersion(canonical, np.pi, small_trunc,
-                              ng_grid=np.linspace(0, 0.5, 3))
+    def test_four_offset_charges_one_rule(self, canonical, small_trunc):
+        solver = _RecordingSolver({0.0: 3.0, 0.25: 2.0, 0.5: 1.0, 1.0: 3.5},
+                                  parity=-1)
+        dE, eps, defect = charge_dispersion(canonical, np.pi, small_trunc,
+                                            solver=solver)
+        assert [(p, b.phi_ext, b.N_g, t, k) for p, b, t, k in solver.problems] == [
+            (canonical, np.pi, ng, small_trunc, 2) for ng in (0.0, 0.25, 0.5, 1.0)
+        ]
+        assert (dE, eps, defect) == (-3.0, 2.0, 0.25)
+        # the swing may rise from Ng = 0 to 1/2 as well
+        solver = _RecordingSolver({0.0: 1.0, 0.25: 1.5, 0.5: 3.0, 1.0: 1.0},
+                                  parity=1)
+        assert charge_dispersion(canonical, np.pi, small_trunc,
+                                 solver=solver) == (1.0, 2.0, 0.0)
+
+    @pytest.mark.parametrize("quarter", [0.5, 1.0, 3.0, 3.5])
+    def test_non_monotone_swing_is_non_convergence(self, canonical, small_trunc,
+                                                   quarter):
+        # s(1/4) outside the open interval (s(1/2), s(0)): the two stationary
+        # offset charges need not hold the extrema
+        solver = _RecordingSolver({0.0: 3.0, 0.25: quarter, 0.5: 1.0, 1.0: 3.0},
+                                  parity=1)
+        with pytest.raises(NonConvergenceError, match=r"s\(1/4\)"):
+            charge_dispersion(canonical, np.pi, small_trunc, solver=solver)
+
+    @pytest.mark.parametrize("disorder", DISORDER_SETS)
+    def test_swing_within_dense_grid_and_defect(self, canonical, disorder,
+                                                medium_trunc):
+        # the 17-point max - min counts the physical swing plus at most the
+        # truncation defect
+        p = canonical.replace(**disorder)
+        solver = SolutionCache()
+        s = np.array([ls.splitting for ls in solver.map(
+            [(p, BiasPoint(np.pi, ng), medium_trunc, 2)
+             for ng in np.linspace(0.0, 1.0, 17)]
+        )])
+        _, eps, defect = charge_dispersion(p, np.pi, medium_trunc, solver=solver)
+        swing = s.max() - s.min()
+        assert eps * (1 - 1e-6) <= swing <= eps * (1 + defect) * (1 + 1e-6)
 
 
 class TestDisorderSweep:
     def test_zero_delta_identical_across_kinds(self, canonical, small_trunc):
         rows = {}
         for kind in ("J", "C", "A", "L"):
-            res = disorder_sweep(
-                canonical, kind, [0.0], trunc=small_trunc,
-                ng_grid=np.linspace(0, 1, 3),
-            )
+            res = disorder_sweep(canonical, kind, [0.0], trunc=small_trunc)
             rows[kind] = (res.eps[0], res.dE[0])
         vals = list(rows.values())
         for v in vals[1:]:
@@ -118,10 +171,7 @@ class TestDisorderSweep:
         tr = BasisTruncation(7, 7, 30)
         eps = {}
         for kind in ("J", "C", "A", "L"):
-            res = disorder_sweep(
-                canonical, kind, [0.3], trunc=tr,
-                ng_grid=np.linspace(0, 1, 5),
-            )
+            res = disorder_sweep(canonical, kind, [0.3], trunc=tr)
             eps[kind] = res.eps[0]
         assert eps["L"] < eps["J"]
         assert eps["L"] < eps["C"]
@@ -130,10 +180,7 @@ class TestDisorderSweep:
     def test_area_and_inductive_initial_splitting_slopes(self, canonical, medium_trunc):
         dEs = {}
         for kind in ("A", "L"):
-            res = disorder_sweep(
-                canonical, kind, [0.15], trunc=medium_trunc,
-                ng_grid=np.linspace(0, 1, 3),
-            )
+            res = disorder_sweep(canonical, kind, [0.15], trunc=medium_trunc)
             dEs[kind] = abs(res.dE[0])
         assert dEs["A"] == pytest.approx(dEs["L"], rel=0.5)
 

@@ -307,11 +307,7 @@ def _dense_splitting(params, bias, trunc):
 @pytest.fixture(scope="module")
 def report(canonical):
     tr = BasisTruncation(4, 4, 14)
-    return full_report(
-        canonical, BiasPoint(np.pi, 0.0), tr,
-        ng_grid=np.linspace(0, 1, 3),
-        dispersion_trunc=tr,
-    )
+    return full_report(canonical, BiasPoint(np.pi, 0.0), tr)
 
 
 class TestFullReport:
@@ -331,8 +327,6 @@ class TestFullReport:
         partial = full_report(
             canonical, BiasPoint(np.pi, 0.0), tr,
             channels=[k for k in CHANNELS if k != "charge"],
-            ng_grid=np.linspace(0, 1, 3),
-            dispersion_trunc=tr,
         )
         assert partial.t2 >= report.t2
 
@@ -340,6 +334,7 @@ class TestFullReport:
         tr = BasisTruncation(4, 4, 14)
         rep = full_report(canonical, BiasPoint(np.pi, 0.0), tr, channels=())
         assert math.isinf(rep.t2)
+        assert rep.as_dict()["charge_dispersion_ghz"] is None
 
     def test_unknown_channel_rejected(self, canonical):
         # checked before any solve, so a typo costs nothing
@@ -355,6 +350,10 @@ class TestFullReport:
         assert d["t1_ms"]["purcell"] == "inf"
         assert isinstance(d["t2_ms"], float)
         assert d["inputs"]["temperature_K"] == pytest.approx(0.016)
+        # the charge channel's dispersion and its truncation defect
+        assert d["charge_dispersion_ghz"] == report.eps > 0
+        assert d["charge_dispersion_defect"] == report.defect >= 0
+        assert report.tphi["charge"] == tphi_charge(report.eps)
 
     def test_solver_seed_reaches_every_channel(self, tmp_path, canonical):
         # the store keys on the solver's Krylov seed, so a store filled at
@@ -365,9 +364,7 @@ class TestFullReport:
         def run(seed):
             solver = SolutionCache(tmp_path / "store", seed=seed)
             full_report(canonical, BiasPoint(np.pi, 0.0), tr,
-                        channels=channels, ng_grid=np.linspace(0, 1, 3),
-                        dispersion_trunc=BasisTruncation(4, 3, 8),
-                        solver=solver)
+                        channels=channels, solver=solver)
             return solver
 
         first = run(5)

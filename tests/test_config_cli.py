@@ -72,14 +72,27 @@ class TestConfig:
         assert "dense_threshold" not in cfg.raw
         assert cfg.config_hash == load_config(None).config_hash
 
+    def test_retired_ng_points_accepted_and_ignored(self, tmp_path):
+        # the charge dispersion solves fixed offset charges; configs written
+        # for the old grid, the benchmark's among them, still set its size
+        root = Path(__file__).resolve().parent.parent
+        old, new = tmp_path / "old.yaml", tmp_path / "new.yaml"
+        old.write_text("seed: 3\nsweep: {ng_points: 9, k: 4}\n")
+        new.write_text("seed: 3\nsweep: {k: 4}\n")
+        cfg = load_config(old)
+        assert "ng_points" not in cfg.raw["sweep"]
+        assert cfg.config_hash == load_config(new).config_hash
+        bench = load_config(root / "perfbench" / "configs" / "coherence_operated.yaml")
+        assert "ng_points" not in bench.raw["sweep"]
+
     def test_hashes_pinned(self):
         # the channel and temperature defaults are read from
         # PhysicalConstants; a drift in any of them moves these hashes, and
         # with them the provenance of every artifact
         root = Path(__file__).resolve().parent.parent
-        assert load_config(None).config_hash == "c6fd2dcdbecfc821"
+        assert load_config(None).config_hash == "fcefa3b4ee4e29b0"
         assert (load_config(root / "configs" / "protected_point.yaml").config_hash
-                == "8e37a8e2f19e1270")
+                == "15e7f3bfb3c254b3")
 
     def test_bad_version(self, tmp_path):
         p = tmp_path / "v.yaml"
@@ -229,7 +242,7 @@ def fast_config(tmp_path):
     p.write_text(
         "truncation: {N0: 4, p0: 4, q0: 12}\n"
         "sweep: {flux_points: 3, flux_start: 2.9, flux_stop: 3.4, k: 4,\n"
-        "        ng_points: 3, deltas: [0.0, 0.3], kind: L}\n"
+        "        deltas: [0.0, 0.3], kind: L}\n"
         "mathieu: {ratios: [50], N0_toy: 40}\n"
         "converge: {levels: [[3, 3, 8], [4, 4, 12]], k: 2}\n"
         "instanton: {n_beads: 65, max_outer: 10}\n"
@@ -299,10 +312,11 @@ class TestCli:
         assert float(doc["t1_ms"]["inductive"]) > 0.1
         csv = (out / "coherence.csv").read_text()
         assert "T2,total" in csv
-        # the report's own solve plus one per offset charge: both dephasing
-        # derivatives come from the report's solve
+        # the report's own solve plus one per offset charge 0, 1/4, 1/2, 1:
+        # both dephasing derivatives come from the report's solve
         log = json.loads((out / "coherence_runlog.json").read_text())
-        assert log["diagonalizations"] == 1 + 3 and log["cache_hits"] == 0
+        assert log["diagonalizations"] == 1 + 4 and log["cache_hits"] == 0
+        assert doc["charge_dispersion_ghz"] > 0
 
     @pytest.mark.parametrize("override", [
         "channels.enabled=[capactive,inductive]",
@@ -365,7 +379,7 @@ class TestCli:
         assert r.returncode == 0, r.stderr
         lines = [l for l in (out / "disorder.csv").read_text().splitlines()
                  if not l.startswith("#")]
-        assert lines[0] == "delta,eps,dE,abs_dE,unresolved"
+        assert lines[0] == "delta,eps,defect,dE,abs_dE,unresolved"
         assert len(lines) == 3
 
     def test_converge_and_instanton_and_wavefunctions(self, tmp_path, fast_config):

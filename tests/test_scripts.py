@@ -20,9 +20,9 @@ def _main(name):
     ("run_flux_spectrum", ["--points", "3", "--trunc", "3", "3", "8"],
      ["phi_ext"] + [f"T{i}_over_plasmon" for i in range(1, 8)]
      + [f"label{i}" for i in range(8)]),
-    ("run_disorder_sweep", ["--kinds", "L", "--deltas", "0.0", "--ng-points", "3"],
-     ["kind", "delta", "eps", "dE", "unresolved"]),
-    ("run_coherence_table", ["--deltas", "0.0", "--ng-points", "3"],
+    ("run_disorder_sweep", ["--kinds", "L", "--deltas", "0.0"],
+     ["kind", "delta", "eps", "defect", "dE", "unresolved"]),
+    ("run_coherence_table", ["--deltas", "0.0"],
      ["delta_L", "type", "channel", "time_ms"]),
 ])
 def test_script_writes_csv(tmp_path, name, args, header):
