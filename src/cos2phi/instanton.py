@@ -10,10 +10,18 @@ trajectory extremizes
 
     S[q] = integral sqrt(2 (U(q) - U_min)) sqrt(dq . M dq)
 
-which is relaxed on a discretized string with periodic arc-length
-redistribution.  Time along the path is recovered afterwards from
-d tau = sqrt(dq . M dq / (2 (U - U_min))), and the second-order equations
-of motion are verified pointwise as a residual diagnostic.
+which is relaxed on a discretized string with arc-length redistribution
+after each outer pass (the simplified string method of E, Ren and
+Vanden-Eijnden, J. Chem. Phys. 126, 164103 (2007)).  At half flux the
+potential and the mass metric are invariant under the reflection
+R(vphi, phi, theta) = (pi - vphi, 2 phi_ext - phi, -theta), which swaps the
+two minima, so the path is R-symmetric: only the half from the near end
+to the fixed point of R is relaxed, and the other half is its mirror
+image.  The passes stop once one changes the action by at most
+``ACTION_PLATEAU`` relative; ``max_outer`` caps them.  Time along the
+path is recovered afterwards from d tau = sqrt(dq . M dq / (2 (U - U_min))),
+and the second-order equations of motion are verified pointwise as a
+residual diagnostic.
 """
 
 from __future__ import annotations
@@ -42,6 +50,7 @@ __all__ = [
 
 ENDPOINT_OFFSET = 1e-3  # rad; clamp offset from the true minima
 GRADIENT_TOL = 1e-8
+ACTION_PLATEAU = 1e-8  # relative action change between outer passes that ends them
 N_QUAD = 1024  # uniform quadrature points of the path Fourier reduction
 
 
@@ -180,8 +189,11 @@ class InstantonPath:
     that of the returned beads.  ``residual`` carries the action
     stationarity norm, the worst interior equation-of-motion defect, the
     discrete energy-conservation span, the number of outer relaxation passes
-    (``outer_iterations``), and whether the relative-action stop ended them
-    (``action_stop``; otherwise the ``max_outer`` cap did).
+    (``outer_iterations``), the action of the whole string after each of
+    them (``action_history``), and whether the action plateau ended them
+    (``action_stop``: a relative change of at most ``ACTION_PLATEAU``;
+    otherwise the ``max_outer`` cap did).  At half flux the beads are
+    mirror images of each other under the reflection R.
     """
 
     samples: np.ndarray
@@ -222,15 +234,20 @@ def _action_and_grad(flat, qa, qb, M, U0, params, bias):
     return action, grad.ravel()
 
 
-def _redistribute(Qfull: np.ndarray, M: np.ndarray) -> np.ndarray:
-    dQ = np.diff(Qfull, axis=0)
+def _redistribute(Q: np.ndarray, M: np.ndarray, snew: np.ndarray) -> np.ndarray:
+    """Points at fractions ``snew`` of the mass-metric arc length of ``Q``."""
+    dQ = np.diff(Q, axis=0)
     seg = np.sqrt(np.einsum("ij,jk,ik->i", dQ, M, dQ))
     s = np.concatenate([[0.0], np.cumsum(seg)])
     s /= s[-1]
-    snew = np.linspace(0.0, 1.0, Qfull.shape[0])
-    return np.stack(
-        [np.interp(snew, s, Qfull[:, k]) for k in range(3)], axis=1
-    )
+    return np.stack([np.interp(snew, s, Q[:, k]) for k in range(3)], axis=1)
+
+
+def _on_plateau(history: list[float]) -> bool:
+    """Whether the last outer pass changed the action by at most ACTION_PLATEAU."""
+    if len(history) < 2:
+        return False
+    return abs(history[-1] - history[-2]) <= ACTION_PLATEAU * abs(history[-1])
 
 
 def solve_instanton(
@@ -244,8 +261,14 @@ def solve_instanton(
     The true trajectory takes infinite time, so the endpoints are clamped at
     ``ENDPOINT_OFFSET`` from the minima along the slowest unstable mode of
     the linearized inverted dynamics (the direction the exact trajectory
-    departs along).  The clamp offset and all residual diagnostics are
-    reported on the result.
+    departs along).  At half flux the far end is the mirror image R(qa) of
+    the near one and only the free half of the string is relaxed: its
+    ``n_beads // 2`` beads run from qa towards the fixed point of R, the
+    other half is their mirror image, and an odd string carries the fixed
+    point itself as its centre bead.  Outer passes (L-BFGS relaxation, then
+    arc-length redistribution) end when one changes the action by at most
+    ``ACTION_PLATEAU`` relative, or after ``max_outer`` passes.  The clamp
+    offset and all residual diagnostics are reported on the result.
     """
     if params.z >= 0.3:
         raise ValueError("instanton reduction requires eps_L/eps_J < 0.3")
@@ -255,41 +278,64 @@ def solve_instanton(
     if d1[2] < 0:
         d1 = -d1
     qa = m1 + ENDPOINT_OFFSET * d1
-    qb = m2 - ENDPOINT_OFFSET * d1
     U0 = min(potential(params, bias, m1), potential(params, bias, m2))
 
-    sg = np.linspace(0.0, 1.0, n_beads + 2)[1:-1]
+    # the relaxed string runs from qa through n_free free beads to `end`,
+    # which lies at the fraction t_end of the whole string
+    if bias.at_half_flux:
+        # R(q) = c - q; every R-symmetric path passes through its fixed point c/2
+        c = np.array([np.pi, 2.0 * bias.phi_ext, 0.0])
+        qb, end, t_end = c - qa, 0.5 * c, 0.5
+        n_free = n_beads // 2
+        # an odd string carries c/2 as its centre bead; an even one has it
+        # midway between its two middle beads, where the relaxed half takes
+        # the centre segment's potential at the midpoint of its own half of
+        # it rather than at c/2
+        centre = np.tile(end, (n_beads % 2, 1))
+
+        def full_string(X):
+            return np.vstack([qa, X, centre, (c - X)[::-1], qb])
+    else:
+        qb = end = m2 - ENDPOINT_OFFSET * d1
+        t_end = 1.0
+        n_free = n_beads
+
+        def full_string(X):
+            return np.vstack([qa, X, qb])
+
+    def full_action(X):
+        Q = full_string(X)
+        return _action_and_grad(Q[1:-1].ravel(), qa, qb, M, U0, params, bias)
+
+    sg = np.linspace(0.0, 1.0, n_beads + 2)[1:n_free + 1]
     vg = qa[0] + (qb[0] - qa[0]) * sg
-    Q = np.stack(
+    X = np.stack(
         [vg, path_approx(vg, bias, params.z), np.interp(sg, [0, 1], [qa[2], qb[2]])],
         axis=1,
     )
 
-    prev_action = np.inf
-    outer = 0
-    action_stop = False
-    while outer < max_outer and not action_stop:
+    history = []
+    while len(history) < max_outer and not _on_plateau(history):
         res = minimize(
             _action_and_grad,
-            Q.ravel(),
-            args=(qa, qb, M, U0, params, bias),
+            X.ravel(),
+            args=(qa, end, M, U0, params, bias),
             jac=True,
             method="L-BFGS-B",
             options={"maxiter": 400, "ftol": 1e-16, "gtol": 1e-13},
         )
-        Q = _redistribute(np.vstack([qa, res.x.reshape(-1, 3), qb]), M)[1:-1]
-        outer += 1
-        action_stop = bool(abs(prev_action - res.fun) <= 1e-11 * abs(res.fun))
-        prev_action = res.fun
+        X = _redistribute(np.vstack([qa, res.x.reshape(-1, 3), end]), M, sg / t_end)
+        history.append(full_action(X)[0])
 
     # action and stationarity of the redistributed string that is returned
-    action, grad = _action_and_grad(Q.ravel(), qa, qb, M, U0, params, bias)
-    full = np.vstack([qa, Q, qb])
+    action, grad = full_action(X)
+    full = full_string(X)
     tau, diag = _time_parameterization(full, M, U0, params, bias)
     samples = np.column_stack([tau, full])
     diag["action_grad_norm"] = float(np.abs(grad).max())
-    diag["outer_iterations"] = outer
-    diag["action_stop"] = action_stop
+    diag["outer_iterations"] = len(history)
+    diag["action_stop"] = _on_plateau(history)
+    diag["action_history"] = history
     return InstantonPath(
         samples=samples,
         endpoints=(m1, m2),

@@ -15,6 +15,7 @@ import pytest
 import scipy.linalg as sla
 
 from cos2phi.analysis import (
+    DEFECT_MAX,
     FLUXON_MINUS,
     FLUXON_PLUS,
     charge_dispersion,
@@ -278,12 +279,13 @@ def test_criterion_10_disorder_trends(canonical):
     schedule = {0.0: PROD, 0.3: PROD,
                 0.6: BasisTruncation(10, 10, 46),
                 0.9: BasisTruncation(12, 12, 56)}
-    eps, dEs = [], []
+    eps, dEs, defects = [], [], []
     for dL, tr in schedule.items():
         p = canonical.replace(delta_L=dL)
-        dE, e, _ = charge_dispersion(p, np.pi, tr)
+        dE, e, defect = charge_dispersion(p, np.pi, tr)
         eps.append(e)
         dEs.append(abs(dE))
+        defects.append(defect)
     eps = np.array(eps)
     dEs = np.array(dEs)
     suppression = eps[0] / eps[-1]
@@ -292,12 +294,16 @@ def test_criterion_10_disorder_trends(canonical):
         and suppression >= 1e6
         and np.all(np.diff(dEs) > 0)
     )
+    defect_notes = [
+        f"{d:.2g}" + (" (above DEFECT_MAX, unresolved)" if d > DEFECT_MAX else "")
+        for d in defects
+    ]
     report(
         f"ACCEPTANCE 10: {'PASS' if ok else 'FAIL'} - dispersion "
         f"{', '.join(f'{e:.2e}' for e in eps)} GHz monotone decreasing, "
         f"total suppression {suppression:.1e} >= 1e6; splitting "
-        f"{', '.join(f'{d:.2e}' for d in dEs)} GHz monotone increasing "
-        f"(points below 1e-9 GHz carry the unresolved flag)"
+        f"{', '.join(f'{d:.2e}' for d in dEs)} GHz monotone increasing; "
+        f"truncation defect {', '.join(defect_notes)} (DEFECT_MAX = {DEFECT_MAX})"
     )
     assert ok
 

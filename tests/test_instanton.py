@@ -3,6 +3,7 @@ import pytest
 
 from cos2phi.hamiltonians import effective_params
 from cos2phi.instanton import (
+    ACTION_PLATEAU,
     find_minima,
     mass_matrix,
     path_approx,
@@ -77,6 +78,34 @@ class TestPotential:
             assert np.allclose(H[:, i], gfd, rtol=1e-5, atol=1e-6)
 
 
+def mirror(q):
+    """The half-flux reflection R(vphi, phi, theta) = (pi - vphi, 2 pi - phi, -theta)."""
+    q = np.asarray(q, dtype=float)
+    return np.stack([np.pi - q[..., 0], 2 * np.pi - q[..., 1], -q[..., 2]], axis=-1)
+
+
+DISORDER_SETS = [
+    {},
+    {"delta_J": 0.15},
+    {"delta_C": 0.2},
+    {"delta_A": 0.1},
+    {"delta_L": 0.4},
+    {"delta_J": 0.1, "delta_C": 0.2, "delta_L": 0.3},
+]
+
+
+@pytest.mark.parametrize("disorder", DISORDER_SETS)
+def test_half_flux_mirror_invariance(canonical, half_flux, disorder):
+    p = canonical.replace(**disorder)
+    q = np.random.default_rng(7).uniform(-4, 8, size=(50, 3))
+    u, u_r = potential(p, half_flux, q), potential(p, half_flux, mirror(q))
+    assert np.allclose(u_r, u, rtol=1e-13, atol=1e-13 * p.eps_J)
+    # dq . M dq is invariant under the Jacobian J of R, a constant matrix
+    J = np.stack([mirror(e) - mirror(np.zeros(3)) for e in np.eye(3)], axis=1)
+    M = mass_matrix(p)
+    assert np.allclose(J.T @ M @ J, M, rtol=1e-13, atol=1e-13 * np.abs(M).max())
+
+
 class TestMassMatrix:
     def test_symmetric_limit(self, canonical):
         M = mass_matrix(canonical)
@@ -149,6 +178,11 @@ def quick_path(canonical, half_flux):
     return solve_instanton(canonical, half_flux, n_beads=129, max_outer=40)
 
 
+@pytest.fixture(scope="module")
+def plateau_path(canonical, half_flux):
+    return solve_instanton(canonical, half_flux, n_beads=385, max_outer=20)
+
+
 class TestSolveInstanton:
 
     def test_endpoints_match_minima(self, quick_path, canonical, half_flux):
@@ -208,6 +242,18 @@ class TestSolveInstanton:
         # the loop ends on the relative-action stop or at the cap
         assert r["action_stop"] or r["outer_iterations"] == 40
 
+    def test_action_history(self, quick_path, plateau_path):
+        for path in (quick_path, plateau_path):
+            r = path.residual
+            assert len(r["action_history"]) == r["outer_iterations"]
+            assert r["action_history"][-1] == path.action
+        # at 385 beads the action settles within a few passes
+        r = plateau_path.residual
+        assert r["action_stop"] is True
+        assert r["outer_iterations"] < 20
+        a, b = r["action_history"][-2:]
+        assert abs(b - a) <= ACTION_PLATEAU * abs(b)
+
     def test_outer_cap_reported(self, canonical, half_flux):
         r = solve_instanton(canonical, half_flux, n_beads=33, max_outer=3).residual
         assert r["outer_iterations"] == 3
@@ -230,6 +276,25 @@ class TestSolveInstanton:
             full[1:-1][::-1].ravel(), qb, qa, M, U0, canonical, half_flux
         )
         assert a_fwd == pytest.approx(a_rev, rel=1e-12)
+
+    @pytest.mark.parametrize("n_beads", [33, 34])
+    def test_half_flux_path_is_mirror_symmetric(self, canonical, half_flux, n_beads):
+        q = solve_instanton(canonical, half_flux, n_beads=n_beads, max_outer=3).coords
+        assert q.shape == (n_beads + 2, 3)
+        assert np.array_equal(q[-1], mirror(q[0]))
+        assert np.abs(mirror(q[::-1]) - q).max() <= 1e-12
+
+    def test_off_half_flux_full_string(self, canonical):
+        bias = BiasPoint(0.9 * np.pi, 0.0)
+        path = solve_instanton(canonical, bias, n_beads=33, max_outer=3)
+        q = path.coords
+        assert q.shape == (35, 3) and np.all(np.isfinite(q))
+        m1, m2 = find_minima(canonical, bias)
+        eps_b = path.endpoint_offset
+        assert np.linalg.norm(q[0] - m1) == pytest.approx(eps_b, rel=1e-12)
+        assert np.linalg.norm(q[-1] - m2) == pytest.approx(eps_b, rel=1e-12)
+        # no mirror is imposed: the detuned minima are not reflections
+        assert not np.allclose(q[-1], mirror(q[0]), atol=1e-3)
 
     def test_z_guard(self, half_flux):
         with pytest.warns(UserWarning):
