@@ -54,4 +54,4 @@ from .instanton import (
     reduce_to_effective,
     solve_instanton,
 )
-from .mathieu import DispersionResult, asymptotic_dispersion, exact_dispersion
+from .mathieu import asymptotic_dispersion, exact_dispersion

@@ -71,10 +71,5 @@ class PhysicalConstants:
         """Resistance quantum h/e^2, consistent with h and e by construction."""
         return self.h / self.e**2
 
-    @property
-    def phi0(self) -> float:
-        """Reduced magnetic flux quantum hbar/2e."""
-        return self.hbar / (2 * self.e)
-
 
 DEFAULT_CONSTANTS = PhysicalConstants()

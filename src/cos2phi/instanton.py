@@ -32,7 +32,7 @@ import numpy as np
 import scipy.linalg as sla
 from scipy.optimize import minimize
 
-from .hamiltonians import EffectiveParams, effective_params
+from .hamiltonians import EffectiveParams, UnsupportedBiasError, effective_params
 from .model import BiasPoint, CircuitParams
 
 __all__ = [
@@ -135,6 +135,24 @@ def mass_matrix(params: CircuitParams) -> np.ndarray:
         ]
     )
     return np.linalg.inv(Hpp)
+
+
+def _mirror_bias(bias: BiasPoint) -> bool:
+    """Whether the half-flux reflection R relates the two path minima.
+
+    True at phi_ext = pi and False off half flux.  At the other half-flux
+    biases (3 pi, -pi, ...) ``find_minima`` returns minima of different
+    potential, between which there is no tunneling path, so those raise
+    ``UnsupportedBiasError``.
+    """
+    if not bias.at_half_flux:
+        return False
+    if abs(bias.phi_ext - np.pi) >= 1e-9:
+        raise UnsupportedBiasError(
+            "the tunneling path at half flux is solved at phi_ext = pi only, "
+            f"not at {bias.phi_ext!r}"
+        )
+    return True
 
 
 def path_approx(vphi, bias: BiasPoint, z: float):
@@ -268,10 +286,12 @@ def solve_instanton(
     point itself as its centre bead.  Outer passes (L-BFGS relaxation, then
     arc-length redistribution) end when one changes the action by at most
     ``ACTION_PLATEAU`` relative, or after ``max_outer`` passes.  The clamp
-    offset and all residual diagnostics are reported on the result.
+    offset and all residual diagnostics are reported on the result.  Half
+    flux biases other than phi_ext = pi raise ``UnsupportedBiasError``.
     """
     if params.z >= 0.3:
         raise ValueError("instanton reduction requires eps_L/eps_J < 0.3")
+    mirror = _mirror_bias(bias)
     m1, m2 = find_minima(params, bias)
     M = mass_matrix(params)
     d1 = _slow_unstable_direction(params, bias, m1)
@@ -282,7 +302,7 @@ def solve_instanton(
 
     # the relaxed string runs from qa through n_free free beads to `end`,
     # which lies at the fraction t_end of the whole string
-    if bias.at_half_flux:
+    if mirror:
         # R(q) = c - q; every R-symmetric path passes through its fixed point c/2
         c = np.array([np.pi, 2.0 * bias.phi_ext, 0.0])
         qb, end, t_end = c - qa, 0.5 * c, 0.5
@@ -398,7 +418,7 @@ def reduce_to_effective(
             raise ValueError("path must be an InstantonPath or 'approx'")
         phi_of_v = path_approx(vg, bias, z)
     else:
-        if not bias.at_half_flux:
+        if not _mirror_bias(bias):
             raise ValueError(
                 "numeric-path reduction uses the half-flux reflection "
                 "symmetry; solve at phi_ext = pi or use the approx path"

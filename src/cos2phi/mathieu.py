@@ -3,30 +3,24 @@
 For a pure pair-tunneling element the even and odd Cooper-pair sectors
 decouple at every offset charge, so bands are tracked exactly by (sector,
 within-sector index).  Levels come in doublets whose dispersions are equal
-and opposite; the closed-form asymptotic indexes the doublets.  Exact
-dispersions come from dense diagonalization over an offset-charge grid,
-never from special-function libraries.
+and opposite; the closed-form asymptotic indexes the doublets.  A tracked
+band is even in the offset charge (N -> -N keeps its sector) and has period
+2 (N -> N + 2 keeps it), so it is stationary at N_g = 0 and 1: exact
+dispersions come from dense diagonalization at those two points, never
+from special-function libraries.
 """
 
 from __future__ import annotations
 
 from math import factorial
 import warnings
-from dataclasses import dataclass, replace
+from dataclasses import replace
 
 import numpy as np
 
 from .hamiltonians import ToyParams, toy_hamiltonian
 
-__all__ = [
-    "DispersionResult",
-    "exact_dispersion",
-    "asymptotic_dispersion",
-    "toy_band_energies",
-    "TruncationError",
-]
-
-NG_GRID_DEFAULT = 41  # uniform points on [0, 1]
+__all__ = ["exact_dispersion", "asymptotic_dispersion", "TruncationError"]
 
 
 class TruncationError(RuntimeError):
@@ -37,31 +31,11 @@ class TruncationError(RuntimeError):
         self.boundary_population = boundary_population
 
 
-@dataclass(frozen=True)
-class DispersionResult:
-    """Signed dispersion of one band plus its splitting table.
-
-    ``eps_k`` is the full band swing across one offset-charge period, signed
-    by the direction of travel; adjacent levels of a doublet carry opposite
-    signs.  ``splitting`` tabulates the doublet gap over ``ng_grid``.  The
-    closed form also gives ``eps_k_next_order``, its value with the first
-    correction of DLMF 28.8.2; an exact result leaves it NaN.
-    """
-
-    k: int
-    eps_k: float
-    ng_grid: np.ndarray
-    band: np.ndarray
-    splitting: np.ndarray
-    method: str
-    eps_k_next_order: float = float("nan")
-
-
-def _sector_matrices(tp: ToyParams, ng: float) -> list[np.ndarray]:
-    """Even and odd charge-sector blocks of ``toy_hamiltonian`` at ``ng``."""
+def _sector_eigh(tp: ToyParams, ng: float) -> list[tuple[np.ndarray, np.ndarray]]:
+    """Eigenpairs of the even and odd charge-sector blocks of ``toy_hamiltonian``."""
     H = toy_hamiltonian(replace(tp, N_g=ng)).toarray()
     N = np.arange(-tp.N0_toy, tp.N0_toy + 1)
-    return [H[np.ix_(N % 2 == parity, N % 2 == parity)] for parity in (0, 1)]
+    return [np.linalg.eigh(H[np.ix_(N % 2 == s, N % 2 == s)]) for s in (0, 1)]
 
 
 def _check_boundary(tp: ToyParams, vecs_by_sector) -> None:
@@ -76,70 +50,32 @@ def _check_boundary(tp: ToyParams, vecs_by_sector) -> None:
         )
 
 
-def toy_band_energies(tp: ToyParams, ng: float, nbands: int) -> np.ndarray:
-    """Band energies at one offset charge, tracked by parity sector.
+def exact_dispersion(tp: ToyParams, k: int) -> float:
+    """Signed charge swing E_k(1) - E_k(0) of band k, by dense diagonalization.
 
     Band indices interleave the two sectors in the energy order they take
-    at ng = 0, which keeps each index attached to a fixed sector across the
-    whole offset-charge period.
-    """
-    order = _band_order(tp, nbands)
-    per_sector = [np.linalg.eigvalsh(H) for H in _sector_matrices(tp, ng)]
-    return np.array([per_sector[s][i] for s, i in order])
-
-
-def _band_order(tp: ToyParams, nbands: int) -> list[tuple[int, int]]:
-    ref = [np.linalg.eigvalsh(H) for H in _sector_matrices(tp, 0.0)]
-    tagged = [(ref[s][i], s, i) for s in (0, 1) for i in range(nbands)]
-    tagged.sort()
-    return [(s, i) for _, s, i in tagged[:nbands]]
-
-
-def exact_dispersion(
-    tp: ToyParams, k: int, ng_points: int = NG_GRID_DEFAULT
-) -> DispersionResult:
-    """Band-k dispersion from dense diagonalization over an offset-charge grid.
-
-    The extrema of a tracked band sit at the period endpoints, so the swing
-    equals the signed endpoint difference; both are computed and reconciled.
+    at N_g = 0, which keeps each index attached to a fixed sector; adjacent
+    levels of a doublet swing with opposite signs.  The boundary population
+    of band k and its doublet partner is checked at N_g = 0.
     """
     if k < 0:
         raise ValueError("band index must be nonnegative")
-    order = _band_order(tp, k + 2)
-    ng_grid = np.linspace(0.0, 1.0, ng_points)
-    band = np.empty(ng_points)
-    partner = np.empty(ng_points)
-    s_k, i_k = order[k]
-    pair = k + 1 if k % 2 == 0 else k - 1
-    s_p, i_p = order[pair]
-    for j, ng in enumerate(ng_grid):
-        evals, vecs = zip(*(np.linalg.eigh(H) for H in _sector_matrices(tp, ng)))
-        if j == 0:
-            _check_boundary(tp, [vecs[s][:, i] for (s, i) in (order[k], order[pair])])
-        band[j] = evals[s_k][i_k]
-        partner[j] = evals[s_p][i_p]
-    swing = band.max() - band.min()
-    sign = np.sign(band[-1] - band[0]) or 1.0
-    return DispersionResult(
-        k=k,
-        eps_k=float(sign * swing),
-        ng_grid=ng_grid,
-        band=band,
-        splitting=np.abs(partner - band),
-        method="exact",
-    )
+    at0 = _sector_eigh(tp, 0.0)
+    tagged = sorted((at0[s][0][i], s, i) for s in (0, 1) for i in range(k + 2))
+    order = [(s, i) for _, s, i in tagged]
+    _check_boundary(tp, [at0[s][1][:, i] for s, i in (order[k], order[k ^ 1])])
+    s, i = order[k]
+    return float(_sector_eigh(tp, 1.0)[s][0][i] - at0[s][0][i])
 
 
-def asymptotic_dispersion(
-    tp: ToyParams, k: int, ng_points: int = NG_GRID_DEFAULT
-) -> DispersionResult:
-    """Closed-form large-E_J/E_C dispersion for doublet k.
+def asymptotic_dispersion(tp: ToyParams, k: int) -> tuple[float, float]:
+    """Closed-form large-E_J/E_C dispersion of doublet k and its next order.
 
     The printed formula indexes doublets: its k-th value is the common
     magnitude of the two levels (2k, 2k+1), which disperse with opposite
-    signs.  The splitting table is |eps_k cos(pi Ng)|.  The next order of
-    DLMF eq. 28.8.2 multiplies the printed form by
-    1 - (6k^2 + 14k + 7) / (32 sqrt q), with sqrt q = sqrt(2 E_J / E_C) / 4.
+    signs.  Returns (leading form, DLMF eq. 28.8.2 next order); the next
+    order multiplies the leading form by 1 - (6k^2 + 14k + 7) / (32 sqrt q),
+    with sqrt q = sqrt(2 E_J / E_C) / 4.
     """
     r = tp.E_J / tp.E_C
     if r < 20:
@@ -159,14 +95,4 @@ def asymptotic_dispersion(
     )
     sqrt_q = np.sqrt(2.0 * tp.E_J / tp.E_C) / 4.0
     next_order = 1.0 - (6 * k**2 + 14 * k + 7) / (32.0 * sqrt_q)
-    ng_grid = np.linspace(0.0, 1.0, ng_points)
-    splitting = np.abs(eps * np.cos(np.pi * ng_grid))
-    return DispersionResult(
-        k=k,
-        eps_k=float(eps),
-        ng_grid=ng_grid,
-        band=np.full(ng_points, np.nan),
-        splitting=splitting,
-        method="asymptotic",
-        eps_k_next_order=float(eps * next_order),
-    )
+    return float(eps), float(eps * next_order)

@@ -212,9 +212,6 @@ class HermitianOperator:
                 f"max|H - H^| = {np.abs(dev.data).max():.3e} vs scale {scale:.3e}"
             )
 
-    def expectation(self, vec: np.ndarray) -> complex:
-        return complex(np.vdot(vec, self.matrix @ vec))
-
     def toarray(self) -> np.ndarray:
         return self.matrix.toarray()
 

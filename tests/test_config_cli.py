@@ -14,6 +14,8 @@ import cos2phi
 from cos2phi.cache import SolutionCache, _problem_key, worker_pool
 from cos2phi.cli import main
 from cos2phi.config import ConfigError, load_config, parse_override
+from cos2phi.hamiltonians import ToyParams
+from cos2phi.mathieu import exact_dispersion
 from cos2phi.model import BasisTruncation, BiasPoint
 
 
@@ -412,6 +414,30 @@ class TestCli:
         assert diag["error_kind"] == "domain"
         assert "increasing" in diag["message"]
         assert not (out / "spectrum.csv").exists()
+
+    def test_instanton_other_half_flux_rejected(self, tmp_path, fast_config):
+        # phi_ext = 3 pi is at half flux, but its two minima are not degenerate
+        out = tmp_path / "i3"
+        r = _cli("instanton", "--config", str(fast_config), "--out", str(out),
+                 "--set", "bias.phi_ext=9.42477796076938", cwd=tmp_path)
+        assert r.returncode == 1, r.stderr
+        diag = json.loads(r.stderr.strip().splitlines()[-1])
+        assert diag["error_kind"] == "domain"
+        assert diag["error_type"] == "UnsupportedBiasError"
+        assert not (out / "instanton.json").exists()
+
+    def test_mathieu_artifact(self, tmp_path, fast_config):
+        out = tmp_path / "m"
+        r = _cli("mathieu", "--config", str(fast_config), "--out", str(out),
+                 cwd=tmp_path)
+        assert r.returncode == 0, r.stderr
+        _, rows = _csv_parts(out / "mathieu.csv")
+        assert list(rows[0]) == ["EJ_over_EC", "eps0_exact", "eps0_asymptotic",
+                                 "rel_err", "eps0_next_order",
+                                 "rel_err_next_order"]
+        assert [float(row["EJ_over_EC"]) for row in rows] == [50.0]
+        tp = ToyParams(E_J=100.0, E_C=2.0, N0_toy=40)
+        assert float(rows[0]["eps0_exact"]) == exact_dispersion(tp, 0)
 
     def test_domain_error_exit_code(self, tmp_path):
         bad = tmp_path / "bad.yaml"

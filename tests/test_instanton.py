@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from cos2phi.hamiltonians import effective_params
+from cos2phi.hamiltonians import UnsupportedBiasError, effective_params
 from cos2phi.instanton import (
     ACTION_PLATEAU,
     find_minima,
@@ -295,6 +295,16 @@ class TestSolveInstanton:
         assert np.linalg.norm(q[-1] - m2) == pytest.approx(eps_b, rel=1e-12)
         # no mirror is imposed: the detuned minima are not reflections
         assert not np.allclose(q[-1], mirror(q[0]), atol=1e-3)
+
+    @pytest.mark.parametrize("turns", [3, 5, -1, -3])
+    def test_other_half_flux_biases_rejected(self, canonical, quick_path, turns):
+        # only phi_ext = pi has degenerate minima, mirror images under R
+        bias = BiasPoint(turns * np.pi, 0.0)
+        assert bias.at_half_flux
+        with pytest.raises(UnsupportedBiasError, match="phi_ext = pi"):
+            solve_instanton(canonical, bias, n_beads=17, max_outer=2)
+        with pytest.raises(UnsupportedBiasError, match="phi_ext = pi"):
+            reduce_to_effective(canonical, bias, quick_path)
 
     def test_z_guard(self, half_flux):
         with pytest.warns(UserWarning):

@@ -1,41 +1,79 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
-from cos2phi.hamiltonians import ToyParams
-from cos2phi.mathieu import (
-    TruncationError,
-    asymptotic_dispersion,
-    exact_dispersion,
-    toy_band_energies,
-)
+from cos2phi.hamiltonians import ToyParams, toy_hamiltonian
+from cos2phi.mathieu import TruncationError, asymptotic_dispersion, exact_dispersion
+
+
+def tracked_bands(tp: ToyParams, ngs, nbands: int) -> np.ndarray:
+    """Lowest ``nbands`` bands over ``ngs``, shape (len(ngs), nbands).
+
+    Each band is held in its charge-parity sector of ``toy_hamiltonian``;
+    band indices follow the energy order at N_g = 0.
+    """
+    N = np.arange(-tp.N0_toy, tp.N0_toy + 1)
+
+    def sectors(ng):
+        H = toy_hamiltonian(replace(tp, N_g=ng)).toarray()
+        return [np.linalg.eigvalsh(H[np.ix_(N % 2 == s, N % 2 == s)]) for s in (0, 1)]
+
+    ref = sectors(0.0)
+    order = sorted((ref[s][i], s, i) for s in (0, 1) for i in range(nbands))[:nbands]
+    rows = []
+    for ng in ngs:
+        e = sectors(ng)
+        rows.append([e[s][i] for _, s, i in order])
+    return np.array(rows)
+
+
+@pytest.mark.parametrize("ratio", [30, 40, 50, 60, 70, 80])
+def test_swing_from_stationary_offset_charges(ratio):
+    # a band held in one sector is even in N_g and 2-periodic, so it is
+    # stationary at N_g = 0 and 1 and its swing is E(1) - E(0)
+    tp = ToyParams(E_J=2.0 * ratio, E_C=2.0, N0_toy=40)
+    ngs = np.linspace(0.0, 1.0, 201)
+    E = tracked_bands(tp, ngs, 4)
+    # eigenvalue roundoff is absolute, so tolerances scale with the largest band
+    tol = 1e-12 * np.abs(E).max()
+    np.testing.assert_allclose(tracked_bands(tp, -ngs, 4), E, rtol=0, atol=tol)
+    np.testing.assert_allclose(tracked_bands(tp, ngs + 2.0, 4), E, rtol=0, atol=tol)
+    for k in range(4):
+        steps = np.diff(E[:, k])
+        assert np.all(steps > 0) or np.all(steps < 0)
+        assert exact_dispersion(tp, k) == pytest.approx(
+            E[-1, k] - E[0, k], abs=tol
+        )
 
 
 class TestExactDispersion:
     def test_free_charge_self_consistency(self):
         # E_J = 0: bands are exactly 4 E_C (N - Ng)^2 tracked per sector
         tp = ToyParams(E_J=0.0, E_C=1.0, N0_toy=10)
-        res = exact_dispersion(tp, 0, ng_points=9)
-        band_expect = 4.0 * (0.0 - res.ng_grid) ** 2
-        assert np.allclose(res.band, band_expect, atol=1e-12)
-        assert res.eps_k == pytest.approx(4.0)
+        ngs = np.linspace(0.0, 1.0, 9)
+        band_expect = 4.0 * (0.0 - ngs) ** 2
+        assert np.allclose(tracked_bands(tp, ngs, 1)[:, 0], band_expect, atol=1e-12)
+        assert exact_dispersion(tp, 0) == pytest.approx(4.0)
 
     def test_ground_splitting_regression(self):
         tp = ToyParams(E_J=100.0, E_C=2.0, N0_toy=50)
-        res = exact_dispersion(tp, 0, ng_points=11)
+        eps = exact_dispersion(tp, 0)
         # frozen from the dense diagonalization oracle
-        assert res.eps_k == pytest.approx(0.033234646977, rel=1e-6)
+        assert eps == pytest.approx(0.033234646977, rel=1e-6)
         # splitting at Ng = 0 equals the dispersion in the symmetric model
-        assert res.splitting[0] == pytest.approx(abs(res.eps_k), rel=1e-9)
+        e0, e1 = tracked_bands(tp, [0.0], 2)[0]
+        assert abs(e1 - e0) == pytest.approx(abs(eps), rel=1e-9)
 
     def test_extrema_at_endpoints(self):
         tp = ToyParams(E_J=80.0, E_C=2.0, N0_toy=40)
-        res = exact_dispersion(tp, 0, ng_points=21)
-        assert res.band.argmax() in (0, len(res.band) - 1)
-        assert res.band.argmin() in (0, len(res.band) - 1)
+        band = tracked_bands(tp, np.linspace(0.0, 1.0, 21), 1)[:, 0]
+        assert band.argmax() in (0, len(band) - 1)
+        assert band.argmin() in (0, len(band) - 1)
 
     def test_sign_alternation(self):
         tp = ToyParams(E_J=100.0, E_C=2.0, N0_toy=40)
-        eps = [exact_dispersion(tp, k, ng_points=5).eps_k for k in range(4)]
+        eps = [exact_dispersion(tp, k) for k in range(4)]
         assert eps[0] > 0 and eps[1] == pytest.approx(-eps[0], rel=1e-9)
         assert eps[2] * eps[3] < 0
         assert abs(eps[2]) > abs(eps[0])  # higher doublets disperse more
@@ -45,7 +83,7 @@ class TestExactDispersion:
         # linear coefficient ignores the quadratic (anharmonic) term, which
         # contributes -4 E_C at the first rung
         tp = ToyParams(E_J=100.0, E_C=2.0, N0_toy=40)
-        e = toy_band_energies(tp, 0.0, 4)
+        e = tracked_bands(tp, [0.0], 4)[0]
         spacing = e[2] - e[0]
         plasma = np.sqrt(32 * tp.E_J * tp.E_C)
         assert spacing == pytest.approx(plasma - 4 * tp.E_C, rel=0.03)
@@ -53,39 +91,33 @@ class TestExactDispersion:
 
     def test_out_of_phase_oscillation(self):
         tp = ToyParams(E_J=100.0, E_C=2.0, N0_toy=40)
-        ngs = np.linspace(0, 1, 11)
-        s = [sum(toy_band_energies(tp, ng, 2)) for ng in ngs]
-        eps2 = exact_dispersion(tp, 2, ng_points=5).eps_k
+        s = tracked_bands(tp, np.linspace(0, 1, 11), 2).sum(axis=1)
+        eps2 = exact_dispersion(tp, 2)
         assert max(s) - min(s) <= 2 * abs(eps2)
 
     def test_truncation_guard(self):
         tp = ToyParams(E_J=4000.0, E_C=1.0, N0_toy=4)
         with pytest.raises(TruncationError):
-            exact_dispersion(tp, 0, ng_points=3)
+            exact_dispersion(tp, 0)
 
 
 class TestAsymptoticDispersion:
     def test_doublet0_formula(self):
         tp = ToyParams(E_J=100.0, E_C=2.0)
-        res = asymptotic_dispersion(tp, 0)
+        lead, _ = asymptotic_dispersion(tp, 0)
         expect = (16 * 2.0 * np.sqrt(2 / np.pi) * (2 * tp.E_J / tp.E_C) ** 0.75
                   * np.exp(-np.sqrt(2 * tp.E_J / tp.E_C)))
-        assert res.eps_k == pytest.approx(expect, rel=1e-12)
-        assert res.eps_k == pytest.approx(0.0366, rel=2e-3)
-
-    def test_half_charge_degeneracy(self):
-        tp = ToyParams(E_J=100.0, E_C=2.0)
-        res = asymptotic_dispersion(tp, 0, ng_points=5)
-        assert res.splitting[2] == pytest.approx(0.0, abs=1e-15)  # Ng = 1/2
+        assert lead == pytest.approx(expect, rel=1e-12)
+        assert lead == pytest.approx(0.0366, rel=2e-3)
 
     def test_doublet_ratio(self):
         tp = ToyParams(E_J=100.0, E_C=2.0)
-        r = asymptotic_dispersion(tp, 1).eps_k / asymptotic_dispersion(tp, 0).eps_k
+        r = asymptotic_dispersion(tp, 1)[0] / asymptotic_dispersion(tp, 0)[0]
         assert r == pytest.approx(-4 * np.sqrt(2 * tp.E_J / tp.E_C), rel=1e-12)
         # the exact doublet-1/doublet-0 magnitude ratio trends with the
         # printed k-dependence but the k = 1 closed form is ~30% high here
-        ex0 = exact_dispersion(ToyParams(100.0, 2.0, N0_toy=40), 0, 5).eps_k
-        ex2 = exact_dispersion(ToyParams(100.0, 2.0, N0_toy=40), 2, 5).eps_k
+        ex0 = exact_dispersion(ToyParams(100.0, 2.0, N0_toy=40), 0)
+        ex2 = exact_dispersion(ToyParams(100.0, 2.0, N0_toy=40), 2)
         assert abs(ex2 / ex0) == pytest.approx(abs(r), rel=0.35)
 
     def test_low_ratio_warns(self):
@@ -101,8 +133,8 @@ def table():
     rows = []
     for r in RATIOS:
         tp = ToyParams(E_J=2.0 * r, E_C=2.0, N0_toy=40)
-        ex = exact_dispersion(tp, 0, ng_points=5).eps_k
-        asym = asymptotic_dispersion(tp, 0).eps_k
+        ex = exact_dispersion(tp, 0)
+        asym, _ = asymptotic_dispersion(tp, 0)
         rows.append((r, ex, asym))
     return rows
 
@@ -144,20 +176,16 @@ class TestNextOrder:
         for r in (40, 50, 60, 70, 80):
             tp = ToyParams(E_J=2.0 * r, E_C=2.0, N0_toy=40)
             # doublet k of the closed form is exact band 2k
-            ex = exact_dispersion(tp, 2 * k, ng_points=5).eps_k
-            res = asymptotic_dispersion(tp, k)
-            assert abs(abs(ex) / abs(res.eps_k_next_order) - 1) <= bound
+            ex = exact_dispersion(tp, 2 * k)
+            lead, nxt = asymptotic_dispersion(tp, k)
+            assert abs(abs(ex) / abs(nxt) - 1) <= bound
             # the correction is what moves the closed form onto the bands
-            assert abs(abs(ex) / abs(res.eps_k) - 1) > bound
+            assert abs(abs(ex) / abs(lead) - 1) > bound
 
     def test_next_order_factor(self):
         tp = ToyParams(E_J=100.0, E_C=2.0)
         sqrt_q = np.sqrt(2 * tp.E_J / tp.E_C) / 4
         for k in (0, 1, 2):
-            res = asymptotic_dispersion(tp, k)
-            expect = res.eps_k * (1 - (6 * k**2 + 14 * k + 7) / (32 * sqrt_q))
-            assert res.eps_k_next_order == pytest.approx(expect, rel=1e-14)
-
-    def test_exact_result_has_no_next_order(self):
-        res = exact_dispersion(ToyParams(E_J=100.0, E_C=2.0, N0_toy=40), 0, 5)
-        assert np.isnan(res.eps_k_next_order)
+            lead, nxt = asymptotic_dispersion(tp, k)
+            expect = lead * (1 - (6 * k**2 + 14 * k + 7) / (32 * sqrt_q))
+            assert nxt == pytest.approx(expect, rel=1e-14)
