@@ -12,14 +12,17 @@ trajectory extremizes
 
 which is relaxed on a discretized string with arc-length redistribution
 after each outer pass (the simplified string method of E, Ren and
-Vanden-Eijnden, J. Chem. Phys. 126, 164103 (2007)).  At half flux the
-potential and the mass metric are invariant under the reflection
-R(vphi, phi, theta) = (pi - vphi, 2 phi_ext - phi, -theta), which swaps the
-two minima, so the path is R-symmetric: only the half from the near end
-to the fixed point of R is relaxed, and the other half is its mirror
-image.  The passes stop once one changes the action by at most
-``ACTION_PLATEAU`` relative; ``max_outer`` caps them.  Time along the
-path is recovered afterwards from d tau = sqrt(dq . M dq / (2 (U - U_min))),
+Vanden-Eijnden, J. Chem. Phys. 126, 164103 (2007)).  The path is solved at
+phi_ext = pi only, where the two wells are degenerate; at every other bias
+the path solve and the numeric-path reduction raise ``UnsupportedBiasError``
+(the potential, ``find_minima`` and the ``approx`` reduction hold at every
+bias).  At phi_ext = pi the potential and the mass metric are invariant
+under the reflection R(vphi, phi, theta) = (pi - vphi, 2 phi_ext - phi,
+-theta), which swaps the two minima, so the path is R-symmetric: only the
+half from the near end to the fixed point of R is relaxed, and the other
+half is its mirror image.  The passes stop once one changes the action by
+at most ``ACTION_PLATEAU`` relative; ``max_outer`` caps them.  Time along
+the path is recovered afterwards from d tau = sqrt(dq . M dq / (2 (U - U_min))),
 and the second-order equations of motion are verified pointwise as a
 residual diagnostic.
 """
@@ -137,22 +140,18 @@ def mass_matrix(params: CircuitParams) -> np.ndarray:
     return np.linalg.inv(Hpp)
 
 
-def _mirror_bias(bias: BiasPoint) -> bool:
-    """Whether the half-flux reflection R relates the two path minima.
+def _require_degenerate_minima(bias: BiasPoint) -> None:
+    """Raise ``UnsupportedBiasError`` unless phi_ext = pi.
 
-    True at phi_ext = pi and False off half flux.  At the other half-flux
-    biases (3 pi, -pi, ...) ``find_minima`` returns minima of different
-    potential, between which there is no tunneling path, so those raise
-    ``UnsupportedBiasError``.
+    At every other bias, half-flux biases (3 pi, -pi, ...) included,
+    ``find_minima`` returns minima of different potential, between which
+    there is no tunneling path.
     """
-    if not bias.at_half_flux:
-        return False
     if abs(bias.phi_ext - np.pi) >= 1e-9:
         raise UnsupportedBiasError(
-            "the tunneling path at half flux is solved at phi_ext = pi only, "
-            f"not at {bias.phi_ext!r}"
+            "the tunneling path is solved at phi_ext = pi only, where its two "
+            f"minima are degenerate, not at {bias.phi_ext!r}"
         )
-    return True
 
 
 def path_approx(vphi, bias: BiasPoint, z: float):
@@ -210,8 +209,8 @@ class InstantonPath:
     (``outer_iterations``), the action of the whole string after each of
     them (``action_history``), and whether the action plateau ended them
     (``action_stop``: a relative change of at most ``ACTION_PLATEAU``;
-    otherwise the ``max_outer`` cap did).  At half flux the beads are
-    mirror images of each other under the reflection R.
+    otherwise the ``max_outer`` cap did).  The beads are mirror images of
+    each other under the reflection R.
     """
 
     samples: np.ndarray
@@ -274,24 +273,25 @@ def solve_instanton(
     n_beads: int,
     max_outer: int,
 ) -> InstantonPath:
-    """Relax the minimum-action string between the two adjacent minima.
+    """Relax the minimum-action string between the two degenerate minima.
 
     The true trajectory takes infinite time, so the endpoints are clamped at
     ``ENDPOINT_OFFSET`` from the minima along the slowest unstable mode of
     the linearized inverted dynamics (the direction the exact trajectory
-    departs along).  At half flux the far end is the mirror image R(qa) of
-    the near one and only the free half of the string is relaxed: its
-    ``n_beads // 2`` beads run from qa towards the fixed point of R, the
-    other half is their mirror image, and an odd string carries the fixed
-    point itself as its centre bead.  Outer passes (L-BFGS relaxation, then
-    arc-length redistribution) end when one changes the action by at most
+    departs along).  The far end is the mirror image R(qa) of the near one
+    and only the free half of the string is relaxed: its ``n_beads // 2``
+    beads run from qa towards the fixed point of R, the other half is their
+    mirror image, and an odd string carries the fixed point itself as its
+    centre bead.  Outer passes (L-BFGS relaxation, then arc-length
+    redistribution) end when one changes the action by at most
     ``ACTION_PLATEAU`` relative, or after ``max_outer`` passes.  The clamp
-    offset and all residual diagnostics are reported on the result.  Half
-    flux biases other than phi_ext = pi raise ``UnsupportedBiasError``.
+    offset and all residual diagnostics are reported on the result.  Biases
+    other than phi_ext = pi raise ``UnsupportedBiasError`` before any
+    minimization.
     """
     if params.z >= 0.3:
         raise ValueError("instanton reduction requires eps_L/eps_J < 0.3")
-    mirror = _mirror_bias(bias)
+    _require_degenerate_minima(bias)
     m1, m2 = find_minima(params, bias)
     M = mass_matrix(params)
     d1 = _slow_unstable_direction(params, bias, m1)
@@ -300,34 +300,26 @@ def solve_instanton(
     qa = m1 + ENDPOINT_OFFSET * d1
     U0 = min(potential(params, bias, m1), potential(params, bias, m2))
 
-    # the relaxed string runs from qa through n_free free beads to `end`,
-    # which lies at the fraction t_end of the whole string
-    if mirror:
-        # R(q) = c - q; every R-symmetric path passes through its fixed point c/2
-        c = np.array([np.pi, 2.0 * bias.phi_ext, 0.0])
-        qb, end, t_end = c - qa, 0.5 * c, 0.5
-        n_free = n_beads // 2
-        # an odd string carries c/2 as its centre bead; an even one has it
-        # midway between its two middle beads, where the relaxed half takes
-        # the centre segment's potential at the midpoint of its own half of
-        # it rather than at c/2
-        centre = np.tile(end, (n_beads % 2, 1))
+    # R(q) = c - q; every R-symmetric path passes through its fixed point c/2,
+    # where the relaxed half string ends, halfway along the whole string
+    c = np.array([np.pi, 2.0 * bias.phi_ext, 0.0])
+    qb, end = c - qa, 0.5 * c
+    # an odd string carries c/2 as its centre bead; an even one has it
+    # midway between its two middle beads, where the relaxed half takes
+    # the centre segment's potential at the midpoint of its own half of
+    # it rather than at c/2
+    centre = np.tile(end, (n_beads % 2, 1))
 
-        def full_string(X):
-            return np.vstack([qa, X, centre, (c - X)[::-1], qb])
-    else:
-        qb = end = m2 - ENDPOINT_OFFSET * d1
-        t_end = 1.0
-        n_free = n_beads
-
-        def full_string(X):
-            return np.vstack([qa, X, qb])
+    def full_string(X):
+        return np.vstack([qa, X, centre, (c - X)[::-1], qb])
 
     def full_action(X):
         Q = full_string(X)
         return _action_and_grad(Q[1:-1].ravel(), qa, qb, M, U0, params, bias)
 
-    sg = np.linspace(0.0, 1.0, n_beads + 2)[1:n_free + 1]
+    # the free beads lie at fractions sg of the whole string, so at 2 sg of
+    # the relaxed half
+    sg = np.linspace(0.0, 1.0, n_beads + 2)[1:n_beads // 2 + 1]
     vg = qa[0] + (qb[0] - qa[0]) * sg
     X = np.stack(
         [vg, path_approx(vg, bias, params.z), np.interp(sg, [0, 1], [qa[2], qb[2]])],
@@ -344,7 +336,7 @@ def solve_instanton(
             method="L-BFGS-B",
             options={"maxiter": 400, "ftol": 1e-16, "gtol": 1e-13},
         )
-        X = _redistribute(np.vstack([qa, res.x.reshape(-1, 3), end]), M, sg / t_end)
+        X = _redistribute(np.vstack([qa, res.x.reshape(-1, 3), end]), M, 2.0 * sg)
         history.append(full_action(X)[0])
 
     # action and stationarity of the redistributed string that is returned
@@ -418,11 +410,7 @@ def reduce_to_effective(
             raise ValueError("path must be an InstantonPath or 'approx'")
         phi_of_v = path_approx(vg, bias, z)
     else:
-        if not _mirror_bias(bias):
-            raise ValueError(
-                "numeric-path reduction uses the half-flux reflection "
-                "symmetry; solve at phi_ext = pi or use the approx path"
-            )
+        _require_degenerate_minima(bias)
         coords = path.coords
         order = np.argsort(coords[:, 0])
         v_samp = coords[order, 0]

@@ -8,10 +8,12 @@ product basis ``|N p q>`` with ``|N| <= N0``, ``p <= p0``, ``q <= q0`` is a
 sum of Kronecker products of them, formed by ``Primitives.kron``.
 
 Every full-space matrix is in the gauged frame D^ O D, with the diagonal
-D = diag(i^N) (x) diag(i^p) (x) diag(i^q).  At half flux the circuit has exact
-Cooper-pair parity and the exact N_g -> -N_g antiunitary symmetry, and D^ H D
-is real for every circuit and offset charge, so every half-flux solve runs in
-real arithmetic.  The single-mode blocks keep their lab-frame meaning; only
+D = diag(i^N) (x) diag(i^p) (x) diag(i^q).  At half flux the circuit has the
+exact N_g -> -N_g antiunitary symmetry, and D^ H D is real for every circuit
+and offset charge, so every half-flux solve runs in real arithmetic.
+Cooper-pair parity (``Primitives.parity``) commutes with H at half flux only
+for the symmetric circuit: every disorder parameter delta couples the two
+parity sectors.  The single-mode blocks keep their lab-frame meaning; only
 ``kron`` applies the phases, and only ``kron`` decides whether a full-space
 matrix is real.  Matrix elements and expectation values are frame independent;
 a projection onto lab-frame wavefunctions multiplies a vector by the phases of
@@ -159,7 +161,11 @@ class BiasPoint:
 
     @property
     def at_half_flux(self) -> bool:
-        """phi_ext within 1e-9 rad of pi (mod 2 pi): Cooper-pair parity is exact."""
+        """phi_ext within 1e-9 rad of pi (mod 2 pi).
+
+        There the gauged Hamiltonian is real for every circuit; Cooper-pair
+        parity is exact only when every disorder parameter is zero.
+        """
         return abs(self.phi_ext % (2 * np.pi) - np.pi) < 1e-9
 
 
@@ -365,7 +371,7 @@ class Primitives:
     def parity(self) -> sp.csr_matrix:
         """Combined Cooper-pair parity: (-1)^N times the loop-sum Fock parity.
 
-        This is the symmetry the junction term preserves at half flux.
+        This is a symmetry of the symmetric circuit at half flux.
         """
         return self.kron((self.charge_parity, self.fock_parity, None))
 

@@ -415,15 +415,18 @@ class TestCli:
         assert "increasing" in diag["message"]
         assert not (out / "spectrum.csv").exists()
 
-    def test_instanton_other_half_flux_rejected(self, tmp_path, fast_config):
-        # phi_ext = 3 pi is at half flux, but its two minima are not degenerate
+    @pytest.mark.parametrize("phi_ext", ["9.42477796076938", "2.8"])
+    def test_instanton_other_bias_rejected(self, tmp_path, fast_config, phi_ext):
+        # phi_ext = 3 pi is at half flux and 2.8 is not; at neither are the
+        # two minima degenerate, and the run leaves no partial artifact
         out = tmp_path / "i3"
         r = _cli("instanton", "--config", str(fast_config), "--out", str(out),
-                 "--set", "bias.phi_ext=9.42477796076938", cwd=tmp_path)
+                 "--set", f"bias.phi_ext={phi_ext}", cwd=tmp_path)
         assert r.returncode == 1, r.stderr
         diag = json.loads(r.stderr.strip().splitlines()[-1])
         assert diag["error_kind"] == "domain"
         assert diag["error_type"] == "UnsupportedBiasError"
+        assert not (out / "instanton_path.csv").exists()
         assert not (out / "instanton.json").exists()
 
     def test_mathieu_artifact(self, tmp_path, fast_config):

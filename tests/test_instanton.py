@@ -284,23 +284,17 @@ class TestSolveInstanton:
         assert np.array_equal(q[-1], mirror(q[0]))
         assert np.abs(mirror(q[::-1]) - q).max() <= 1e-12
 
-    def test_off_half_flux_full_string(self, canonical):
-        bias = BiasPoint(0.9 * np.pi, 0.0)
-        path = solve_instanton(canonical, bias, n_beads=33, max_outer=3)
-        q = path.coords
-        assert q.shape == (35, 3) and np.all(np.isfinite(q))
-        m1, m2 = find_minima(canonical, bias)
-        eps_b = path.endpoint_offset
-        assert np.linalg.norm(q[0] - m1) == pytest.approx(eps_b, rel=1e-12)
-        assert np.linalg.norm(q[-1] - m2) == pytest.approx(eps_b, rel=1e-12)
-        # no mirror is imposed: the detuned minima are not reflections
-        assert not np.allclose(q[-1], mirror(q[0]), atol=1e-3)
+    @pytest.mark.parametrize(
+        "phi_ext", [3 * np.pi, 5 * np.pi, -np.pi, -3 * np.pi, 0.9 * np.pi, 2.8]
+    )
+    def test_other_biases_rejected(self, canonical, quick_path, monkeypatch, phi_ext):
+        # only phi_ext = pi has degenerate minima, mirror images under R; any
+        # other bias, at half flux or not, is refused before any minimization
+        def no_minimize(*args, **kwargs):
+            raise AssertionError("minimize called for an unsupported bias")
 
-    @pytest.mark.parametrize("turns", [3, 5, -1, -3])
-    def test_other_half_flux_biases_rejected(self, canonical, quick_path, turns):
-        # only phi_ext = pi has degenerate minima, mirror images under R
-        bias = BiasPoint(turns * np.pi, 0.0)
-        assert bias.at_half_flux
+        monkeypatch.setattr("cos2phi.instanton.minimize", no_minimize)
+        bias = BiasPoint(phi_ext, 0.0)
         with pytest.raises(UnsupportedBiasError, match="phi_ext = pi"):
             solve_instanton(canonical, bias, n_beads=17, max_outer=2)
         with pytest.raises(UnsupportedBiasError, match="phi_ext = pi"):
