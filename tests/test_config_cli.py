@@ -384,6 +384,21 @@ class TestCli:
         assert lines[0] == "delta,eps,defect,dE,abs_dE,unresolved"
         assert len(lines) == 3
 
+    @pytest.mark.parametrize("kind", ["J", "C", "A", "L"])
+    def test_disorder_recipe_kind(self, tmp_path, fast_config, kind):
+        # the README disorder loop: --set picks the kind and the deltas, and
+        # the artifacts name that kind with one row per requested delta
+        out = tmp_path / f"disorder_{kind}"
+        r = _cli("disorder", "--config", str(fast_config), "--out", str(out),
+                 "--set", f"sweep.kind={kind}",
+                 "--set", "sweep.deltas=[0.0, 0.15]", cwd=tmp_path)
+        assert r.returncode == 0, r.stderr
+        assert json.loads((out / "disorder.json").read_text())["kind"] == kind
+        _, rows = _csv_parts(out / "disorder.csv")
+        assert [float(row["delta"]) for row in rows] == [0.0, 0.15]
+        # the asymmetry of this kind moves the splitting off the symmetric one
+        assert float(rows[1]["eps"]) != float(rows[0]["eps"])
+
     def test_converge_and_instanton_and_wavefunctions(self, tmp_path, fast_config):
         out = tmp_path / "o5"
         for sub in ("converge", "instanton", "wavefunctions"):
