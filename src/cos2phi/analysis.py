@@ -245,9 +245,10 @@ def charge_dispersion(
 #: default truncation escalation for inductive-disorder dispersion hunts;
 #: the residual offset-charge sensitivity is exponentially small at strong
 #: asymmetry and needs a larger basis before the truncation artifact drops
-#: below it
+#: below it (on the default basis the periodicity defect of delta_L = 0.3 is
+#: already 0.125, above ``DEFECT_MAX``)
 DISPERSION_TRUNCATIONS = (
-    (0.45, BasisTruncation()),
+    (0.25, BasisTruncation()),
     (0.70, BasisTruncation(10, 10, 46)),
     (1.00, BasisTruncation(12, 12, 56)),
 )

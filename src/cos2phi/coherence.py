@@ -76,7 +76,7 @@ Q_IND_REF_HZ = 0.5e9
 
 RATE_FLOOR = 1e-9       # 1/s, i.e. 1e-12 per ms
 
-STERNHEIMER_SHIFT = 1.0     # GHz; the LU shift sits this far below E0
+STERNHEIMER_SHIFT = 1.0     # GHz; the factor's shift sits this far below E0
 STERNHEIMER_RTOL = 1e-12    # relative change that ends the Neumann iteration
 STERNHEIMER_MAX_ITER = 200  # the cap raises NonConvergenceError
 
@@ -291,9 +291,9 @@ def _flux_curvature(ls: LabeledSolution) -> float:
         E_n'' = <n|H''|n> + 2 |<m|H'|n>|^2 / (E_n - E_m) - 2 Re <Q H'n | x_n>,
 
     where Q projects out the pair and x_n solves the Sternheimer equation
-    (H - E_n) x_n = Q H'n on range(Q).  Both x_n come from one sparse LU of
-    H - sigma below the spectrum (``factor_below_spectrum``), by the Neumann
-    iteration
+    (H - E_n) x_n = Q H'n on range(Q).  Both x_n come from one band Cholesky
+    factor of H - sigma below the spectrum (``factor_below_spectrum``), by the
+    Neumann iteration
     x <- Q (H - sigma)^-1 (Q H'n + (E_n - sigma) x), which contracts by
     (E_n - sigma) / (E_2 - sigma) per step.
     """
@@ -303,13 +303,13 @@ def _flux_curvature(ls: LabeledSolution) -> float:
     d2 = -0.25 * josephson_term(params, bias.phi_ext, prim)
     V, E = ls.solution.vectors[:, :2], ls.energies[:2]
     sigma = E[0] - STERNHEIMER_SHIFT
-    lu = factor_below_spectrum(H, sigma)
+    factor = factor_below_spectrum(H, sigma)
 
     def solve(r):
-        # at half flux the LU is real and H' imaginary, and SuperLU takes no
-        # complex right-hand side on a real factor: the real and imaginary
-        # parts go as two columns of one solve
-        y = lu.solve(np.column_stack([r.real, r.imag]))
+        # at half flux the factor is real and H' imaginary; a complex
+        # right-hand side would upcast, and so copy, the real factor, so the
+        # real and imaginary parts go as two columns of one real solve
+        y = factor.solve(np.column_stack([r.real, r.imag]))
         return y[:, 0] + 1j * y[:, 1]
 
     def project(v):

@@ -12,7 +12,9 @@ casts H.
 Every shifted factorization in the package, the Lanczos operator here and
 the Sternheimer solve of the flux curvature, comes from
 ``factor_below_spectrum``: with the shift below the spectrum floor, H - sigma
-is positive definite, so one symmetric-ordered LU without pivoting serves.
+is positive definite, and in reverse Cuthill-McKee order it is banded (the
+imbalance mode enters only through the at most pentadiagonal eta, eta^2 and
+theta), so one LAPACK band Cholesky factor serves.
 """
 
 from __future__ import annotations
@@ -23,10 +25,12 @@ import numpy as np
 import scipy.linalg as sla
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
+from scipy.sparse.csgraph import reverse_cuthill_mckee
 
 from .model import HermitianOperator
 
 __all__ = [
+    "BandCholesky",
     "EigenSolution",
     "lowest_eigenpairs",
     "NonConvergenceError",
@@ -59,8 +63,9 @@ class EigenSolution:
     ``energies`` ascend; ``vectors[:, i]`` is the i-th eigenvector with its
     global phase fixed by ``fix_global_phase``.
     ``meta`` records backend, tolerance, seed, and the basis truncation when
-    the caller supplies one; Krylov solves add the ``shift`` sigma, the
-    fill ``lu_nnz`` of the LU of H - sigma and the ``lu_solves`` made on it.
+    the caller supplies one; Krylov solves add the ``shift`` sigma, the band
+    fill ``lu_nnz`` of the Cholesky factor of H - sigma and the
+    ``lu_solves`` made on it.
     """
 
     energies: np.ndarray
@@ -190,19 +195,64 @@ def lowest_eigenpairs(
     )
 
 
-def factor_below_spectrum(M, sigma: float):
-    """Sparse LU of M - sigma for a Hermitian M and sigma below its spectrum.
+@dataclass(frozen=True)
+class BandCholesky:
+    """Band Cholesky factor of a Hermitian positive definite matrix.
 
-    M - sigma is then positive definite: the symmetric minimum-degree
-    ordering of M + M^T keeps the fill low and the diagonal pivots need no
-    row exchanges.  ``nnz`` of the result is the fill; the factors are not
-    read, because each access to ``L`` or ``U`` copies them.
+    ``band`` is the Fortran-ordered lower band of the factor in LAPACK's
+    packed form, for the matrix with its states taken in the order ``perm``.
     """
-    A = (M - sigma * sp.identity(M.shape[0], dtype=M.dtype, format="csc")).tocsc()
-    return spla.splu(
-        A, permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
-        options={"SymmetricMode": True},
-    )
+
+    band: np.ndarray
+    perm: np.ndarray
+
+    @property
+    def nnz(self) -> int:
+        """The band fill: (bandwidth + 1) * dim stored entries."""
+        return self.band.size
+
+    def solve(self, b: np.ndarray) -> np.ndarray:
+        """(M - sigma)^-1 b for a 1-D b or for each column of a 2-D b."""
+        y = sla.cho_solve_banded(
+            (self.band, True), b[self.perm], overwrite_b=True, check_finite=False
+        )
+        x = np.empty_like(y)
+        x[self.perm] = y
+        return x
+
+
+def factor_below_spectrum(M, sigma: float) -> BandCholesky:
+    """Band Cholesky factor of M - sigma, sigma below the spectrum of sparse M.
+
+    M is Hermitian.  The reverse Cuthill-McKee order of M's pattern makes
+    M - sigma banded; its lower band is packed column-major, as ``pbtrf``
+    reads it, so the factorization runs in place.  A sigma that is not below
+    the spectrum leaves M - sigma indefinite, and ``pbtrf`` finds it: that
+    raises ``NonConvergenceError``.
+    """
+    A = M.tocsr()  # canonical from CSC, so its COO form needs no sort
+    n = A.shape[0]
+    perm = reverse_cuthill_mckee(A, symmetric_mode=True)
+    rank = np.empty(n, dtype=np.intp)
+    rank[perm] = np.arange(n)
+    A = A.tocoo()
+    A.sum_duplicates()
+    row, col = rank[A.row], rank[A.col]
+    lower = row >= col
+    offset, col = row[lower] - col[lower], col[lower]
+    band = np.zeros((int(offset.max(initial=0)) + 1, n), dtype=M.dtype, order="F")
+    band[offset, col] = A.data[lower]
+    band[0] -= sigma
+    try:
+        band = sla.cholesky_banded(
+            band, lower=True, overwrite_ab=True, check_finite=False
+        )
+    except sla.LinAlgError as exc:
+        raise NonConvergenceError(
+            f"H - sigma is not positive definite at sigma = {sigma:.12g} GHz "
+            f"(dim {n}): {exc}"
+        ) from exc
+    return BandCholesky(band=band, perm=perm)
 
 
 def _krylov_lowest(H: HermitianOperator, k: int, seed: int):
@@ -221,13 +271,13 @@ def _krylov_lowest(H: HermitianOperator, k: int, seed: int):
             M, k=1, which="SA", return_eigenvectors=False, tol=FLOOR_TOL, v0=v0
         )[0]
         sigma = floor - max(1.0, 2.0 * FLOOR_TOL * abs(floor))
-        lu = factor_below_spectrum(M, sigma)
+        factor = factor_below_spectrum(M, sigma)
         solves = 0
 
         def inverse(x):
             nonlocal solves
             solves += 1
-            return lu.solve(x)
+            return factor.solve(x)
 
         OPinv = spla.LinearOperator(M.shape, matvec=inverse, dtype=M.dtype)
         evals, evecs = spla.eigsh(
@@ -239,5 +289,5 @@ def _krylov_lowest(H: HermitianOperator, k: int, seed: int):
             f"ARPACK failed to converge: {exc}", residuals=getattr(exc, "eigenvalues", None)
         ) from exc
     order = np.argsort(evals)
-    info = {"shift": float(sigma), "lu_nnz": int(lu.nnz), "lu_solves": solves}
+    info = {"shift": float(sigma), "lu_nnz": int(factor.nnz), "lu_solves": solves}
     return evals[order], evecs[:, order], info

@@ -131,10 +131,11 @@ class TestSolutionCache:
         assert a.solution.vectors.dtype == b.solution.vectors.dtype == np.float64
         assert np.array_equal(a.energies, b.energies)
         assert a.labels == b.labels
-        # stored vectors are in the gauged frame: the key carries version 5
+        # stored vectors are in the gauged frame and solved on the band
+        # Cholesky factor: the key carries version 6
         payload = json.dumps({"p": dataclasses.astuple(params),
                               "b": [bias.phi_ext, bias.N_g], "t": tr.as_tuple(),
-                              "k": 3, "seed": cache.seed, "v": 5}, sort_keys=True)
+                              "k": 3, "seed": cache.seed, "v": 6}, sort_keys=True)
         assert stored.stem == hashlib.sha256(payload.encode()).hexdigest()
 
     def test_distinct_problems_distinct_entries(self, tmp_path, canonical, half_flux):
@@ -398,6 +399,17 @@ class TestCli:
         assert [float(row["delta"]) for row in rows] == [0.0, 0.15]
         # the asymmetry of this kind moves the splitting off the symmetric one
         assert float(rows[1]["eps"]) != float(rows[0]["eps"])
+
+    def test_disorder_band_edge(self, tmp_path, fast_config):
+        # delta_L = 0.45 lies past the default basis's band of the dispersion
+        # schedule; on (7, 7, 30) its splitting is not monotone in N_g and the
+        # run exited 2, on the scheduled (10, 10, 46) the swing is resolved
+        out = tmp_path / "edge"
+        r = _cli("disorder", "--config", str(fast_config), "--out", str(out),
+                 "--set", "sweep.deltas=[0.45]", cwd=tmp_path)
+        assert r.returncode == 0, r.stderr
+        _, rows = _csv_parts(out / "disorder.csv")
+        assert len(rows) == 1 and rows[0]["unresolved"] == "False"
 
     def test_converge_and_instanton_and_wavefunctions(self, tmp_path, fast_config):
         out = tmp_path / "o5"

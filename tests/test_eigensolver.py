@@ -8,7 +8,9 @@ from cos2phi.eigensolver import (
     DEGENERACY_WINDOW,
     DENSE_THRESHOLD,
     FLOOR_TOL,
+    NonConvergenceError,
     _fix_phases,
+    factor_below_spectrum,
     lowest_eigenpairs,
 )
 from cos2phi.hamiltonians import full_hamiltonian
@@ -104,7 +106,7 @@ class TestLowestEigenpairs:
         H = full_hamiltonian(canonical, half_flux, small_trunc)
         sol = lowest_eigenpairs(H, k=4)
         assert sol.meta["shift"] < sol.energies[0]
-        # the LU of H - sigma fills in beyond H's own pattern
+        # the band of the factor of H - sigma holds more than H's own pattern
         assert sol.meta["lu_nnz"] > H.matrix.nnz
         assert sol.meta["lu_solves"] >= sol.k
         dense = lowest_eigenpairs(_wrap(np.diag([3.0, 1.0, 2.0])), k=2)
@@ -161,6 +163,40 @@ class TestLowestEigenpairs:
             e0 = lowest_eigenpairs(H, k=1).energies[0]
             assert e0 <= prev + 1e-12
             prev = e0
+
+
+class TestFactorBelowSpectrum:
+    @pytest.mark.parametrize("phi_ext,dtype", [(np.pi, np.float64),
+                                               (2.8, np.complex128)])
+    @pytest.mark.parametrize("ncols", [None, 2])
+    def test_solve_matches_dense(self, small_trunc, phi_ext, dtype, ncols):
+        # real at half flux, complex off it; a 1-D and a two-column
+        # right-hand side against a dense solve of H - sigma
+        params = CircuitParams(15.0, 2.0, 1.0, 0.02, delta_L=0.6)
+        H = full_hamiltonian(params, BiasPoint(phi_ext, 0.0), small_trunc).matrix
+        assert H.dtype == dtype
+        dense = H.toarray()
+        sigma = np.linalg.eigvalsh(dense)[0] - 1.0
+        shape = (H.shape[0],) if ncols is None else (H.shape[0], ncols)
+        rng = np.random.default_rng(3)
+        b = rng.standard_normal(shape).astype(dtype)
+        if dtype == np.complex128:
+            b += 1j * rng.standard_normal(shape)
+        factor = factor_below_spectrum(H, sigma)
+        x = factor.solve(b)
+        ref = np.linalg.solve(dense - sigma * np.eye(H.shape[0]), b)
+        assert x.shape == b.shape
+        assert np.linalg.norm(x - ref) <= 1e-12 * np.linalg.norm(ref)
+        # the band fill is (bandwidth + 1) * dim, well short of a dense factor
+        assert H.shape[0] <= factor.nnz < H.shape[0] ** 2 // 4
+
+    def test_shift_inside_spectrum_raises(self, canonical, half_flux, small_trunc):
+        # H - sigma is indefinite once sigma lies above E0; the band Cholesky
+        # finds it and the failure carries the numeric error type
+        H = full_hamiltonian(canonical, half_flux, small_trunc).matrix
+        sigma = np.linalg.eigvalsh(H.toarray())[0] + 0.1
+        with pytest.raises(NonConvergenceError, match=f"dim {H.shape[0]}"):
+            factor_below_spectrum(H, sigma)
 
 
 class TestConvergenceLadder:
