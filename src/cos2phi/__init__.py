@@ -1,57 +1,92 @@
-"""Numerical simulator for a capacitively shunted pair-tunneling qubit."""
+"""Numerical simulator for a capacitively shunted pair-tunneling qubit.
+
+The public names below load their module, and with it numpy, on first
+access (PEP 562), so that ``cos2phi.cli`` can fix the BLAS thread count
+before numpy starts its thread pool.  Importing the package alone loads no
+numpy and leaves ``os.environ`` as it was.
+"""
 
 __version__ = "0.1.0"
 
-from .constants import PhysicalConstants, DEFAULT_CONSTANTS
-from .model import (
-    BasisTruncation,
-    BiasPoint,
-    CircuitParams,
-    HermitianOperator,
-    build_primitives,
-    displaced_cosine,
-    displaced_sine,
-)
-from .hamiltonians import (
-    EffectiveParams,
-    ToyParams,
-    effective_params,
-    full_hamiltonian,
-    toy_hamiltonian,
-)
-from .eigensolver import EigenSolution, lowest_eigenpairs
-from .analysis import (
-    DisorderSweep,
-    LabeledSolution,
-    StateLabel,
-    charge_dispersion,
-    convergence_ladder,
-    dispersive_shift,
-    disorder_sweep,
-    flux_sweep,
-    label_states,
-    normalized_matrix_elements,
-    solve_circuit,
-    wavefunction_charge,
-    wavefunction_phase,
-)
-from .coherence import (
-    CoherenceReport,
-    full_report,
-    q_cap,
-    q_ind,
-    t1_channel,
-    tphi_charge,
-    tphi_critical_current,
-    tphi_flux,
-    tphi_shot,
-)
-from .instanton import (
-    InstantonPath,
-    find_minima,
-    path_approx,
-    potential,
-    reduce_to_effective,
-    solve_instanton,
-)
-from .mathieu import asymptotic_dispersion, exact_dispersion
+#: caps numpy's and scipy's OpenBLAS (and OpenMP) at one thread.  It is read
+#: only when numpy loads, so ``cli`` applies it to its own process before it
+#: imports numpy, and ``cache.worker_pool`` to each worker it spawns.
+_ONE_BLAS_THREAD = {"OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1"}
+
+_EXPORTS = {
+    "constants": ("PhysicalConstants", "DEFAULT_CONSTANTS"),
+    "model": (
+        "BasisTruncation",
+        "BiasPoint",
+        "CircuitParams",
+        "HermitianOperator",
+        "build_primitives",
+        "displaced_cosine",
+        "displaced_sine",
+    ),
+    "hamiltonians": (
+        "EffectiveParams",
+        "ToyParams",
+        "effective_params",
+        "full_hamiltonian",
+        "toy_hamiltonian",
+    ),
+    "eigensolver": ("EigenSolution", "lowest_eigenpairs"),
+    "analysis": (
+        "DisorderSweep",
+        "LabeledSolution",
+        "StateLabel",
+        "charge_dispersion",
+        "convergence_ladder",
+        "dispersive_shift",
+        "disorder_sweep",
+        "flux_sweep",
+        "label_states",
+        "normalized_matrix_elements",
+        "solve_circuit",
+        "wavefunction_charge",
+        "wavefunction_phase",
+    ),
+    "coherence": (
+        "CoherenceReport",
+        "full_report",
+        "q_cap",
+        "q_ind",
+        "t1_channel",
+        "tphi_charge",
+        "tphi_critical_current",
+        "tphi_flux",
+        "tphi_shot",
+    ),
+    "instanton": (
+        "InstantonPath",
+        "find_minima",
+        "path_approx",
+        "potential",
+        "reduce_to_effective",
+        "solve_instanton",
+    ),
+    "mathieu": ("asymptotic_dispersion", "exact_dispersion"),
+}
+_MODULE_OF = {name: mod for mod, names in _EXPORTS.items() for name in names}
+#: modules reachable as ``cos2phi.<module>`` without an import of their own
+_MODULES = (*_EXPORTS, "cache")
+
+__all__ = [*_MODULE_OF, *_MODULES]
+
+
+def __getattr__(name):
+    from importlib import import_module
+
+    if name in _MODULE_OF:
+        value = getattr(import_module(f".{_MODULE_OF[name]}", __name__), name)
+    elif name in _MODULES:
+        value = import_module(f".{name}", __name__)
+    else:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    globals()[name] = value
+    return value
+
+
+def __dir__():
+    return sorted({*globals(), *__all__})

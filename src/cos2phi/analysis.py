@@ -2,13 +2,15 @@
 dispersion, wavefunction projections, matrix elements, dispersive shift.
 
 Label conventions.  Cooper-pair parity means the combined charge/loop-mode
-parity operator from the primitives; its sign is exact at half flux and
-still well defined (as an expectation sign) once disorder mixes the
-sectors.  The plasmon number m comes from rounding the imbalance-mode
-occupation.  Fluxon symbols: "+" / "-" at half flux (parity eigenstates),
-"*" (fluxon present) / "o" (fluxon absent) elsewhere, assigned by which
-cosine ridge the state occupies relative to the true ground state, and
-"unlabeled" at integer flux where the doublet structure degenerates.
+parity operator from the primitives, read as the sign of its expectation
+value.  It is an exact quantum number only for the symmetric circuit at
+half flux; every disorder parameter couples the two parity sectors there,
+and the sign then labels the dominant sector.  The plasmon number m comes
+from rounding the imbalance-mode occupation.  Fluxon symbols: "+" / "-" at
+half flux (by that parity sign; parity eigenstates only for the symmetric
+circuit), "*" (fluxon present) / "o" (fluxon absent) elsewhere, assigned by
+which cosine ridge the state occupies relative to the true ground state,
+and "unlabeled" at integer flux where the doublet structure degenerates.
 """
 
 from __future__ import annotations

@@ -23,14 +23,11 @@ from pathlib import Path
 
 import numpy as np
 
+from . import _ONE_BLAS_THREAD
 from .eigensolver import DEFAULT_SEED, EigenSolution
 from .model import BasisTruncation, BiasPoint, CircuitParams, build_primitives
 
 __all__ = ["SolutionCache", "worker_pool"]
-
-#: set in each worker's environment before numpy loads, so that a pool of
-#: ``jobs`` workers runs ``jobs`` BLAS threads, not ``jobs`` times ``nproc``
-WORKER_ENV = {"OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1"}
 
 
 @contextmanager
@@ -38,13 +35,14 @@ def worker_pool(jobs: int):
     """A process pool of ``jobs`` fresh interpreters with one BLAS thread each.
 
     Spawned workers inherit the environment of the moment they start, so
-    ``WORKER_ENV`` is in place while the pool runs and restored after.
+    ``_ONE_BLAS_THREAD`` is in place while the pool runs and restored after:
+    ``jobs`` workers run ``jobs`` BLAS threads, not ``jobs`` times ``nproc``.
     """
     from concurrent.futures import ProcessPoolExecutor
     from multiprocessing import get_context
 
-    saved = {k: os.environ.get(k) for k in WORKER_ENV}
-    os.environ.update(WORKER_ENV)
+    saved = {k: os.environ.get(k) for k in _ONE_BLAS_THREAD}
+    os.environ.update(_ONE_BLAS_THREAD)
     try:
         with ProcessPoolExecutor(
             max_workers=jobs, mp_context=get_context("spawn")

@@ -11,10 +11,18 @@ served from the artifact cache.
 
 from __future__ import annotations
 
+import os
+
+from . import _ONE_BLAS_THREAD, __version__
+
+# One BLAS thread per process, whatever the caller's environment: ``--jobs``
+# is a run's only parallelism, and artifacts do not depend on the thread
+# count.  OpenBLAS reads the variable once, when numpy loads below.
+os.environ.update(_ONE_BLAS_THREAD)
+
 import hashlib
 import json
 import math
-import os
 import sys
 import traceback
 from contextlib import contextmanager
@@ -23,7 +31,6 @@ from pathlib import Path
 import click
 import numpy as np
 
-from . import __version__
 from .analysis import (
     convergence_ladder,
     disorder_sweep,

@@ -173,14 +173,18 @@ class TestSolutionCache:
             assert a.solution.meta["backend"] == "krylov"
             assert np.abs(a.energies - b.energies).max() < 1e-12
 
-    def test_worker_runs_one_blas_thread(self):
-        before = os.environ.get("OPENBLAS_NUM_THREADS")
+    def test_worker_runs_one_blas_thread(self, monkeypatch):
+        # a library caller with no thread setting (importing ``cos2phi.cli``
+        # at collection has set both variables in this process)
+        for k in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS"):
+            monkeypatch.delenv(k, raising=False)
         with worker_pool(2) as ex:
             env, threads = ex.submit(_blas_threads).result()
         assert env == "1"
         assert threads and all(n == 1 for n in threads)
         # the pool's environment does not leak into this process
-        assert os.environ.get("OPENBLAS_NUM_THREADS") == before
+        assert "OPENBLAS_NUM_THREADS" not in os.environ
+        assert "OMP_NUM_THREADS" not in os.environ
 
     def test_disabled_cache(self, tmp_path, canonical, half_flux):
         cache = SolutionCache(None)
@@ -219,15 +223,31 @@ def _blas_threads():
 _PACKAGE_ROOT = str(Path(cos2phi.__file__).resolve().parent.parent)
 
 
-def _cli(*args, cwd, extra_env=None):
-    env = dict(os.environ, **(extra_env or {}))
+def _child_env(extra_env=None):
+    """This process's environment without the BLAS thread variables (which
+    importing ``cos2phi.cli`` sets here), plus ``extra_env``."""
+    env = {k: v for k, v in os.environ.items()
+           if k not in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS")}
+    env.update(extra_env or {})
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (_PACKAGE_ROOT, env.get("PYTHONPATH")) if p
     )
+    return env
+
+
+def _cli(*args, cwd, extra_env=None):
     return subprocess.run(
         [sys.executable, "-W", "ignore", "-m", "cos2phi.cli", *args],
-        capture_output=True, text=True, cwd=cwd, env=env,
+        capture_output=True, text=True, cwd=cwd, env=_child_env(extra_env),
     )
+
+
+def _fresh_python(code, cwd, env):
+    """stdout of ``code`` run by a fresh interpreter as JSON."""
+    r = subprocess.run([sys.executable, "-W", "ignore", "-c", code],
+                       capture_output=True, text=True, cwd=cwd, env=env)
+    assert r.returncode == 0, r.stderr
+    return json.loads(r.stdout)
 
 
 def _csv_parts(path):
@@ -510,13 +530,11 @@ class TestCli:
         assert len(rows) == 4
 
     def test_jobs_flag_keeps_config_hash(self, tmp_path, fast_config):
-        # one BLAS thread per process: the pool would oversubscribe the cores
         hashes = []
         for name, jobs in (("serial", ()), ("pool", ("--jobs", "2"))):
             out = tmp_path / name
             r = _cli("spectrum", "--config", str(fast_config), "--out",
-                     str(out), *jobs, cwd=tmp_path,
-                     extra_env={"OPENBLAS_NUM_THREADS": "1"})
+                     str(out), *jobs, cwd=tmp_path)
             assert r.returncode == 0, r.stderr
             first = (out / "spectrum.csv").read_text().splitlines()[0]
             hashes.append(json.loads(first.removeprefix("# provenance: "))
@@ -527,19 +545,51 @@ class TestCli:
         # serial and pooled runs take the same per-point path through the
         # solution store, so a pooled rerun diagonalizes nothing
         out = tmp_path / "o7"
-        env = {"OPENBLAS_NUM_THREADS": "1"}
         r = _cli("spectrum", "--config", str(fast_config), "--out", str(out),
-                 cwd=tmp_path, extra_env=env)
+                 cwd=tmp_path)
         assert r.returncode == 0, r.stderr
         serial, _ = _csv_parts(out / "spectrum.csv")
         (out / "spectrum_done.json").unlink()
         r = _cli("spectrum", "--config", str(fast_config), "--out", str(out),
-                 "--jobs", "2", cwd=tmp_path, extra_env=env)
+                 "--jobs", "2", cwd=tmp_path)
         assert r.returncode == 0, r.stderr
         log = json.loads((out / "spectrum_runlog.json").read_text())
         assert log["diagonalizations"] == 0 and log["cache_hits"] == 3
         pooled, _ = _csv_parts(out / "spectrum.csv")
         assert pooled == serial
+
+    def test_artifacts_independent_of_caller_blas_threads(self, tmp_path,
+                                                         fast_config):
+        checksums = []
+        for n in ("1", "2"):
+            out = tmp_path / f"blas{n}"
+            r = _cli("spectrum", "--config", str(fast_config), "--out",
+                     str(out), "--no-cache", cwd=tmp_path,
+                     extra_env={"OPENBLAS_NUM_THREADS": n})
+            assert r.returncode == 0, r.stderr
+            checksums.append(_csv_parts(out / "spectrum.csv")[0])
+        assert checksums[0] == checksums[1]
+
+    def test_cli_process_runs_one_blas_thread(self, tmp_path):
+        code = ("import json, sys\n"
+                "import cos2phi.cli\n"
+                f"sys.path.insert(0, {str(Path(__file__).parent)!r})\n"
+                "from test_config_cli import _blas_threads\n"
+                "print(json.dumps(_blas_threads()))\n")
+        env, threads = _fresh_python(
+            code, tmp_path, _child_env({"OPENBLAS_NUM_THREADS": "2"}))
+        assert env == "1"
+        assert threads and all(n == 1 for n in threads)
+
+    def test_library_import_leaves_environment(self, tmp_path):
+        env = _child_env()
+        # every public name resolves, and none of them touches the variables
+        code = ("import json, os\n"
+                "import cos2phi, cos2phi.analysis\n"
+                "[getattr(cos2phi, n) for n in cos2phi.__all__]\n"
+                "print(json.dumps([os.environ.get('OPENBLAS_NUM_THREADS'),\n"
+                "                  os.environ.get('OMP_NUM_THREADS')]))\n")
+        assert _fresh_python(code, tmp_path, env) == [None, None]
 
 
 SUBCOMMANDS = ("spectrum", "wavefunctions", "matrix-elements", "disorder",
