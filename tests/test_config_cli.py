@@ -591,6 +591,14 @@ class TestCli:
                 "                  os.environ.get('OMP_NUM_THREADS')]))\n")
         assert _fresh_python(code, tmp_path, env) == [None, None]
 
+    def test_cli_import_leaves_out_scipy_optimize(self, tmp_path):
+        # the package minimizes by its own Newton iterations, so no CLI
+        # process pays for importing scipy.optimize
+        code = ("import json, sys\n"
+                "import cos2phi.cli\n"
+                "print(json.dumps('scipy.optimize' in sys.modules))\n")
+        assert _fresh_python(code, tmp_path, _child_env()) is False
+
 
 SUBCOMMANDS = ("spectrum", "wavefunctions", "matrix-elements", "disorder",
                "coherence", "instanton", "mathieu", "converge")
