@@ -20,8 +20,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .cache import SolutionCache
-from .eigensolver import (DEFAULT_SEED, EigenSolution, NonConvergenceError,
-                          fix_global_phase, lowest_eigenpairs)
+from .constants import DEFAULT_SEED
+from .eigensolver import (EigenSolution, NonConvergenceError, fix_global_phase,
+                          lowest_eigenpairs)
 from .hamiltonians import full_hamiltonian
 from .model import BasisTruncation, BiasPoint, CircuitParams, Primitives, build_primitives
 

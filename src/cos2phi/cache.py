@@ -24,7 +24,8 @@ from pathlib import Path
 import numpy as np
 
 from . import _ONE_BLAS_THREAD
-from .eigensolver import DEFAULT_SEED, EigenSolution
+from .constants import DEFAULT_SEED
+from .eigensolver import EigenSolution
 from .model import BasisTruncation, BiasPoint, CircuitParams, build_primitives
 
 __all__ = ["SolutionCache", "worker_pool"]

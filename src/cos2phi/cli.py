@@ -7,6 +7,13 @@ Exit codes: 0 success; 1 domain, configuration or usage error; 2 numerical
 non-convergence.  Every artifact carries a provenance comment block and a
 checksum of its data section; re-running an unchanged config is a no-op
 served from the artifact cache.
+
+The front end imports with numpy alone: its config, its exit-code error
+types and the ``instanton`` and ``mathieu`` layers need no scipy.  The
+subcommands that build or diagonalize the circuit (``spectrum``,
+``wavefunctions``, ``matrix-elements``, ``disorder``, ``coherence``,
+``converge``) import their layers, the solution store and with them scipy
+when they run.
 """
 
 from __future__ import annotations
@@ -31,23 +38,12 @@ from pathlib import Path
 import click
 import numpy as np
 
-from .analysis import (
-    convergence_ladder,
-    disorder_sweep,
-    flux_sweep,
-    normalized_matrix_elements,
-    wavefunction_charge,
-    wavefunction_phase,
-)
-from .cache import SolutionCache
-from .coherence import full_report
 from .config import ConfigError, RunConfig, load_config
 from .constants import PhysicalConstants
-from .eigensolver import NonConvergenceError
 from .hamiltonians import ToyParams, effective_params
 from .instanton import MinimizationError, reduce_to_effective, solve_instanton
 from .mathieu import TruncationError, asymptotic_dispersion, exact_dispersion
-from .model import BasisTruncation, DimensionCapError
+from .model import BasisTruncation, DimensionCapError, NonConvergenceError
 
 OUTPUT_ROOT_ENV = "COS2PHI_OUTPUT_ROOT"
 
@@ -99,7 +95,9 @@ def _out_dir(cfg: RunConfig, explicit: str | None) -> Path:
 
 
 class _Runner:
-    """Shared per-invocation state: config, cache, output dir, run log."""
+    """Shared per-invocation state: config, solution store, output dir, run
+    log.  The store is built on first use, so a subcommand that solves
+    nothing loads neither it nor scipy."""
 
     def __init__(self, subcommand, config_path, out, overrides, no_cache, jobs):
         self.subcommand = subcommand
@@ -110,11 +108,20 @@ class _Runner:
             self.cfg.raw["cache"] = False
         self.out = _out_dir(self.cfg, out)
         self.provenance = {**self.cfg.provenance(), "subcommand": subcommand}
-        self.cache = SolutionCache(
-            self.out / ".solutions" if self.cfg.cache_enabled else None,
-            seed=self.cfg.seed,
-        )
+        self._cache = None
         self.marker = self.out / f"{subcommand}_done.json"
+
+    @property
+    def cache(self):
+        """The ``SolutionCache`` of this run."""
+        if self._cache is None:
+            from .cache import SolutionCache
+
+            self._cache = SolutionCache(
+                self.out / ".solutions" if self.cfg.cache_enabled else None,
+                seed=self.cfg.seed,
+            )
+        return self._cache
 
     def already_done(self) -> bool:
         if not self.cfg.cache_enabled or not self.marker.exists():
@@ -138,14 +145,13 @@ class _Runner:
                 sort_keys=True,
             )
         )
+        misses, hits = (0, 0) if self._cache is None else (
+            self._cache.misses, self._cache.hits)
         self._write_runlog(
-            diagonalizations=self.cache.misses,
-            cache_hits=self.cache.hits,
-            artifacts=artifacts,
-        )
+            diagonalizations=misses, cache_hits=hits, artifacts=artifacts)
         click.echo(
             f"{self.subcommand}: wrote {', '.join(artifacts)} "
-            f"({self.cache.misses} diagonalizations, {self.cache.hits} cache hits)"
+            f"({misses} diagonalizations, {hits} cache hits)"
         )
 
     def skip(self) -> None:
@@ -263,6 +269,8 @@ def _subcommand(name: str, *extra_options: click.Option):
 @_subcommand("spectrum", click.Option(["--jobs"], type=int, help="worker pool size"))
 def spectrum(r: _Runner) -> list[str]:
     """Transition energies versus external flux."""
+    from .analysis import flux_sweep
+
     cfg = r.cfg
     sw = cfg.section("sweep")
     grid = np.linspace(float(sw["flux_start"]), float(sw["flux_stop"]),
@@ -284,6 +292,8 @@ def spectrum(r: _Runner) -> list[str]:
 @_subcommand("wavefunctions")
 def wavefunctions(r: _Runner) -> list[str]:
     """Charge and phase wavefunctions of the four lowest states."""
+    from .analysis import wavefunction_charge, wavefunction_phase
+
     cfg = r.cfg
     ls = r.cache.get_or_solve(cfg.circuit, cfg.bias, cfg.truncation, 4)
     rows = []
@@ -311,6 +321,8 @@ def wavefunctions(r: _Runner) -> list[str]:
 @_subcommand("matrix-elements")
 def matrix_elements(r: _Runner) -> list[str]:
     """Normalized transition weights from the ground state."""
+    from .analysis import normalized_matrix_elements
+
     cfg = r.cfg
     k = int(cfg.section("sweep")["k"])
     ls = r.cache.get_or_solve(cfg.circuit, cfg.bias, cfg.truncation, k)
@@ -333,6 +345,8 @@ def matrix_elements(r: _Runner) -> list[str]:
 @_subcommand("disorder")
 def disorder(r: _Runner) -> list[str]:
     """Charge dispersion and splitting versus one asymmetry parameter."""
+    from .analysis import disorder_sweep
+
     cfg = r.cfg
     sw = cfg.section("sweep")
     kind = str(sw["kind"])
@@ -364,6 +378,8 @@ def disorder(r: _Runner) -> list[str]:
 @_subcommand("coherence")
 def coherence(r: _Runner) -> list[str]:
     """Relaxation and dephasing budget at the configured operating point."""
+    from .coherence import full_report
+
     cfg = r.cfg
     ch_cfg = cfg.section("channels")
     if not isinstance(ch_cfg["enabled"], list):
@@ -458,6 +474,8 @@ def mathieu(r: _Runner) -> list[str]:
 @_subcommand("converge")
 def converge(r: _Runner) -> list[str]:
     """Truncation-ladder convergence of the lowest energies."""
+    from .analysis import convergence_ladder
+
     cfg = r.cfg
     cc = cfg.section("converge")
     k = int(cc["k"])

@@ -40,7 +40,8 @@ from .analysis import (
     dispersive_shift,
 )
 from .cache import SolutionCache
-from .constants import GHZ_TO_RAD_PER_S, PhysicalConstants, DEFAULT_CONSTANTS
+from .constants import (CHANNELS, DEFAULT_CONSTANTS, GHZ_TO_RAD_PER_S,
+                        T1_CHANNELS, PhysicalConstants)
 from .eigensolver import NonConvergenceError, factor_below_spectrum
 from .hamiltonians import UnsupportedBiasError, full_hamiltonian, josephson_term
 from .model import (
@@ -66,10 +67,6 @@ __all__ = [
     "tphi_critical_current",
     "full_report",
 ]
-
-#: every channel of the budget: relaxation first, then pure dephasing
-T1_CHANNELS = ("capacitive", "inductive", "purcell", "quasiparticle")
-CHANNELS = T1_CHANNELS + ("charge", "flux", "shot", "critical_current")
 
 Q_CAP_REF_HZ = 6e9
 Q_IND_REF_HZ = 0.5e9

@@ -15,9 +15,7 @@ from pathlib import Path
 import numpy as np
 import yaml
 
-from .coherence import CHANNELS
-from .constants import DEFAULT_CONSTANTS
-from .eigensolver import DEFAULT_SEED
+from .constants import CHANNELS, DEFAULT_CONSTANTS, DEFAULT_SEED
 from .model import BasisTruncation, BiasPoint, CircuitParams
 
 __all__ = ["RunConfig", "ConfigError", "load_config", "parse_override"]

@@ -1,8 +1,12 @@
-"""Physical constants and unit conventions.
+"""Physical constants, unit conventions and the package-wide defaults.
 
 All circuit energies elsewhere in the package are stored as frequencies,
 E/h in GHz.  SI constants only enter the coherence module, where rates are
-assembled in rad/s and reported in ms.
+assembled in rad/s and reported in ms.  The defaults that both the run
+configuration and a solving layer read (the Krylov seed, the coherence
+channels, the noise environment) live here, in a module that imports only
+the standard library, so that ``config`` and the CLI front end load
+without the layers that diagonalize, and without scipy.
 """
 
 from __future__ import annotations
@@ -19,6 +23,12 @@ E_CHARGE = 1.602176634e-19     # C
 
 #: aluminum superconducting gap, expressed as an equivalent temperature (K)
 ALUMINUM_GAP_K = 2.1
+
+DEFAULT_SEED = 7  # Krylov start-vector seed
+
+#: every channel of the coherence budget: relaxation first, then pure dephasing
+T1_CHANNELS = ("capacitive", "inductive", "purcell", "quasiparticle")
+CHANNELS = T1_CHANNELS + ("charge", "flux", "shot", "critical_current")
 
 
 @dataclass(frozen=True)

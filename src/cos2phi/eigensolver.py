@@ -27,7 +27,8 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 from scipy.sparse.csgraph import reverse_cuthill_mckee
 
-from .model import HermitianOperator
+from .constants import DEFAULT_SEED
+from .model import HermitianOperator, NonConvergenceError
 
 __all__ = [
     "BandCholesky",
@@ -43,17 +44,8 @@ __all__ = [
 DENSE_THRESHOLD = 160  # dim; measured dense/Krylov crossover: 150-180
 KRYLOV_TOL = 1e-10  # Krylov residuals above 100 * KRYLOV_TOL * |E| raise
 FLOOR_TOL = 1e-2  # relative residual of the Lanczos pass that finds the floor
-DEFAULT_SEED = 7  # Krylov start-vector seed
 DEGENERACY_WINDOW = 1e-9  # GHz; clusters inside are gauge-fixed together
 PHASE_TIE_RTOL = 1e-8  # entries this close to the largest magnitude tie
-
-
-class NonConvergenceError(RuntimeError):
-    """Iterative solver failed; carries the best residuals seen."""
-
-    def __init__(self, msg: str, residuals=None):
-        super().__init__(msg)
-        self.residuals = residuals
 
 
 @dataclass(frozen=True)

@@ -25,16 +25,21 @@ conventions implied by these signs (which junction or superinductance is
 
 Every term is a Kronecker product of single-mode blocks (charge, loop-sum,
 imbalance), and ``full_hamiltonian`` is their sum, assembled once by
-``Primitives.kron``.
+``Primitives.kron``.  The toy model and the printed coefficients import
+and run with numpy alone; the circuit operators load scipy when they are
+built.
 """
 
 from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
-import scipy.sparse as sp
+
+if TYPE_CHECKING:
+    import scipy.sparse as sp
 
 from .model import (
     BasisTruncation,
@@ -84,17 +89,17 @@ class ToyParams:
             raise ValueError("N0_toy must be at least 2")
 
 
-def toy_hamiltonian(tp: ToyParams) -> sp.csr_matrix:
-    """Charge-basis matrix: diagonal 4 E_C (N - Ng)^2, hopping -E_J/2 at |dN|=2.
+def toy_hamiltonian(tp: ToyParams) -> np.ndarray:
+    """Dense charge-basis matrix: diagonal 4 E_C (N - Ng)^2, hopping -E_J/2
+    at |dN| = 2.
 
     Only pairs of Cooper pairs tunnel, so the +/-1 off-diagonals are exactly
     zero and the even/odd charge sectors decouple at every offset charge.
     """
-    n = 2 * tp.N0_toy + 1
     Nv = np.arange(-tp.N0_toy, tp.N0_toy + 1).astype(float)
-    diag = 4.0 * tp.E_C * (Nv - tp.N_g) ** 2
-    hop = np.full(n - 2, -0.5 * tp.E_J)
-    return sp.diags([hop, diag, hop], [-2, 0, 2]).tocsr()
+    hop = np.full(len(Nv) - 2, -0.5 * tp.E_J)
+    diag = np.diag(4.0 * tp.E_C * (Nv - tp.N_g) ** 2)
+    return diag + np.diag(hop, 2) + np.diag(hop, -2)
 
 
 # ---------------------------------------------------------------------------
@@ -150,6 +155,8 @@ def full_hamiltonian(
             "low-energy differences",
             stacklevel=2,
         )
+    import scipy.sparse as sp
+
     prim = primitives if primitives is not None else build_primitives(trunc, params)
 
     charging = 2.0 * params.eps_C_dressed

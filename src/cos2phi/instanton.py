@@ -15,11 +15,11 @@ after each outer pass (the string method of E, Ren and Vanden-Eijnden,
 J. Chem. Phys. 126, 164103 (2007)).  Each midpoint term of the discrete
 action couples only neighbouring beads, so its Hessian is block-tridiagonal,
 and each pass is one damped (Levenberg-Marquardt) Newton step that moves the
-beads normal to the string, solved with one LAPACK band Cholesky factor and
-accepted only if the action does not rise (the geometric minimum action
-method of Heymann and Vanden-Eijnden, Commun. Pure Appl. Math. 61, 1052
-(2008)).  The string is relaxed on a bead ladder, 12, 24, 48, ... free beads
-and then the requested count, each rung interpolated onto the next.  The
+beads normal to the string, solved by a 2x2-block Cholesky elimination bead
+by bead and accepted only if the action does not rise (the geometric minimum
+action method of Heymann and Vanden-Eijnden, Commun. Pure Appl. Math. 61,
+1052 (2008)).  The string is relaxed on a bead ladder, 12, 24, 48, ... free
+beads and then the requested count, each rung interpolated onto the next.  The
 path is solved at phi_ext = pi only, where the two wells are degenerate; at
 every other bias the path solve and the numeric-path reduction raise
 ``UnsupportedBiasError`` (the potential, ``find_minima`` and the ``approx``
@@ -31,15 +31,16 @@ relaxed, and the other half is its mirror image.  On each rung the passes
 stop once one changes the action by at most ``ACTION_PLATEAU`` relative;
 ``max_outer`` caps them.  Time along the path is recovered afterwards from
 d tau = sqrt(dq . M dq / (2 (U - U_min))), and the second-order equations of
-motion are verified pointwise as a residual diagnostic.
+motion are verified pointwise as a residual diagnostic.  The module runs on
+numpy alone: ``cos2phi instanton`` loads no scipy.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.linalg as sla
 
 from .hamiltonians import EffectiveParams, UnsupportedBiasError, effective_params
 from .model import BiasPoint, CircuitParams
@@ -249,10 +250,13 @@ class InstantonPath:
 
 
 def _slow_unstable_direction(params, bias, minimum) -> np.ndarray:
-    M = mass_matrix(params)
+    """Unit vector along the slowest mode at ``minimum``: the generalized
+    eigenvector of Hs v = w^2 M v with the least w^2, from the symmetric
+    problem L^-1 Hs L^-T, M = L L^T."""
+    Linv = np.linalg.inv(np.linalg.cholesky(mass_matrix(params)))
     Hs = potential_hessian(params, bias, minimum)
-    w2, V = sla.eigh(Hs, M)
-    d = V[:, int(np.argmin(w2))]
+    _, V = np.linalg.eigh(Linv @ Hs @ Linv.T)  # ascending w^2
+    d = Linv.T @ V[:, 0]
     return d / np.linalg.norm(d)
 
 
@@ -312,29 +316,66 @@ def _normal_frames(Q: np.ndarray) -> np.ndarray:
     return np.stack([n1, np.cross(tan, n1)], axis=2)
 
 
-def _normal_band(diag, off, N, damping) -> np.ndarray:
-    """Lower band form (bandwidth 3) of N^T H N + damping, H the block-
-    tridiagonal Hessian and N the per-bead normal frames."""
+def _normal_blocks(diag, off, N) -> tuple[np.ndarray, np.ndarray]:
+    """N^T H N as 2x2 blocks, H the block-tridiagonal Hessian and N the
+    per-bead normal frames: one diagonal block per free bead and the blocks
+    coupling each to the next."""
     D = np.einsum("iak,iab,ibl->ikl", N, diag, N)
     O = np.einsum("iak,iab,ibl->ikl", N[:-1], off, N[1:])
-    band = np.zeros((4, 2 * len(D)))
-    band[0, 0::2] = D[:, 0, 0] + damping
-    band[0, 1::2] = D[:, 1, 1] + damping
-    band[1, 0::2] = D[:, 1, 0]
-    band[1, 1:-1:2] = O[:, 1, 0]
-    band[2, 0:-2:2] = O[:, 0, 0]
-    band[2, 1:-2:2] = O[:, 1, 1]
-    band[3, 0:-2:2] = O[:, 0, 1]
-    return band
+    return D, O
+
+
+def _block_solve(D, O, rhs) -> np.ndarray:
+    """Solve A y = rhs, A symmetric block-tridiagonal with the 2x2 diagonal
+    blocks ``D`` (read in their lower triangle) and the blocks ``O``
+    coupling each bead to the next; ``rhs`` and y have shape (len(D), 2).
+
+    Block Cholesky A = L L^T bead by bead, in scalar arithmetic: the
+    diagonal block L_i of L is the Cholesky factor of the Schur block
+    S_i = D_i - V_{i-1}^T V_{i-1}, with V_i = L_i^-1 O_i, so the cost is
+    O(len(D)).  A is positive definite exactly when every S_i is; the first
+    that is not raises ``LinAlgError``.
+    """
+    O = np.concatenate([O, np.zeros((1, 2, 2))])  # the last bead couples to none
+    factors, zs = [], []
+    c00 = c10 = c11 = r0 = r1 = 0.0  # V^T V and V^T z of the previous bead
+    for i, ((d00, _, d10, d11), (o00, o01, o10, o11), (b0, b1)) in enumerate(
+            zip(D.reshape(-1, 4).tolist(), O.reshape(-1, 4).tolist(), rhs.tolist())):
+        s00 = d00 - c00
+        l0 = math.sqrt(s00) if s00 > 0.0 else math.nan
+        l1 = (d10 - c10) / l0
+        s11 = d11 - c11 - l1 * l1
+        if not s11 > 0.0:  # also false for the NaN of a nonpositive s00
+            raise np.linalg.LinAlgError(f"Schur block {i} is not positive definite")
+        l2 = math.sqrt(s11)
+        z0 = (b0 - r0) / l0
+        z1 = (b1 - r1 - l1 * z0) / l2
+        v00, v01 = o00 / l0, o01 / l0
+        v10, v11 = (o10 - l1 * v00) / l2, (o11 - l1 * v01) / l2
+        factors.append((l0, l1, l2, v00, v01, v10, v11))
+        zs.append((z0, z1))
+        c00, c10 = v00 * v00 + v10 * v10, v01 * v00 + v11 * v10
+        c11 = v01 * v01 + v11 * v11
+        r0, r1 = v00 * z0 + v10 * z1, v01 * z0 + v11 * z1
+    # back substitution, L_i^T y_i = z_i - V_i y_{i+1}, from the last bead
+    y = []
+    y0 = y1 = 0.0
+    for (l0, l1, l2, v00, v01, v10, v11), (z0, z1) in zip(factors[::-1], zs[::-1]):
+        x0 = z0 - v00 * y0 - v01 * y1
+        y1 = (z1 - v10 * y0 - v11 * y1) / l2
+        y0 = (x0 - l1 * y1) / l0
+        y.append((y0, y1))
+    return np.array(y[::-1])
 
 
 def minimize(X, qa, qb, M, U0, params, bias, damping):
     """One outer relaxation pass: a damped Newton step of the free beads
     ``X`` normal to the string.
 
-    The step solves (N^T H N + damping) y = -N^T grad and is accepted only
-    if the action does not rise; otherwise the damping grows and the step is
-    solved again.  Returns the beads and the damping for the next pass; past
+    The step solves (N^T H N + damping) y = -N^T grad by ``_block_solve``
+    and is accepted only if the action does not rise; otherwise, or when the
+    damped system is indefinite, the damping grows and the step is solved
+    again.  Returns the beads and the damping for the next pass; past
     ``DAMPING_MAX`` no step lowers the action, ``X`` is returned as it is
     and the damping restarts at ``DAMPING``.  ``perfbench/tracer.py`` counts
     the calls of this name as the outer passes of the string.
@@ -343,15 +384,14 @@ def minimize(X, qa, qb, M, U0, params, bias, damping):
     action, grad = _action_and_grad(X.ravel(), *args)
     diag, off = _action_hessian(X.ravel(), *args)
     N = _normal_frames(np.vstack([qa, X, qb]))
-    rhs = -np.einsum("iak,ia->ik", N, grad.reshape(-1, 3)).ravel()
+    D, O = _normal_blocks(diag, off, N)
+    rhs = -np.einsum("iak,ia->ik", N, grad.reshape(-1, 3))
     while damping <= DAMPING_MAX:
         try:
-            band = _normal_band(diag, off, N, damping)
-            factor = sla.cholesky_banded(band, lower=True)
+            y = _block_solve(D + damping * np.eye(2), O, rhs)
         except np.linalg.LinAlgError:  # indefinite: damp harder
             damping *= DAMPING_FACTOR
             continue
-        y = sla.cho_solve_banded((factor, True), rhs).reshape(-1, 2)
         trial = X + np.einsum("iak,ik->ia", N, y)
         if _action_and_grad(trial.ravel(), *args)[0] <= action:
             return trial, damping / DAMPING_FACTOR
@@ -399,8 +439,14 @@ def solve_instanton(
     after ``max_outer`` passes; the residual reports the passes of the last
     rung.  The clamp offset and all residual diagnostics are reported on
     the result.  Biases other than phi_ext = pi raise
-    ``UnsupportedBiasError`` before any minimization.
+    ``UnsupportedBiasError`` before any minimization, and an ``n_beads``
+    below 2, which leaves the half string no free bead, ``ValueError``.
     """
+    if n_beads < 2:
+        raise ValueError(
+            f"n_beads must be at least 2, so that the half string has a free "
+            f"bead; got {n_beads}"
+        )
     if params.z >= 0.3:
         raise ValueError("instanton reduction requires eps_L/eps_J < 0.3")
     _require_degenerate_minima(bias)

@@ -33,7 +33,7 @@ class TruncationError(RuntimeError):
 
 def _sector_eigh(tp: ToyParams, ng: float) -> list[tuple[np.ndarray, np.ndarray]]:
     """Eigenpairs of the even and odd charge-sector blocks of ``toy_hamiltonian``."""
-    H = toy_hamiltonian(replace(tp, N_g=ng)).toarray()
+    H = toy_hamiltonian(replace(tp, N_g=ng))
     N = np.arange(-tp.N0_toy, tp.N0_toy + 1)
     return [np.linalg.eigh(H[np.ix_(N % 2 == s, N % 2 == s)]) for s in (0, 1)]
 

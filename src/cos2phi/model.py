@@ -25,6 +25,9 @@ Zero point amplitudes follow from the quadratic sector,
     eta_zpf = 0.5 (eps_L / (x eps_C))**0.25  imbalance charge
 
 with disorder-dressed coefficients substituted where applicable.
+
+The parameter types import with numpy alone; scipy is loaded by the
+functions that build the operator blocks, when they first run.
 """
 
 from __future__ import annotations
@@ -32,11 +35,12 @@ from __future__ import annotations
 import hashlib
 import warnings
 from dataclasses import dataclass
-from typing import Iterable
+from typing import TYPE_CHECKING, Iterable
 
 import numpy as np
-import scipy.sparse as sp
-from scipy.special import eval_genlaguerre, gammaln
+
+if TYPE_CHECKING:
+    import scipy.sparse as sp
 
 __all__ = [
     "CircuitParams",
@@ -51,6 +55,7 @@ __all__ = [
     "displaced_cosine",
     "displaced_sine",
     "DimensionCapError",
+    "NonConvergenceError",
 ]
 
 HERMITICITY_RTOL = 1e-12
@@ -66,6 +71,14 @@ DIM_CAP = 400_000
 
 class DimensionCapError(RuntimeError):
     """Tensor-product dimension exceeds the configured resource cap."""
+
+
+class NonConvergenceError(RuntimeError):
+    """Iterative solver failed; carries the best residuals seen."""
+
+    def __init__(self, msg: str, residuals=None):
+        super().__init__(msg)
+        self.residuals = residuals
 
 
 @dataclass(frozen=True)
@@ -207,6 +220,8 @@ class HermitianOperator:
     __slots__ = ("matrix", "dim", "fingerprint")
 
     def __init__(self, matrix: sp.spmatrix, fingerprint: str):
+        import scipy.sparse as sp
+
         self.matrix = matrix.tocsr()
         self.dim = matrix.shape[0]
         self.fingerprint = fingerprint
@@ -233,6 +248,8 @@ def _displacement_amplitudes(lam: float, p0: int) -> np.ndarray:
     L_n^{(m-n)}(lam^2) for m >= n, symmetrized.  Log-gamma handles the
     factorial ratio so p0 up to a few hundred stays stable.
     """
+    from scipy.special import eval_genlaguerre, gammaln
+
     d = p0 + 1
     A = np.zeros((d, d))
     lam2 = lam * lam
@@ -276,6 +293,8 @@ def displaced_sine(phi_zpf: float, offset: float, p0: int) -> np.ndarray:
 
 def kron3(cb, ab, bb) -> sp.csr_matrix:
     """Charge (x) loop-sum (x) imbalance block product on the |N p q> basis."""
+    import scipy.sparse as sp
+
     return sp.kron(
         sp.kron(sp.csr_matrix(cb), sp.csr_matrix(ab), format="csr"),
         sp.csr_matrix(bb),
@@ -285,12 +304,16 @@ def kron3(cb, ab, bb) -> sp.csr_matrix:
 
 def charge_hops(n: int) -> tuple[sp.csr_matrix, sp.csr_matrix]:
     """cos and sin of the compact phase on ``n`` charge states."""
+    import scipy.sparse as sp
+
     hop = sp.diags([np.ones(n - 1)], [1], shape=(n, n)).tocsr()
     return 0.5 * (hop + hop.T), (hop - hop.T) * (1.0 / (2.0j))
 
 
 def ladder(dim: int) -> tuple[sp.csr_matrix, sp.csr_matrix]:
     """Oscillator lowering and raising operators on ``dim`` Fock states."""
+    import scipy.sparse as sp
+
     v = np.sqrt(np.arange(1, dim))
     low = sp.diags([v], [1], shape=(dim, dim)).tocsr()
     return low, low.T.tocsr()
@@ -354,6 +377,8 @@ class Primitives:
         complex one otherwise.  The result is canonical CSR: sorted indices,
         no duplicates.
         """
+        import scipy.sparse as sp
+
         phases = self.phases()
         total = None
         for blocks in terms:
@@ -387,6 +412,8 @@ def build_primitives(trunc: BasisTruncation, params: CircuitParams) -> Primitive
         raise DimensionCapError(
             f"dim = {trunc.dim} exceeds the desk-scale cap {DIM_CAP}"
         )
+    import scipy.sparse as sp
+
     eL = params.eps_L_dressed
     eC = params.eps_C_dressed
     x_eC = params.x * params.eps_C  # shunt scale, never dressed

@@ -242,12 +242,18 @@ def _cli(*args, cwd, extra_env=None):
     )
 
 
-def _fresh_python(code, cwd, env):
-    """stdout of ``code`` run by a fresh interpreter as JSON."""
-    r = subprocess.run([sys.executable, "-W", "ignore", "-c", code],
+def _fresh_python(code, cwd, env, *argv):
+    """The last line ``code`` prints, run by a fresh interpreter with the
+    arguments ``argv``, as JSON."""
+    r = subprocess.run([sys.executable, "-W", "ignore", "-c", code, *argv],
                        capture_output=True, text=True, cwd=cwd, env=env)
     assert r.returncode == 0, r.stderr
-    return json.loads(r.stdout)
+    return json.loads(r.stdout.splitlines()[-1])
+
+
+#: prints the scipy modules loaded so far, as a JSON list
+_PRINT_SCIPY = ("print(json.dumps(sorted(m for m in sys.modules\n"
+                "                        if m.split('.')[0] == 'scipy')))\n")
 
 
 def _csv_parts(path):
@@ -476,6 +482,19 @@ class TestCli:
         assert not (out / "instanton_path.csv").exists()
         assert not (out / "instanton.json").exists()
 
+    @pytest.mark.parametrize("n_beads", ["0", "-5"])
+    def test_instanton_without_free_bead_rejected(self, tmp_path, fast_config,
+                                                  n_beads):
+        out = tmp_path / "nb"
+        r = _cli("instanton", "--config", str(fast_config), "--out", str(out),
+                 "--set", f"instanton.n_beads={n_beads}", cwd=tmp_path)
+        assert r.returncode == 1, r.stderr
+        diag = json.loads(r.stderr.strip().splitlines()[-1])
+        assert diag["error_kind"] == "domain"
+        assert diag["error_type"] == "ValueError"
+        assert "n_beads must be at least 2" in diag["message"]
+        assert not (out / "instanton_path.csv").exists()
+
     def test_mathieu_artifact(self, tmp_path, fast_config):
         out = tmp_path / "m"
         r = _cli("mathieu", "--config", str(fast_config), "--out", str(out),
@@ -598,6 +617,31 @@ class TestCli:
                 "import cos2phi.cli\n"
                 "print(json.dumps('scipy.optimize' in sys.modules))\n")
         assert _fresh_python(code, tmp_path, _child_env()) is False
+
+    def test_cli_and_config_load_no_scipy(self, tmp_path, fast_config):
+        # the front end and its config import with numpy alone
+        code = ("import json, sys\n"
+                "import cos2phi.cli\n"
+                "from cos2phi.config import load_config\n"
+                "load_config(sys.argv[1])\n" + _PRINT_SCIPY)
+        assert _fresh_python(code, tmp_path, _child_env(), str(fast_config)) == []
+
+    @pytest.mark.parametrize("args", [
+        ("instanton", "--set", "instanton.n_beads=17"),
+        ("mathieu",),
+    ])
+    def test_numpy_only_subcommands_load_no_scipy(self, tmp_path, fast_config,
+                                                  args):
+        # instanton and mathieu diagonalize no circuit, so a run of either,
+        # in process, leaves scipy unimported
+        code = ("import json, sys\n"
+                "from cos2phi.cli import main\n"
+                "main(args=sys.argv[1:], standalone_mode=False)\n" + _PRINT_SCIPY)
+        out = tmp_path / "o"
+        loaded = _fresh_python(code, tmp_path, _child_env(), args[0], "--config",
+                               str(fast_config), "--out", str(out), *args[1:])
+        assert (out / f"{args[0]}_runlog.json").exists()
+        assert loaded == []
 
 
 SUBCOMMANDS = ("spectrum", "wavefunctions", "matrix-elements", "disorder",

@@ -20,12 +20,12 @@ DISORDER_SETS = [
 class TestToyHamiltonian:
     def test_diagonal_limit(self):
         tp = ToyParams(E_J=0.0, E_C=1.5, N0_toy=6)
-        w = np.linalg.eigvalsh(toy_hamiltonian(tp).toarray())
+        w = np.linalg.eigvalsh(toy_hamiltonian(tp))
         expect = np.sort(4 * 1.5 * np.arange(-6, 7) ** 2.0)
         assert np.allclose(w, expect)
 
     def test_single_pair_hopping_absent(self):
-        H = toy_hamiltonian(ToyParams(E_J=3.0, E_C=1.0, N0_toy=5)).toarray()
+        H = toy_hamiltonian(ToyParams(E_J=3.0, E_C=1.0, N0_toy=5))
         assert np.abs(np.diag(H, 1)).max() == 0.0
         assert np.allclose(np.diag(H, 2), -1.5)
 
@@ -34,7 +34,7 @@ class TestToyHamiltonian:
         tp40 = ToyParams(E_J=100.0, E_C=2.0, N0_toy=40)
         tp60 = ToyParams(E_J=100.0, E_C=2.0, N0_toy=60)
         for tp in (tp40, tp60):
-            w = np.linalg.eigvalsh(toy_hamiltonian(tp).toarray())
+            w = np.linalg.eigvalsh(toy_hamiltonian(tp))
             split = w[1] - w[0]
             assert split == pytest.approx(0.033234646977, rel=1e-7)
         # closed-form asymptotic overshoots the exact splitting by ~10%

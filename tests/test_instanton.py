@@ -4,11 +4,20 @@ import pytest
 from cos2phi.hamiltonians import UnsupportedBiasError, effective_params
 from cos2phi.instanton import (
     ACTION_PLATEAU,
+    DAMPING,
+    DAMPING_FACTOR,
+    _action_and_grad,
+    _action_hessian,
+    _block_solve,
+    _normal_blocks,
+    _normal_frames,
+    _slow_unstable_direction,
     find_minima,
     mass_matrix,
     path_approx,
     potential,
     potential_gradient,
+    minimize,
     potential_hessian,
     reduce_to_effective,
     solve_instanton,
@@ -178,6 +187,19 @@ class TestPathApprox:
         )
 
 
+def dense_blocks(D, O):
+    """The symmetric block-tridiagonal matrix of diagonal blocks ``D`` and
+    blocks ``O`` coupling each to the next, as a dense array."""
+    k, n = D.shape[1], len(D)
+    A = np.zeros((k * n, k * n))
+    for i in range(n):
+        A[k * i:k * i + k, k * i:k * i + k] = D[i]
+    for i in range(n - 1):
+        A[k * i:k * i + k, k * i + k:k * i + 2 * k] = O[i]
+        A[k * i + k:k * i + 2 * k, k * i:k * i + k] = O[i].T
+    return A
+
+
 @pytest.fixture(scope="module")
 def quick_path(canonical, half_flux):
     return solve_instanton(canonical, half_flux, n_beads=129, max_outer=40)
@@ -274,13 +296,6 @@ class TestSolveInstanton:
     ):
         # the block-tridiagonal Hessian against central differences of the
         # action gradient, on a perturbed string off the relaxed one
-        from cos2phi.instanton import (
-            _action_and_grad,
-            _action_hessian,
-            _normal_band,
-            _normal_frames,
-        )
-
         p = canonical.replace(**disorder)
         M = mass_matrix(p)
         U0 = min(potential(p, half_flux, m) for m in find_minima(p, half_flux))
@@ -290,12 +305,7 @@ class TestSolveInstanton:
         args = (qa, qb, M, U0, p, half_flux)
         diag, off = _action_hessian(X.ravel(), *args)
         assert diag.shape == (15, 3, 3) and off.shape == (14, 3, 3)
-        H = np.zeros((45, 45))
-        for i in range(15):
-            H[3 * i:3 * i + 3, 3 * i:3 * i + 3] = diag[i]
-        for i in range(14):
-            H[3 * i:3 * i + 3, 3 * i + 3:3 * i + 6] = off[i]
-            H[3 * i + 3:3 * i + 6, 3 * i:3 * i + 3] = off[i].T
+        H = dense_blocks(diag, off)
         h = 1e-6
         fd = np.zeros_like(H)
         for j in range(45):
@@ -307,7 +317,7 @@ class TestSolveInstanton:
             ) / (2 * h)
         assert np.abs(H).max() > 10.0
         assert np.abs(H - fd).max() < 1e-6
-        # its projection on the two normal directions per bead, in band form
+        # its projection on the two normal directions per bead, in 2x2 blocks
         N = _normal_frames(np.vstack([qa, X, qb]))
         assert np.allclose(np.einsum("iak,ial->ikl", N, N), np.eye(2), atol=1e-14)
         tan = np.vstack([X[1:], qb]) - np.vstack([qa, X[:-1]])
@@ -315,17 +325,12 @@ class TestSolveInstanton:
         Nb = np.zeros((45, 30))
         for i in range(15):
             Nb[3 * i:3 * i + 3, 2 * i:2 * i + 2] = N[i]
-        band = _normal_band(diag, off, N, 0.5)
-        A = np.diag(band[0])
-        for k in range(1, 4):
-            A += np.diag(band[k, :30 - k], -k) + np.diag(band[k, :30 - k], k)
-        assert np.allclose(A, Nb.T @ H @ Nb + 0.5 * np.eye(30), rtol=1e-12, atol=1e-12)
+        A = dense_blocks(*_normal_blocks(diag, off, N))
+        assert np.allclose(A, Nb.T @ H @ Nb, rtol=1e-12, atol=1e-12)
 
     def test_reversal_symmetry(self, quick_path, canonical, half_flux):
         # the action functional is parameterization-reversal invariant, so
         # the reversed bead chain carries the same action
-        from cos2phi.instanton import _action_and_grad, mass_matrix
-
         M = mass_matrix(canonical)
         full = quick_path.coords
         qa, qb = full[0], full[-1]
@@ -368,6 +373,87 @@ class TestSolveInstanton:
             bad = CircuitParams(eps_J=2.0, eps_C=2.0, eps_L=1.0, x=0.02)
         with pytest.raises(ValueError):
             solve_instanton(bad, half_flux, n_beads=16, max_outer=2)
+
+    @pytest.mark.parametrize("n_beads", [1, 0, -5])
+    def test_no_free_bead_rejected(self, canonical, half_flux, n_beads):
+        with pytest.raises(ValueError, match="n_beads must be at least 2"):
+            solve_instanton(canonical, half_flux, n_beads=n_beads, max_outer=2)
+
+    def test_two_beads_solved(self, canonical, half_flux):
+        # the smallest string: one free bead and its mirror image
+        path = solve_instanton(canonical, half_flux, n_beads=2, max_outer=5)
+        assert path.coords.shape == (4, 3)
+        assert np.isfinite(path.action) and path.action > 0
+
+
+def _newton_system(path, p, bias, noise):
+    """(D, O, rhs, args) of the Newton step on the beads of ``path``, each
+    moved by Gaussian ``noise``, for the circuit ``p``."""
+    M = mass_matrix(p)
+    U0 = min(potential(p, bias, m) for m in find_minima(p, bias))
+    q = path.coords
+    qa, qb = q[0], q[-1]
+    X = q[1:-1] + np.random.default_rng(2).normal(scale=noise, size=q[1:-1].shape)
+    args = (qa, qb, M, U0, p, bias)
+    _, grad = _action_and_grad(X.ravel(), *args)
+    diag, off = _action_hessian(X.ravel(), *args)
+    N = _normal_frames(np.vstack([qa, X, qb]))
+    rhs = -np.einsum("iak,ia->ik", N, grad.reshape(-1, 3))
+    return (*_normal_blocks(diag, off, N), rhs, X, args)
+
+
+class TestNewtonKernel:
+    @pytest.mark.parametrize(
+        "disorder", [{}, {"delta_J": 0.1}, {"delta_C": 0.2}, {"delta_L": 0.3},
+                     {"delta_J": 0.1, "delta_C": 0.2, "delta_L": 0.3}]
+    )
+    def test_block_solve_matches_dense(self, quick_path, canonical, half_flux,
+                                       disorder):
+        p = canonical.replace(**disorder)
+        D, O, rhs, _, _ = _newton_system(quick_path, p, half_flux, 0.01)
+        A = dense_blocks(D, O)
+        # damped into the positive definite range the step is solved in
+        damping = max(DAMPING, 1.0 - np.linalg.eigvalsh(A).min())
+        y = _block_solve(D + damping * np.eye(2), O, rhs)
+        ref = np.linalg.solve(A + damping * np.eye(len(A)), rhs.ravel())
+        assert y.shape == rhs.shape
+        assert np.abs(y.ravel() - ref).max() <= 1e-12 * np.abs(ref).max()
+
+    def test_single_bead(self):
+        D = np.array([[[4.0, 1.0], [1.0, 3.0]]])
+        y = _block_solve(D, np.zeros((0, 2, 2)), np.array([[1.0, 2.0]]))
+        assert np.allclose(y[0], np.linalg.solve(D[0], [1.0, 2.0]), rtol=1e-15)
+
+    def test_indefinite_system_takes_damping_path(self, quick_path, canonical,
+                                                  half_flux):
+        # a string well off the relaxed one has negative normal curvature
+        D, O, rhs, X, args = _newton_system(quick_path, canonical, half_flux, 0.1)
+        lam = np.linalg.eigvalsh(dense_blocks(D, O)).min()
+        assert lam < -DAMPING
+        with pytest.raises(np.linalg.LinAlgError, match="not positive definite"):
+            _block_solve(D + DAMPING * np.eye(2), O, rhs)
+        # the pass damps past the negative curvature, then takes a step
+        # that lowers the action
+        X2, damping = minimize(X, *args, DAMPING)
+        assert damping * DAMPING_FACTOR > -lam
+        before, after = (_action_and_grad(Y.ravel(), *args)[0] for Y in (X, X2))
+        assert after < before
+
+    @pytest.mark.parametrize(
+        "disorder", [{}, {"delta_J": 0.1, "delta_C": 0.2, "delta_L": 0.3}]
+    )
+    def test_slow_unstable_direction_matches_scipy(self, canonical, half_flux,
+                                                   disorder):
+        import scipy.linalg as sla
+
+        p = canonical.replace(**disorder)
+        for m in find_minima(p, half_flux):
+            d = _slow_unstable_direction(p, half_flux, m)
+            w2, V = sla.eigh(potential_hessian(p, half_flux, m), mass_matrix(p))
+            ref = V[:, int(np.argmin(w2))]
+            ref /= np.linalg.norm(ref)
+            assert np.linalg.norm(d) == pytest.approx(1.0, rel=1e-15)
+            assert min(np.abs(d - ref).max(), np.abs(d + ref).max()) <= 1e-12
 
 
 class TestReduction:

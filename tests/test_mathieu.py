@@ -16,7 +16,7 @@ def tracked_bands(tp: ToyParams, ngs, nbands: int) -> np.ndarray:
     N = np.arange(-tp.N0_toy, tp.N0_toy + 1)
 
     def sectors(ng):
-        H = toy_hamiltonian(replace(tp, N_g=ng)).toarray()
+        H = toy_hamiltonian(replace(tp, N_g=ng))
         return [np.linalg.eigvalsh(H[np.ix_(N % 2 == s, N % 2 == s)]) for s in (0, 1)]
 
     ref = sectors(0.0)
