@@ -107,20 +107,20 @@ def solve_circuit(
     k: int = 6,
     seed: int = DEFAULT_SEED,
 ) -> LabeledSolution:
-    """Build, diagonalize, gauge-fix, and label the circuit at one bias.
-
-    Uncached; ``SolutionCache.get_or_solve`` is the entry point that
-    consults the store and calls this on a miss.
-    """
+    """Build, diagonalize and label the circuit at one bias: at half flux in
+    the blocks of Cooper-pair parity for the symmetric circuit, else in those
+    of the mirror at N_g = 0.  Uncached; ``SolutionCache.get_or_solve``
+    consults the store and calls this on a miss."""
     prim = build_primitives(trunc, params)
     H = full_hamiltonian(params, bias, trunc, primitives=prim)
-    sol = lowest_eigenpairs(
-        H,
-        k,
-        seed=seed,
-        gauge_operator=prim.parity(),
-        meta={"trunc": trunc.as_tuple()},
-    )
+    symmetry = None
+    if bias.at_half_flux and not any(
+            (params.delta_J, params.delta_C, params.delta_A, params.delta_L)):
+        symmetry = prim.parity()
+    elif bias.at_half_flux and bias.N_g == 0.0:
+        symmetry = prim.mirror()
+    sol = lowest_eigenpairs(H, k, seed=seed, symmetry=symmetry,
+                            meta={"trunc": trunc.as_tuple()})
     labels = label_states(sol, bias, prim)
     return LabeledSolution(
         solution=sol, labels=labels, primitives=prim, params=params, bias=bias
@@ -229,11 +229,12 @@ def charge_dispersion(
     Ng = 0 follows the parity labels, positive when the even state is lower.
     """
     solver = solver or SolutionCache()
-    # keep two numbers per point, not the solutions and their primitives
-    (s0, parity), (s4, _), (s2, _), (s1, _) = [
+    # keep two numbers per point, not the solutions and their primitives;
+    # N_g = 0 last: after its blocked solve a full-space one peaks 6 MB higher
+    (s4, _), (s2, _), (s1, _), (s0, parity) = [
         (ls.splitting, ls.labels[0].parity)
         for ls in solver.map(
-            [(params, BiasPoint(phi_ext, ng), trunc, 2) for ng in (0.0, 0.25, 0.5, 1.0)]
+            [(params, BiasPoint(phi_ext, ng), trunc, 2) for ng in (0.25, 0.5, 1.0, 0.0)]
         )
     ]
     if not min(s0, s2) < s4 < max(s0, s2):

@@ -4,9 +4,9 @@ A ``SolutionCache`` carries the Krylov seed and, when it has a ``root``, a
 directory of serialized eigen-solutions.  Keys hash the full problem
 description (circuit parameters, bias, truncation, k, seed) and a format
 version, so identical physics never diagonalizes twice regardless of which
-config asked for it.  Version 6 stores vectors in the gauged frame of
-``model`` (real at half flux), solved on the band Cholesky factor of
-``eigensolver.factor_below_spectrum``.
+config asked for it.  Version 7 stores vectors in the gauged frame of
+``model`` (real at half flux), solved in the symmetry blocks of their bias
+on the band Cholesky factor of ``eigensolver.factor_below_spectrum``.
 Without a root every request is solved.  Hit and miss counts feed the run log for
 idempotence checks.
 """
@@ -71,7 +71,7 @@ def _problem_key(
             "t": trunc.as_tuple(),
             "k": k,
             "seed": seed,
-            "v": 6,
+            "v": 7,
         },
         sort_keys=True,
     )

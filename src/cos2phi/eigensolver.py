@@ -7,7 +7,7 @@ shift-invert Lanczos with a seeded start vector otherwise.  The two
 backends agree to well below 1e-8, which the test suite checks directly.
 Both run in the arithmetic of H as ``Primitives.kron`` returned it: real at
 half flux (the gauged frame of ``model``), complex elsewhere.  Nothing here
-casts H.
+casts H.  A symmetry of H splits the solve into its two eigenspaces.
 
 Every shifted factorization in the package, the Lanczos operator here and
 the Sternheimer solve of the flux curvature, comes from
@@ -44,7 +44,6 @@ __all__ = [
 DENSE_THRESHOLD = 160  # dim; measured dense/Krylov crossover: 150-180
 KRYLOV_TOL = 1e-10  # Krylov residuals above 100 * KRYLOV_TOL * |E| raise
 FLOOR_TOL = 1e-2  # relative residual of the Lanczos pass that finds the floor
-DEGENERACY_WINDOW = 1e-9  # GHz; clusters inside are gauge-fixed together
 PHASE_TIE_RTOL = 1e-8  # entries this close to the largest magnitude tie
 
 
@@ -57,7 +56,8 @@ class EigenSolution:
     ``meta`` records backend, tolerance, seed, and the basis truncation when
     the caller supplies one; Krylov solves add the ``shift`` sigma, the band
     fill ``lu_nnz`` of the Cholesky factor of H - sigma and the
-    ``lu_solves`` made on it.
+    ``lu_solves`` made on it, summed over the ``blocks`` (their dimensions)
+    of a symmetry, with the lowest block ``shift``.
     """
 
     energies: np.ndarray
@@ -88,86 +88,72 @@ def _fix_phases(vectors: np.ndarray) -> np.ndarray:
     return np.column_stack([fix_global_phase(v) for v in vectors.T])
 
 
-def _gauge_fix_clusters(
-    H: HermitianOperator,
-    energies: np.ndarray,
-    vectors: np.ndarray,
-    gauge_operator: sp.spmatrix | None,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Rotate near-degenerate clusters to diagonalize the gauge operator.
-
-    Leaves well-separated states untouched.  Cluster energies are recomputed
-    as Rayleigh quotients of the rotated vectors and re-sorted so the
-    ascending-order invariant survives the rotation.  Without a gauge
-    operator the arbitrary degenerate mixing from the backend is kept as-is.
-    """
-    if gauge_operator is None:
-        return energies, vectors
-    evs = energies.copy()
-    out = vectors.copy()
-    i = 0
-    k = len(energies)
-    while i < k:
-        j = i + 1
-        while j < k and evs[j] - evs[j - 1] <= DEGENERACY_WINDOW:
-            j += 1
-        if j - i > 1:
-            block, _ = np.linalg.qr(out[:, i:j])
-            g = block.conj().T @ (gauge_operator @ block)
-            g = 0.5 * (g + g.conj().T)
-            _, rot = np.linalg.eigh(g)
-            block = block @ rot
-            ray = np.array(
-                [np.vdot(block[:, c], H.matrix @ block[:, c]).real
-                 for c in range(block.shape[1])]
-            )
-            order = np.argsort(ray)
-            out[:, i:j] = block[:, order]
-            evs[i:j] = ray[order]
-        i = j
-    return evs, out
+def _symmetry_blocks(S) -> list:
+    """Isometries onto the nonempty +1 and -1 eigenspaces of S, where
+    S e_j = s_j e_pi(j), s_j = +-1 and S^2 = 1: a fixed point e_j of pi in
+    the block of s_j, a pair (e_j +- s_j e_pi(j)) / sqrt 2 in each.  The
+    columns follow the lower index, so a diagonal S gives index masks."""
+    S = sp.csc_matrix(S)
+    image, sign, j = S.indices, S.data, np.arange(S.shape[0])
+    if not (np.array_equal(S.indptr[1:], j + 1) and np.all(np.abs(sign) == 1)
+            and np.array_equal(image[image], j)):
+        raise ValueError("symmetry must be a signed permutation with S^2 = 1")
+    blocks = []
+    for eig in (1.0, -1.0):
+        lead = j[np.where(image == j, sign == eig, image > j)]
+        pair = image[lead] != lead
+        r, cols = np.sqrt(0.5), np.arange(len(lead))
+        blocks.append(sp.csc_matrix(
+            (np.r_[np.where(pair, r, 1.0), eig * sign[lead[pair]] * r],
+             (np.r_[lead, image[lead[pair]]], np.r_[cols, cols[pair]])),
+            shape=(len(j), len(lead))))
+    return [B for B in blocks if B.shape[1]]
 
 
 def lowest_eigenpairs(
     H: HermitianOperator,
     k: int,
     seed: int = DEFAULT_SEED,
-    gauge_operator: sp.spmatrix | None = None,
+    symmetry: sp.spmatrix | None = None,
     meta: dict | None = None,
 ) -> EigenSolution:
     """Lowest k eigenpairs; dense up to ``DENSE_THRESHOLD`` or for k near dim.
 
-    The Krylov path locates the spectrum floor with a coarse Lanczos pass and
-    then runs shift-invert from below it, with the start vector drawn from a
-    seeded generator so repeated runs are bit-identical.
+    A ``symmetry`` S of H, a real signed permutation with S^2 = 1, splits the
+    solve into eigenspace blocks B^T H B, the largest of which picks the
+    backend; the lowest k of their lowest min(k, block dim) pairs return as
+    eigenvectors of S.  The Krylov path locates the spectrum floor with a
+    coarse Lanczos pass and then runs shift-invert from below it, with the
+    start vector drawn from a seeded generator so repeated runs are
+    bit-identical.
     """
     dim = H.dim
     if not (1 <= k <= dim):
         raise ValueError(f"need 1 <= k <= dim, got k={k}, dim={dim}")
-    if gauge_operator is not None and gauge_operator.shape != H.matrix.shape:
-        raise ValueError(
-            f"gauge operator of shape {gauge_operator.shape} does not act on "
-            f"H of shape {H.matrix.shape}"
-        )
+    if symmetry is not None and symmetry.shape != H.matrix.shape:
+        raise ValueError(f"symmetry of shape {symmetry.shape} does not act "
+                         f"on H of shape {H.matrix.shape}")
+    blocks = [None] if symmetry is None else _symmetry_blocks(symmetry)
+    dims = [dim if B is None else B.shape[1] for B in blocks]
 
     # ARPACK needs k < dim - 1 on complex matrices
-    backend = "dense" if dim <= DENSE_THRESHOLD or k >= dim - 1 else "krylov"
-    if backend == "dense":
-        evals, evecs = sla.eigh(H.toarray())
-        energies, vectors = evals[:k], evecs[:, :k]
-        solve_info = {}
-    else:
-        energies, vectors, solve_info = _krylov_lowest(H, k, seed)
+    backend = ("dense" if max(dims) <= DENSE_THRESHOLD or k >= min(dims) - 1
+               else "krylov")
+    energies, vectors, infos = [], [], []
+    for B in blocks:
+        Hb = H.matrix if B is None else B.T @ H.matrix @ B
+        if backend == "dense":
+            evals, evecs = sla.eigh(Hb.toarray())
+        else:  # k < dim - 1 in every block
+            evals, evecs, info = _krylov_lowest(Hb, k, seed)
+            infos.append(info)
+        energies.append(evals[:k])
+        vectors.append(evecs[:, :k] if B is None else B @ evecs[:, :k])
+    order = np.argsort(np.concatenate(energies), kind="stable")[:k]
+    energies = np.concatenate(energies)[order]
+    vectors = _fix_phases(np.hstack(vectors)[:, order])
 
-    energies, vectors = _gauge_fix_clusters(H, energies, vectors, gauge_operator)
-    vectors = _fix_phases(vectors)
-
-    resid = np.array(
-        [
-            np.linalg.norm(H.matrix @ vectors[:, i] - energies[i] * vectors[:, i])
-            for i in range(k)
-        ]
-    )
+    resid = np.linalg.norm(H.matrix @ vectors - vectors * energies, axis=0)
     scale = max(abs(energies[0]), abs(energies[-1]), 1.0)
     if backend == "krylov" and np.any(resid > KRYLOV_TOL * scale * 100):
         raise NonConvergenceError(
@@ -175,16 +161,14 @@ def lowest_eigenpairs(
             residuals=resid,
         )
 
-    info = {"backend": backend, "tol": KRYLOV_TOL, "seed": seed, **solve_info}
-    if meta:
-        info.update(meta)
-    return EigenSolution(
-        energies=np.asarray(energies, dtype=float),
-        vectors=vectors,
-        residuals=resid,
-        fingerprint=H.fingerprint,
-        meta=info,
-    )
+    info = {"backend": backend, "tol": KRYLOV_TOL, "seed": seed}
+    if symmetry is not None:
+        info["blocks"] = dims
+    if infos:
+        info.update(shift=min(i["shift"] for i in infos), **{
+            key: sum(i[key] for i in infos) for key in ("lu_nnz", "lu_solves")})
+    return EigenSolution(energies=energies, vectors=vectors, residuals=resid,
+                         fingerprint=H.fingerprint, meta={**info, **(meta or {})})
 
 
 @dataclass(frozen=True)
@@ -247,7 +231,7 @@ def factor_below_spectrum(M, sigma: float) -> BandCholesky:
     return BandCholesky(band=band, perm=perm)
 
 
-def _krylov_lowest(H: HermitianOperator, k: int, seed: int):
+def _krylov_lowest(M, k: int, seed: int):
     """Lowest k eigenpairs by shift-invert Lanczos, plus the solve's meta.
 
     The coarse floor pass returns a Ritz value theta >= E0 with residual at
@@ -255,7 +239,7 @@ def _krylov_lowest(H: HermitianOperator, k: int, seed: int):
     sigma = theta - max(1, 2 FLOOR_TOL |theta|) therefore lies below E0 for
     any |E0|.
     """
-    M = H.matrix.tocsc()
+    M = M.tocsc()
     rng = np.random.default_rng(seed)
     v0 = rng.standard_normal(M.shape[0])
     try:

@@ -13,11 +13,12 @@ exact N_g -> -N_g antiunitary symmetry, and D^ H D is real for every circuit
 and offset charge, so every half-flux solve runs in real arithmetic.
 Cooper-pair parity (``Primitives.parity``) commutes with H at half flux only
 for the symmetric circuit: every disorder parameter delta couples the two
-parity sectors.  The single-mode blocks keep their lab-frame meaning; only
-``kron`` applies the phases, and only ``kron`` decides whether a full-space
-matrix is real.  Matrix elements and expectation values are frame independent;
-a projection onto lab-frame wavefunctions multiplies a vector by the phases of
-``Primitives.phases`` first.
+parity sectors; the mirror (``Primitives.mirror``) commutes with H there
+at N_g = 0 for every circuit.  The single-mode blocks keep their lab-frame
+meaning; only ``kron`` applies the phases and decides whether a full-space
+matrix is real.  Matrix elements and expectation values are frame
+independent; a projection onto lab-frame wavefunctions multiplies a vector
+by the phases of ``Primitives.phases`` first.
 
 Zero point amplitudes follow from the quadratic sector,
 
@@ -399,6 +400,17 @@ class Primitives:
         This is a symmetry of the symmetric circuit at half flux.
         """
         return self.kron((self.charge_parity, self.fock_parity, None))
+
+    def mirror(self) -> sp.csr_matrix:
+        """(-1)^N R_N (R_N: N -> -N) times both Fock parities, in the gauged
+        frame |N p q> -> (-1)^(p+q) |-N p q>: a symmetry of every circuit at
+        half flux and N_g = 0, the quantum form of the classical mirror
+        (vphi, phi, theta) -> (pi - vphi, 2 phi_ext - phi, -theta)."""
+        import scipy.sparse as sp
+
+        reflect = sp.csr_matrix(np.eye(self.N.shape[0])[::-1])
+        return self.kron((self.charge_parity @ reflect, self.fock_parity,
+                          sp.diags((-1.0) ** np.arange(self.trunc.q0 + 1))))
 
 
 def build_primitives(trunc: BasisTruncation, params: CircuitParams) -> Primitives:

@@ -48,6 +48,27 @@ class TestLabels:
         assert symbols <= {FLUXON_ABSENT, FLUXON_PRESENT}
         assert FLUXON_PRESENT in symbols
 
+    @pytest.mark.parametrize("disorder,bias,symmetry", [
+        ({}, (np.pi, 0.5), "parity"),
+        ({}, (3 * np.pi, 0.0), "parity"),
+        ({"delta_L": 0.6}, (np.pi, 0.0), "mirror"),
+        (DISORDER_SETS[-1], (np.pi, 0.0), "mirror"),
+        ({"delta_L": 0.6}, (np.pi, 0.3), None),
+        ({}, (0.9 * np.pi, 0.0), None),
+    ])
+    def test_symmetry_follows_bias(self, canonical, disorder, bias, symmetry):
+        # parity for the symmetric circuit at half flux, the mirror for any
+        # circuit there at N_g = 0, the full space otherwise; the states
+        # are eigenstates of the symmetry the solve used
+        ls = solve_circuit(canonical.replace(**disorder), BiasPoint(*bias),
+                           BasisTruncation(3, 3, 8), k=4)
+        assert ("blocks" in ls.solution.meta) == (symmetry is not None)
+        if symmetry is not None:
+            S = getattr(ls.primitives, symmetry)()
+            v = ls.solution.vectors
+            sv = np.einsum("ij,ij->j", v.conj(), S @ v).real
+            assert np.abs(np.abs(sv) - 1.0).max() < 1e-12
+
     def test_integer_flux_unlabeled(self, canonical, small_trunc):
         ls = solve_circuit(canonical, BiasPoint(0.0, 0.0), small_trunc,
                            k=2)
@@ -118,8 +139,9 @@ class TestChargeDispersion:
                                   parity=-1)
         dE, eps, defect = charge_dispersion(canonical, np.pi, small_trunc,
                                             solver=solver)
+        # N_g = 0, the one blocked solve, comes last
         assert [(p, b.phi_ext, b.N_g, t, k) for p, b, t, k in solver.problems] == [
-            (canonical, np.pi, ng, small_trunc, 2) for ng in (0.0, 0.25, 0.5, 1.0)
+            (canonical, np.pi, ng, small_trunc, 2) for ng in (0.25, 0.5, 1.0, 0.0)
         ]
         assert (dE, eps, defect) == (-3.0, 2.0, 0.25)
         # the swing may rise from Ng = 0 to 1/2 as well

@@ -132,10 +132,10 @@ class TestSolutionCache:
         assert np.array_equal(a.energies, b.energies)
         assert a.labels == b.labels
         # stored vectors are in the gauged frame and solved on the band
-        # Cholesky factor: the key carries version 6
+        # Cholesky factor in the symmetry blocks: the key carries version 7
         payload = json.dumps({"p": dataclasses.astuple(params),
                               "b": [bias.phi_ext, bias.N_g], "t": tr.as_tuple(),
-                              "k": 3, "seed": cache.seed, "v": 6}, sort_keys=True)
+                              "k": 3, "seed": cache.seed, "v": 7}, sort_keys=True)
         assert stored.stem == hashlib.sha256(payload.encode()).hexdigest()
 
     def test_distinct_problems_distinct_entries(self, tmp_path, canonical, half_flux):
@@ -161,8 +161,9 @@ class TestSolutionCache:
                     != _problem_key(base, half_flux, tr, 2, 0)), f.name
 
     def test_pooled_map_matches_serial(self, canonical):
-        # (3, 3, 8) has dim 252, so every point is a Krylov solve
-        tr = BasisTruncation(3, 3, 8)
+        # (4, 4, 10) has dim 495, and the parity blocks of the half-flux
+        # point dim 253 and 242, so every point is a Krylov solve
+        tr = BasisTruncation(4, 4, 10)
         problems = [(canonical, BiasPoint(phi, 0.0), tr, 3)
                     for phi in (2.9, np.pi, 3.4)]
         serial = SolutionCache(None).map(problems)

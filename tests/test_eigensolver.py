@@ -5,7 +5,6 @@ import scipy.sparse as sp
 
 from cos2phi.analysis import convergence_ladder, solve_circuit
 from cos2phi.eigensolver import (
-    DEGENERACY_WINDOW,
     DENSE_THRESHOLD,
     FLOOR_TOL,
     NonConvergenceError,
@@ -19,6 +18,7 @@ from cos2phi.model import (
     BiasPoint,
     CircuitParams,
     HermitianOperator,
+    build_primitives,
 )
 
 
@@ -122,18 +122,51 @@ class TestLowestEigenpairs:
 
     def test_gauge_fixing_parity(self, canonical):
         # at N_g = 1/2 the symmetric circuit's doublet is degenerate to
-        # 1e-11 GHz, inside DEGENERACY_WINDOW: the backend's pair mixes the
-        # two parity states (<P> off +-1 by 5e-10 here), and only the
-        # cluster rotation makes them parity eigenstates to roundoff
+        # 1e-11 GHz: a full-space solve mixes the two parity states (<P> off
+        # +-1 by 5e-10 here), and the parity blocks keep them apart, each the
+        # ground state of its block
         ls = solve_circuit(canonical, BiasPoint(np.pi, 0.5),
                            BasisTruncation(9, 7, 30), k=2)
-        assert 0.0 <= ls.splitting < DEGENERACY_WINDOW
+        assert ls.solution.meta["blocks"] == [2356, 2356]
+        assert 0.0 <= ls.splitting < 1e-9
         P = ls.primitives.parity()
         v = ls.solution.vectors
         for i in (0, 1):
             p = np.vdot(v[:, i], P @ v[:, i]).real
             assert abs(abs(p) - 1.0) < 1e-12
         assert {lab.parity for lab in ls.labels} == {1, -1}
+
+    @pytest.mark.parametrize("trunc,delta_L,k", [
+        ((7, 7, 30), 0.0, 6), ((7, 7, 30), 0.6, 6), ((10, 10, 46), 0.6, 2),
+    ])
+    def test_symmetry_blocks_match_full_space(self, canonical, trunc, delta_L,
+                                              k):
+        # parity blocks for the symmetric circuit, mirror blocks for the
+        # disordered one: the same lowest energies as the full space, and
+        # every vector an eigenvector of the symmetry
+        tr = BasisTruncation(*trunc)
+        params = canonical.replace(delta_L=delta_L)
+        prim = build_primitives(tr, params)
+        H = full_hamiltonian(params, BiasPoint(np.pi, 0.0), tr, primitives=prim)
+        S = prim.mirror() if delta_L else prim.parity()
+        full = lowest_eigenpairs(H, k=k)
+        blocked = lowest_eigenpairs(H, k=k, symmetry=S)
+        assert blocked.meta["backend"] == "krylov"
+        assert sum(blocked.meta["blocks"]) == H.dim
+        scale = np.abs(full.energies).max()
+        assert np.abs(blocked.energies - full.energies).max() <= 1e-12 * scale
+        v = blocked.vectors
+        assert np.abs(np.abs(np.einsum("ij,ij->j", v, S @ v)) - 1.0).max() < 1e-12
+        # the qubit doublet is the ground state of each block
+        assert v[:, 0] @ S @ v[:, 0] * (v[:, 1] @ S @ v[:, 1]) < 0
+
+    def test_symmetry_must_be_signed_permutation(self, canonical, half_flux,
+                                                 small_trunc):
+        H = full_hamiltonian(canonical, half_flux, small_trunc)
+        for S in (2.0 * sp.identity(H.dim),
+                  sp.csr_matrix(np.roll(np.eye(H.dim), 1, axis=0))):
+            with pytest.raises(ValueError, match="signed permutation"):
+                lowest_eigenpairs(H, k=2, symmetry=S)
 
     def test_phase_convention(self, canonical, half_flux, small_trunc):
         H = full_hamiltonian(canonical, half_flux, small_trunc)

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from cos2phi.hamiltonians import (
     ToyParams,
@@ -145,6 +146,26 @@ class TestFullHamiltonian:
         comm = (H @ P - P @ H).toarray()
         scale = np.abs(H.toarray()).max()
         assert np.abs(comm).max() <= 1e-10 * scale
+
+    @pytest.mark.parametrize("disorder", [
+        {}, {"delta_J": 0.1}, {"delta_C": 0.1}, {"delta_A": 0.1},
+        {"delta_L": 0.1}, {"delta_J": 0.1, "delta_C": 0.2, "delta_L": 0.3},
+    ])
+    def test_mirror_commutator(self, canonical, disorder):
+        # the half-flux mirror is a real signed permutation with M^2 = 1 and
+        # an exact symmetry of every circuit at N_g = 0, but not off it
+        tr = BasisTruncation(4, 5, 10)
+        params = canonical.replace(**disorder)
+        prim = build_primitives(tr, params)
+        M = prim.mirror()
+        assert M.dtype == np.float64
+        assert np.array_equal(np.abs(M.data), np.ones(tr.dim))
+        assert abs(M @ M - sp.identity(tr.dim)).max() == 0.0
+        for N_g, commutes in ((0.0, True), (0.3, False)):
+            H = full_hamiltonian(params, BiasPoint(np.pi, N_g), tr,
+                                 primitives=prim).matrix
+            comm = abs(H @ M - M @ H).max()
+            assert (comm == 0.0) if commutes else (comm > 1.0)
 
     def test_charge_parity_alone_does_not_commute(self, canonical, half_flux):
         # the junction term flips island-charge parity and loop-mode parity

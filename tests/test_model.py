@@ -91,11 +91,11 @@ class TestOperatorAlgebra:
         with pytest.raises(LabelingError, match="different bases"):
             label_states(sol, half_flux, other)
 
-    def test_gauge_operator_shape_checked(self, canonical, half_flux):
+    def test_symmetry_shape_checked(self, canonical, half_flux):
         H = full_hamiltonian(canonical, half_flux, BasisTruncation(2, 2, 2))
         other = build_primitives(BasisTruncation(2, 2, 3), canonical)
-        with pytest.raises(ValueError, match="gauge operator"):
-            lowest_eigenpairs(H, 2, gauge_operator=other.parity())
+        with pytest.raises(ValueError, match="symmetry of shape"):
+            lowest_eigenpairs(H, 2, symmetry=other.parity())
 
     def test_dressing_changes_fingerprint(self, canonical):
         tr = BasisTruncation(2, 2, 2)
