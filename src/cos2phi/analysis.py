@@ -1,16 +1,9 @@
-"""Spectrum post-processing: quantum-number labels, sweeps, charge
-dispersion, wavefunction projections, matrix elements, dispersive shift.
+"""Spectrum post-processing: sweeps, charge dispersion, convergence
+ladder, wavefunction projections, matrix elements, dispersive shift.
 
-Label conventions.  Cooper-pair parity means the combined charge/loop-mode
-parity operator from the primitives, read as the sign of its expectation
-value.  It is an exact quantum number only for the symmetric circuit at
-half flux; every disorder parameter couples the two parity sectors there,
-and the sign then labels the dominant sector.  The plasmon number m comes
-from rounding the imbalance-mode occupation.  Fluxon symbols: "+" / "-" at
-half flux (by that parity sign; parity eigenstates only for the symmetric
-circuit), "*" (fluxon present) / "o" (fluxon absent) elsewhere, assigned by
-which cosine ridge the state occupies relative to the true ground state,
-and "unlabeled" at integer flux where the doublet structure degenerates.
+The labelled solutions come from ``SolutionCache.get_or_solve``; the state
+labels, their conventions and ``LabeledSolution`` live beside it in
+``cache`` and are re-exported here.
 """
 
 from __future__ import annotations
@@ -19,12 +12,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cache import SolutionCache
+from .cache import (FLUXON_ABSENT, FLUXON_MINUS, FLUXON_PLUS, FLUXON_PRESENT,
+                    FLUXON_UNLABELED, LabeledSolution, LabelingError,
+                    SolutionCache, StateLabel, label_states)
 from .constants import DEFAULT_SEED
-from .eigensolver import (EigenSolution, NonConvergenceError, fix_global_phase,
-                          lowest_eigenpairs)
-from .hamiltonians import full_hamiltonian
-from .model import BasisTruncation, BiasPoint, CircuitParams, Primitives, build_primitives
+from .eigensolver import NonConvergenceError, fix_global_phase
+from .model import BasisTruncation, BiasPoint, CircuitParams
 
 __all__ = [
     "StateLabel",
@@ -48,56 +41,9 @@ __all__ = [
     "ME_FLOOR",
 ]
 
-CONFIDENCE_WARN = 0.7
 DISPERSION_FLOOR = 1e-9  # GHz; smaller dispersions are flagged unresolved
 DEFECT_MAX = 0.1         # larger truncation defects are flagged unresolved
 ME_FLOOR = 1e-10         # normalized coupling amplitude below this is absent
-
-FLUXON_PLUS = "+"
-FLUXON_MINUS = "-"
-FLUXON_PRESENT = "*"
-FLUXON_ABSENT = "o"
-FLUXON_UNLABELED = "unlabeled"
-
-
-class LabelingError(RuntimeError):
-    """Quantum-number assignment failed for a required state."""
-
-
-@dataclass(frozen=True)
-class StateLabel:
-    index: int
-    m: int
-    fluxon: str
-    parity: int
-    confidence: float
-    warning: bool = False
-
-
-@dataclass(frozen=True)
-class LabeledSolution:
-    """EigenSolution bundled with its primitives, params, and state labels."""
-
-    solution: EigenSolution
-    labels: list
-    primitives: Primitives
-    params: CircuitParams
-    bias: BiasPoint
-
-    @property
-    def energies(self) -> np.ndarray:
-        return self.solution.energies
-
-    @property
-    def splitting(self) -> float:
-        """E1 - E0 of the two lowest states (GHz)."""
-        return float(self.energies[1] - self.energies[0])
-
-    def find(self, m: int, fluxon: str) -> int:
-        for lab in self.labels:
-            if lab.m == m and lab.fluxon == fluxon:
-                return lab.index
-        raise LabelingError(f"no state labeled (m={m}, fluxon={fluxon!r})")
 
 
 def solve_circuit(
@@ -107,85 +53,9 @@ def solve_circuit(
     k: int = 6,
     seed: int = DEFAULT_SEED,
 ) -> LabeledSolution:
-    """Build, diagonalize and label the circuit at one bias: at half flux in
-    the blocks of Cooper-pair parity for the symmetric circuit, else in those
-    of the mirror at N_g = 0.  Uncached; ``SolutionCache.get_or_solve``
-    consults the store and calls this on a miss."""
-    prim = build_primitives(trunc, params)
-    H = full_hamiltonian(params, bias, trunc, primitives=prim)
-    symmetry = None
-    if bias.at_half_flux and not any(
-            (params.delta_J, params.delta_C, params.delta_A, params.delta_L)):
-        symmetry = prim.parity()
-    elif bias.at_half_flux and bias.N_g == 0.0:
-        symmetry = prim.mirror()
-    sol = lowest_eigenpairs(H, k, seed=seed, symmetry=symmetry,
-                            meta={"trunc": trunc.as_tuple()})
-    labels = label_states(sol, bias, prim)
-    return LabeledSolution(
-        solution=sol, labels=labels, primitives=prim, params=params, bias=bias
-    )
-
-
-def label_states(
-    sol: EigenSolution, bias: BiasPoint, prim: Primitives
-) -> list[StateLabel]:
-    """Assign (m, fluxon, parity) labels to every state of a solution.
-
-    The plasmon number is rounded from the imbalance-mode occupation
-    measured relative to the lowest state of the same fluxon chain: the
-    hybridization with the island charge offsets all occupations by a
-    common amount that grows with asymmetry, while the chain ground defines
-    m = 0.  Confidence is the distance of the occupation increment from its
-    rounded value, mapped to [0, 1].
-    """
-    if sol.fingerprint != prim.fingerprint:
-        raise LabelingError("solution and primitives built on different bases")
-    at_half = bias.at_half_flux
-    # phi_ext is at integer flux exactly when phi_ext + pi is at half flux
-    at_zero = BiasPoint(bias.phi_ext + np.pi).at_half_flux
-    parity = prim.parity()
-    num_b = prim.kron((None, None, prim.num_b))
-    cos_hop = None if at_zero or at_half else prim.kron((prim.cos_hop, None, None))
-
-    parities = []
-    occupations = []
-    chains = []
-    cos_ground = None
-    for i in range(sol.k):
-        v = sol.vectors[:, i]
-        pexp = np.vdot(v, parity @ v).real
-        parities.append(1 if pexp >= 0 else -1)
-        occupations.append(np.vdot(v, num_b @ v).real)
-        if at_zero:
-            chains.append(FLUXON_UNLABELED)
-        elif at_half:
-            chains.append(FLUXON_PLUS if parities[-1] > 0 else FLUXON_MINUS)
-        else:
-            cexp = np.vdot(v, cos_hop @ v).real
-            if cos_ground is None:
-                cos_ground = cexp
-            same_well = np.sign(cexp) == np.sign(cos_ground) and cos_ground != 0
-            chains.append(FLUXON_ABSENT if same_well else FLUXON_PRESENT)
-
-    chain_floor: dict[str, float] = {}
-    labels = []
-    for i in range(sol.k):
-        base = chain_floor.setdefault(chains[i], occupations[i])
-        increment = occupations[i] - base
-        m = int(round(increment))
-        conf = max(0.0, 1.0 - 2.0 * abs(increment - m))
-        labels.append(
-            StateLabel(
-                index=i,
-                m=m,
-                fluxon=chains[i],
-                parity=parities[i],
-                confidence=conf,
-                warning=conf < CONFIDENCE_WARN,
-            )
-        )
-    return labels
+    """The labelled solution of one problem, solved without a store:
+    ``SolutionCache(seed=seed).get_or_solve(params, bias, trunc, k)``."""
+    return SolutionCache(seed=seed).get_or_solve(params, bias, trunc, k)
 
 
 def flux_sweep(

@@ -1,14 +1,27 @@
 """The one solve path: labelled solutions through a content-addressed store.
 
-A ``SolutionCache`` carries the Krylov seed and, when it has a ``root``, a
-directory of serialized eigen-solutions.  Keys hash the full problem
-description (circuit parameters, bias, truncation, k, seed) and a format
-version, so identical physics never diagonalizes twice regardless of which
-config asked for it.  Version 7 stores vectors in the gauged frame of
-``model`` (real at half flux), solved in the symmetry blocks of their bias
-on the band Cholesky factor of ``eigensolver.factor_below_spectrum``.
-Without a root every request is solved.  Hit and miss counts feed the run log for
-idempotence checks.
+``SolutionCache.get_or_solve`` is the only place that turns (params, bias,
+truncation, k) into a labelled solution.  A ``SolutionCache`` carries the
+Krylov seed and, when it has a ``root``, a directory of serialized
+eigen-solutions.  Keys hash the full problem description (circuit
+parameters, bias, truncation, k, seed) and a format version, so identical
+physics never diagonalizes twice regardless of which config asked for it.
+Version 7 stores vectors in the gauged frame of ``model`` (real at half
+flux), solved in the symmetry blocks of their bias on the band Cholesky
+factor of ``eigensolver.factor_below_spectrum``.  An entry that does not
+load is a miss.  Without a root every request is solved.  Hit and miss
+counts feed the run log.
+
+Label conventions.  Cooper-pair parity means the combined charge/loop-mode
+parity operator from the primitives, read as the sign of its expectation
+value.  It is an exact quantum number only for the symmetric circuit at
+half flux; every disorder parameter couples the two parity sectors there,
+and the sign then labels the dominant sector.  The plasmon number m comes
+from rounding the imbalance-mode occupation.  Fluxon symbols: "+" / "-" at
+half flux (by that parity sign; parity eigenstates only for the symmetric
+circuit), "*" (fluxon present) / "o" (fluxon absent) elsewhere, assigned by
+which cosine ridge the state occupies relative to the true ground state,
+and "unlabeled" at integer flux where the doublet structure degenerates.
 """
 
 from __future__ import annotations
@@ -16,19 +29,137 @@ from __future__ import annotations
 import hashlib
 import json
 import os
+import zipfile
+import zlib
 from collections.abc import Iterator
 from contextlib import contextmanager
-from dataclasses import astuple
+from dataclasses import astuple, dataclass
 from pathlib import Path
 
 import numpy as np
 
 from . import _ONE_BLAS_THREAD
 from .constants import DEFAULT_SEED
-from .eigensolver import EigenSolution
-from .model import BasisTruncation, BiasPoint, CircuitParams, build_primitives
+from .eigensolver import EigenSolution, lowest_eigenpairs
+from .hamiltonians import full_hamiltonian
+from .model import (BasisTruncation, BiasPoint, CircuitParams, Primitives,
+                    build_primitives)
 
-__all__ = ["SolutionCache", "worker_pool"]
+__all__ = ["SolutionCache", "worker_pool", "StateLabel", "LabeledSolution",
+           "LabelingError", "label_states"]
+
+CONFIDENCE_WARN = 0.7
+
+FLUXON_PLUS = "+"
+FLUXON_MINUS = "-"
+FLUXON_PRESENT = "*"
+FLUXON_ABSENT = "o"
+FLUXON_UNLABELED = "unlabeled"
+
+#: what reading a truncated, garbled or incomplete store entry raises
+_UNREADABLE = (OSError, EOFError, KeyError, ValueError, zipfile.BadZipFile,
+               zlib.error)
+
+
+class LabelingError(RuntimeError):
+    """Quantum-number assignment failed for a required state."""
+
+
+@dataclass(frozen=True)
+class StateLabel:
+    index: int
+    m: int
+    fluxon: str
+    parity: int
+    confidence: float
+    warning: bool = False
+
+
+@dataclass(frozen=True)
+class LabeledSolution:
+    """EigenSolution bundled with its primitives, params, and state labels."""
+
+    solution: EigenSolution
+    labels: list
+    primitives: Primitives
+    params: CircuitParams
+    bias: BiasPoint
+
+    @property
+    def energies(self) -> np.ndarray:
+        return self.solution.energies
+
+    @property
+    def splitting(self) -> float:
+        """E1 - E0 of the two lowest states (GHz)."""
+        return float(self.energies[1] - self.energies[0])
+
+    def find(self, m: int, fluxon: str) -> int:
+        for lab in self.labels:
+            if lab.m == m and lab.fluxon == fluxon:
+                return lab.index
+        raise LabelingError(f"no state labeled (m={m}, fluxon={fluxon!r})")
+
+
+def label_states(
+    sol: EigenSolution, bias: BiasPoint, prim: Primitives
+) -> list[StateLabel]:
+    """Assign (m, fluxon, parity) labels to every state of a solution.
+
+    The plasmon number is rounded from the imbalance-mode occupation
+    measured relative to the lowest state of the same fluxon chain: the
+    hybridization with the island charge offsets all occupations by a
+    common amount that grows with asymmetry, while the chain ground defines
+    m = 0.  Confidence is the distance of the occupation increment from its
+    rounded value, mapped to [0, 1].
+    """
+    if sol.fingerprint != prim.fingerprint:
+        raise LabelingError("solution and primitives built on different bases")
+    at_half = bias.at_half_flux
+    # phi_ext is at integer flux exactly when phi_ext + pi is at half flux
+    at_zero = BiasPoint(bias.phi_ext + np.pi).at_half_flux
+    parity = prim.parity()
+    num_b = prim.kron((None, None, prim.num_b))
+    cos_hop = None if at_zero or at_half else prim.kron((prim.cos_hop, None, None))
+
+    parities = []
+    occupations = []
+    chains = []
+    cos_ground = None
+    for i in range(sol.k):
+        v = sol.vectors[:, i]
+        pexp = np.vdot(v, parity @ v).real
+        parities.append(1 if pexp >= 0 else -1)
+        occupations.append(np.vdot(v, num_b @ v).real)
+        if at_zero:
+            chains.append(FLUXON_UNLABELED)
+        elif at_half:
+            chains.append(FLUXON_PLUS if parities[-1] > 0 else FLUXON_MINUS)
+        else:
+            cexp = np.vdot(v, cos_hop @ v).real
+            if cos_ground is None:
+                cos_ground = cexp
+            same_well = np.sign(cexp) == np.sign(cos_ground) and cos_ground != 0
+            chains.append(FLUXON_ABSENT if same_well else FLUXON_PRESENT)
+
+    chain_floor: dict[str, float] = {}
+    labels = []
+    for i in range(sol.k):
+        base = chain_floor.setdefault(chains[i], occupations[i])
+        increment = occupations[i] - base
+        m = int(round(increment))
+        conf = max(0.0, 1.0 - 2.0 * abs(increment - m))
+        labels.append(
+            StateLabel(
+                index=i,
+                m=m,
+                fluxon=chains[i],
+                parity=parities[i],
+                confidence=conf,
+                warning=conf < CONFIDENCE_WARN,
+            )
+        )
+    return labels
 
 
 @contextmanager
@@ -96,29 +227,41 @@ class SolutionCache:
         return self.root / f"{key}.npz"
 
     def load(self, key: str) -> EigenSolution | None:
-        if self.root is None or not self._path(key).exists():
+        """The stored solution, or None when there is no entry that loads."""
+        if self.root is None:
             return None
-        data = np.load(self._path(key), allow_pickle=False)
-        meta = json.loads(str(data["meta_json"]))
-        return EigenSolution(
-            energies=data["energies"],
-            vectors=data["vectors"],
-            residuals=data["residuals"],
-            fingerprint=str(data["fingerprint"]),
-            meta=meta,
-        )
+        try:
+            with np.load(self._path(key), allow_pickle=False) as data:
+                return EigenSolution(
+                    energies=data["energies"],
+                    vectors=data["vectors"],
+                    residuals=data["residuals"],
+                    fingerprint=str(data["fingerprint"]),
+                    meta=json.loads(str(data["meta_json"])),
+                )
+        except _UNREADABLE:
+            return None
 
     def store(self, key: str, sol: EigenSolution) -> None:
+        """Write to a file of this process, then rename it into place."""
         if self.root is None:
             return
-        np.savez_compressed(
-            self._path(key),
-            energies=sol.energies,
-            vectors=sol.vectors,
-            residuals=sol.residuals,
-            fingerprint=np.str_(sol.fingerprint),
-            meta_json=np.str_(json.dumps(sol.meta, sort_keys=True, default=str)),
-        )
+        path = self._path(key)
+        tmp = path.with_suffix(f".{os.getpid()}.tmp")
+        try:
+            with open(tmp, "wb") as fh:
+                np.savez_compressed(
+                    fh,
+                    energies=sol.energies,
+                    vectors=sol.vectors,
+                    residuals=sol.residuals,
+                    fingerprint=np.str_(sol.fingerprint),
+                    meta_json=np.str_(json.dumps(sol.meta, sort_keys=True, default=str)),
+                )
+            os.replace(tmp, path)
+        except BaseException:
+            tmp.unlink(missing_ok=True)
+            raise
 
     def get_or_solve(
         self,
@@ -126,27 +269,34 @@ class SolutionCache:
         bias: BiasPoint,
         trunc: BasisTruncation,
         k: int,
-    ):
-        """LabeledSolution via the store; labels are recomputed on load."""
-        # analysis imports this module for SolutionCache, so it is imported
-        # on first use, not at module level
-        from .analysis import LabeledSolution, label_states, solve_circuit
-
+    ) -> LabeledSolution:
+        """The labelled solution, from the store when an entry of this basis
+        fingerprint loads, else solved, labelled and stored.  The solve runs
+        in the blocks of an exact symmetry: at half flux Cooper-pair parity
+        for the symmetric circuit, else the mirror at N_g = 0."""
+        prim = build_primitives(trunc, params)
         key = _problem_key(params, bias, trunc, k, self.seed)
         sol = self.load(key)
-        if sol is not None:
-            prim = build_primitives(trunc, params)
-            if prim.fingerprint == sol.fingerprint:
-                self.hits += 1
-                labels = label_states(sol, bias, prim)
-                return LabeledSolution(
-                    solution=sol, labels=labels, primitives=prim,
-                    params=params, bias=bias,
-                )
-        self.misses += 1
-        ls = solve_circuit(params, bias, trunc, k=k, seed=self.seed)
-        self.store(key, ls.solution)
-        return ls
+        hit = sol is not None and sol.fingerprint == prim.fingerprint
+        if hit:
+            self.hits += 1
+        else:
+            self.misses += 1
+            symmetry = None
+            if bias.at_half_flux and not any(
+                    (params.delta_J, params.delta_C, params.delta_A, params.delta_L)):
+                symmetry = prim.parity()
+            elif bias.at_half_flux and bias.N_g == 0.0:
+                symmetry = prim.mirror()
+            sol = lowest_eigenpairs(
+                full_hamiltonian(params, bias, trunc, primitives=prim), k,
+                seed=self.seed, symmetry=symmetry, meta={"trunc": trunc.as_tuple()})
+        labels = label_states(sol, bias, prim)
+        if not hit:
+            self.store(key, sol)
+        return LabeledSolution(
+            solution=sol, labels=labels, primitives=prim, params=params, bias=bias
+        )
 
     def map(self, problems: list, jobs: int = 1) -> Iterator:
         """``get_or_solve`` over ``(params, bias, trunc, k)`` tuples: an

@@ -5,8 +5,10 @@ analysis call; ``cos2phi --help`` lists them with their docstrings.
 
 Exit codes: 0 success; 1 domain, configuration or usage error; 2 numerical
 non-convergence.  Every artifact carries a provenance comment block and a
-checksum of its data section; re-running an unchanged config is a no-op
-served from the artifact cache.
+checksum of its data section.  The solution store under
+``<out>/.solutions/`` is the one cache: re-running an unchanged config
+rewrites the same artifacts from it without a diagonalization, and
+``--no-cache`` runs without a store.
 
 The front end imports with numpy alone: its config, its exit-code error
 types and the ``instanton`` and ``mathieu`` layers need no scipy.  The
@@ -109,7 +111,6 @@ class _Runner:
         self.out = _out_dir(self.cfg, out)
         self.provenance = {**self.cfg.provenance(), "subcommand": subcommand}
         self._cache = None
-        self.marker = self.out / f"{subcommand}_done.json"
 
     @property
     def cache(self):
@@ -123,49 +124,22 @@ class _Runner:
             )
         return self._cache
 
-    def already_done(self) -> bool:
-        if not self.cfg.cache_enabled or not self.marker.exists():
-            return False
-        try:
-            info = json.loads(self.marker.read_text())
-        except json.JSONDecodeError:
-            return False
-        if info.get("config_hash") != self.cfg.config_hash:
-            return False
-        return all((self.out / a).exists() for a in info.get("artifacts", []))
-
     def finish(self, artifacts: list[str]) -> None:
-        self.marker.write_text(
-            json.dumps(
-                {
-                    "config_hash": self.cfg.config_hash,
-                    "subcommand": self.subcommand,
-                    "artifacts": artifacts,
-                },
-                sort_keys=True,
-            )
-        )
         misses, hits = (0, 0) if self._cache is None else (
             self._cache.misses, self._cache.hits)
-        self._write_runlog(
-            diagonalizations=misses, cache_hits=hits, artifacts=artifacts)
-        click.echo(
-            f"{self.subcommand}: wrote {', '.join(artifacts)} "
-            f"({misses} diagonalizations, {hits} cache hits)"
-        )
-
-    def skip(self) -> None:
-        self._write_runlog(diagonalizations=0, cache_hits=0, artifact_cache_hit=True)
-        click.echo(f"{self.subcommand}: artifacts up to date (cache hit)")
-
-    def _write_runlog(self, **fields) -> None:
         log = {
             "subcommand": self.subcommand,
             "config_hash": self.cfg.config_hash,
-            **fields,
+            "diagonalizations": misses,
+            "cache_hits": hits,
+            "artifacts": artifacts,
         }
         (self.out / f"{self.subcommand}_runlog.json").write_text(
             json.dumps(log, sort_keys=True, indent=2) + "\n"
+        )
+        click.echo(
+            f"{self.subcommand}: wrote {', '.join(artifacts)} "
+            f"({misses} diagonalizations, {hits} cache hits)"
         )
 
 
@@ -175,9 +149,6 @@ def _run(subcommand, impl, config_path, out, overrides, no_cache, jobs=None):
     except _DOMAIN_ERRORS as exc:
         _emit_diagnostic(None, subcommand, "domain", exc)
         sys.exit(1)
-    if runner.already_done():
-        runner.skip()
-        return
     try:
         artifacts = impl(runner)
     except _NUMERIC_ERRORS as exc:
@@ -243,7 +214,8 @@ _COMMON_OPTIONS = (
     click.Option(["--out"], help="output directory"),
     click.Option(["--set", "overrides"], multiple=True,
                  help="dotted-path config override, e.g. circuit.delta_L=0.6"),
-    click.Option(["--no-cache"], is_flag=True, help="disable all caching"),
+    click.Option(["--no-cache"], is_flag=True,
+                 help="no solution store: read and write nothing under .solutions/"),
 )
 
 

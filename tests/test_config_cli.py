@@ -2,6 +2,7 @@ import dataclasses
 import hashlib
 import json
 import os
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -187,6 +188,41 @@ class TestSolutionCache:
         assert "OPENBLAS_NUM_THREADS" not in os.environ
         assert "OMP_NUM_THREADS" not in os.environ
 
+    @pytest.mark.parametrize("entry", ["truncated", "garbage", "missing_array"])
+    def test_unreadable_entry_is_resolved(self, tmp_path, canonical, half_flux,
+                                          entry):
+        # an entry left by an interrupted or foreign write is a miss: it is
+        # solved again, overwritten, and then served
+        tr = BasisTruncation(3, 3, 8)
+        root = tmp_path / "store"
+        SolutionCache(root).get_or_solve(canonical, half_flux, tr, k=2)
+        (path,) = root.glob("*.npz")
+        if entry == "truncated":
+            path.write_bytes(path.read_bytes()[:100])
+        elif entry == "garbage":
+            path.write_bytes(b"not a solution")
+        else:
+            np.savez(path, energies=np.zeros(2))
+        cache = SolutionCache(root)
+        a = cache.get_or_solve(canonical, half_flux, tr, k=2)
+        assert cache.misses == 1 and cache.hits == 0
+        b = cache.get_or_solve(canonical, half_flux, tr, k=2)
+        assert cache.misses == 1 and cache.hits == 1
+        assert np.array_equal(a.energies, b.energies)
+
+    def test_interrupted_store_leaves_nothing(self, tmp_path, canonical,
+                                              half_flux, monkeypatch):
+        def fail_midway(fh, **arrays):
+            fh.write(b"PK\x03\x04 partial")
+            raise OSError("No space left on device")
+
+        monkeypatch.setattr(np, "savez_compressed", fail_midway)
+        root = tmp_path / "store"
+        with pytest.raises(OSError, match="No space"):
+            SolutionCache(root).get_or_solve(canonical, half_flux,
+                                             BasisTruncation(3, 3, 8), k=2)
+        assert list(root.iterdir()) == []
+
     def test_disabled_cache(self, tmp_path, canonical, half_flux):
         cache = SolutionCache(None)
         tr = BasisTruncation(3, 3, 8)
@@ -296,12 +332,37 @@ class TestCli:
         assert grid == sorted(grid)
         log1 = json.loads((out / "spectrum_runlog.json").read_text())
         assert log1["diagonalizations"] == 3
-        # unchanged config: artifact cache hit, zero diagonalizations
+        # unchanged config: every point served by the solution store, and
+        # the artifact rewritten byte for byte
         r2 = _cli("spectrum", "--config", str(fast_config), "--out", str(out),
                   cwd=tmp_path)
         assert r2.returncode == 0, r2.stderr
         log2 = json.loads((out / "spectrum_runlog.json").read_text())
         assert log2["diagonalizations"] == 0
+        assert log2["cache_hits"] == 3
+        assert (out / "spectrum.csv").read_text() == csv
+
+    def test_rerun_without_store_solves_again(self, tmp_path, fast_config):
+        # no cache but the solution store: with the store gone, an unchanged
+        # rerun into the same output directory diagonalizes every point
+        out = tmp_path / "stale"
+        args = ("spectrum", "--config", str(fast_config), "--out", str(out))
+        assert _cli(*args, cwd=tmp_path).returncode == 0
+        shutil.rmtree(out / ".solutions")
+        r = _cli(*args, cwd=tmp_path)
+        assert r.returncode == 0, r.stderr
+        log = json.loads((out / "spectrum_runlog.json").read_text())
+        assert log["diagonalizations"] == 3 and log["cache_hits"] == 0
+
+    def test_no_cache_keeps_no_store(self, tmp_path, fast_config):
+        out = tmp_path / "nostore"
+        for _ in range(2):
+            r = _cli("spectrum", "--config", str(fast_config), "--out",
+                     str(out), "--no-cache", cwd=tmp_path)
+            assert r.returncode == 0, r.stderr
+            log = json.loads((out / "spectrum_runlog.json").read_text())
+            assert log["diagonalizations"] == 3 and log["cache_hits"] == 0
+        assert not (out / ".solutions").exists()
 
     def test_byte_identical_outputs(self, tmp_path, fast_config):
         outs = []
@@ -569,7 +630,6 @@ class TestCli:
                  cwd=tmp_path)
         assert r.returncode == 0, r.stderr
         serial, _ = _csv_parts(out / "spectrum.csv")
-        (out / "spectrum_done.json").unlink()
         r = _cli("spectrum", "--config", str(fast_config), "--out", str(out),
                  "--jobs", "2", cwd=tmp_path)
         assert r.returncode == 0, r.stderr
