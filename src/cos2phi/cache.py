@@ -6,9 +6,10 @@ Krylov seed and, when it has a ``root``, a directory of serialized
 eigen-solutions.  Keys hash the full problem description (circuit
 parameters, bias, truncation, k, seed) and a format version, so identical
 physics never diagonalizes twice regardless of which config asked for it.
-Version 7 stores vectors in the gauged frame of ``model`` (real at half
+Version 8 stores vectors in the gauged frame of ``model`` (real at half
 flux), solved in the symmetry blocks of their bias on the band Cholesky
-factor of ``eigensolver.factor_below_spectrum``.  An entry that does not
+factor of ``eigensolver.factor_below_spectrum``, shifted
+``eigensolver.SHIFT_GAP`` below the Lanczos floor.  An entry that does not
 load is a miss.  Without a root every request is solved.  Hit and miss
 counts feed the run log.
 
@@ -202,7 +203,7 @@ def _problem_key(
             "t": trunc.as_tuple(),
             "k": k,
             "seed": seed,
-            "v": 7,
+            "v": 8,
         },
         sort_keys=True,
     )

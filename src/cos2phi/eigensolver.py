@@ -11,10 +11,11 @@ casts H.  A symmetry of H splits the solve into its two eigenspaces.
 
 Every shifted factorization in the package, the Lanczos operator here and
 the Sternheimer solve of the flux curvature, comes from
-``factor_below_spectrum``: with the shift below the spectrum floor, H - sigma
-is positive definite, and in reverse Cuthill-McKee order it is banded (the
-imbalance mode enters only through the at most pentadiagonal eta, eta^2 and
-theta), so one LAPACK band Cholesky factor serves.
+``factor_below_spectrum`` with the shift ``SHIFT_GAP`` below the spectrum
+floor: there H - sigma is positive definite, and in reverse Cuthill-McKee
+order it is banded (the imbalance mode enters only through the at most
+pentadiagonal eta, eta^2 and theta), so one LAPACK band Cholesky factor
+serves, and its success certifies that the shift is below the spectrum.
 """
 
 from __future__ import annotations
@@ -37,6 +38,7 @@ __all__ = [
     "NonConvergenceError",
     "DENSE_THRESHOLD",
     "DEFAULT_SEED",
+    "SHIFT_GAP",
     "factor_below_spectrum",
     "fix_global_phase",
 ]
@@ -44,6 +46,8 @@ __all__ = [
 DENSE_THRESHOLD = 160  # dim; measured dense/Krylov crossover: 150-180
 KRYLOV_TOL = 1e-10  # Krylov residuals above 100 * KRYLOV_TOL * |E| raise
 FLOOR_TOL = 1e-2  # relative residual of the Lanczos pass that finds the floor
+FLOOR_CHECK = 10  # Lanczos steps between the floor pass's convergence checks
+SHIFT_GAP = 0.1  # GHz; every shifted factorization sits this far below the floor
 PHASE_TIE_RTOL = 1e-8  # entries this close to the largest magnitude tie
 
 
@@ -55,9 +59,10 @@ class EigenSolution:
     global phase fixed by ``fix_global_phase``.
     ``meta`` records backend, tolerance, seed, and the basis truncation when
     the caller supplies one; Krylov solves add the ``shift`` sigma, the band
-    fill ``lu_nnz`` of the Cholesky factor of H - sigma and the
-    ``lu_solves`` made on it, summed over the ``blocks`` (their dimensions)
-    of a symmetry, with the lowest block ``shift``.
+    fill ``lu_nnz`` of the Cholesky factor of H - sigma, the ``lu_solves``
+    made on it and the Lanczos ``floor_steps`` of the floor pass, summed over
+    the ``blocks`` (their dimensions) of a symmetry, with the lowest block
+    ``shift``.
     """
 
     energies: np.ndarray
@@ -123,9 +128,9 @@ def lowest_eigenpairs(
     solve into eigenspace blocks B^T H B, the largest of which picks the
     backend; the lowest k of their lowest min(k, block dim) pairs return as
     eigenvectors of S.  The Krylov path locates the spectrum floor with a
-    coarse Lanczos pass and then runs shift-invert from below it, with the
-    start vector drawn from a seeded generator so repeated runs are
-    bit-identical.
+    coarse three-term Lanczos pass and then runs shift-invert from
+    ``SHIFT_GAP`` below it, with the start vector drawn from a seeded
+    generator so repeated runs are bit-identical.
     """
     dim = H.dim
     if not (1 <= k <= dim):
@@ -166,7 +171,8 @@ def lowest_eigenpairs(
         info["blocks"] = dims
     if infos:
         info.update(shift=min(i["shift"] for i in infos), **{
-            key: sum(i[key] for i in infos) for key in ("lu_nnz", "lu_solves")})
+            key: sum(i[key] for i in infos)
+            for key in ("lu_nnz", "lu_solves", "floor_steps")})
     return EigenSolution(energies=energies, vectors=vectors, residuals=resid,
                          fingerprint=H.fingerprint, meta={**info, **(meta or {})})
 
@@ -231,39 +237,76 @@ def factor_below_spectrum(M, sigma: float) -> BandCholesky:
     return BandCholesky(band=band, perm=perm)
 
 
+def _lanczos_floor(M, v0: np.ndarray) -> tuple[float, int]:
+    """Lowest Ritz value theta of M from v0, and the Lanczos steps it took.
+
+    The plain three-term recurrence, without reorthogonalization: lost
+    orthogonality only repeats converged Ritz values, and theta stays a
+    Rayleigh quotient, so theta >= E0 up to roundoff.  Every ``FLOOR_CHECK`` steps theta
+    and the last entry s_m of its tridiagonal eigenvector give the residual
+    |beta_m s_m|; the pass ends once that is at most ``FLOOR_TOL * |theta|``,
+    or ``FLOOR_TOL`` GHz for |theta| below 1 GHz, where a relative bound
+    would ask for ever more steps as theta nears 0.
+    """
+    n = M.shape[0]
+    alpha, beta = [], []
+    q_prev, q, b = 0.0, v0 / np.linalg.norm(v0), 0.0
+    for m in range(1, n + 1):
+        w = M @ q - b * q_prev
+        alpha.append(np.vdot(q, w).real)
+        w -= alpha[-1] * q
+        b = np.linalg.norm(w)
+        if m % FLOOR_CHECK == 0 or m == n or b == 0.0:
+            theta, s = sla.eigh_tridiagonal(alpha, beta, select="i",
+                                            select_range=(0, 0))
+            if abs(b * s[-1, 0]) <= FLOOR_TOL * max(abs(theta[0]), 1.0):
+                return float(theta[0]), m
+        beta.append(b)
+        q_prev, q = q, w / b
+    raise NonConvergenceError(
+        f"Lanczos floor pass did not reach a relative residual of "
+        f"{FLOOR_TOL:g} in {n} steps")
+
+
 def _krylov_lowest(M, k: int, seed: int):
     """Lowest k eigenpairs by shift-invert Lanczos, plus the solve's meta.
 
-    The coarse floor pass returns a Ritz value theta >= E0 with residual at
-    most ``FLOOR_TOL * |theta|``, which bounds theta - E0; the shift
-    sigma = theta - max(1, 2 FLOOR_TOL |theta|) therefore lies below E0 for
-    any |E0|.
+    The floor pass (``_lanczos_floor``) returns a Ritz value theta >= E0,
+    within FLOOR_TOL max(|theta|, 1) of an eigenvalue.  The shift
+    sigma = theta - ``SHIFT_GAP`` is taken when the band Cholesky of
+    M - sigma succeeds, which certifies that sigma lies below the spectrum;
+    otherwise the floor pass found an excited level, and the shift falls back
+    once to sigma = theta - max(1, 2 FLOOR_TOL |theta|).  A fallback that is
+    not below the spectrum either raises ``NonConvergenceError``.
     """
     M = M.tocsc()
     rng = np.random.default_rng(seed)
     v0 = rng.standard_normal(M.shape[0])
+    floor, steps = _lanczos_floor(M, v0)
     try:
-        floor = spla.eigsh(
-            M, k=1, which="SA", return_eigenvectors=False, tol=FLOOR_TOL, v0=v0
-        )[0]
+        sigma = floor - SHIFT_GAP
+        factor = factor_below_spectrum(M, sigma)
+    except NonConvergenceError:
         sigma = floor - max(1.0, 2.0 * FLOOR_TOL * abs(floor))
         factor = factor_below_spectrum(M, sigma)
-        solves = 0
+    solves = 0
 
-        def inverse(x):
-            nonlocal solves
-            solves += 1
-            return factor.solve(x)
+    def inverse(x):
+        nonlocal solves
+        solves += 1
+        return factor.solve(x)
 
-        OPinv = spla.LinearOperator(M.shape, matvec=inverse, dtype=M.dtype)
+    OPinv = spla.LinearOperator(M.shape, matvec=inverse, dtype=M.dtype)
+    try:
         evals, evecs = spla.eigsh(
             M, k=k, sigma=sigma, which="LM", tol=0, v0=v0, maxiter=5000,
-            OPinv=OPinv,
+            ncv=min(M.shape[0], 2 * k + 2), OPinv=OPinv,
         )
     except spla.ArpackNoConvergence as exc:
         raise NonConvergenceError(
             f"ARPACK failed to converge: {exc}", residuals=getattr(exc, "eigenvalues", None)
         ) from exc
     order = np.argsort(evals)
-    info = {"shift": float(sigma), "lu_nnz": int(factor.nnz), "lu_solves": solves}
+    info = {"shift": float(sigma), "lu_nnz": int(factor.nnz), "lu_solves": solves,
+            "floor_steps": steps}
     return evals[order], evecs[:, order], info

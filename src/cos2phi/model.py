@@ -34,6 +34,7 @@ functions that build the operator blocks, when they first run.
 from __future__ import annotations
 
 import hashlib
+import math
 import warnings
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Iterable
@@ -246,22 +247,27 @@ def _displacement_amplitudes(lam: float, p0: int) -> np.ndarray:
     """|<m| D(i lam) |n>| amplitudes via the associated Laguerre closed form.
 
     Returns the real array A[m, n] = exp(-lam^2/2) sqrt(n!/m!) lam^(m-n)
-    L_n^{(m-n)}(lam^2) for m >= n, symmetrized.  Log-gamma handles the
-    factorial ratio so p0 up to a few hundred stays stable.
+    L_n^{(m-n)}(lam^2) for m >= n, symmetrized.  The three-term recurrence
+    in n runs for all orders k = m - n at once, on P_n = L_n^{(k)} /
+    binom(n + k, n) and its increment, which stay of order one; with the
+    binomial folded in, A = exp(-lam^2/2) sqrt(m!/n!) lam^k P_n / k!, and
+    log-gamma handles the factorials so p0 up to a few hundred stays stable.
     """
-    from scipy.special import eval_genlaguerre, gammaln
-
     d = p0 + 1
-    A = np.zeros((d, d))
     lam2 = lam * lam
-    for m in range(d):
-        for n in range(m + 1):
-            k = m - n
-            ln_amp = 0.5 * (gammaln(n + 1) - gammaln(m + 1)) - 0.5 * lam2
-            lag = eval_genlaguerre(n, k, lam2)
-            val = np.exp(ln_amp) * lam**k * lag
-            A[m, n] = val
-            A[n, m] = val
+    order = np.arange(d)
+    P = np.ones((d, d))  # P[n, k] = L_n^{(k)}(lam^2) / binom(n + k, n)
+    step = np.zeros(d)
+    for n in range(d - 1):
+        step = (n * step - lam2 * P[n]) / (n + 1 + order)
+        P[n + 1] = P[n] + step
+    m, n = np.tril_indices(d)
+    ln_fact = np.array([math.lgamma(i + 1.0) for i in range(d)])
+    val = (np.exp(0.5 * (ln_fact[m] - ln_fact[n]) - ln_fact[m - n] - 0.5 * lam2)
+           * lam ** (m - n) * P[n, m - n])
+    A = np.zeros((d, d))
+    A[m, n] = val
+    A[n, m] = val
     return A
 
 

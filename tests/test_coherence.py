@@ -63,6 +63,14 @@ class TestQualityFactors:
         assert q_ind(w, PhysicalConstants(temperature=T)) == pytest.approx(
             500e6 * ref / series, rel=1e-3)
 
+    def test_k0_matches_scipy(self):
+        # the trapezoid rule is accurate to about 4e-16; scipy.special.kv
+        # itself is off by up to 1.4e-15 on this range
+        from scipy.special import kv
+
+        for x in np.geomspace(1e-5, 30.0, 400):
+            assert coherence._k0(x) == pytest.approx(kv(0, x), rel=3e-15, abs=0)
+
     def test_q_ind_domain(self):
         with pytest.raises(ValueError):
             q_ind(0.0)

@@ -133,10 +133,11 @@ class TestSolutionCache:
         assert np.array_equal(a.energies, b.energies)
         assert a.labels == b.labels
         # stored vectors are in the gauged frame and solved on the band
-        # Cholesky factor in the symmetry blocks: the key carries version 7
+        # Cholesky factor in the symmetry blocks, shifted SHIFT_GAP below the
+        # Lanczos floor: the key carries version 8
         payload = json.dumps({"p": dataclasses.astuple(params),
                               "b": [bias.phi_ext, bias.N_g], "t": tr.as_tuple(),
-                              "k": 3, "seed": cache.seed, "v": 7}, sort_keys=True)
+                              "k": 3, "seed": cache.seed, "v": 8}, sort_keys=True)
         assert stored.stem == hashlib.sha256(payload.encode()).hexdigest()
 
     def test_distinct_problems_distinct_entries(self, tmp_path, canonical, half_flux):
@@ -686,6 +687,18 @@ class TestCli:
                 "from cos2phi.config import load_config\n"
                 "load_config(sys.argv[1])\n" + _PRINT_SCIPY)
         assert _fresh_python(code, tmp_path, _child_env(), str(fast_config)) == []
+
+    def test_coherence_and_primitives_load_no_scipy_special(self, tmp_path):
+        # K0 and the displacement amplitudes are computed in the package,
+        # so a diagonalizing process never imports scipy.special
+        code = ("import json, sys\n"
+                "import cos2phi.coherence\n"
+                "from cos2phi.model import BasisTruncation, CircuitParams, "
+                "build_primitives\n"
+                "build_primitives(BasisTruncation(3, 3, 8), "
+                "CircuitParams(15.0, 2.0, 1.0, 0.02))\n"
+                "print(json.dumps('scipy.special' in sys.modules))\n")
+        assert _fresh_python(code, tmp_path, _child_env()) is False
 
     @pytest.mark.parametrize("args", [
         ("instanton", "--set", "instanton.n_beads=17"),

@@ -3,12 +3,15 @@ import pytest
 import scipy.linalg as sla
 import scipy.sparse as sp
 
+import cos2phi.eigensolver as eigensolver
 from cos2phi.analysis import convergence_ladder, solve_circuit
 from cos2phi.eigensolver import (
     DENSE_THRESHOLD,
     FLOOR_TOL,
+    SHIFT_GAP,
     NonConvergenceError,
     _fix_phases,
+    _lanczos_floor,
     factor_below_spectrum,
     lowest_eigenpairs,
 )
@@ -20,6 +23,7 @@ from cos2phi.model import (
     HermitianOperator,
     build_primitives,
 )
+from test_hamiltonians import DISORDER_SETS
 
 
 def _wrap(mat):
@@ -89,17 +93,73 @@ class TestLowestEigenpairs:
         assert np.abs(dense - kry.energies).max() < 1e-10
 
     def test_shift_margin_at_large_ground_energy(self, half_flux, small_trunc):
-        # at eps_J = 60 the margin 2 * FLOOR_TOL * |floor| exceeds 1 GHz, so
-        # the relative branch of the rule sets the shift; it must still lie
-        # below E0 and the spectrum be exact
-        params = CircuitParams(60.0, 2.0, 1.0, 0.02)
-        H = full_hamiltonian(params, half_flux, small_trunc)
+        # the floor pass lands within 0.05 GHz above E0, so the certified
+        # shift lies below E0 by at most SHIFT_GAP, also at eps_J = 60, where
+        # the fallback margin 2 * FLOOR_TOL * |E0| would exceed 1 GHz
+        for eps_J in (15.0, 60.0):
+            params = CircuitParams(eps_J, 2.0, 1.0, 0.02)
+            H = full_hamiltonian(params, half_flux, small_trunc)
+            dense = sla.eigh(H.toarray(), eigvals_only=True)[:4]
+            kry = lowest_eigenpairs(H, k=4)
+            assert kry.meta["backend"] == "krylov"
+            assert 0 < dense[0] - kry.meta["shift"] <= SHIFT_GAP + 0.05
+            assert np.abs(dense - kry.energies).max() < 1e-10
+
+    def _spy_factor(self, monkeypatch):
+        """Record (sigma, factored) for each factorization of the solve."""
+        calls, factor = [], eigensolver.factor_below_spectrum
+
+        def spy(M, sigma):
+            try:
+                out = factor(M, sigma)
+            except NonConvergenceError:
+                calls.append((sigma, False))
+                raise
+            calls.append((sigma, True))
+            return out
+
+        monkeypatch.setattr(eigensolver, "factor_below_spectrum", spy)
+        return calls
+
+    def test_shift_falls_back_when_the_floor_is_an_excited_level(
+            self, monkeypatch, canonical, half_flux, small_trunc):
+        # a floor 0.5 GHz above E0 puts theta - SHIFT_GAP inside the
+        # spectrum: pbtrf refuses it, and the fallback margin
+        # max(1, 2 FLOOR_TOL |theta|) below theta serves the solve
+        H = full_hamiltonian(canonical, half_flux, small_trunc)
         dense = sla.eigh(H.toarray(), eigvals_only=True)[:4]
+        theta = dense[0] + 0.5
+        monkeypatch.setattr(eigensolver, "_lanczos_floor", lambda M, v0: (theta, 0))
+        calls = self._spy_factor(monkeypatch)
         kry = lowest_eigenpairs(H, k=4)
-        assert kry.meta["backend"] == "krylov"
-        assert 2 * FLOOR_TOL * abs(dense[0]) > 1.0
-        assert kry.meta["shift"] < dense[0]
+        fallback = theta - max(1.0, 2 * FLOOR_TOL * abs(theta))
+        assert calls == [(theta - SHIFT_GAP, False), (fallback, True)]
+        assert kry.meta["shift"] == fallback
         assert np.abs(dense - kry.energies).max() < 1e-10
+
+    def test_shift_raises_when_the_fallback_is_inside_the_spectrum(
+            self, monkeypatch, canonical, half_flux, small_trunc):
+        H = full_hamiltonian(canonical, half_flux, small_trunc)
+        theta = sla.eigh(H.toarray(), eigvals_only=True)[0] + 50.0
+        monkeypatch.setattr(eigensolver, "_lanczos_floor", lambda M, v0: (theta, 0))
+        calls = self._spy_factor(monkeypatch)
+        with pytest.raises(NonConvergenceError, match="not positive definite"):
+            lowest_eigenpairs(H, k=4)
+        assert [ok for _, ok in calls] == [False, False]
+
+    @pytest.mark.parametrize("offset", [0.0, -0.003])
+    def test_spectrum_floor_near_zero(self, offset, canonical, half_flux,
+                                      small_trunc):
+        # a relative residual bound alone would never end the floor pass
+        # with E0 at 0; below 1 GHz the bound is FLOOR_TOL GHz
+        H = full_hamiltonian(canonical, half_flux, small_trunc)
+        dense = sla.eigh(H.toarray(), eigvals_only=True)[:4]
+        shifted = H.matrix - (dense[0] + offset) * sp.identity(H.dim)
+        kry = lowest_eigenpairs(_wrap(shifted), k=4)
+        assert kry.meta["backend"] == "krylov"
+        assert kry.meta["floor_steps"] < H.dim
+        assert 0 < -offset - kry.meta["shift"] <= SHIFT_GAP + 0.05
+        assert np.abs(dense - dense[0] - offset - kry.energies).max() < 1e-10
 
     def test_krylov_meta_records_the_factorization(self, canonical, half_flux,
                                                    small_trunc):
@@ -109,8 +169,16 @@ class TestLowestEigenpairs:
         # the band of the factor of H - sigma holds more than H's own pattern
         assert sol.meta["lu_nnz"] > H.matrix.nnz
         assert sol.meta["lu_solves"] >= sol.k
+        # the floor pass checks its residual every FLOOR_CHECK steps
+        assert sol.meta["floor_steps"] % eigensolver.FLOOR_CHECK == 0
+        assert 0 < sol.meta["floor_steps"] < H.dim
+        # a blocked solve sums the floor steps over its blocks
+        P = build_primitives(small_trunc, canonical).parity()
+        blocked = lowest_eigenpairs(H, k=4, symmetry=P)
+        assert len(blocked.meta["blocks"]) == 2
+        assert blocked.meta["floor_steps"] >= 2 * eigensolver.FLOOR_CHECK
         dense = lowest_eigenpairs(_wrap(np.diag([3.0, 1.0, 2.0])), k=2)
-        assert not {"shift", "lu_nnz", "lu_solves"} & set(dense.meta)
+        assert not {"shift", "lu_nnz", "lu_solves", "floor_steps"} & set(dense.meta)
 
     def test_krylov_deterministic(self, canonical, half_flux, small_trunc):
         H = full_hamiltonian(canonical, half_flux, small_trunc)
@@ -300,3 +368,34 @@ def test_backend_equivalence_at_production_basis(canonical, half_flux):
     kry = lowest_eigenpairs(H, k=6)
     assert kry.meta["backend"] == "krylov"
     assert np.abs(dense - kry.energies).max() < 1e-8
+
+
+@pytest.mark.parametrize("disorder", DISORDER_SETS)
+@pytest.mark.parametrize("trunc", [BasisTruncation(4, 5, 10), BasisTruncation(7, 7, 30)])
+@pytest.mark.parametrize("bias", [BiasPoint(np.pi, 0.25), BiasPoint(2.8, 0.0)])
+def test_lanczos_floor_lies_just_above_the_ground_energy(disorder, trunc, bias):
+    # theta is a Rayleigh quotient, so never below E0, and within 0.05 GHz
+    # of it: well inside SHIFT_GAP, so the first shift is certified.  E0 is
+    # the dense solve at (4, 5, 10) and the Krylov solve at (7, 7, 30),
+    # which test_backend_equivalence_at_production_basis checks against dense
+    params = CircuitParams(15.0, 2.0, 1.0, 0.02, **disorder)
+    H = full_hamiltonian(params, bias, trunc)
+    if trunc.N0 == 4:
+        e0 = sla.eigh(H.toarray(), eigvals_only=True, subset_by_index=[0, 0])[0]
+    else:
+        e0 = lowest_eigenpairs(H, k=1).energies[0]
+    v0 = np.random.default_rng(0).standard_normal(H.dim)
+    theta, steps = _lanczos_floor(H.matrix.tocsc(), v0)
+    assert e0 - 1e-12 <= theta < e0 + 0.05
+    assert steps < H.dim
+
+
+def test_shift_invert_budget_at_the_dispersion_basis():
+    # the charge-dispersion solve of the operated point: two pairs from a
+    # shift SHIFT_GAP below the floor take 15 band solves (38 from 1 GHz
+    # below it with ARPACK's default ncv)
+    params = CircuitParams(15.0, 2.0, 1.0, 0.02, delta_L=0.6)
+    H = full_hamiltonian(params, BiasPoint(np.pi, 0.25), BasisTruncation(10, 10, 46))
+    sol = lowest_eigenpairs(H, k=2)
+    assert sol.meta["backend"] == "krylov"
+    assert sol.meta["lu_solves"] <= 20

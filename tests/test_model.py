@@ -12,6 +12,7 @@ from cos2phi.model import (
     CircuitParams,
     DimensionCapError,
     HermitianOperator,
+    _displacement_amplitudes,
     build_primitives,
     displaced_cosine,
     displaced_sine,
@@ -178,6 +179,22 @@ class TestDisplacedCosine:
         for off in (0.0, 1.3, np.pi):
             m = displaced_cosine(0.0, off, 5)
             assert np.allclose(m, np.cos(off / 2) * np.eye(6))
+
+    @pytest.mark.parametrize("p0", [7, 12, 40])
+    def test_amplitudes_match_scipy_laguerre(self, p0):
+        # the recurrence against the closed form evaluated by scipy.special,
+        # which the package no longer imports
+        from scipy.special import eval_genlaguerre, gammaln
+
+        for lam in (0.05, 0.3, 0.7, 1.1, 1.5):
+            ref = np.zeros((p0 + 1, p0 + 1))
+            for m in range(p0 + 1):
+                for n in range(m + 1):
+                    ref[m, n] = ref[n, m] = (
+                        np.exp(0.5 * (gammaln(n + 1) - gammaln(m + 1)) - 0.5 * lam**2)
+                        * lam ** (m - n) * eval_genlaguerre(n, m - n, lam**2))
+            dev = np.abs(_displacement_amplitudes(lam, p0) - ref).max()
+            assert dev <= 2e-16 * (p0 + 1)
 
     def test_vacuum_element(self):
         lam = 0.7 / 2
