@@ -276,17 +276,11 @@ def _hermite_column(p_max: int, xi: np.ndarray) -> np.ndarray:
 def _theta0_projection(
     ls: LabeledSolution, index: int, phi: np.ndarray
 ) -> np.ndarray:
-    """Amplitudes <N, phi, theta = 0 | psi>, shape (charges, len(phi)).
-
-    The stored vector is in the gauged frame of ``model``; its lab-frame
-    amplitudes D v come first.
-    """
+    """Amplitudes <N, phi, theta = 0 | psi>, shape (charges, len(phi)), from
+    the lab-frame amplitudes ``Primitives.to_lab`` of the stored vector."""
     prim = ls.primitives
     t = prim.trunc
-    dN, dp, dq = prim.phases()
-    vec = (np.kron(np.kron(dN, dp), dq) * ls.solution.vectors[:, index]).reshape(
-        2 * t.N0 + 1, t.p0 + 1, t.q0 + 1
-    )
+    vec = prim.to_lab(ls.solution.vectors[:, index])
     chi_q0 = _hermite_column(t.q0, np.array([0.0]))[0] / np.sqrt(prim.theta_zpf)
     w_Np = vec @ chi_q0  # (nN, na)
     xi = (phi - ls.bias.phi_ext) / prim.phi_zpf

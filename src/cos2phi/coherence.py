@@ -155,9 +155,9 @@ def _quasiparticle_elements(params: CircuitParams, bias: BiasPoint, prim: Primit
     its integer sublattice; matrix elements between physical states then
     vanish by charge-parity structure rather than by fiat.
 
-    The gauge phases of ``Primitives.kron`` do not cover the doubled lattice,
-    so the operators are built in the lab frame and the embedding takes a
-    gauged vector to its lab-frame image: callers write ``embed @ v``.
+    The gauge of ``Primitives.kron`` does not cover the doubled lattice, so
+    the operators are built in the lab frame, and the embedding takes a
+    lab-frame vector: callers write ``embed @ prim.to_lab(v).ravel()``.
     """
     t = prim.trunc
     nN = 2 * t.N0 + 1
@@ -170,13 +170,12 @@ def _quasiparticle_elements(params: CircuitParams, bias: BiasPoint, prim: Primit
 
     sin_quarter = displaced_sine(prim.phi_zpf / 2.0, bias.phi_ext / 2.0, t.p0)
     cos_quarter = displaced_cosine(prim.phi_zpf / 2.0, bias.phi_ext / 2.0, t.p0)
-    dN, dp, dq = prim.phases()
-    embed_full = sp.kron(E @ sp.diags(dN), sp.diags(np.kron(dp, dq)), format="csr")
+    embed = sp.kron(E, sp.identity((t.p0 + 1) * (t.q0 + 1)), format="csr")
     imb = sp.identity(t.q0 + 1)
     for s in (+1.0, -1.0):
         eps_J_i = (1.0 + s * params.delta_J_eff) * params.eps_J
         op = kron3(cos_half, sin_quarter, imb) + kron3(s * sin_half, cos_quarter, imb)
-        yield eps_J_i, op, embed_full
+        yield eps_J_i, op, embed
 
 
 def _qubit_pair(ls: LabeledSolution) -> tuple[np.ndarray, np.ndarray, float]:
@@ -242,10 +241,9 @@ def t1_channel(
                 omega, constants
             )
     else:  # quasiparticle
+        lab0, lab1 = prim.to_lab(v0).ravel(), prim.to_lab(v1).ravel()
         for eps_J_i, op, embed in _quasiparticle_elements(params, ls.bias, prim):
-            w0 = embed @ v0
-            w1 = embed @ v1
-            me2, amp = _normalized_amp(op, w0, w1)
+            me2, amp = _normalized_amp(op, embed @ lab0, embed @ lab1)
             if amp < ME_FLOOR:
                 continue
             re_y = _re_y_qp(eps_J_i, omega, constants)

@@ -17,8 +17,8 @@ parity sectors; the mirror (``Primitives.mirror``) commutes with H there
 at N_g = 0 for every circuit.  The single-mode blocks keep their lab-frame
 meaning; only ``kron`` applies the phases and decides whether a full-space
 matrix is real.  Matrix elements and expectation values are frame
-independent; a projection onto lab-frame wavefunctions multiplies a vector
-by the phases of ``Primitives.phases`` first.
+independent; lab-frame amplitudes of a vector come from
+``Primitives.to_lab``, the one other reader of the phases.
 
 Zero point amplitudes follow from the quadratic sector,
 
@@ -337,9 +337,10 @@ class Primitives:
       theta = theta_zpf (b + b^)
       eta   = i eta_zpf (b^ - b)
 
-    Full-space operators are formed where they are used, by ``kron``; the
-    displaced trig blocks of the loop-sum mode depend on the flux and come
-    from ``displaced_cosine`` / ``displaced_sine`` at ``phi_zpf``.
+    Full-space operators are formed where they are used, by ``kron``, in the
+    gauged frame; ``to_lab`` takes a full-space vector back to the lab frame.
+    The displaced trig blocks of the loop-sum mode depend on the flux and
+    come from ``displaced_cosine`` / ``displaced_sine`` at ``phi_zpf``.
     """
 
     trunc: BasisTruncation
@@ -365,12 +366,18 @@ class Primitives:
     eta: sp.csr_matrix
     num_b: sp.csr_matrix
 
-    def phases(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    def _phases(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Gauge phases i^N, i^p, i^q of the charge, loop-sum and imbalance
         modes; the full-space D is their Kronecker product."""
         t = self.trunc
         return tuple(_I_POWERS[k % 4] for k in (
             np.arange(-t.N0, t.N0 + 1), np.arange(t.p0 + 1), np.arange(t.q0 + 1)))
+
+    def to_lab(self, v: np.ndarray) -> np.ndarray:
+        """Lab-frame amplitudes D v of a gauged full-space vector, shaped
+        (charge, loop-sum, imbalance)."""
+        dN, dp, dq = self._phases()
+        return (np.kron(np.kron(dN, dp), dq) * v).reshape(len(dN), len(dp), len(dq))
 
     def kron(self, *terms) -> sp.csr_matrix:
         """Sum of Kronecker products (charge, loop-sum, imbalance) on |N p q>,
@@ -386,7 +393,7 @@ class Primitives:
         """
         import scipy.sparse as sp
 
-        phases = self.phases()
+        phases = self._phases()
         total = None
         for blocks in terms:
             m = kron3(*(sp.identity(len(ph)) if b is None

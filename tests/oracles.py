@@ -23,3 +23,14 @@ def displaced_trig_quadrature(
     f = np.cos if kind == "cos" else np.sin
     full = (V * f(evals + 0.5 * offset)) @ V.T
     return full[: p0 + 1, : p0 + 1]
+
+
+def lab_phases(trunc) -> np.ndarray:
+    """Independent construction of the gauge D = i^N (x) i^p (x) i^q: complex
+    powers of i on the |N p q> grid, flattened in basis order.  Serves as
+    the oracle for ``Primitives.to_lab`` and the gauged frame of
+    ``Primitives.kron``."""
+    N, p, q = np.meshgrid(np.arange(-trunc.N0, trunc.N0 + 1),
+                          np.arange(trunc.p0 + 1), np.arange(trunc.q0 + 1),
+                          indexing="ij")
+    return (1j ** (N + p + q)).ravel()

@@ -205,9 +205,10 @@ def test_criterion_08_quasiparticle_immunity(canonical, half_flux):
         ls = solve_circuit(canonical.replace(delta_L=dL), half_flux, PROD, k=2)
         v0 = ls.solution.vectors[:, 0]
         v1 = ls.solution.vectors[:, 1]
-        for _, op, embed in _quasiparticle_elements(ls.params, ls.bias,
-                                                    ls.primitives):
-            w0, w1 = embed @ v0, embed @ v1
+        prim = ls.primitives
+        for _, op, embed in _quasiparticle_elements(ls.params, ls.bias, prim):
+            w0 = embed @ prim.to_lab(v0).ravel()
+            w1 = embed @ prim.to_lab(v1).ravel()
             me = abs(np.vdot(w1, op @ w0))
             denom = np.sqrt(np.real(np.vdot(op @ w0, op @ w0)))
             worst = max(worst, me / denom)

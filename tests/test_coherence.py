@@ -23,6 +23,7 @@ from cos2phi.constants import DEFAULT_CONSTANTS, GHZ_TO_RAD_PER_S, PhysicalConst
 from cos2phi.eigensolver import NonConvergenceError
 from cos2phi.hamiltonians import UnsupportedBiasError, full_hamiltonian
 from cos2phi.model import BasisTruncation, BiasPoint
+from oracles import lab_phases
 
 
 class TestQualityFactors:
@@ -132,34 +133,34 @@ class TestT1Channels:
         ls = canonical_medium
         v0 = ls.solution.vectors[:, 0]
         v1 = ls.solution.vectors[:, 1]
-        for _, op, embed in _quasiparticle_elements(ls.params, ls.bias,
-                                                    ls.primitives):
-            w0, w1 = embed @ v0, embed @ v1
+        prim = ls.primitives
+        for _, op, embed in _quasiparticle_elements(ls.params, ls.bias, prim):
+            w0 = embed @ prim.to_lab(v0).ravel()
+            w1 = embed @ prim.to_lab(v1).ravel()
             me = abs(np.vdot(w1, op @ w0))
             denom = np.sqrt(np.real(np.vdot(op @ w0, op @ w0)))
             assert denom > 0.1  # the operator itself is far from zero
             assert me / denom < 1e-8
 
     def test_quasiparticle_embedding_undoes_the_gauge(self, canonical, small_trunc):
-        # the returned embedding takes a gauged vector v to the lab-frame
-        # vector D v on the integer sublattice of the doubled charge lattice
+        # the returned embedding is frame free: the plain embedding onto the
+        # integer sublattice of the doubled charge lattice, which takes the
+        # lab-frame amplitudes to_lab(v) of a gauged vector v to D v there
         from cos2phi.coherence import _quasiparticle_elements
 
         ls = solve_circuit(canonical, BiasPoint(0.9 * np.pi, 0.0), small_trunc, k=2)
-        t = small_trunc
-        N, p, q = np.meshgrid(np.arange(-t.N0, t.N0 + 1), np.arange(t.p0 + 1),
-                              np.arange(t.q0 + 1), indexing="ij")
-        d = (1j ** (N + p + q)).ravel()
+        t, prim = small_trunc, ls.primitives
+        d = lab_phases(t)
         nN = 2 * t.N0 + 1
         sublattice = sp.csr_matrix((np.ones(nN), (np.arange(0, 2 * nN - 1, 2),
                                                   np.arange(nN))),
                                    shape=(2 * nN - 1, nN))
         lab_embed = sp.kron(sublattice, sp.identity((t.p0 + 1) * (t.q0 + 1)))
-        for _, op, embed in _quasiparticle_elements(ls.params, ls.bias,
-                                                    ls.primitives):
+        for _, op, embed in _quasiparticle_elements(ls.params, ls.bias, prim):
+            assert (embed != lab_embed).nnz == 0
             for v in ls.solution.vectors.T:
                 w = lab_embed @ (d * v)
-                assert np.abs(embed @ v - w).max() <= 1e-15
+                assert np.abs(embed @ prim.to_lab(v).ravel() - w).max() <= 1e-15
                 # the lab-frame operator acts on it far from trivially
                 assert np.linalg.norm(op @ w) > 0.1
 

@@ -9,7 +9,14 @@ from cos2phi.hamiltonians import (
     josephson_term,
     toy_hamiltonian,
 )
-from cos2phi.model import BasisTruncation, BiasPoint, build_primitives
+from cos2phi.model import (
+    BasisTruncation,
+    BiasPoint,
+    build_primitives,
+    displaced_cosine,
+    kron3,
+)
+from oracles import lab_phases
 
 #: symmetric; each asymmetry alone; mixed junction/capacitance/inductance
 DISORDER_SETS = [
@@ -295,13 +302,6 @@ class TestGaugedFrame:
         assert H.matrix.dtype == np.complex128
         assert np.abs(H.matrix.data.imag).max() > 1e-3 * np.abs(H.matrix.data).max()
 
-    @staticmethod
-    def _lab_phases(tr):
-        # an independent D: complex powers of i, not the phase table
-        N, p, q = np.meshgrid(np.arange(-tr.N0, tr.N0 + 1), np.arange(tr.p0 + 1),
-                              np.arange(tr.q0 + 1), indexing="ij")
-        return (1j ** (N + p + q)).ravel()
-
     @pytest.mark.parametrize("disorder", [{}, DISORDER_SETS[-1]])
     def test_energies_equal_lab_frame(self, canonical, disorder):
         from cos2phi.analysis import solve_circuit
@@ -309,7 +309,7 @@ class TestGaugedFrame:
         tr = BasisTruncation(4, 4, 14)
         params = canonical.replace(**disorder)
         bias = BiasPoint(np.pi, 0.3)
-        d = self._lab_phases(tr)
+        d = lab_phases(tr)
         H = full_hamiltonian(params, bias, tr).toarray()
         lab = d[:, None] * H * d.conj()[None, :]
         assert np.abs(lab.imag).max() > 1e-3  # the lab frame is complex
@@ -329,8 +329,42 @@ class TestGaugedFrame:
         chi_p = (_hermite_column(tr.p0, (phi - ls.bias.phi_ext) / prim.phi_zpf)
                  / np.sqrt(prim.phi_zpf))
         for i in range(2):
-            lab = (self._lab_phases(tr) * ls.solution.vectors[:, i]).reshape(
+            lab = (lab_phases(tr) * ls.solution.vectors[:, i]).reshape(
                 2 * tr.N0 + 1, tr.p0 + 1, tr.q0 + 1)
             expect = (lab @ chi_q0) @ chi_p.T
             got = _theta0_projection(ls, i, phi)
             assert np.abs(got - expect).max() <= 1e-13
+
+    @pytest.mark.parametrize("disorder", DISORDER_SETS)
+    @pytest.mark.parametrize("phi_ext", [np.pi, 0.8 * np.pi])
+    def test_to_lab_undoes_the_kron_gauge(self, canonical, disorder, phi_ext):
+        # to_lab is D v for the independent D, keeps the norm, and takes each
+        # gauged single-mode block back to its lab-frame meaning:
+        # to_lab(kron(B) v) = kron3(B) to_lab(v), so kron and to_lab share D
+        from cos2phi.analysis import solve_circuit
+
+        tr = BasisTruncation(3, 3, 8)
+        ls = solve_circuit(canonical.replace(**disorder), BiasPoint(phi_ext, 0.3),
+                           tr, k=2)
+        prim = ls.primitives
+        rng = np.random.default_rng(7)
+        vectors = [*ls.solution.vectors.T,
+                   rng.normal(size=tr.dim) + 1j * rng.normal(size=tr.dim)]
+        blocks = [(prim.N, None, None), (prim.cos_hop, None, None),
+                  (prim.sin_hop, None, None), (None, prim.dphi, None),
+                  (None, prim.n, None), (None, None, prim.theta),
+                  (None, None, prim.eta), (None, None, prim.num_b),
+                  (None, displaced_cosine(prim.phi_zpf, phi_ext, tr.p0), None)]
+        d = lab_phases(tr)
+        for v in vectors:
+            lab = prim.to_lab(v)
+            assert lab.shape == (2 * tr.N0 + 1, tr.p0 + 1, tr.q0 + 1)
+            assert np.abs(lab.ravel() - d * v).max() <= 1e-15
+            assert abs(np.linalg.norm(lab) - np.linalg.norm(v)) <= (
+                1e-15 * np.linalg.norm(v))
+            for term in blocks:
+                lab_op = kron3(*(sp.identity(n) if b is None else b
+                                 for b, n in zip(term, lab.shape)))
+                got = prim.to_lab(prim.kron(term) @ v).ravel()
+                expect = lab_op @ lab.ravel()
+                assert np.abs(got - expect).max() <= 1e-13 * np.abs(expect).max()
