@@ -73,7 +73,7 @@ def flux_sweep(
     """
     phi_grid = np.asarray(phi_grid, dtype=float)
     if phi_grid.ndim != 1 or len(phi_grid) < 1:
-        raise ValueError("need a one-dimensional flux grid")
+        raise ValueError("need a one-dimensional flux grid of at least one point")
     if len(phi_grid) > 1 and not np.all(np.diff(phi_grid) > 0):
         raise ValueError("flux grid must be strictly increasing")
     solver = solver or SolutionCache()
@@ -174,6 +174,8 @@ def disorder_sweep(
     if kind not in ("J", "C", "A", "L"):
         raise ValueError("kind must be one of J, C, A, L")
     deltas = np.asarray(deltas, dtype=float)
+    if deltas.ndim != 1 or len(deltas) < 1:
+        raise ValueError("need a one-dimensional disorder grid of at least one point")
     if deltas.min() < 0 or deltas.max() > 0.9:
         raise ValueError("disorder grid must lie within [0, 0.9]")
 

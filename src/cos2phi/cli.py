@@ -47,8 +47,6 @@ from .instanton import MinimizationError, reduce_to_effective, solve_instanton
 from .mathieu import TruncationError, asymptotic_dispersion, exact_dispersion
 from .model import BasisTruncation, DimensionCapError, NonConvergenceError
 
-OUTPUT_ROOT_ENV = "COS2PHI_OUTPUT_ROOT"
-
 _DOMAIN_ERRORS = (ConfigError, ValueError, TypeError, DimensionCapError, KeyError)
 _NUMERIC_ERRORS = (NonConvergenceError, MinimizationError, TruncationError)
 
@@ -85,31 +83,19 @@ def write_json(path: Path, payload: dict, provenance: dict) -> None:
         fh.write(body + "\n")
 
 
-def _out_dir(cfg: RunConfig, explicit: str | None) -> Path:
-    if explicit:
-        root = Path(explicit)
-    elif cfg.raw.get("output_dir"):
-        root = Path(cfg.raw["output_dir"])
-    else:
-        root = Path(os.environ.get(OUTPUT_ROOT_ENV, "runs"))
-    root.mkdir(parents=True, exist_ok=True)
-    return root
-
-
 class _Runner:
-    """Shared per-invocation state: config, solution store, output dir, run
-    log.  The store is built on first use, so a subcommand that solves
-    nothing loads neither it nor scipy."""
+    """Shared per-invocation state: config, execution flags, solution store,
+    output dir, run log.  The store is built on first use, so a subcommand
+    that solves nothing loads neither it nor scipy."""
 
-    def __init__(self, subcommand, config_path, out, overrides, no_cache, jobs):
+    def __init__(self, subcommand: str, cfg: RunConfig, out: Path,
+                 no_cache: bool, jobs: int):
         self.subcommand = subcommand
-        self.cfg = load_config(config_path, overrides)
-        if jobs is not None:
-            self.cfg.raw["jobs"] = int(jobs)
-        if no_cache:
-            self.cfg.raw["cache"] = False
-        self.out = _out_dir(self.cfg, out)
-        self.provenance = {**self.cfg.provenance(), "subcommand": subcommand}
+        self.cfg = cfg
+        self.out = out
+        self.no_cache = no_cache
+        self.jobs = jobs
+        self.provenance = {**cfg.provenance(), "subcommand": subcommand}
         self._cache = None
 
     @property
@@ -119,7 +105,7 @@ class _Runner:
             from .cache import SolutionCache
 
             self._cache = SolutionCache(
-                self.out / ".solutions" if self.cfg.cache_enabled else None,
+                None if self.no_cache else self.out / ".solutions",
                 seed=self.cfg.seed,
             )
         return self._cache
@@ -143,19 +129,18 @@ class _Runner:
         )
 
 
-def _run(subcommand, impl, config_path, out, overrides, no_cache, jobs=None):
+def _run(subcommand, impl, config_path, out, overrides, no_cache, jobs=1):
+    out = Path(out)
+    out.mkdir(parents=True, exist_ok=True)
     try:
-        runner = _Runner(subcommand, config_path, out, overrides, no_cache, jobs)
-    except _DOMAIN_ERRORS as exc:
-        _emit_diagnostic(None, subcommand, "domain", exc)
-        sys.exit(1)
-    try:
+        runner = _Runner(subcommand, load_config(config_path, overrides), out,
+                         no_cache, jobs)
         artifacts = impl(runner)
     except _NUMERIC_ERRORS as exc:
-        _emit_diagnostic(runner.out, subcommand, "non-convergence", exc)
+        _emit_diagnostic(out, subcommand, "non-convergence", exc)
         sys.exit(2)
     except _DOMAIN_ERRORS as exc:
-        _emit_diagnostic(runner.out, subcommand, "domain", exc)
+        _emit_diagnostic(out, subcommand, "domain", exc)
         sys.exit(1)
     runner.finish(artifacts)
 
@@ -211,7 +196,8 @@ def main() -> None:
 _COMMON_OPTIONS = (
     click.Option(["--config", "config_path"], type=click.Path(exists=True),
                  help="YAML run configuration"),
-    click.Option(["--out"], help="output directory"),
+    click.Option(["--out"], default="runs", show_default=True,
+                 help="output directory"),
     click.Option(["--set", "overrides"], multiple=True,
                  help="dotted-path config override, e.g. circuit.delta_L=0.6"),
     click.Option(["--no-cache"], is_flag=True,
@@ -238,18 +224,18 @@ def _subcommand(name: str, *extra_options: click.Option):
     return register
 
 
-@_subcommand("spectrum", click.Option(["--jobs"], type=int, help="worker pool size"))
+@_subcommand("spectrum", click.Option(["--jobs"], type=click.IntRange(min=1),
+                                      default=1, help="worker pool size"))
 def spectrum(r: _Runner) -> list[str]:
     """Transition energies versus external flux."""
     from .analysis import flux_sweep
 
     cfg = r.cfg
     sw = cfg.section("sweep")
-    grid = np.linspace(float(sw["flux_start"]), float(sw["flux_stop"]),
-                       int(sw["flux_points"]))
-    k = int(sw["k"])
+    grid = np.linspace(sw["flux_start"], sw["flux_stop"], sw["flux_points"])
+    k = sw["k"]
     sols = flux_sweep(cfg.circuit, grid, cfg.bias.N_g, k, cfg.truncation,
-                      r.cache, cfg.jobs)
+                      r.cache, r.jobs)
     rows = [
         [ls.bias.phi_ext, *ls.energies, *(ls.energies - ls.energies[0]),
          *(f"{l.m}{l.fluxon}" for l in ls.labels)]
@@ -296,7 +282,7 @@ def matrix_elements(r: _Runner) -> list[str]:
     from .analysis import normalized_matrix_elements
 
     cfg = r.cfg
-    k = int(cfg.section("sweep")["k"])
+    k = cfg.section("sweep")["k"]
     ls = r.cache.get_or_solve(cfg.circuit, cfg.bias, cfg.truncation, k)
     eta2 = normalized_matrix_elements(ls, "eta")
     phi2 = normalized_matrix_elements(ls, "phi")
@@ -321,7 +307,7 @@ def disorder(r: _Runner) -> list[str]:
 
     cfg = r.cfg
     sw = cfg.section("sweep")
-    kind = str(sw["kind"])
+    kind = sw["kind"]
     # the default escalating truncation keeps tiny dispersions honest
     res = disorder_sweep(
         cfg.circuit, kind, [float(d) for d in sw["deltas"]],
@@ -354,17 +340,10 @@ def coherence(r: _Runner) -> list[str]:
 
     cfg = r.cfg
     ch_cfg = cfg.section("channels")
-    if not isinstance(ch_cfg["enabled"], list):
-        raise ConfigError(
-            f"channels.enabled must be a list of channel names, "
-            f"got {ch_cfg['enabled']!r}"
-        )
-    # every channels key but ``enabled`` is a PhysicalConstants field;
-    # float() because PyYAML reads 1e6 or 2.0e6 (no dot, or no exponent
-    # sign) as a string
+    # every channels key but ``enabled`` is a PhysicalConstants field
     constants = PhysicalConstants(
         temperature=cfg.temperature,
-        **{k: float(v) for k, v in ch_cfg.items() if k != "enabled"},
+        **{k: v for k, v in ch_cfg.items() if k != "enabled"},
     )
     report = full_report(
         cfg.circuit, cfg.bias, cfg.truncation,
@@ -394,7 +373,7 @@ def instanton(r: _Runner) -> list[str]:
     ic = cfg.section("instanton")
     path = solve_instanton(
         cfg.circuit, cfg.bias,
-        n_beads=int(ic["n_beads"]), max_outer=int(ic["max_outer"]),
+        n_beads=ic["n_beads"], max_outer=ic["max_outer"],
     )
     write_csv(
         r.out / "instanton_path.csv",
@@ -425,10 +404,10 @@ def instanton(r: _Runner) -> list[str]:
 def mathieu(r: _Runner) -> list[str]:
     """Toy-model dispersion: exact bands versus the closed form."""
     mc = r.cfg.section("mathieu")
-    E_C = float(mc["E_C"])
+    E_C = mc["E_C"]
     rows = []
     for ratio in mc["ratios"]:
-        tp = ToyParams(E_J=float(ratio) * E_C, E_C=E_C, N0_toy=int(mc["N0_toy"]))
+        tp = ToyParams(E_J=float(ratio) * E_C, E_C=E_C, N0_toy=mc["N0_toy"])
         ex = exact_dispersion(tp, 0)
         lead, nxt = asymptotic_dispersion(tp, 0)
         rows.append([float(ratio), ex, lead, abs(ex - lead) / abs(lead),
@@ -450,11 +429,11 @@ def converge(r: _Runner) -> list[str]:
 
     cfg = r.cfg
     cc = cfg.section("converge")
-    k = int(cc["k"])
+    k = cc["k"]
     rep = convergence_ladder(
         cfg.circuit, cfg.bias,
         [BasisTruncation(*map(int, lv)) for lv in cc["levels"]],
-        k=k, tolerance=float(cc["tolerance"]), solver=r.cache,
+        k=k, tolerance=cc["tolerance"], solver=r.cache,
     )
     rows = [
         [str(lv.as_tuple()).replace(",", ";"), *E]

@@ -2,7 +2,13 @@
 
 One config file is the canonical input artifact of a run; every output
 carries the hash of the fully resolved config so results are traceable.
-Unknown keys are rejected rather than ignored.
+Unknown keys are rejected rather than ignored.  Every value is typed once,
+at load, by its key's default: a float takes an int, a float or a string
+``float()`` reads (YAML 1.1 reads ``2.0e6`` as one) and must be finite; an
+int takes an integral number; a str a str; a list a list, whose elements
+the subcommand reading them types.  So ``15`` and ``15.0`` hash alike.
+How and where a run executes (``--jobs``, ``--no-cache``, ``--out``) is
+not config: those are command-line flags only.
 """
 
 from __future__ import annotations
@@ -22,10 +28,6 @@ __all__ = ["RunConfig", "ConfigError", "load_config", "parse_override"]
 
 CONFIG_VERSION = 1
 
-#: Execution knobs and the output location: they change how or where a run
-#: is carried out, not what it computes, so they stay out of the config hash.
-_EXECUTION_KEYS = ("jobs", "cache", "output_dir")
-
 #: ``channels`` keys besides ``enabled``; each names a ``PhysicalConstants``
 #: field and takes its default from there
 _CHANNEL_KEYS = ("q_cap", "q_ind", "sqrt_A_flux", "sqrt_A_epsJ_rel", "x_qp")
@@ -40,9 +42,6 @@ _DEFAULTS = {
     "truncation": asdict(BasisTruncation()),
     "temperature": DEFAULT_CONSTANTS.temperature,
     "seed": DEFAULT_SEED,
-    "jobs": 1,
-    "cache": True,
-    "output_dir": None,
     "sweep": {
         "flux_start": 0.6 * float(np.pi), "flux_stop": 1.4 * float(np.pi),
         "flux_points": 21,
@@ -102,6 +101,39 @@ def _drop_retired(tree: dict, retired: dict = _RETIRED) -> dict:
             for k, v in tree.items() if retired.get(k, {}) is not None}
 
 
+#: what a key of each default type accepts, for its refusal
+_KINDS = {float: "a finite number", int: "an integer", str: "a string",
+          list: "a list"}
+
+
+def _typed_leaf(key: str, value, default):
+    """``value`` as the type of ``default``, or ``ConfigError``."""
+    kind = type(default)
+    if kind in (str, list) and type(value) is kind:
+        return value
+    if kind is int and (type(value) is int
+                        or type(value) is float and value.is_integer()):
+        return int(value)
+    if kind is float and type(value) in (int, float, str):
+        try:
+            number = float(value)
+        except (ValueError, OverflowError):
+            pass
+        else:
+            if np.isfinite(number):
+                return number
+    raise ConfigError(f"config key {key!r} must be {_KINDS[kind]}, "
+                      f"not {type(value).__name__!r}: {value!r}")
+
+
+def _typed(tree: dict, defaults: dict, path: str = "") -> dict:
+    """``tree`` with every leaf typed by its default in ``defaults``."""
+    return {k: _typed(v, defaults[k], path + k + ".")
+            if isinstance(defaults[k], dict)
+            else _typed_leaf(path + k, v, defaults[k])
+            for k, v in tree.items()}
+
+
 def parse_override(text: str) -> dict:
     """Turn a dotted ``key.path=value`` string into a nested mapping."""
     if "=" not in text:
@@ -120,53 +152,38 @@ def parse_override(text: str) -> dict:
 
 @dataclass(frozen=True)
 class RunConfig:
-    """Fully resolved run configuration with typed accessors."""
+    """Fully resolved run configuration: ``raw`` holds every key of the
+    defaults, each leaf of its default's type; the accessors build the
+    model's parameter objects from it."""
 
     raw: dict = field(repr=False)
 
     @property
     def circuit(self) -> CircuitParams:
-        c = self.raw["circuit"]
-        return CircuitParams(
-            eps_J=float(c["eps_J"]), eps_C=float(c["eps_C"]),
-            eps_L=float(c["eps_L"]), x=float(c["x"]),
-            delta_J=float(c["delta_J"]), delta_C=float(c["delta_C"]),
-            delta_A=float(c["delta_A"]), delta_L=float(c["delta_L"]),
-        )
+        return CircuitParams(**self.raw["circuit"])
 
     @property
     def bias(self) -> BiasPoint:
-        b = self.raw["bias"]
-        return BiasPoint(float(b["phi_ext"]), float(b["N_g"]))
+        return BiasPoint(**self.raw["bias"])
 
     @property
     def truncation(self) -> BasisTruncation:
-        t = self.raw["truncation"]
-        return BasisTruncation(int(t["N0"]), int(t["p0"]), int(t["q0"]))
+        return BasisTruncation(**self.raw["truncation"])
 
     @property
     def temperature(self) -> float:
-        return float(self.raw["temperature"])
+        return self.raw["temperature"]
 
     @property
     def seed(self) -> int:
-        return int(self.raw["seed"])
-
-    @property
-    def jobs(self) -> int:
-        return int(self.raw["jobs"])
-
-    @property
-    def cache_enabled(self) -> bool:
-        return bool(self.raw["cache"])
+        return self.raw["seed"]
 
     def section(self, name: str) -> dict:
         return self.raw[name]
 
     @property
     def config_hash(self) -> str:
-        physics = {k: v for k, v in self.raw.items() if k not in _EXECUTION_KEYS}
-        canon = json.dumps(physics, sort_keys=True, default=float)
+        canon = json.dumps(self.raw, sort_keys=True)
         return hashlib.sha256(canon.encode()).hexdigest()[:16]
 
     def provenance(self) -> dict:
@@ -180,7 +197,7 @@ class RunConfig:
 
 
 def load_config(path: str | Path | None, overrides=()) -> RunConfig:
-    """Read, validate, default-fill, and override a config file."""
+    """Read, validate, default-fill, override and type a config file."""
     tree: dict = {}
     if path is not None:
         with open(path) as fh:
@@ -193,8 +210,8 @@ def load_config(path: str | Path | None, overrides=()) -> RunConfig:
         o = parse_override(text)
         _validate(o, _ACCEPTED)
         merged = _merge(merged, o)
-    merged = _drop_retired(merged)
-    if int(merged["config_version"]) != CONFIG_VERSION:
+    merged = _typed(_drop_retired(merged), _DEFAULTS)
+    if merged["config_version"] != CONFIG_VERSION:
         raise ConfigError(
             f"unsupported config_version {merged['config_version']!r}; "
             f"this build reads version {CONFIG_VERSION}"

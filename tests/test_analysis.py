@@ -209,6 +209,8 @@ class TestDisorderSweep:
     def test_grid_bounds(self, canonical, small_trunc):
         with pytest.raises(ValueError):
             disorder_sweep(canonical, "L", [0.95], trunc=small_trunc)
+        with pytest.raises(ValueError, match="at least one"):
+            disorder_sweep(canonical, "L", [], trunc=small_trunc)
 
 
 class TestWavefunctions:

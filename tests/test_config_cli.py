@@ -52,20 +52,38 @@ class TestConfig:
         assert a.config_hash == b.config_hash
         assert a.config_hash != c.config_hash
 
-    def test_execution_knobs_not_hashed(self):
-        # the worker count and the cache switch change how a run executes,
-        # not what it computes
-        a = load_config(None)
-        b = load_config(None, overrides=["jobs=2", "cache=false"])
-        assert b.jobs == 2 and not b.cache_enabled
+    @pytest.mark.parametrize("key", ["jobs=2", "cache=false",
+                                     "output_dir=elsewhere"])
+    def test_execution_settings_not_config(self, key):
+        # the worker count, the solution store and the output directory are
+        # the flags --jobs, --no-cache and --out, and nothing else
+        with pytest.raises(ConfigError, match="unknown config key"):
+            load_config(None, overrides=[key])
+
+    @pytest.mark.parametrize("spelt, plain", [
+        ("circuit.eps_J=15", "circuit.eps_J=15.0"),
+        ("bias.N_g=0", "bias.N_g=0.0"),
+        ("truncation.N0=7.0", "truncation.N0=7"),
+        # YAML 1.1 reads 2.0e6 (no exponent sign) as a string
+        ("channels.q_cap=2.0e6", "channels.q_cap=2000000.0"),
+    ])
+    def test_equal_values_hash_alike(self, spelt, plain):
+        a = load_config(None, overrides=[spelt])
+        b = load_config(None, overrides=[plain])
+        assert a.raw == b.raw
         assert a.config_hash == b.config_hash
 
-    def test_output_dir_not_hashed(self):
-        # where a run writes is a deployment path, not physics
-        a = load_config(None)
-        b = load_config(None, overrides=["output_dir=/tmp/x"])
-        assert b.raw["output_dir"] == "/tmp/x"
-        assert a.config_hash == b.config_hash
+    @pytest.mark.parametrize("override", [
+        "truncation.N0=7.9",
+        "sweep.k=true",
+        "circuit.x=[1]",
+        "sweep.kind=3",
+        "temperature=.inf",
+    ])
+    def test_wrong_type_rejected_at_load(self, override):
+        key = override.split("=")[0]
+        with pytest.raises(ConfigError, match=f"config key '{key}'"):
+            load_config(None, overrides=[override])
 
     def test_retired_dense_threshold_accepted_and_ignored(self, tmp_path):
         # configs written for the old solver still carry the backend knob
@@ -579,12 +597,15 @@ class TestCli:
         assert r.returncode == 1, r.stderr
         diag = json.loads(r.stderr.strip().splitlines()[-1])
         assert diag["error_kind"] == "domain"
+        # the output directory is known before the config loads
+        assert (tmp_path / "x" / "spectrum_diagnostics.json").exists()
 
     @pytest.mark.parametrize("args", [
         ("coherence", "--bogus"),
         ("nosuch",),
         ("coherence", "--jobs", "2"),  # --jobs belongs to spectrum alone
         ("spectrum", "--jobs", "two"),
+        ("spectrum", "--jobs", "0"),
     ])
     def test_usage_error_exit_code(self, tmp_path, args):
         # exit 2 is kept for non-convergence, so a usage error exits 1
