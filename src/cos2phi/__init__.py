@@ -6,12 +6,29 @@ before numpy starts its thread pool.  Importing the package alone loads no
 numpy and leaves ``os.environ`` as it was.
 """
 
+import os
+import sys
+
 __version__ = "0.1.0"
 
 #: caps numpy's and scipy's OpenBLAS (and OpenMP) at one thread.  It is read
 #: only when numpy loads, so ``cli`` applies it to its own process before it
-#: imports numpy, and ``cache.worker_pool`` to each worker it spawns.
+#: imports numpy, and ``cache.worker_pool`` to each worker it starts; a
+#: forked worker inherits a numpy already loaded, so the pool's initializer
+#: also sets each OpenBLAS to one thread directly.
 _ONE_BLAS_THREAD = {"OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1"}
+
+#: how ``cache.worker_pool`` starts its workers.  On Linux by fork: a worker
+#: starts with the parent's numpy and scipy loaded, in about 15 ms for an
+#: empty pool.  Elsewhere by spawn: a fresh interpreter that imports them
+#: again, about 0.4 s of CPU each, so the CLI runs serially by default there.
+_POOL_START = "fork" if sys.platform.startswith("linux") else "spawn"
+
+
+def _default_jobs() -> int:
+    """The CLI's default ``--jobs``: the cores this process may run on where
+    workers fork, else 1."""
+    return len(os.sched_getaffinity(0)) if _POOL_START == "fork" else 1
 
 _EXPORTS = {
     "constants": ("PhysicalConstants", "DEFAULT_CONSTANTS"),

@@ -65,12 +65,9 @@ def flux_sweep(
     k: int = 6,
     trunc: BasisTruncation = BasisTruncation(),
     solver: SolutionCache | None = None,
-    jobs: int = 1,
 ) -> list[LabeledSolution]:
-    """Labelled solutions along an external-flux grid, in grid order.
-
-    ``jobs`` is the worker count handed to ``SolutionCache.map``.
-    """
+    """Labelled solutions along an external-flux grid, in grid order, by
+    one ``solver.map`` (pooled over ``solver.jobs`` workers)."""
     phi_grid = np.asarray(phi_grid, dtype=float)
     if phi_grid.ndim != 1 or len(phi_grid) < 1:
         raise ValueError("need a one-dimensional flux grid of at least one point")
@@ -78,7 +75,7 @@ def flux_sweep(
         raise ValueError("flux grid must be strictly increasing")
     solver = solver or SolutionCache()
     return list(solver.map(
-        [(params, BiasPoint(float(p), N_g), trunc, k) for p in phi_grid], jobs
+        [(params, BiasPoint(float(p), N_g), trunc, k) for p in phi_grid]
     ))
 
 

@@ -39,7 +39,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import _ONE_BLAS_THREAD
+from . import _ONE_BLAS_THREAD, _POOL_START
 from .constants import DEFAULT_SEED
 from .eigensolver import EigenSolution, lowest_eigenpairs
 from .hamiltonians import full_hamiltonian
@@ -163,13 +163,47 @@ def label_states(
     return labels
 
 
+#: the thread-count setters of OpenBLAS builds: the system library's, and
+#: the 32- and 64-bit-integer builds that the numpy and scipy wheels bundle
+_SET_NUM_THREADS = ("openblas_set_num_threads", "openblas_set_num_threads64_",
+                    "scipy_openblas_set_num_threads",
+                    "scipy_openblas_set_num_threads64_")
+
+
+def _pin_one_blas_thread() -> None:
+    """Set every OpenBLAS mapped into this process to one thread.
+
+    The initializer of a forked worker: its numpy and scipy were loaded by
+    the parent, under whatever ``OPENBLAS_NUM_THREADS`` the parent had, so
+    the variable alone no longer reaches them.  Linux only, as fork is.
+    """
+    import ctypes
+
+    with open("/proc/self/maps") as fh:
+        mapped = {fields[5] for fields in (line.rstrip("\n").split(maxsplit=5)
+                                           for line in fh) if len(fields) == 6}
+    for lib in sorted(p for p in mapped if "openblas" in Path(p).name):
+        handle = ctypes.CDLL(lib)
+        for sym in _SET_NUM_THREADS:
+            if hasattr(handle, sym):
+                setter = getattr(handle, sym)
+                setter.argtypes, setter.restype = [ctypes.c_int], None
+                setter(1)
+
+
 @contextmanager
 def worker_pool(jobs: int):
-    """A process pool of ``jobs`` fresh interpreters with one BLAS thread each.
+    """A process pool of ``jobs`` workers with one BLAS thread each.
 
-    Spawned workers inherit the environment of the moment they start, so
-    ``_ONE_BLAS_THREAD`` is in place while the pool runs and restored after:
-    ``jobs`` workers run ``jobs`` BLAS threads, not ``jobs`` times ``nproc``.
+    Workers start as ``_POOL_START`` says.  On Linux they fork, with this
+    process's numpy, scipy and cos2phi loaded (and any monkeypatch in
+    place), and ``_pin_one_blas_thread`` sets each inherited OpenBLAS to one
+    thread; a fork pool starts all ``jobs`` workers at its first task,
+    before its manager thread starts.  Elsewhere they spawn as fresh
+    interpreters.  Either way ``_ONE_BLAS_THREAD`` is in the environment
+    while the pool runs, for a numpy or scipy a worker loads itself, and is
+    restored after: ``jobs`` workers run ``jobs`` BLAS threads, not ``jobs``
+    times ``nproc``.
     """
     from concurrent.futures import ProcessPoolExecutor
     from multiprocessing import get_context
@@ -178,7 +212,8 @@ def worker_pool(jobs: int):
     os.environ.update(_ONE_BLAS_THREAD)
     try:
         with ProcessPoolExecutor(
-            max_workers=jobs, mp_context=get_context("spawn")
+            max_workers=jobs, mp_context=get_context(_POOL_START),
+            initializer=_pin_one_blas_thread if _POOL_START == "fork" else None,
         ) as ex:
             yield ex
     finally:
@@ -211,14 +246,19 @@ def _problem_key(
 
 
 class SolutionCache:
-    """Krylov seed plus an optional directory of solutions by problem hash.
+    """Krylov seed, worker count and an optional directory of solutions by
+    problem hash.
 
     ``root=None`` keeps nothing on disk: every request diagonalizes.
+    ``jobs`` is the number of worker processes ``map`` may use; 1 solves
+    in this process.
     """
 
-    def __init__(self, root: str | Path | None = None, seed: int = DEFAULT_SEED):
+    def __init__(self, root: str | Path | None = None, seed: int = DEFAULT_SEED,
+                 jobs: int = 1):
         self.root = None if root is None else Path(root)
         self.seed = seed
+        self.jobs = jobs
         self.hits = 0
         self.misses = 0
         if self.root is not None:
@@ -299,19 +339,23 @@ class SolutionCache:
             solution=sol, labels=labels, primitives=prim, params=params, bias=bias
         )
 
-    def map(self, problems: list, jobs: int = 1) -> Iterator:
+    def map(self, problems: list) -> Iterator:
         """``get_or_solve`` over ``(params, bias, trunc, k)`` tuples: an
         iterator over the solutions, in order.
 
-        Serially each problem is solved when the iterator reaches it, so a
-        caller that keeps only part of each solution holds one at a time.
-        With ``jobs > 1`` all problems run before this returns, in a
-        ``worker_pool``, each through a copy of this store; their hits and
-        misses are added to this store's counts.
+        With ``jobs`` 1, or a single problem, each problem is solved in this
+        process when the iterator reaches it, so a caller that keeps only
+        part of each solution holds one at a time.  Otherwise all problems
+        run before this returns, in a ``worker_pool`` of
+        ``min(jobs, len(problems))`` workers, each through a copy of this
+        store; their hits and misses are added to this store's counts.  A
+        worker's error, ``NonConvergenceError`` with its ``residuals``
+        among them, is raised here as it was raised there.
         """
-        if jobs <= 1 or len(problems) <= 1:
+        workers = min(self.jobs, len(problems))
+        if workers <= 1:
             return (self.get_or_solve(*p) for p in problems)
-        with worker_pool(jobs) as ex:
+        with worker_pool(workers) as ex:
             done = list(ex.map(self._solve_in_worker, problems))
         for _, hit in done:
             self.hits += hit

@@ -16,17 +16,25 @@ subcommands that build or diagonalize the circuit (``spectrum``,
 ``wavefunctions``, ``matrix-elements``, ``disorder``, ``coherence``,
 ``converge``) import their layers, the solution store and with them scipy
 when they run.
+
+The four subcommands that solve independent problems (``spectrum``,
+``disorder``, ``coherence``, ``converge``) take ``--jobs``, the worker
+processes of their store's ``map``: by default the cores this process may
+run on where workers fork (Linux), else 1.  Every process, worker or not,
+runs one BLAS thread, and the artifacts do not depend on ``--jobs``.
 """
 
 from __future__ import annotations
 
 import os
 
-from . import _ONE_BLAS_THREAD, __version__
+from . import _ONE_BLAS_THREAD, __version__, _default_jobs
 
-# One BLAS thread per process, whatever the caller's environment: ``--jobs``
-# is a run's only parallelism, and artifacts do not depend on the thread
-# count.  OpenBLAS reads the variable once, when numpy loads below.
+# One BLAS thread per process, whatever the caller's environment: the
+# ``--jobs`` workers are a run's only parallelism (``cache.worker_pool``
+# gives each of them one BLAS thread too), and artifacts do not depend on
+# the thread count.  OpenBLAS reads the variable once, when numpy loads
+# below.
 os.environ.update(_ONE_BLAS_THREAD)
 
 import hashlib
@@ -106,7 +114,7 @@ class _Runner:
 
             self._cache = SolutionCache(
                 None if self.no_cache else self.out / ".solutions",
-                seed=self.cfg.seed,
+                seed=self.cfg.seed, jobs=self.jobs,
             )
         return self._cache
 
@@ -204,6 +212,13 @@ _COMMON_OPTIONS = (
                  help="no solution store: read and write nothing under .solutions/"),
 )
 
+#: the option of the subcommands that spread independent solves over workers
+_JOBS = click.Option(
+    ["--jobs"], type=click.IntRange(min=1), default=_default_jobs,
+    show_default="the usable cores on Linux, else 1",
+    help="worker processes for the run's independent solves",
+)
+
 
 def _subcommand(name: str, *extra_options: click.Option):
     """Register ``fn(runner) -> artifact names`` as the subcommand ``name``.
@@ -224,8 +239,7 @@ def _subcommand(name: str, *extra_options: click.Option):
     return register
 
 
-@_subcommand("spectrum", click.Option(["--jobs"], type=click.IntRange(min=1),
-                                      default=1, help="worker pool size"))
+@_subcommand("spectrum", _JOBS)
 def spectrum(r: _Runner) -> list[str]:
     """Transition energies versus external flux."""
     from .analysis import flux_sweep
@@ -235,7 +249,7 @@ def spectrum(r: _Runner) -> list[str]:
     grid = np.linspace(sw["flux_start"], sw["flux_stop"], sw["flux_points"])
     k = sw["k"]
     sols = flux_sweep(cfg.circuit, grid, cfg.bias.N_g, k, cfg.truncation,
-                      r.cache, r.jobs)
+                      r.cache)
     rows = [
         [ls.bias.phi_ext, *ls.energies, *(ls.energies - ls.energies[0]),
          *(f"{l.m}{l.fluxon}" for l in ls.labels)]
@@ -300,7 +314,7 @@ def matrix_elements(r: _Runner) -> list[str]:
     return ["matrix_elements.csv"]
 
 
-@_subcommand("disorder")
+@_subcommand("disorder", _JOBS)
 def disorder(r: _Runner) -> list[str]:
     """Charge dispersion and splitting versus one asymmetry parameter."""
     from .analysis import disorder_sweep
@@ -310,7 +324,7 @@ def disorder(r: _Runner) -> list[str]:
     kind = sw["kind"]
     # the default escalating truncation keeps tiny dispersions honest
     res = disorder_sweep(
-        cfg.circuit, kind, [float(d) for d in sw["deltas"]],
+        cfg.circuit, kind, sw["deltas"],
         phi_ext=cfg.bias.phi_ext, solver=r.cache,
     )
     rows = zip(res.deltas, res.eps, res.defect, res.dE, np.abs(res.dE),
@@ -333,7 +347,7 @@ def disorder(r: _Runner) -> list[str]:
     return ["disorder.csv", "disorder.json"]
 
 
-@_subcommand("coherence")
+@_subcommand("coherence", _JOBS)
 def coherence(r: _Runner) -> list[str]:
     """Relaxation and dephasing budget at the configured operating point."""
     from .coherence import full_report
@@ -407,10 +421,10 @@ def mathieu(r: _Runner) -> list[str]:
     E_C = mc["E_C"]
     rows = []
     for ratio in mc["ratios"]:
-        tp = ToyParams(E_J=float(ratio) * E_C, E_C=E_C, N0_toy=mc["N0_toy"])
+        tp = ToyParams(E_J=ratio * E_C, E_C=E_C, N0_toy=mc["N0_toy"])
         ex = exact_dispersion(tp, 0)
         lead, nxt = asymptotic_dispersion(tp, 0)
-        rows.append([float(ratio), ex, lead, abs(ex - lead) / abs(lead),
+        rows.append([ratio, ex, lead, abs(ex - lead) / abs(lead),
                      nxt, abs(ex - nxt) / abs(nxt)])
     write_csv(
         r.out / "mathieu.csv",
@@ -422,7 +436,7 @@ def mathieu(r: _Runner) -> list[str]:
     return ["mathieu.csv"]
 
 
-@_subcommand("converge")
+@_subcommand("converge", _JOBS)
 def converge(r: _Runner) -> list[str]:
     """Truncation-ladder convergence of the lowest energies."""
     from .analysis import convergence_ladder
@@ -432,7 +446,7 @@ def converge(r: _Runner) -> list[str]:
     k = cc["k"]
     rep = convergence_ladder(
         cfg.circuit, cfg.bias,
-        [BasisTruncation(*map(int, lv)) for lv in cc["levels"]],
+        [BasisTruncation(*lv) for lv in cc["levels"]],
         k=k, tolerance=cc["tolerance"], solver=r.cache,
     )
     rows = [

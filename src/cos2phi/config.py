@@ -5,8 +5,10 @@ carries the hash of the fully resolved config so results are traceable.
 Unknown keys are rejected rather than ignored.  Every value is typed once,
 at load, by its key's default: a float takes an int, a float or a string
 ``float()`` reads (YAML 1.1 reads ``2.0e6`` as one) and must be finite; an
-int takes an integral number; a str a str; a list a list, whose elements
-the subcommand reading them types.  So ``15`` and ``15.0`` hash alike.
+int takes an integral number; a str a str; a list a list whose elements
+each take the type of the default's first element, and whose rows, where
+that element is itself a list, its length.  So ``15`` and ``15.0`` hash
+alike, and a ``converge.levels`` row is three ints.
 How and where a run executes (``--jobs``, ``--no-cache``, ``--out``) is
 not config: those are command-line flags only.
 """
@@ -52,7 +54,7 @@ _DEFAULTS = {
         **{k: getattr(DEFAULT_CONSTANTS, k) for k in _CHANNEL_KEYS},
     },
     "mathieu": {"E_C": 2.0, "N0_toy": 60,
-                "ratios": [30, 40, 50, 60, 70, 80]},
+                "ratios": [30.0, 40.0, 50.0, 60.0, 70.0, 80.0]},
     "instanton": {"n_beads": 385, "max_outer": 200},
     "converge": {"levels": [[5, 5, 20], [7, 7, 30], [9, 9, 40]], "k": 4,
                  "tolerance": 1e-4},
@@ -109,8 +111,16 @@ _KINDS = {float: "a finite number", int: "an integer", str: "a string",
 def _typed_leaf(key: str, value, default):
     """``value`` as the type of ``default``, or ``ConfigError``."""
     kind = type(default)
-    if kind in (str, list) and type(value) is kind:
+    if kind is str and type(value) is str:
         return value
+    if kind is list and type(value) is list:
+        item = default[0]
+        if type(item) is list and any(type(v) is list and len(v) != len(item)
+                                      for v in value):
+            raise ConfigError(f"config key {key!r} takes rows of {len(item)} "
+                              f"entries, not {value!r}")
+        return [_typed_leaf(f"{key}[{i}]", v, item)
+                for i, v in enumerate(value)]
     if kind is int and (type(value) is int
                         or type(value) is float and value.is_integer()):
         return int(value)

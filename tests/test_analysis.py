@@ -113,7 +113,7 @@ class _RecordingSolver:
         self.parity = parity
         self.problems = []
 
-    def map(self, problems, jobs=1):
+    def map(self, problems):
         self.problems += problems
         for _, bias, _, _ in problems:
             yield SimpleNamespace(splitting=self.splittings[bias.N_g],

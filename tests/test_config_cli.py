@@ -2,6 +2,7 @@ import dataclasses
 import hashlib
 import json
 import os
+import re
 import shutil
 import subprocess
 import sys
@@ -12,12 +13,13 @@ import pytest
 from click.testing import CliRunner
 
 import cos2phi
+import cos2phi.cache as cache_module
 from cos2phi.cache import SolutionCache, _problem_key, worker_pool
 from cos2phi.cli import main
 from cos2phi.config import ConfigError, load_config, parse_override
 from cos2phi.hamiltonians import ToyParams
 from cos2phi.mathieu import exact_dispersion
-from cos2phi.model import BasisTruncation, BiasPoint
+from cos2phi.model import BasisTruncation, BiasPoint, NonConvergenceError
 
 
 class TestConfig:
@@ -85,6 +87,33 @@ class TestConfig:
         with pytest.raises(ConfigError, match=f"config key '{key}'"):
             load_config(None, overrides=[override])
 
+    @pytest.mark.parametrize("spelt, plain", [
+        ("converge.levels=[[7.0, 7, 30], [9, 9, 40]]",
+         "converge.levels=[[7, 7, 30], [9, 9, 40]]"),
+        ("mathieu.ratios=[30, 40]", "mathieu.ratios=[30.0, 40.0]"),
+        ("sweep.deltas=[0, 0.3]", "sweep.deltas=[0.0, 0.3]"),
+    ])
+    def test_list_elements_typed_at_load(self, spelt, plain):
+        a = load_config(None, overrides=[spelt])
+        b = load_config(None, overrides=[plain])
+        assert a.raw == b.raw
+        assert a.config_hash == b.config_hash
+        levels = a.raw["converge"]["levels"]
+        assert all(type(n) is int for row in levels for n in row)
+        assert all(type(r) is float for r in a.raw["mathieu"]["ratios"])
+        assert all(type(d) is float for d in a.raw["sweep"]["deltas"])
+
+    @pytest.mark.parametrize("override, key", [
+        ("converge.levels=[[7.9, 7, 30], [9, 9, 40]]", "converge.levels[0][0]"),
+        ("converge.levels=[[7, 7], [9, 9, 40]]", "converge.levels"),
+        ("converge.levels=[7, 9]", "converge.levels[0]"),
+        ("mathieu.ratios=[true, 40]", "mathieu.ratios[0]"),
+        ("channels.enabled=[1]", "channels.enabled[0]"),
+    ])
+    def test_wrong_list_element_rejected_at_load(self, override, key):
+        with pytest.raises(ConfigError, match=re.escape(f"config key '{key}'")):
+            load_config(None, overrides=[override])
+
     def test_retired_dense_threshold_accepted_and_ignored(self, tmp_path):
         # configs written for the old solver still carry the backend knob
         p = tmp_path / "old.yaml"
@@ -111,9 +140,9 @@ class TestConfig:
         # PhysicalConstants; a drift in any of them moves these hashes, and
         # with them the provenance of every artifact
         root = Path(__file__).resolve().parent.parent
-        assert load_config(None).config_hash == "fcefa3b4ee4e29b0"
+        assert load_config(None).config_hash == "5d5887c5e362bfd1"
         assert (load_config(root / "configs" / "protected_point.yaml").config_hash
-                == "15e7f3bfb3c254b3")
+                == "d04f33bf28c4ec29")
 
     def test_bad_version(self, tmp_path):
         p = tmp_path / "v.yaml"
@@ -187,8 +216,8 @@ class TestSolutionCache:
         problems = [(canonical, BiasPoint(phi, 0.0), tr, 3)
                     for phi in (2.9, np.pi, 3.4)]
         serial = SolutionCache(None).map(problems)
-        store = SolutionCache(None)
-        pooled = store.map(problems, jobs=2)
+        store = SolutionCache(None, jobs=2)
+        pooled = store.map(problems)
         assert store.misses == 3 and store.hits == 0
         for a, b in zip(serial, pooled):
             assert a.solution.meta["backend"] == "krylov"
@@ -206,6 +235,95 @@ class TestSolutionCache:
         # the pool's environment does not leak into this process
         assert "OPENBLAS_NUM_THREADS" not in os.environ
         assert "OMP_NUM_THREADS" not in os.environ
+
+    def test_pooled_map_bit_identical_to_serial(self, tmp_path):
+        # in a process of the CLI's kind (one BLAS thread) a worker runs the
+        # same arithmetic as the caller: off half flux (complex), and the
+        # parity blocks at half flux
+        code = (
+            "import json\n"
+            "import cos2phi.cli\n"
+            "import numpy as np\n"
+            "from cos2phi.cache import SolutionCache\n"
+            "from cos2phi.model import BasisTruncation, BiasPoint, CircuitParams\n"
+            "p = CircuitParams(15.0, 2.0, 1.0, 0.02)\n"
+            "problems = [(p, BiasPoint(phi, 0.0), BasisTruncation(4, 4, 10), 3)\n"
+            "            for phi in (2.9, np.pi, 3.4)]\n"
+            "serial = list(SolutionCache(None).map(problems))\n"
+            "pooled = list(SolutionCache(None, jobs=2).map(problems))\n"
+            "print(json.dumps([[a.solution.meta['backend'],\n"
+            "    np.array_equal(a.energies, b.energies),\n"
+            "    np.array_equal(a.solution.vectors, b.solution.vectors),\n"
+            "    np.array_equal(a.solution.residuals, b.solution.residuals),\n"
+            "    a.solution.meta == b.solution.meta, a.labels == b.labels]\n"
+            "    for a, b in zip(serial, pooled)]))\n")
+        assert _fresh_python(code, tmp_path, _child_env()) == [
+            ["krylov", True, True, True, True, True]] * 3
+
+    def test_map_starts_one_worker_per_problem_at_most(self, canonical,
+                                                        monkeypatch):
+        # a fork pool starts all its workers up front, so a pool sized by
+        # ``jobs`` alone would fork idle copies of the caller
+        sizes = []
+        pool = cache_module.worker_pool
+
+        def recording_pool(jobs):
+            sizes.append(jobs)
+            return pool(jobs)
+
+        monkeypatch.setattr(cache_module, "worker_pool", recording_pool)
+        tr = BasisTruncation(3, 3, 8)
+        problems = [(canonical, BiasPoint(phi, 0.0), tr, 2) for phi in (2.9, 3.4)]
+        store = SolutionCache(None, jobs=4)
+        assert len(list(store.map(problems))) == 2
+        assert sizes == [2]
+        # one problem is solved in this process
+        assert len(list(store.map(problems[:1]))) == 1
+        assert sizes == [2]
+        assert store.misses == 3
+
+    def test_worker_non_convergence_reaches_caller(self, canonical,
+                                                   monkeypatch):
+        # a forked worker keeps this monkeypatch: the solve of one problem
+        # fails there, and the caller gets the error of a serial run
+        monkeypatch.setattr(cache_module, "lowest_eigenpairs",
+                            _fail_at_trunc((4, 4, 12)))
+        problems = [(canonical, BiasPoint(np.pi, 0.0), BasisTruncation(*t), 2)
+                    for t in ((3, 3, 8), (4, 4, 12))]
+        with pytest.raises(NonConvergenceError) as serial:
+            list(SolutionCache(None).map(problems))
+        with pytest.raises(NonConvergenceError) as pooled:
+            list(SolutionCache(None, jobs=2).map(problems))
+        assert str(serial.value) == f"forced in process {os.getpid()}"
+        assert str(pooled.value).startswith("forced in process ")
+        assert str(pooled.value) != str(serial.value)  # raised in a worker
+        assert pooled.value.residuals == serial.value.residuals == [0.5, 0.25]
+
+    @pytest.mark.skipif(cos2phi._POOL_START != "fork",
+                        reason="workers start by fork on Linux only")
+    def test_fork_workers_pin_a_loaded_blas(self, tmp_path):
+        # numpy and scipy load with two BLAS threads before the pool forks:
+        # every worker still runs one per OpenBLAS, and the parent keeps two
+        code = (
+            "import json, os, sys\n"
+            "import multiprocessing, numpy, scipy.linalg\n"
+            f"sys.path.insert(0, {str(Path(__file__).parent)!r})\n"
+            "from test_config_cli import _blas_threads\n"
+            "from cos2phi.cache import worker_pool\n"
+            "# forked workers inherit the barrier: each holds one task\n"
+            "barrier = multiprocessing.get_context('fork').Barrier(2)\n"
+            "def probe():\n"
+            "    barrier.wait(timeout=60)\n"
+            "    return os.getpid(), _blas_threads()[1]\n"
+            "with worker_pool(2) as ex:\n"
+            "    workers = [f.result(timeout=120) for f in [ex.submit(probe) for _ in '12']]\n"
+            "print(json.dumps([workers, _blas_threads()[1]]))\n")
+        workers, parent = _fresh_python(
+            code, tmp_path, _child_env({"OPENBLAS_NUM_THREADS": "2"}))
+        assert len({pid for pid, _ in workers}) == 2
+        assert len(parent) == 2 and all(n == 2 for n in parent)
+        for _, threads in workers:
+            assert len(threads) == 2 and all(n == 1 for n in threads)
 
     @pytest.mark.parametrize("entry", ["truncated", "garbage", "missing_array"])
     def test_unreadable_entry_is_resolved(self, tmp_path, canonical, half_flux,
@@ -248,6 +366,20 @@ class TestSolutionCache:
         cache.get_or_solve(canonical, half_flux, tr, k=2)
         cache.get_or_solve(canonical, half_flux, tr, k=2)
         assert cache.misses == 2 and cache.hits == 0
+
+
+def _fail_at_trunc(trunc):
+    """``lowest_eigenpairs``, except that a solve on the basis ``trunc``
+    raises ``NonConvergenceError`` naming the process it ran in."""
+    solve = cache_module.lowest_eigenpairs
+
+    def lowest_eigenpairs(H, k, **kw):
+        if kw["meta"]["trunc"] == trunc:
+            raise NonConvergenceError(f"forced in process {os.getpid()}",
+                                      residuals=[0.5, 0.25])
+        return solve(H, k, **kw)
+
+    return lowest_eigenpairs
 
 
 def _blas_threads():
@@ -603,7 +735,7 @@ class TestCli:
     @pytest.mark.parametrize("args", [
         ("coherence", "--bogus"),
         ("nosuch",),
-        ("coherence", "--jobs", "2"),  # --jobs belongs to spectrum alone
+        ("instanton", "--jobs", "2"),  # instanton makes no independent solves
         ("spectrum", "--jobs", "two"),
         ("spectrum", "--jobs", "0"),
     ])
@@ -659,6 +791,37 @@ class TestCli:
         assert log["diagonalizations"] == 0 and log["cache_hits"] == 3
         pooled, _ = _csv_parts(out / "spectrum.csv")
         assert pooled == serial
+
+    def test_pooled_run_writes_serial_bytes(self, tmp_path, fast_config):
+        # every file of a pooled coherence run, the run log among them,
+        # equals the serial run's byte for byte
+        outs = []
+        for jobs in ("1", "2"):
+            out = tmp_path / f"jobs{jobs}"
+            r = _cli("coherence", "--config", str(fast_config), "--out",
+                     str(out), "--no-cache", "--jobs", jobs, cwd=tmp_path)
+            assert r.returncode == 0, r.stderr
+            outs.append({f.name: f.read_bytes() for f in out.iterdir()})
+        assert sorted(outs[0]) == ["coherence.csv", "coherence.json",
+                                   "coherence_runlog.json"]
+        assert outs[0] == outs[1]
+
+    def test_pooled_non_convergence_exit_code(self, tmp_path, fast_config,
+                                              monkeypatch):
+        # a rung that does not converge in a worker ends the run as it
+        # would serially: exit 2 and a non-convergence diagnostic
+        monkeypatch.setattr(cache_module, "lowest_eigenpairs",
+                            _fail_at_trunc((4, 4, 12)))
+        out = tmp_path / "nc"
+        r = CliRunner().invoke(main, ["converge", "--config", str(fast_config),
+                                      "--out", str(out), "--no-cache",
+                                      "--jobs", "2"])
+        assert r.exit_code == 2, r.output
+        diag = json.loads((out / "converge_diagnostics.json").read_text())
+        assert diag["error_kind"] == "non-convergence"
+        assert diag["error_type"] == "NonConvergenceError"
+        assert diag["message"].startswith("forced in process ")
+        assert diag["message"] != f"forced in process {os.getpid()}"
 
     def test_artifacts_independent_of_caller_blas_threads(self, tmp_path,
                                                          fast_config):
@@ -741,6 +904,8 @@ class TestCli:
 
 SUBCOMMANDS = ("spectrum", "wavefunctions", "matrix-elements", "disorder",
                "coherence", "instanton", "mathieu", "converge")
+#: the subcommands that map over independent problems and take --jobs
+SWEEPING = ("spectrum", "disorder", "coherence", "converge")
 
 
 def test_subcommands_registered():
@@ -753,4 +918,4 @@ def test_subcommand_help_lists_options(sub):
     assert r.exit_code == 0, r.output
     for opt in ("--config", "--out", "--set", "--no-cache"):
         assert opt in r.output
-    assert ("--jobs" in r.output) == (sub == "spectrum")
+    assert ("--jobs" in r.output) == (sub in SWEEPING)
