@@ -25,10 +25,21 @@ _ONE_BLAS_THREAD = {"OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1"}
 _POOL_START = "fork" if sys.platform.startswith("linux") else "spawn"
 
 
+#: the most workers the CLI starts by default.  Each worker holds its own
+#: Hamiltonian and band factor: a cold ``coherence`` at delta_L = 0.6, its
+#: dispersion solved at (10,10,46), peaks at about 124 MB of PSS summed
+#: over its processes serially, 199 MB in two workers and 301 MB in four.
+#: Two is the largest count timed (on a 2-vCPU machine).
+_MAX_DEFAULT_JOBS = 2
+
+
 def _default_jobs() -> int:
-    """The CLI's default ``--jobs``: the cores this process may run on where
-    workers fork, else 1."""
-    return len(os.sched_getaffinity(0)) if _POOL_START == "fork" else 1
+    """The CLI's default ``--jobs``: the cores this process may run on, at
+    most ``_MAX_DEFAULT_JOBS``, where workers fork; else 1."""
+    if _POOL_START != "fork":
+        return 1
+    return min(len(os.sched_getaffinity(0)), _MAX_DEFAULT_JOBS)
+
 
 _EXPORTS = {
     "constants": ("PhysicalConstants", "DEFAULT_CONSTANTS"),

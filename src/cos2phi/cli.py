@@ -17,11 +17,13 @@ subcommands that build or diagonalize the circuit (``spectrum``,
 ``converge``) import their layers, the solution store and with them scipy
 when they run.
 
-The four subcommands that solve independent problems (``spectrum``,
-``disorder``, ``coherence``, ``converge``) take ``--jobs``, the worker
+The three subcommands that solve independent problems of one size
+(``spectrum``, ``disorder``, ``coherence``) take ``--jobs``, the worker
 processes of their store's ``map``: by default the cores this process may
-run on where workers fork (Linux), else 1.  Every process, worker or not,
-runs one BLAS thread, and the artifacts do not depend on ``--jobs``.
+run on, at most two, where workers fork (Linux), else 1.  ``converge``
+runs serially, as its largest rung outlasts the others together.  Every
+process, worker or not, runs one BLAS thread, and the artifacts do not
+depend on ``--jobs``.
 """
 
 from __future__ import annotations
@@ -215,7 +217,7 @@ _COMMON_OPTIONS = (
 #: the option of the subcommands that spread independent solves over workers
 _JOBS = click.Option(
     ["--jobs"], type=click.IntRange(min=1), default=_default_jobs,
-    show_default="the usable cores on Linux, else 1",
+    show_default="the usable cores, at most 2, on Linux; else 1",
     help="worker processes for the run's independent solves",
 )
 
@@ -436,7 +438,7 @@ def mathieu(r: _Runner) -> list[str]:
     return ["mathieu.csv"]
 
 
-@_subcommand("converge", _JOBS)
+@_subcommand("converge")
 def converge(r: _Runner) -> list[str]:
     """Truncation-ladder convergence of the lowest energies."""
     from .analysis import convergence_ladder

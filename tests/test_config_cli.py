@@ -766,10 +766,10 @@ class TestCli:
 
     def test_jobs_flag_keeps_config_hash(self, tmp_path, fast_config):
         hashes = []
-        for name, jobs in (("serial", ()), ("pool", ("--jobs", "2"))):
+        for name, jobs in (("serial", "1"), ("pool", "2")):
             out = tmp_path / name
             r = _cli("spectrum", "--config", str(fast_config), "--out",
-                     str(out), *jobs, cwd=tmp_path)
+                     str(out), "--jobs", jobs, cwd=tmp_path)
             assert r.returncode == 0, r.stderr
             first = (out / "spectrum.csv").read_text().splitlines()[0]
             hashes.append(json.loads(first.removeprefix("# provenance: "))
@@ -781,7 +781,7 @@ class TestCli:
         # solution store, so a pooled rerun diagonalizes nothing
         out = tmp_path / "o7"
         r = _cli("spectrum", "--config", str(fast_config), "--out", str(out),
-                 cwd=tmp_path)
+                 "--jobs", "1", cwd=tmp_path)
         assert r.returncode == 0, r.stderr
         serial, _ = _csv_parts(out / "spectrum.csv")
         r = _cli("spectrum", "--config", str(fast_config), "--out", str(out),
@@ -808,20 +808,44 @@ class TestCli:
 
     def test_pooled_non_convergence_exit_code(self, tmp_path, fast_config,
                                               monkeypatch):
-        # a rung that does not converge in a worker ends the run as it
-        # would serially: exit 2 and a non-convergence diagnostic
+        # a flux point that does not converge in a worker ends the run as
+        # it would serially: exit 2 and a non-convergence diagnostic
         monkeypatch.setattr(cache_module, "lowest_eigenpairs",
                             _fail_at_trunc((4, 4, 12)))
         out = tmp_path / "nc"
-        r = CliRunner().invoke(main, ["converge", "--config", str(fast_config),
+        r = CliRunner().invoke(main, ["spectrum", "--config", str(fast_config),
                                       "--out", str(out), "--no-cache",
                                       "--jobs", "2"])
         assert r.exit_code == 2, r.output
-        diag = json.loads((out / "converge_diagnostics.json").read_text())
+        diag = json.loads((out / "spectrum_diagnostics.json").read_text())
         assert diag["error_kind"] == "non-convergence"
         assert diag["error_type"] == "NonConvergenceError"
         assert diag["message"].startswith("forced in process ")
         assert diag["message"] != f"forced in process {os.getpid()}"
+
+    def test_converge_runs_serially(self, tmp_path, fast_config,
+                                    monkeypatch):
+        # converge's rungs differ in size, so it takes no --jobs and solves
+        # in the CLI process whatever the cores
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2, 3})
+        monkeypatch.setattr(cache_module, "lowest_eigenpairs",
+                            _fail_at_trunc((4, 4, 12)))
+        out = tmp_path / "nc"
+        r = CliRunner().invoke(main, ["converge", "--config", str(fast_config),
+                                      "--out", str(out), "--no-cache"])
+        assert r.exit_code == 2, r.output
+        diag = json.loads((out / "converge_diagnostics.json").read_text())
+        assert diag["message"] == f"forced in process {os.getpid()}"
+
+    @pytest.mark.skipif(cos2phi._POOL_START != "fork",
+                        reason="workers start by fork on Linux only")
+    def test_default_jobs_capped(self, monkeypatch):
+        # each worker holds its own factor: the default is the usable
+        # cores, but never more than two
+        for cores, jobs in ((range(64), 2), (range(2), 2), ({3}, 1)):
+            monkeypatch.setattr(os, "sched_getaffinity",
+                                lambda pid, c=set(cores): c)
+            assert cos2phi._default_jobs() == jobs
 
     def test_artifacts_independent_of_caller_blas_threads(self, tmp_path,
                                                          fast_config):
@@ -829,7 +853,7 @@ class TestCli:
         for n in ("1", "2"):
             out = tmp_path / f"blas{n}"
             r = _cli("spectrum", "--config", str(fast_config), "--out",
-                     str(out), "--no-cache", cwd=tmp_path,
+                     str(out), "--no-cache", "--jobs", "1", cwd=tmp_path,
                      extra_env={"OPENBLAS_NUM_THREADS": n})
             assert r.returncode == 0, r.stderr
             checksums.append(_csv_parts(out / "spectrum.csv")[0])
@@ -904,8 +928,8 @@ class TestCli:
 
 SUBCOMMANDS = ("spectrum", "wavefunctions", "matrix-elements", "disorder",
                "coherence", "instanton", "mathieu", "converge")
-#: the subcommands that map over independent problems and take --jobs
-SWEEPING = ("spectrum", "disorder", "coherence", "converge")
+#: the subcommands that pool independent problems of one size: --jobs
+SWEEPING = ("spectrum", "disorder", "coherence")
 
 
 def test_subcommands_registered():
