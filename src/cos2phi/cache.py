@@ -272,7 +272,9 @@ class SolutionCache:
         if self.root is None:
             return None
         try:
-            with np.load(self._path(key), allow_pickle=False) as data:
+            # our own handle: ``np.load`` leaves its own open on a bad entry
+            with (open(self._path(key), "rb") as fh,
+                  np.load(fh, allow_pickle=False) as data):
                 return EigenSolution(
                     energies=data["energies"],
                     vectors=data["vectors"],

@@ -1,14 +1,19 @@
 """Batch front end: config-driven subcommands mirroring the main artifacts.
 
-Each subcommand is one function below that formats the result of one
+Each subcommand is one function below that tabulates the result of one
 analysis call; ``cos2phi --help`` lists them with their docstrings.
 
 Exit codes: 0 success; 1 domain, configuration or usage error; 2 numerical
-non-convergence.  Every artifact carries a provenance comment block and a
-checksum of its data section.  The solution store under
-``<out>/.solutions/`` is the one cache: re-running an unchanged config
-rewrites the same artifacts from it without a diagonalization, and
-``--no-cache`` runs without a store.
+non-convergence.  A subcommand returns its tables, and ``_run`` writes
+them and lists them in the run log once it has returned: a run that fails
+writes only its diagnostics.  A CSV artifact starts with a provenance
+comment and a checksum of its data section; a JSON artifact carries a
+``provenance`` key.  A float is written to 17 significant digits in a CSV
+and in its shortest round-trip form in JSON; a non-finite one is ``inf``,
+``-inf`` or ``nan`` in both, so every JSON artifact is strict JSON.  The
+solution store under ``<out>/.solutions/`` is the one cache: re-running an
+unchanged config rewrites the same artifacts from it without a
+diagonalization, and ``--no-cache`` runs without a store.
 
 The front end imports with numpy alone: its config, its exit-code error
 types and the ``instanton`` and ``mathieu`` layers need no scipy.  The
@@ -66,11 +71,18 @@ _NUMERIC_ERRORS = (NonConvergenceError, MinimizationError, TruncationError)
 # ---------------------------------------------------------------------------
 
 def _fmt(v) -> str:
-    if isinstance(v, float):
-        if math.isinf(v):
-            return "inf"
-        return f"{v:.17g}"
-    return str(v)
+    """A CSV cell, and a non-finite float anywhere: a float to 17
+    significant digits, ``inf``, ``-inf`` or ``nan``; else ``str``."""
+    return f"{v:.17g}" if isinstance(v, float) else str(v)
+
+
+def _spelt(obj):
+    """``obj`` with every non-finite float in it spelt by ``_fmt``."""
+    if isinstance(obj, dict):
+        return {k: _spelt(v) for k, v in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [_spelt(v) for v in obj]
+    return _fmt(obj) if isinstance(obj, float) and not math.isfinite(obj) else obj
 
 
 def write_csv(path: Path, header: list[str], rows, provenance: dict) -> None:
@@ -87,8 +99,11 @@ def write_csv(path: Path, header: list[str], rows, provenance: dict) -> None:
 
 
 def write_json(path: Path, payload: dict, provenance: dict) -> None:
-    doc = {"provenance": provenance, **payload}
-    body = json.dumps(doc, sort_keys=True, indent=2, default=_fmt)
+    """Strict JSON: the payload and its ``provenance``, numbers as ``_fmt``
+    spells them where JSON has no literal."""
+    doc = _spelt({"provenance": provenance, **payload})
+    body = json.dumps(doc, sort_keys=True, indent=2, default=_fmt,
+                      allow_nan=False)
     with open(path, "w") as fh:
         fh.write(body + "\n")
 
@@ -120,7 +135,7 @@ class _Runner:
             )
         return self._cache
 
-    def finish(self, artifacts: list[str]) -> None:
+    def finish(self, artifacts: dict) -> None:
         misses, hits = (0, 0) if self._cache is None else (
             self._cache.misses, self._cache.hits)
         log = {
@@ -128,7 +143,7 @@ class _Runner:
             "config_hash": self.cfg.config_hash,
             "diagonalizations": misses,
             "cache_hits": hits,
-            "artifacts": artifacts,
+            "artifacts": list(artifacts),
         }
         (self.out / f"{self.subcommand}_runlog.json").write_text(
             json.dumps(log, sort_keys=True, indent=2) + "\n"
@@ -146,6 +161,11 @@ def _run(subcommand, impl, config_path, out, overrides, no_cache, jobs=1):
         runner = _Runner(subcommand, load_config(config_path, overrides), out,
                          no_cache, jobs)
         artifacts = impl(runner)
+        for name, table in artifacts.items():
+            if name.endswith(".csv"):
+                write_csv(out / name, *table, runner.provenance)
+            else:
+                write_json(out / name, table, runner.provenance)
     except _NUMERIC_ERRORS as exc:
         _emit_diagnostic(out, subcommand, "non-convergence", exc)
         sys.exit(2)
@@ -223,7 +243,11 @@ _JOBS = click.Option(
 
 
 def _subcommand(name: str, *extra_options: click.Option):
-    """Register ``fn(runner) -> artifact names`` as the subcommand ``name``.
+    """Register ``fn(runner) -> artifacts`` as the subcommand ``name``.
+
+    ``artifacts`` maps each file name, in the run log's order, to its
+    table: ``(header, rows)`` for a ``.csv`` name, the payload for a
+    ``.json`` one.
 
     The command takes the common options and ``extra_options``, runs ``fn``
     through ``_run`` and shows ``fn``'s docstring as its help.
@@ -242,7 +266,7 @@ def _subcommand(name: str, *extra_options: click.Option):
 
 
 @_subcommand("spectrum", _JOBS)
-def spectrum(r: _Runner) -> list[str]:
+def spectrum(r: _Runner) -> dict:
     """Transition energies versus external flux."""
     from .analysis import flux_sweep
 
@@ -259,14 +283,13 @@ def spectrum(r: _Runner) -> list[str]:
     ]
     header = ["phi_ext"] + [f"{col}{i}" for col in ("E", "T", "label")
                             for i in range(k)]
-    write_csv(r.out / "spectrum.csv", header, rows, r.provenance)
-    return ["spectrum.csv"]
+    return {"spectrum.csv": (header, rows)}
 
 
 @_subcommand("wavefunctions")
-def wavefunctions(r: _Runner) -> list[str]:
+def wavefunctions(r: _Runner) -> dict:
     """Charge and phase wavefunctions of the four lowest states."""
-    from .analysis import wavefunction_charge, wavefunction_phase
+    from .analysis import wavefunction_charge
 
     cfg = r.cfg
     ls = r.cache.get_or_solve(cfg.circuit, cfg.bias, cfg.truncation, 4)
@@ -275,25 +298,27 @@ def wavefunctions(r: _Runner) -> list[str]:
         Nvals, amps = wavefunction_charge(ls, idx)
         rows += [[idx, int(Nv), a.real, a.imag, abs(a) ** 2]
                  for Nv, a in zip(Nvals, amps)]
-    write_csv(
-        r.out / "wavefunction_charge.csv",
-        ["state", "N", "re", "im", "weight"],
-        rows,
-        r.provenance,
-    )
-    artifacts = ["wavefunction_charge.csv"]
-    for idx in range(4):
-        vg, pg, field = wavefunction_phase(ls, idx)
-        rows = [[v, p, field[i, j].real, field[i, j].imag]
-                for i, v in enumerate(vg) for j, p in enumerate(pg)]
-        name = f"wavefunction_phase_state{idx}.csv"
-        write_csv(r.out / name, ["vphi", "phi", "re", "im"], rows, r.provenance)
-        artifacts.append(name)
-    return artifacts
+    return {
+        "wavefunction_charge.csv": (["state", "N", "re", "im", "weight"], rows),
+        **{f"wavefunction_phase_state{idx}.csv":
+           (["vphi", "phi", "re", "im"], _phase_rows(ls, idx))
+           for idx in range(4)},
+    }
+
+
+def _phase_rows(ls, idx):
+    """Rows of state ``idx``'s phase wavefunction, made as they are written:
+    one phase table is held at a time."""
+    from .analysis import wavefunction_phase
+
+    vg, pg, field = wavefunction_phase(ls, idx)
+    for i, v in enumerate(vg):
+        for j, p in enumerate(pg):
+            yield [v, p, field[i, j].real, field[i, j].imag]
 
 
 @_subcommand("matrix-elements")
-def matrix_elements(r: _Runner) -> list[str]:
+def matrix_elements(r: _Runner) -> dict:
     """Normalized transition weights from the ground state."""
     from .analysis import normalized_matrix_elements
 
@@ -307,17 +332,12 @@ def matrix_elements(r: _Runner) -> list[str]:
          eta2[lab.index], phi2[lab.index]]
         for lab in ls.labels
     ]
-    write_csv(
-        r.out / "matrix_elements.csv",
-        ["state", "m", "fluxon", "parity", "energy", "eta2", "phi2"],
-        rows,
-        r.provenance,
-    )
-    return ["matrix_elements.csv"]
+    return {"matrix_elements.csv": (
+        ["state", "m", "fluxon", "parity", "energy", "eta2", "phi2"], rows)}
 
 
 @_subcommand("disorder", _JOBS)
-def disorder(r: _Runner) -> list[str]:
+def disorder(r: _Runner) -> dict:
     """Charge dispersion and splitting versus one asymmetry parameter."""
     from .analysis import disorder_sweep
 
@@ -331,26 +351,19 @@ def disorder(r: _Runner) -> list[str]:
     )
     rows = zip(res.deltas, res.eps, res.defect, res.dE, np.abs(res.dE),
                res.unresolved)
-    write_csv(
-        r.out / "disorder.csv",
-        ["delta", "eps", "defect", "dE", "abs_dE", "unresolved"],
-        rows,
-        r.provenance,
-    )
-    write_json(
-        r.out / "disorder.json",
-        {
+    return {
+        "disorder.csv": (
+            ["delta", "eps", "defect", "dE", "abs_dE", "unresolved"], rows),
+        "disorder.json": {
             "kind": kind,
             "eps_monotone_decreasing": res.eps_monotone_decreasing,
             "dE_monotone_increasing": res.dE_monotone_increasing,
         },
-        r.provenance,
-    )
-    return ["disorder.csv", "disorder.json"]
+    }
 
 
 @_subcommand("coherence", _JOBS)
-def coherence(r: _Runner) -> list[str]:
+def coherence(r: _Runner) -> dict:
     """Relaxation and dephasing budget at the configured operating point."""
     from .coherence import full_report
 
@@ -372,18 +385,14 @@ def coherence(r: _Runner) -> list[str]:
         ["Tphi", "total", report.tphi_total],
         ["T2", "total", report.t2],
     ]
-    write_csv(
-        r.out / "coherence.csv",
-        ["type", "channel", "time_ms"],
-        rows,
-        r.provenance,
-    )
-    write_json(r.out / "coherence.json", report.as_dict(), r.provenance)
-    return ["coherence.csv", "coherence.json"]
+    return {
+        "coherence.csv": (["type", "channel", "time_ms"], rows),
+        "coherence.json": report.as_dict(),
+    }
 
 
 @_subcommand("instanton")
-def instanton(r: _Runner) -> list[str]:
+def instanton(r: _Runner) -> dict:
     """Minimum-action tunneling path and its Fourier reduction."""
     cfg = r.cfg
     ic = cfg.section("instanton")
@@ -391,18 +400,15 @@ def instanton(r: _Runner) -> list[str]:
         cfg.circuit, cfg.bias,
         n_beads=ic["n_beads"], max_outer=ic["max_outer"],
     )
-    write_csv(
-        r.out / "instanton_path.csv",
-        ["tau", "vphi", "phi", "theta"],
-        [list(map(float, row)) for row in path.samples],
-        r.provenance,
-    )
     eff_num = reduce_to_effective(cfg.circuit, cfg.bias, path)
     eff_approx = reduce_to_effective(cfg.circuit, cfg.bias, "approx")
     eff_printed = effective_params(cfg.circuit, cfg.bias, "extended")
-    write_json(
-        r.out / "instanton.json",
-        {
+    return {
+        "instanton_path.csv": (
+            ["tau", "vphi", "phi", "theta"],
+            [list(map(float, row)) for row in path.samples],
+        ),
+        "instanton.json": {
             "action": path.action,
             "endpoint_offset": path.endpoint_offset,
             "residual": path.residual,
@@ -411,13 +417,11 @@ def instanton(r: _Runner) -> list[str]:
             "fourier_approx_path": list(eff_approx.coefficients()),
             "fourier_printed_extended": list(eff_printed.coefficients()),
         },
-        r.provenance,
-    )
-    return ["instanton_path.csv", "instanton.json"]
+    }
 
 
 @_subcommand("mathieu")
-def mathieu(r: _Runner) -> list[str]:
+def mathieu(r: _Runner) -> dict:
     """Toy-model dispersion: exact bands versus the closed form."""
     mc = r.cfg.section("mathieu")
     E_C = mc["E_C"]
@@ -428,18 +432,13 @@ def mathieu(r: _Runner) -> list[str]:
         lead, nxt = asymptotic_dispersion(tp, 0)
         rows.append([ratio, ex, lead, abs(ex - lead) / abs(lead),
                      nxt, abs(ex - nxt) / abs(nxt)])
-    write_csv(
-        r.out / "mathieu.csv",
+    return {"mathieu.csv": (
         ["EJ_over_EC", "eps0_exact", "eps0_asymptotic", "rel_err",
-         "eps0_next_order", "rel_err_next_order"],
-        rows,
-        r.provenance,
-    )
-    return ["mathieu.csv"]
+         "eps0_next_order", "rel_err_next_order"], rows)}
 
 
 @_subcommand("converge")
-def converge(r: _Runner) -> list[str]:
+def converge(r: _Runner) -> dict:
     """Truncation-ladder convergence of the lowest energies."""
     from .analysis import convergence_ladder
 
@@ -455,22 +454,14 @@ def converge(r: _Runner) -> list[str]:
         [str(lv.as_tuple()).replace(",", ";"), *E]
         for lv, E in zip(rep.levels, rep.energies)
     ]
-    write_csv(
-        r.out / "converge.csv",
-        ["level"] + [f"E{i}" for i in range(k)],
-        rows,
-        r.provenance,
-    )
-    write_json(
-        r.out / "converge.json",
-        {
+    return {
+        "converge.csv": (["level"] + [f"E{i}" for i in range(k)], rows),
+        "converge.json": {
             "deltas": [list(map(float, d)) for d in rep.deltas],
             "converged": rep.converged,
             "tolerance": rep.tolerance,
         },
-        r.provenance,
-    )
-    return ["converge.csv", "converge.json"]
+    }
 
 
 if __name__ == "__main__":

@@ -428,15 +428,12 @@ class CoherenceReport:
     defect: float | None
 
     def as_dict(self) -> dict:
-        def clean(d):
-            return {k: ("inf" if math.isinf(v) else v) for k, v in d.items()}
-
         return {
-            "t1_ms": clean(self.t1),
-            "tphi_ms": clean(self.tphi),
-            "t1_total_ms": "inf" if math.isinf(self.t1_total) else self.t1_total,
-            "tphi_total_ms": "inf" if math.isinf(self.tphi_total) else self.tphi_total,
-            "t2_ms": "inf" if math.isinf(self.t2) else self.t2,
+            "t1_ms": dict(self.t1),
+            "tphi_ms": dict(self.tphi),
+            "t1_total_ms": self.t1_total,
+            "tphi_total_ms": self.tphi_total,
+            "t2_ms": self.t2,
             "charge_dispersion_ghz": self.eps,
             "charge_dispersion_defect": self.defect,
             "inputs": self.inputs,

@@ -356,7 +356,7 @@ class TestFullReport:
 
     def test_serialization(self, report):
         d = report.as_dict()
-        assert d["t1_ms"]["purcell"] == "inf"
+        assert math.isinf(d["t1_ms"]["purcell"])
         assert isinstance(d["t2_ms"], float)
         assert d["inputs"]["temperature_K"] == pytest.approx(0.016)
         # the charge channel's dispersion and its truncation defect

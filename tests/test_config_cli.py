@@ -1,11 +1,14 @@
 import dataclasses
+import gc
 import hashlib
 import json
+import math
 import os
 import re
 import shutil
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -15,10 +18,12 @@ from click.testing import CliRunner
 import cos2phi
 import cos2phi.cache as cache_module
 from cos2phi.cache import SolutionCache, _problem_key, worker_pool
-from cos2phi.cli import main
+import cos2phi.cli as cli_module
+from cos2phi.cli import _fmt, main
 from cos2phi.config import ConfigError, load_config, parse_override
 from cos2phi.hamiltonians import ToyParams
 from cos2phi.mathieu import exact_dispersion
+from cos2phi.instanton import MinimizationError
 from cos2phi.model import BasisTruncation, BiasPoint, NonConvergenceError
 
 
@@ -347,6 +352,23 @@ class TestSolutionCache:
         assert cache.misses == 1 and cache.hits == 1
         assert np.array_equal(a.energies, b.energies)
 
+    def test_unreadable_entry_closes_its_file(self, tmp_path, canonical,
+                                              half_flux, monkeypatch):
+        # a truncated entry is a miss, and the handle opened to read it is
+        # closed, not left to the garbage collector's ResourceWarning
+        tr = BasisTruncation(3, 3, 8)
+        root = tmp_path / "store"
+        SolutionCache(root).get_or_solve(canonical, half_flux, tr, k=2)
+        (path,) = root.glob("*.npz")
+        path.write_bytes(path.read_bytes()[:100])
+        unraisable = []
+        monkeypatch.setattr(sys, "unraisablehook", unraisable.append)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", ResourceWarning)
+            assert SolutionCache(root).load(path.stem) is None
+            gc.collect()
+        assert [u.exc_value for u in unraisable] == []
+
     def test_interrupted_store_leaves_nothing(self, tmp_path, canonical,
                                               half_flux, monkeypatch):
         def fail_midway(fh, **arrays):
@@ -451,6 +473,14 @@ def _csv_parts(path):
     data = [l for l in lines if not l.startswith("#")]
     header = data[0].split(",")
     return checksum, [dict(zip(header, l.split(","))) for l in data[1:]]
+
+
+def _strict_json(text):
+    """``text`` parsed as JSON proper: a bare NaN or Infinity is refused."""
+    def refuse(literal):
+        raise ValueError(f"not JSON: {literal}")
+
+    return json.loads(text, parse_constant=refuse)
 
 
 @pytest.fixture()
@@ -668,6 +698,46 @@ class TestCli:
         assert len(path_csv) == 3 + 65 + 2
         assert float(path_csv[3].split(",")[0]) == 0.0
         assert (out / "wavefunction_charge.csv").exists()
+
+    @pytest.mark.parametrize("sub", ["spectrum", "wavefunctions",
+                                     "matrix-elements", "disorder", "coherence",
+                                     "instanton", "mathieu", "converge"])
+    def test_runlog_lists_the_files_written(self, tmp_path, fast_config, sub):
+        out = tmp_path / "listed"
+        r = CliRunner().invoke(main, [sub, "--config", str(fast_config),
+                                      "--out", str(out)])
+        assert r.exit_code == 0, r.output
+        runlog = f"{sub}_runlog.json"
+        log = json.loads((out / runlog).read_text())
+        written = {f.name for f in out.iterdir()
+                   if not f.name.startswith(".")} - {runlog}
+        assert written and sorted(log["artifacts"]) == sorted(written)
+
+    def test_failed_run_writes_only_diagnostics(self, tmp_path, fast_config,
+                                                monkeypatch):
+        # the path is solved before the reduction fails, yet no artifact of
+        # the run is written: the tables are written once all are made
+        def fail(*args, **kwargs):
+            raise MinimizationError("forced")
+
+        monkeypatch.setattr(cli_module, "reduce_to_effective", fail)
+        out = tmp_path / "failed"
+        r = CliRunner().invoke(main, ["instanton", "--config", str(fast_config),
+                                      "--out", str(out)])
+        assert r.exit_code == 2, r.output
+        assert sorted(f.name for f in out.iterdir()) == [
+            "instanton_diagnostics.json"]
+
+    def test_json_artifacts_are_strict(self, tmp_path, fast_config):
+        # two beads leave no interior bead, so the path's interior residual
+        # is nan: it is written as the string "nan", not as bare NaN
+        out = tmp_path / "strict"
+        r = CliRunner().invoke(main, ["instanton", "--config", str(fast_config),
+                                      "--out", str(out),
+                                      "--set", "instanton.n_beads=2"])
+        assert r.exit_code == 0, r.output
+        doc = _strict_json((out / "instanton.json").read_text())
+        assert doc["residual"]["eom_interior_max"] == "nan"
 
     def test_descending_flux_grid_rejected(self, tmp_path, fast_config):
         # the spectrum grid goes through flux_sweep's check
@@ -930,6 +1000,25 @@ SUBCOMMANDS = ("spectrum", "wavefunctions", "matrix-elements", "disorder",
                "coherence", "instanton", "mathieu", "converge")
 #: the subcommands that pool independent problems of one size: --jobs
 SWEEPING = ("spectrum", "disorder", "coherence")
+
+
+@pytest.mark.parametrize("value, spelt", [
+    (0.1, "0.10000000000000001"), (float("inf"), "inf"),
+    (float("-inf"), "-inf"), (float("nan"), "nan"), (np.float64(-1.5), "-1.5"),
+    (3, "3"), (True, "True"), ("m0", "m0"),
+])
+def test_one_spelling_of_a_number(value, spelt):
+    assert _fmt(value) == spelt
+
+
+def test_json_writer_spells_non_finite_floats(tmp_path):
+    path = tmp_path / "x.json"
+    cli_module.write_json(
+        path, {"a": [math.inf, (-math.inf, math.nan)], "b": {"c": 1.5}},
+        {"seed": 0})
+    doc = _strict_json(path.read_text())
+    assert doc == {"a": ["inf", ["-inf", "nan"]], "b": {"c": 1.5},
+                   "provenance": {"seed": 0}}
 
 
 def test_subcommands_registered():
