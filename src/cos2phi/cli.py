@@ -338,7 +338,12 @@ def matrix_elements(r: _Runner) -> dict:
 
 @_subcommand("disorder", _JOBS)
 def disorder(r: _Runner) -> dict:
-    """Charge dispersion and splitting versus one asymmetry parameter."""
+    """Charge dispersion and splitting versus one asymmetry parameter.
+
+    Each delta is solved on the basis the dispersion schedule gives it
+    (analysis.dispersion_truncation); the config's truncation section is
+    not read, though it still enters the config hash.
+    """
     from .analysis import disorder_sweep
 
     cfg = r.cfg

@@ -1,39 +1,33 @@
 """Golden-rule relaxation and pure-dephasing budgets.
 
-Relaxation through a channel with coupling operator O and bath spectral
-density S follows
+Every channel takes the qubit as states 0 and 1 of the solve, split by
+omega = E1 - E0; only shot dephasing reads further (plasmon) levels, by
+label.  Relaxation through a channel with coupling operator O and bath
+spectral density S follows
 
-    1/T1 = (1/hbar^2) |<0+| O |0->|^2 [S(dw) + S(-dw)]
+    1/T1 = (1/hbar^2) |<1| O |0>|^2 [S(omega) + S(-omega)]
 
-evaluated at the qubit splitting dw, summed incoherently over the two
-junctions or superinductances where the channel has two elements.  The
-element decompositions use the pairing conventions fixed in
-``hamiltonians`` (which arm is "left").  All four dephasing channels use
-the closed-form bounds with frequency-dependent quality factors; energies
-arrive as GHz and leave as rates in 1/s, reported as times in ms.  Every
-environment number (temperature, quality factors, noise amplitudes,
-quasiparticle density) comes from one ``PhysicalConstants`` record.
-
-A channel whose normalized coupling amplitude falls below 1e-10, or whose
-rate falls below 1e-12 per ms, reports the sentinel ``inf`` (numerical
-infinity).
+summed incoherently over the two junctions or superinductances where the
+channel has two elements, paired as in ``hamiltonians``.  Flux and
+critical-current dephasing are exact derivatives of the same splitting.
+Energies arrive as GHz, and every environment number comes from one
+``PhysicalConstants`` record.  One rule turns each rate (1/s) into a time in
+ms: 1e3 / rate, or ``inf`` (numerical infinity) below 1e-12 per ms.
 """
 
 from __future__ import annotations
 
 import math
-from collections.abc import Collection
+from collections.abc import Collection, Iterable
 from dataclasses import asdict, dataclass
 
 import numpy as np
 import scipy.sparse as sp
 
 from .analysis import (
-    FLUXON_MINUS,
     FLUXON_PLUS,
     ME_FLOOR,
     LabeledSolution,
-    LabelingError,
     charge_dispersion,
     dispersion_truncation,
     dispersive_shift,
@@ -120,29 +114,32 @@ def q_ind(omega: float, constants: PhysicalConstants = DEFAULT_CONSTANTS) -> flo
     )
 
 
-def _coth(x: float) -> float:
-    return 1.0 / math.tanh(x)
+def _lifetime_ms(rate: float) -> float:
+    """Time (ms) of a rate in 1/s; ``inf`` below ``RATE_FLOOR``."""
+    return math.inf if rate < RATE_FLOOR else 1e3 / rate
 
 
 # ---------------------------------------------------------------------------
-# element decompositions (pairings fixed in the hamiltonians module)
+# relaxation (element pairings fixed in the hamiltonians module)
 # ---------------------------------------------------------------------------
 
-def _inductive_elements(params: CircuitParams, prim: Primitives):
-    for s in (+1.0, -1.0):
-        eps_L_i = params.eps_L / (1.0 + s * params.delta_L)
-        yield eps_L_i, prim.kron((None, 0.5 * prim.dphi, None),
-                                 (None, None, -s * prim.theta))
-
-
-def _capacitive_elements(params: CircuitParams, prim: Primitives):
-    dC = params.delta_C_eff
-    for s in (+1.0, -1.0):
-        eps_C_i = params.eps_C / (1.0 + s * dC)
-        # n + s (N - eta) / 2
-        yield eps_C_i, prim.kron((None, prim.n, None),
-                                 (0.5 * s * prim.N, None, None),
-                                 (None, None, -0.5 * s * prim.eta))
+def _golden_rule_elements(kind: str, params: CircuitParams, prim: Primitives):
+    """(element energy in GHz, coupling operator, quality factor) of each
+    element of the inductive, capacitive or Purcell channel."""
+    if kind == "inductive":
+        for s in (+1.0, -1.0):
+            eps_L_i = params.eps_L / (1.0 + s * params.delta_L)
+            yield eps_L_i, prim.kron((None, 0.5 * prim.dphi, None),
+                                     (None, None, -s * prim.theta)), q_ind
+    elif kind == "capacitive":
+        for s in (+1.0, -1.0):
+            eps_C_i = params.eps_C / (1.0 + s * params.delta_C_eff)
+            # n + s (N - eta) / 2
+            yield 8.0 * eps_C_i, prim.kron((None, prim.n, None),
+                                           (0.5 * s * prim.N, None, None),
+                                           (None, None, -0.5 * s * prim.eta)), q_cap
+    else:  # purcell: (2e)^2 / C_shunt through the shunt
+        yield 8.0 * params.x * params.eps_C, prim.kron((None, None, prim.eta)), q_cap
 
 
 def _quasiparticle_elements(params: CircuitParams, bias: BiasPoint, prim: Primitives):
@@ -178,23 +175,12 @@ def _quasiparticle_elements(params: CircuitParams, bias: BiasPoint, prim: Primit
         yield eps_J_i, op, embed
 
 
-def _qubit_pair(ls: LabeledSolution) -> tuple[np.ndarray, np.ndarray, float]:
-    try:
-        i0 = ls.find(0, FLUXON_PLUS)
-        i1 = ls.find(0, FLUXON_MINUS)
-    except LabelingError:
-        i0, i1 = 0, 1  # away from half flux the lowest doublet is the qubit
-    dE = abs(ls.energies[i1] - ls.energies[i0])
-    return ls.solution.vectors[:, i0], ls.solution.vectors[:, i1], dE
-
-
 def _normalized_amp(op_matrix, v0, v1) -> tuple[float, float]:
     """(raw |<1|O|0>|^2, normalized amplitude) for the sentinel check."""
     Ov0 = op_matrix @ v0
     me2 = abs(np.vdot(v1, Ov0)) ** 2
     denom = float(np.real(np.vdot(Ov0, Ov0)))
-    norm_amp = math.sqrt(me2 / denom) if denom > 0 else 0.0
-    return me2, norm_amp
+    return me2, (math.sqrt(me2 / denom) if denom > 0 else 0.0)
 
 
 def t1_channel(
@@ -202,57 +188,36 @@ def t1_channel(
     ls: LabeledSolution,
     constants: PhysicalConstants = DEFAULT_CONSTANTS,
 ) -> float:
-    """Relaxation time (ms) of the qubit doublet through one loss channel.
-
-    Returns ``inf`` when the coupling matrix element is numerically absent.
+    """Relaxation time (ms) from state 1 to state 0 of ``ls`` through one
+    loss channel, at their splitting ``ls.splitting``; ``inf`` when no
+    element's normalized coupling amplitude reaches 1e-10.
     """
     if kind not in T1_CHANNELS:
         raise ValueError(f"unknown T1 channel {kind!r}")
     params, prim = ls.params, ls.primitives
-    v0, v1, dE = _qubit_pair(ls)
-    omega = dE * GHZ_TO_RAD_PER_S
+    v0, v1 = ls.solution.vectors[:, 0], ls.solution.vectors[:, 1]
+    omega = ls.splitting * GHZ_TO_RAD_PER_S
     if omega == 0:
         raise ValueError("degenerate qubit pair: relaxation rate undefined")
     x_th = constants.hbar * omega / (2 * constants.k_B * constants.temperature)
-    coth = _coth(x_th)
+    coth = 1.0 / math.tanh(x_th)
 
     rate = 0.0
-    if kind == "inductive":
-        for eps_L_i, op in _inductive_elements(params, prim):
-            me2, amp = _normalized_amp(op, v0, v1)
-            if amp < ME_FLOOR:
-                continue
-            rate += 2.0 * (eps_L_i * GHZ_TO_RAD_PER_S) * me2 * coth / q_ind(
-                omega, constants
-            )
-    elif kind == "capacitive":
-        for eps_C_i, op in _capacitive_elements(params, prim):
-            me2, amp = _normalized_amp(op, v0, v1)
-            if amp < ME_FLOOR:
-                continue
-            rate += 2.0 * (8.0 * eps_C_i * GHZ_TO_RAD_PER_S) * me2 * coth / q_cap(
-                omega, constants
-            )
-    elif kind == "purcell":
-        me2, amp = _normalized_amp(prim.kron((None, None, prim.eta)), v0, v1)
-        if amp >= ME_FLOOR:
-            shunt_energy = 8.0 * params.x * params.eps_C  # (2e)^2 / C_shunt, GHz
-            rate = 2.0 * (shunt_energy * GHZ_TO_RAD_PER_S) * me2 * coth / q_cap(
-                omega, constants
-            )
-    else:  # quasiparticle
+    if kind == "quasiparticle":
         lab0, lab1 = prim.to_lab(v0).ravel(), prim.to_lab(v1).ravel()
         for eps_J_i, op, embed in _quasiparticle_elements(params, ls.bias, prim):
             me2, amp = _normalized_amp(op, embed @ lab0, embed @ lab1)
-            if amp < ME_FLOOR:
-                continue
-            re_y = _re_y_qp(eps_J_i, omega, constants)
-            s_sum = 2.0 * constants.hbar * omega * re_y * coth
-            rate += me2 * s_sum / constants.e**2  # (2 phi0)^2 / hbar^2 = 1/e^2
-
-    if rate < RATE_FLOOR:
-        return math.inf
-    return 1e3 / rate
+            if amp >= ME_FLOOR:
+                re_y = _re_y_qp(eps_J_i, omega, constants)
+                s_sum = 2.0 * constants.hbar * omega * re_y * coth
+                rate += me2 * s_sum / constants.e**2  # (2 phi0)^2 / hbar^2 = 1/e^2
+    else:
+        for energy, op, q in _golden_rule_elements(kind, params, prim):
+            me2, amp = _normalized_amp(op, v0, v1)
+            if amp >= ME_FLOOR:
+                rate += (2.0 * (energy * GHZ_TO_RAD_PER_S) * me2 * coth
+                         / q(omega, constants))
+    return _lifetime_ms(rate)
 
 
 def _re_y_qp(eps_J_GHz: float, omega: float, constants: PhysicalConstants) -> float:
@@ -284,10 +249,7 @@ def tphi_charge(eps_GHz: float) -> float:
     """
     if eps_GHz < 0:
         raise ValueError("dispersion must be nonnegative")
-    rate = (math.pi / (2.0 * math.e) ** 2) * eps_GHz * GHZ_TO_RAD_PER_S
-    if rate < RATE_FLOOR:
-        return math.inf
-    return 1e3 / rate
+    return _lifetime_ms((math.pi / (2.0 * math.e) ** 2) * eps_GHz * GHZ_TO_RAD_PER_S)
 
 
 def _flux_curvature(ls: LabeledSolution) -> float:
@@ -360,8 +322,8 @@ def tphi_flux(
     """
     if not ls.bias.at_half_flux:
         raise UnsupportedBiasError("flux dephasing bound applies at phi_ext = pi")
-    rate = constants.sqrt_A_flux**2 * abs(_flux_curvature(ls)) * GHZ_TO_RAD_PER_S
-    return math.inf if rate < RATE_FLOOR else 1e3 / rate
+    curvature = abs(_flux_curvature(ls))
+    return _lifetime_ms(constants.sqrt_A_flux**2 * curvature * GHZ_TO_RAD_PER_S)
 
 
 def tphi_shot(
@@ -381,10 +343,7 @@ def tphi_shot(
     except OverflowError:
         n_th = 0.0
     kappa = omega_p / q_cap(omega_p, constants)
-    rate = n_th * kappa * chi**2 / (chi**2 + kappa**2)
-    if rate < RATE_FLOOR:
-        return math.inf
-    return 1e3 / rate
+    return _lifetime_ms(n_th * kappa * chi**2 / (chi**2 + kappa**2))
 
 
 def tphi_critical_current(
@@ -397,13 +356,10 @@ def tphi_critical_current(
     logarithmic derivative enters.  H is exactly linear in eps_J, so by
     Hellmann-Feynman eps_J d(E1 - E0)/d eps_J = <1|H_J|1> - <0|H_J|0>.
     """
-    if constants.sqrt_A_epsJ_rel == 0:
-        return math.inf
     HJ = josephson_term(ls.params, ls.bias.phi_ext, ls.primitives)
     v0, v1 = ls.solution.vectors[:, 0], ls.solution.vectors[:, 1]
     deriv = np.vdot(v1, HJ @ v1).real - np.vdot(v0, HJ @ v0).real  # GHz
-    rate = constants.sqrt_A_epsJ_rel * abs(deriv) * GHZ_TO_RAD_PER_S
-    return math.inf if rate < RATE_FLOOR else 1e3 / rate
+    return _lifetime_ms(constants.sqrt_A_epsJ_rel * abs(deriv) * GHZ_TO_RAD_PER_S)
 
 
 # ---------------------------------------------------------------------------
@@ -440,8 +396,8 @@ class CoherenceReport:
         }
 
 
-def _combine(times: dict) -> float:
-    total_rate = sum(0.0 if math.isinf(t) else 1.0 / t for t in times.values())
+def _combine(times: Iterable[float]) -> float:
+    total_rate = sum(0.0 if math.isinf(t) else 1.0 / t for t in times)
     return math.inf if total_rate == 0.0 else 1.0 / total_rate
 
 
@@ -468,10 +424,8 @@ def full_report(
     solver = solver or SolutionCache()
     ls = solver.get_or_solve(params, bias, trunc, 6)
 
-    t1: dict[str, float] = {}
-    for kind in T1_CHANNELS:
-        if kind in channels:
-            t1[kind] = t1_channel(kind, ls, constants)
+    t1 = {kind: t1_channel(kind, ls, constants)
+          for kind in T1_CHANNELS if kind in channels}
 
     tphi: dict[str, float] = {}
     eps = defect = None
@@ -493,18 +447,14 @@ def full_report(
     if "critical_current" in channels:
         tphi["critical_current"] = tphi_critical_current(ls, constants)
 
-    t1_total = _combine(t1)
-    tphi_total = _combine(tphi)
-    rate2 = (0.0 if math.isinf(t1_total) else 0.5 / t1_total) + (
-        0.0 if math.isinf(tphi_total) else 1.0 / tphi_total
-    )
-    t2 = math.inf if rate2 == 0.0 else 1.0 / rate2
+    t1_total = _combine(t1.values())
+    tphi_total = _combine(tphi.values())
     return CoherenceReport(
         t1=t1,
         tphi=tphi,
         t1_total=t1_total,
         tphi_total=tphi_total,
-        t2=t2,
+        t2=_combine((2.0 * t1_total, tphi_total)),
         inputs={
             "params": asdict(params),
             "bias": {"phi_ext": bias.phi_ext, "N_g": bias.N_g},

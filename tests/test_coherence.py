@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -20,6 +21,7 @@ from cos2phi.coherence import (
     tphi_shot,
 )
 from cos2phi.constants import DEFAULT_CONSTANTS, GHZ_TO_RAD_PER_S, PhysicalConstants
+from cos2phi.constants import T1_CHANNELS
 from cos2phi.eigensolver import NonConvergenceError
 from cos2phi.hamiltonians import UnsupportedBiasError, full_hamiltonian
 from cos2phi.model import BasisTruncation, BiasPoint
@@ -167,6 +169,25 @@ class TestT1Channels:
     def test_unknown_channel(self, canonical_medium):
         with pytest.raises(ValueError):
             t1_channel("gravitational", canonical_medium)
+
+    def test_pair_is_lowest_two_states_whatever_the_labels(
+            self, canonical, half_flux, small_trunc):
+        # relaxation reads states 0 and 1 of the solve, as flux and
+        # critical-current dephasing do: swapping the labels of states 0
+        # and 2 moves (0, +) to state 2 and leaves every T1 channel bit for
+        # bit as solved
+        ls = solve_circuit(canonical.replace(delta_L=0.6), half_flux,
+                           small_trunc, k=3)
+        swap = {0: 2, 2: 0}
+        relabeled = dataclasses.replace(ls, labels=[
+            dataclasses.replace(lab, index=swap.get(lab.index, lab.index))
+            for lab in ls.labels
+        ])
+        assert ls.find(0, "+") == 0 and relabeled.find(0, "+") == 2
+        for kind in T1_CHANNELS:
+            t1 = t1_channel(kind, ls)
+            assert t1_channel(kind, relabeled).hex() == t1.hex(), kind
+        assert math.isfinite(t1_channel("purcell", ls))
 
     def test_detailed_balance_high_frequency_limit(self):
         c = DEFAULT_CONSTANTS
