@@ -36,6 +36,7 @@ __all__ = [
     "wavefunction_charge",
     "normalized_matrix_elements",
     "dispersive_shift",
+    "plasmon_spacings",
     "DISPERSION_FLOOR",
     "DEFECT_MAX",
     "ME_FLOOR",
@@ -113,8 +114,9 @@ def charge_dispersion(
     return parity * s0, eps, abs(s1 - s0) / eps
 
 
-#: default truncation escalation for inductive-disorder dispersion hunts;
-#: the residual offset-charge sensitivity is exponentially small at strong
+#: the charge-dispersion basis by the circuit's largest asymmetry
+#: max(delta_J_eff, delta_C_eff, delta_L), whatever the subcommand; the
+#: residual offset-charge sensitivity is exponentially small at strong
 #: asymmetry and needs a larger basis before the truncation artifact drops
 #: below it (on the default basis the periodicity defect of delta_L = 0.3 is
 #: already 0.125, above ``DEFECT_MAX``)
@@ -126,12 +128,13 @@ DISPERSION_TRUNCATIONS = (
 
 
 def dispersion_truncation(
-    delta: float, floor: BasisTruncation = BasisTruncation()
+    params: CircuitParams, floor: BasisTruncation = BasisTruncation()
 ) -> BasisTruncation:
-    """Schedule basis for a charge dispersion at asymmetry ``delta``.
+    """Schedule basis for a charge dispersion of ``params``, by its largest asymmetry.
 
     Never smaller than ``floor`` in any dimension.
     """
+    delta = max(params.delta_J_eff, params.delta_C_eff, params.delta_L)
     sched = next(
         (tr for hi, tr in DISPERSION_TRUNCATIONS if delta <= hi),
         DISPERSION_TRUNCATIONS[-1][1],
@@ -162,11 +165,11 @@ def disorder_sweep(
 ) -> DisorderSweep:
     """Charge dispersion and splitting versus one disorder parameter.
 
-    With ``trunc=None`` an escalating truncation schedule keeps the
-    truncation artifact below the shrinking physical dispersion.  Points
-    whose dispersion falls below ``DISPERSION_FLOOR``, or whose truncation
-    defect exceeds ``DEFECT_MAX``, are flagged unresolved rather than
-    extrapolated.
+    With ``trunc=None`` each point is solved on ``dispersion_truncation`` of
+    its circuit, which keeps the truncation artifact below the shrinking
+    physical dispersion.  Points whose dispersion falls below
+    ``DISPERSION_FLOOR``, or whose truncation defect exceeds ``DEFECT_MAX``,
+    are flagged unresolved rather than extrapolated.
     """
     if kind not in ("J", "C", "A", "L"):
         raise ValueError("kind must be one of J, C, A, L")
@@ -178,11 +181,9 @@ def disorder_sweep(
 
     solver = solver or SolutionCache()
     dE, eps, defect = np.array([
-        charge_dispersion(
-            params.replace(**{f"delta_{kind}": float(d)}), phi_ext,
-            trunc or dispersion_truncation(float(d)), solver=solver,
-        )
-        for d in deltas
+        charge_dispersion(p, phi_ext, trunc or dispersion_truncation(p),
+                          solver=solver)
+        for p in (params.replace(**{f"delta_{kind}": float(d)}) for d in deltas)
     ]).T
     unresolved = (eps < DISPERSION_FLOOR) | (defect > DEFECT_MAX)
     resolved_eps = eps[~unresolved]
@@ -368,21 +369,20 @@ def normalized_matrix_elements(ls: LabeledSolution, operator: str) -> np.ndarray
     return out
 
 
-def dispersive_shift(ls: LabeledSolution) -> float:
-    """Plasmon frequency pull between the two fluxon states (GHz).
+def plasmon_spacings(ls: LabeledSolution) -> tuple[float, float]:
+    """E(1) - E(0) (GHz) of the fluxon-absent and of the fluxon-present
+    chain: "+" and "-" at half flux, "o" and "*" elsewhere.
 
-    chi/h = [E(1, fluxon-present) - E(0, fluxon-present)]
-          - [E(1, fluxon-absent) - E(0, fluxon-absent)],
-    with the half-flux symbols "-" / "+" playing the present/absent roles.
+    ``LabelingError`` when either chain lacks either level, as at integer
+    flux, where no state carries a fluxon symbol.
     """
     E = ls.energies
-    for hi, lo in ((FLUXON_MINUS, FLUXON_PLUS), (FLUXON_PRESENT, FLUXON_ABSENT)):
-        try:
-            i0l, i0h = ls.find(0, lo), ls.find(0, hi)
-            i1l, i1h = ls.find(1, lo), ls.find(1, hi)
-        except LabelingError:
-            continue
-        return float((E[i1h] - E[i0h]) - (E[i1l] - E[i0l]))
-    raise LabelingError(
-        "dispersive shift needs labeled (m=0,1) x (both fluxon states)"
-    )
+    chains = ((FLUXON_PLUS, FLUXON_MINUS) if ls.bias.at_half_flux
+              else (FLUXON_ABSENT, FLUXON_PRESENT))
+    return tuple(float(E[ls.find(1, f)] - E[ls.find(0, f)]) for f in chains)
+
+
+def dispersive_shift(ls: LabeledSolution) -> float:
+    """Plasmon frequency pull (GHz): present minus absent ``plasmon_spacings``."""
+    absent, present = plasmon_spacings(ls)
+    return present - absent

@@ -62,7 +62,7 @@ _UNREADABLE = (OSError, EOFError, KeyError, ValueError, zipfile.BadZipFile,
                zlib.error)
 
 
-class LabelingError(RuntimeError):
+class LabelingError(ValueError):
     """Quantum-number assignment failed for a required state."""
 
 

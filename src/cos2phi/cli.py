@@ -3,10 +3,11 @@
 Each subcommand is one function below that tabulates the result of one
 analysis call; ``cos2phi --help`` lists them with their docstrings.
 
-Exit codes: 0 success; 1 domain, configuration or usage error; 2 numerical
-non-convergence.  A subcommand returns its tables, and ``_run`` writes
-them and lists them in the run log once it has returned: a run that fails
-writes only its diagnostics.  A CSV artifact starts with a provenance
+Exit codes, by the base class of the error: 0 success; 1 domain,
+configuration or usage error (``ValueError``); 2 numerical non-convergence
+(``NonConvergenceError``).  A subcommand returns its tables, and ``_run``
+writes them and lists them in the run log once it has returned: a run that
+fails writes only its diagnostics.  A CSV artifact starts with a provenance
 comment and a checksum of its data section; a JSON artifact carries a
 ``provenance`` key.  A float is written to 17 significant digits in a CSV
 and in its shortest round-trip form in JSON; a non-finite one is ``inf``,
@@ -55,15 +56,15 @@ from pathlib import Path
 import click
 import numpy as np
 
-from .config import ConfigError, RunConfig, load_config
+from .config import RunConfig, load_config
 from .constants import PhysicalConstants
 from .hamiltonians import ToyParams, effective_params
-from .instanton import MinimizationError, reduce_to_effective, solve_instanton
-from .mathieu import TruncationError, asymptotic_dispersion, exact_dispersion
-from .model import BasisTruncation, DimensionCapError, NonConvergenceError
+from .instanton import reduce_to_effective, solve_instanton
+from .mathieu import asymptotic_dispersion, exact_dispersion
+from .model import BasisTruncation, NonConvergenceError
 
-_DOMAIN_ERRORS = (ConfigError, ValueError, TypeError, DimensionCapError, KeyError)
-_NUMERIC_ERRORS = (NonConvergenceError, MinimizationError, TruncationError)
+_DOMAIN_ERRORS = (ValueError, TypeError, KeyError)
+_NUMERIC_ERRORS = (NonConvergenceError,)
 
 
 # ---------------------------------------------------------------------------
@@ -340,9 +341,9 @@ def matrix_elements(r: _Runner) -> dict:
 def disorder(r: _Runner) -> dict:
     """Charge dispersion and splitting versus one asymmetry parameter.
 
-    Each delta is solved on the basis the dispersion schedule gives it
-    (analysis.dispersion_truncation); the config's truncation section is
-    not read, though it still enters the config hash.
+    Each point is solved on analysis.dispersion_truncation of its circuit,
+    by its largest asymmetry, as in coherence; the config's truncation
+    section is not read, though it still enters the config hash.
     """
     from .analysis import disorder_sweep
 

@@ -1,9 +1,12 @@
 """Golden-rule relaxation and pure-dephasing budgets.
 
 Every channel takes the qubit as states 0 and 1 of the solve, split by
-omega = E1 - E0; only shot dephasing reads further (plasmon) levels, by
-label.  Relaxation through a channel with coupling operator O and bath
-spectral density S follows
+omega = E1 - E0; only shot dephasing reads further levels, the plasmon
+pairs of ``analysis.plasmon_spacings``, at any flux with fluxon labels.
+The charge channel's dispersion basis is ``analysis.dispersion_truncation``
+of the circuit, by its largest asymmetry, as in ``disorder``.  Relaxation
+through a channel with coupling operator O and bath spectral density S
+follows
 
     1/T1 = (1/hbar^2) |<1| O |0>|^2 [S(omega) + S(-omega)]
 
@@ -25,12 +28,12 @@ import numpy as np
 import scipy.sparse as sp
 
 from .analysis import (
-    FLUXON_PLUS,
     ME_FLOOR,
     LabeledSolution,
     charge_dispersion,
     dispersion_truncation,
     dispersive_shift,
+    plasmon_spacings,
 )
 from .cache import SolutionCache
 from .constants import (CHANNELS, DEFAULT_CONSTANTS, GHZ_TO_RAD_PER_S,
@@ -413,8 +416,9 @@ def full_report(
 
     Every channel reads its environment from ``constants``; a name outside
     ``CHANNELS`` raises ``ValueError``.  The charge dispersion, where
-    truncation artifacts dominate first, is solved on the escalation
-    schedule at ``delta_L``, never smaller than ``trunc``.
+    truncation artifacts dominate first, is solved on
+    ``dispersion_truncation`` of the circuit (its largest asymmetry), never
+    smaller than ``trunc``; shot dephasing reads ``plasmon_spacings``.
     """
     unknown = sorted(set(channels) - set(CHANNELS))
     if unknown:
@@ -433,17 +437,15 @@ def full_report(
         # dispersions shrink exponentially with asymmetry and fall below the
         # truncation artifact of the working basis
         _, eps, defect = charge_dispersion(
-            params, bias.phi_ext, dispersion_truncation(params.delta_L, trunc),
+            params, bias.phi_ext, dispersion_truncation(params, trunc),
             solver=solver,
         )
         tphi["charge"] = tphi_charge(eps)
     if "flux" in channels:
         tphi["flux"] = tphi_flux(ls, constants)
     if "shot" in channels:
-        chi = dispersive_shift(ls)
-        i0, i1 = ls.find(0, FLUXON_PLUS), ls.find(1, FLUXON_PLUS)
-        omega_p = float(ls.energies[i1] - ls.energies[i0])
-        tphi["shot"] = tphi_shot(chi, omega_p, constants)
+        omega_p, _ = plasmon_spacings(ls)
+        tphi["shot"] = tphi_shot(dispersive_shift(ls), omega_p, constants)
     if "critical_current" in channels:
         tphi["critical_current"] = tphi_critical_current(ls, constants)
 

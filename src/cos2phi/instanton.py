@@ -43,7 +43,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .hamiltonians import EffectiveParams, UnsupportedBiasError, effective_params
-from .model import BiasPoint, CircuitParams
+from .model import BiasPoint, CircuitParams, NonConvergenceError
 
 __all__ = [
     "InstantonPath",
@@ -69,7 +69,7 @@ DAMPING_MAX = 1e8  # damping beyond which a pass leaves the string unmoved
 N_QUAD = 1024  # uniform quadrature points of the path Fourier reduction
 
 
-class MinimizationError(RuntimeError):
+class MinimizationError(NonConvergenceError):
     """Newton search failed to locate a valid potential minimum."""
 
 

@@ -19,11 +19,12 @@ from dataclasses import replace
 import numpy as np
 
 from .hamiltonians import ToyParams, toy_hamiltonian
+from .model import NonConvergenceError
 
 __all__ = ["exact_dispersion", "asymptotic_dispersion", "TruncationError"]
 
 
-class TruncationError(RuntimeError):
+class TruncationError(NonConvergenceError):
     """Charge truncation too small; carries the boundary population."""
 
     def __init__(self, msg: str, boundary_population: float):

@@ -71,7 +71,7 @@ _I_POWERS = np.array([1.0, 1.0j, -1.0, -1.0j])
 DIM_CAP = 400_000
 
 
-class DimensionCapError(RuntimeError):
+class DimensionCapError(ValueError):
     """Tensor-product dimension exceeds the configured resource cap."""
 
 

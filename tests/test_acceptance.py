@@ -22,6 +22,7 @@ from cos2phi.analysis import (
     dispersion_truncation,
     dispersive_shift,
     normalized_matrix_elements,
+    plasmon_spacings,
     solve_circuit,
 )
 from cos2phi.coherence import (
@@ -252,8 +253,7 @@ def test_criterion_09_coherence_regression(canonical, half_flux, ls0, ls06):
                  f"{'ok' if cond else 'FAIL'}")
 
     chi = dispersive_shift(ls0)
-    omega_p = ls0.energies[ls0.find(1, FLUXON_PLUS)] - ls0.energies[
-        ls0.find(0, FLUXON_PLUS)]
+    omega_p, _ = plasmon_spacings(ls0)
     tshot = tphi_shot(chi, omega_p)
     cond = 4.6 / 2 <= tshot <= 4.6 * 2
     ok &= cond
@@ -281,7 +281,7 @@ def test_criterion_10_disorder_trends(canonical):
     eps, dEs, defects = [], [], []
     for dL in (0.0, 0.3, 0.6, 0.9):
         p = canonical.replace(delta_L=dL)
-        dE, e, defect = charge_dispersion(p, np.pi, dispersion_truncation(dL))
+        dE, e, defect = charge_dispersion(p, np.pi, dispersion_truncation(p))
         eps.append(e)
         dEs.append(abs(dE))
         defects.append(defect)

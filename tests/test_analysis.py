@@ -11,10 +11,12 @@ from cos2phi.analysis import (
     FLUXON_UNLABELED,
     LabelingError,
     charge_dispersion,
+    dispersion_truncation,
     dispersive_shift,
     disorder_sweep,
     flux_sweep,
     normalized_matrix_elements,
+    plasmon_spacings,
     solve_circuit,
     wavefunction_charge,
     wavefunction_phase,
@@ -206,6 +208,28 @@ class TestDisorderSweep:
             dEs[kind] = abs(res.dE[0])
         assert dEs["A"] == pytest.approx(dEs["L"], rel=0.5)
 
+    @pytest.mark.parametrize("kind", ["J", "C", "A", "L"])
+    @pytest.mark.parametrize("delta, row", [
+        (0.0, (7, 7, 30)), (0.3, (10, 10, 46)), (0.9, (12, 12, 56)),
+    ])
+    def test_dispersion_basis_by_largest_asymmetry(self, canonical, kind,
+                                                   delta, row):
+        # the schedule row of delta, whichever asymmetry carries it
+        p = canonical.replace(**{f"delta_{kind}": delta})
+        assert dispersion_truncation(p).as_tuple() == row
+        floored = dispersion_truncation(p, BasisTruncation(11, 5, 20))
+        assert floored.as_tuple() == (max(11, row[0]), *row[1:])
+
+    def test_sweep_basis_reads_the_whole_circuit(self, canonical):
+        # a delta_J = 0 point of a delta_L = 0.6 circuit is solved on the
+        # basis of delta_L = 0.6, as coherence solves that circuit
+        base = canonical.replace(delta_L=0.6)
+        assert dispersion_truncation(base).as_tuple() == (10, 10, 46)
+        solver = _RecordingSolver({0.0: 3.0, 0.25: 2.0, 0.5: 1.0, 1.0: 3.0},
+                                  parity=1)
+        disorder_sweep(base, "J", [0.0], solver=solver)
+        assert {t.as_tuple() for _, _, t, _ in solver.problems} == {(10, 10, 46)}
+
     def test_grid_bounds(self, canonical, small_trunc):
         with pytest.raises(ValueError):
             disorder_sweep(canonical, "L", [0.95], trunc=small_trunc)
@@ -345,6 +369,28 @@ class TestDispersiveShift:
                                medium_trunc, k=6)
             chis.append(dispersive_shift(ls))
         assert chis[0] == pytest.approx(chis[1], rel=1e-3)
+
+    def test_plasmon_spacings_read_the_labelled_pairs(self, canonical_medium):
+        # at half flux the absent chain is "+" and the present chain "-"
+        ls = canonical_medium
+        E = ls.energies
+        absent = E[ls.find(1, FLUXON_PLUS)] - E[ls.find(0, FLUXON_PLUS)]
+        present = E[ls.find(1, FLUXON_MINUS)] - E[ls.find(0, FLUXON_MINUS)]
+        assert plasmon_spacings(ls) == (absent, present)
+        assert dispersive_shift(ls) == present - absent
+
+    def test_plasmon_spacings_off_half_flux(self, canonical, medium_trunc):
+        ls = solve_circuit(canonical, BiasPoint(0.9 * np.pi, 0.0),
+                           medium_trunc, k=6)
+        E = ls.energies
+        assert plasmon_spacings(ls) == tuple(
+            E[ls.find(1, f)] - E[ls.find(0, f)]
+            for f in (FLUXON_ABSENT, FLUXON_PRESENT))
+        # at integer flux no state carries a fluxon symbol
+        ls = solve_circuit(canonical, BiasPoint(0.0, 0.0), medium_trunc, k=6)
+        assert {l.fluxon for l in ls.labels} == {FLUXON_UNLABELED}
+        with pytest.raises(LabelingError):
+            plasmon_spacings(ls)
 
     def test_value_regression(self, canonical_medium):
         chi = dispersive_shift(canonical_medium)

@@ -1,9 +1,11 @@
 import dataclasses
 import gc
 import hashlib
+import importlib
 import json
 import math
 import os
+import pkgutil
 import re
 import shutil
 import subprocess
@@ -445,6 +447,32 @@ def _child_env(extra_env=None):
     return env
 
 
+#: the shipped run configurations
+_CONFIGS = Path(__file__).resolve().parent.parent / "configs"
+
+#: every error type the package defines, with the exit code the CLI
+#: documents for it
+_EXIT_CODES = {
+    "cache.LabelingError": 1,
+    "config.ConfigError": 1,
+    "hamiltonians.UnsupportedBiasError": 1,
+    "model.DimensionCapError": 1,
+    "instanton.MinimizationError": 2,
+    "mathieu.TruncationError": 2,
+    "model.NonConvergenceError": 2,
+}
+
+
+def test_every_error_type_has_an_exit_code():
+    defined = set()
+    for info in pkgutil.iter_modules(cos2phi.__path__):
+        module = importlib.import_module(f"cos2phi.{info.name}")
+        defined |= {f"{info.name}.{name}" for name, obj in vars(module).items()
+                    if isinstance(obj, type) and issubclass(obj, Exception)
+                    and obj.__module__ == module.__name__}
+    assert defined == set(_EXIT_CODES)
+
+
 def _cli(*args, cwd, extra_env=None):
     return subprocess.run(
         [sys.executable, "-W", "ignore", "-m", "cos2phi.cli", *args],
@@ -644,6 +672,51 @@ class TestCli:
                                                     rel=1e-12)
         assert t1[1]["inductive"] == t1[0]["inductive"]
 
+    #: the reference circuit's shot channel alone, on a (5, 5, 20) basis
+    _SHOT_ONLY = ("--config", str(_CONFIGS / "reference.yaml"), "--no-cache",
+                  "--set", "channels.enabled=[shot]",
+                  "--set", "truncation.N0=5", "--set", "truncation.p0=5",
+                  "--set", "truncation.q0=20")
+
+    def test_coherence_shot_off_half_flux(self, tmp_path):
+        # off half flux the plasmon pairs carry the symbols "o" and "*"
+        out = tmp_path / "shot"
+        r = _cli("coherence", *self._SHOT_ONLY, "--set", "bias.phi_ext=3.0",
+                 "--out", str(out), cwd=tmp_path)
+        assert r.returncode == 0, r.stderr
+        _, rows = _csv_parts(out / "coherence.csv")
+        (shot,) = [row for row in rows
+                   if (row["type"], row["channel"]) == ("Tphi", "shot")]
+        assert math.isfinite(float(shot["time_ms"]))
+
+    def test_coherence_shot_at_integer_flux_is_domain_error(self, tmp_path):
+        # no state carries a fluxon symbol there: a typed labelling failure
+        out = tmp_path / "shot0"
+        r = _cli("coherence", *self._SHOT_ONLY,
+                 "--set", "bias.phi_ext=6.283185307179586",
+                 "--out", str(out), cwd=tmp_path)
+        assert r.returncode == 1, r.stderr
+        diag = json.loads((out / "coherence_diagnostics.json").read_text())
+        assert diag["error_type"] == "LabelingError"
+        assert diag["error_kind"] == "domain"
+        assert not (out / "coherence.csv").exists()
+
+    def test_disorder_and_coherence_share_a_dispersion(self, tmp_path):
+        # one circuit has one dispersion basis: the coherence budget of a
+        # delta_J = 0.3 circuit reads the four solves of its disorder point
+        out = tmp_path / "shared"
+        ref = str(_CONFIGS / "reference.yaml")
+        r = _cli("disorder", "--config", ref, "--set", "sweep.kind=J",
+                 "--set", "sweep.deltas=[0.3]", "--out", str(out),
+                 cwd=tmp_path)
+        assert r.returncode == 0, r.stderr
+        r = _cli("coherence", "--config", ref, "--set", "circuit.delta_J=0.3",
+                 "--set", "channels.enabled=[charge]", "--out", str(out),
+                 cwd=tmp_path)
+        assert r.returncode == 0, r.stderr
+        log = json.loads((out / "coherence_runlog.json").read_text())
+        assert log["diagonalizations"] == 1 and log["cache_hits"] == 4
+
     def test_disorder_artifacts(self, tmp_path, fast_config):
         out = tmp_path / "o4"
         r = _cli("disorder", "--config", str(fast_config), "--out", str(out),
@@ -816,6 +889,26 @@ class TestCli:
         diag = json.loads(r.stderr.strip().splitlines()[-1])
         assert diag["error_kind"] == "domain"
         assert diag["error_type"] in ("NoSuchOption", "NoSuchCommand", "BadParameter")
+
+    @pytest.mark.parametrize("qualname, code", sorted(_EXIT_CODES.items()))
+    def test_error_type_exit_code(self, tmp_path, fast_config, monkeypatch,
+                                  qualname, code):
+        # the base class of an error decides its exit code and kind
+        module, name = qualname.split(".")
+        cls = getattr(importlib.import_module(f"cos2phi.{module}"), name)
+        args = ("forced", 0.5) if name == "TruncationError" else ("forced",)
+
+        def fail(*_args, **_kwargs):
+            raise cls(*args)
+
+        monkeypatch.setattr(cli_module, "exact_dispersion", fail)
+        out = tmp_path / "err"
+        r = CliRunner().invoke(main, ["mathieu", "--config", str(fast_config),
+                                      "--out", str(out)])
+        assert r.exit_code == code, r.output
+        diag = json.loads((out / "mathieu_diagnostics.json").read_text())
+        assert diag["error_type"] == name
+        assert diag["error_kind"] == {1: "domain", 2: "non-convergence"}[code]
 
     def test_numerical_error_exit_code(self, tmp_path):
         cfg = tmp_path / "qc.yaml"
