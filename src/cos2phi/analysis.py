@@ -30,6 +30,7 @@ __all__ = [
     "charge_dispersion",
     "disorder_sweep",
     "dispersion_truncation",
+    "dispersion_unresolved",
     "convergence_ladder",
     "LadderReport",
     "wavefunction_phase",
@@ -142,6 +143,13 @@ def dispersion_truncation(
     return BasisTruncation(*map(max, floor.as_tuple(), sched.as_tuple()))
 
 
+def dispersion_unresolved(eps, defect):
+    """Whether a charge dispersion is unresolved, elementwise: ``eps``
+    below ``DISPERSION_FLOOR`` or its truncation ``defect`` above
+    ``DEFECT_MAX``."""
+    return (eps < DISPERSION_FLOOR) | (defect > DEFECT_MAX)
+
+
 @dataclass(frozen=True)
 class DisorderSweep:
     """Charge dispersion and signed splitting at each asymmetry of a sweep."""
@@ -150,7 +158,7 @@ class DisorderSweep:
     eps: np.ndarray         # dispersion over one charge period (GHz)
     defect: np.ndarray      # truncation defect of eps, |s(1) - s(0)| / eps
     dE: np.ndarray          # signed splitting at Ng = 0 (GHz)
-    unresolved: np.ndarray  # eps below DISPERSION_FLOOR or defect above DEFECT_MAX
+    unresolved: np.ndarray  # by dispersion_unresolved
     eps_monotone_decreasing: bool  # over the resolved points
     dE_monotone_increasing: bool   # in |dE|
 
@@ -160,16 +168,15 @@ def disorder_sweep(
     kind: str,
     deltas,
     phi_ext: float = np.pi,
-    trunc: BasisTruncation | None = None,
+    floor: BasisTruncation = BasisTruncation(),
     solver: SolutionCache | None = None,
 ) -> DisorderSweep:
     """Charge dispersion and splitting versus one disorder parameter.
 
-    With ``trunc=None`` each point is solved on ``dispersion_truncation`` of
-    its circuit, which keeps the truncation artifact below the shrinking
-    physical dispersion.  Points whose dispersion falls below
-    ``DISPERSION_FLOOR``, or whose truncation defect exceeds ``DEFECT_MAX``,
-    are flagged unresolved rather than extrapolated.
+    Each point is solved on ``dispersion_truncation`` of its circuit and
+    ``floor``, which keeps the truncation artifact below the shrinking
+    physical dispersion.  Points that ``dispersion_unresolved`` flags are
+    marked rather than extrapolated.
     """
     if kind not in ("J", "C", "A", "L"):
         raise ValueError("kind must be one of J, C, A, L")
@@ -181,11 +188,11 @@ def disorder_sweep(
 
     solver = solver or SolutionCache()
     dE, eps, defect = np.array([
-        charge_dispersion(p, phi_ext, trunc or dispersion_truncation(p),
+        charge_dispersion(p, phi_ext, dispersion_truncation(p, floor),
                           solver=solver)
         for p in (params.replace(**{f"delta_{kind}": float(d)}) for d in deltas)
     ]).T
-    unresolved = (eps < DISPERSION_FLOOR) | (defect > DEFECT_MAX)
+    unresolved = dispersion_unresolved(eps, defect)
     resolved_eps = eps[~unresolved]
     return DisorderSweep(
         deltas=deltas,

@@ -49,8 +49,6 @@ from .model import (BasisTruncation, BiasPoint, CircuitParams, Primitives,
 __all__ = ["SolutionCache", "worker_pool", "StateLabel", "LabeledSolution",
            "LabelingError", "label_states"]
 
-CONFIDENCE_WARN = 0.7
-
 FLUXON_PLUS = "+"
 FLUXON_MINUS = "-"
 FLUXON_PRESENT = "*"
@@ -72,8 +70,6 @@ class StateLabel:
     m: int
     fluxon: str
     parity: int
-    confidence: float
-    warning: bool = False
 
 
 @dataclass(frozen=True)
@@ -111,8 +107,7 @@ def label_states(
     measured relative to the lowest state of the same fluxon chain: the
     hybridization with the island charge offsets all occupations by a
     common amount that grows with asymmetry, while the chain ground defines
-    m = 0.  Confidence is the distance of the occupation increment from its
-    rounded value, mapped to [0, 1].
+    m = 0.
     """
     if sol.fingerprint != prim.fingerprint:
         raise LabelingError("solution and primitives built on different bases")
@@ -147,19 +142,8 @@ def label_states(
     labels = []
     for i in range(sol.k):
         base = chain_floor.setdefault(chains[i], occupations[i])
-        increment = occupations[i] - base
-        m = int(round(increment))
-        conf = max(0.0, 1.0 - 2.0 * abs(increment - m))
-        labels.append(
-            StateLabel(
-                index=i,
-                m=m,
-                fluxon=chains[i],
-                parity=parities[i],
-                confidence=conf,
-                warning=conf < CONFIDENCE_WARN,
-            )
-        )
+        labels.append(StateLabel(index=i, m=int(round(occupations[i] - base)),
+                                 fluxon=chains[i], parity=parities[i]))
     return labels
 
 

@@ -342,18 +342,17 @@ def disorder(r: _Runner) -> dict:
     """Charge dispersion and splitting versus one asymmetry parameter.
 
     Each point is solved on analysis.dispersion_truncation of its circuit,
-    by its largest asymmetry, as in coherence; the config's truncation
-    section is not read, though it still enters the config hash.
+    by its largest asymmetry, with the config's truncation as the floor, as
+    in coherence.
     """
     from .analysis import disorder_sweep
 
     cfg = r.cfg
     sw = cfg.section("sweep")
     kind = sw["kind"]
-    # the default escalating truncation keeps tiny dispersions honest
     res = disorder_sweep(
         cfg.circuit, kind, sw["deltas"],
-        phi_ext=cfg.bias.phi_ext, solver=r.cache,
+        phi_ext=cfg.bias.phi_ext, floor=cfg.truncation, solver=r.cache,
     )
     rows = zip(res.deltas, res.eps, res.defect, res.dE, np.abs(res.dE),
                res.unresolved)

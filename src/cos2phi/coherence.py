@@ -13,9 +13,10 @@ follows
 summed incoherently over the two junctions or superinductances where the
 channel has two elements, paired as in ``hamiltonians``.  Flux and
 critical-current dephasing are exact derivatives of the same splitting.
-Energies arrive as GHz, and every environment number comes from one
-``PhysicalConstants`` record.  One rule turns each rate (1/s) into a time in
-ms: 1e3 / rate, or ``inf`` (numerical infinity) below 1e-12 per ms.
+Energies arrive as GHz, every environment number comes from one
+``PhysicalConstants`` record, and the SI constants from ``constants``.  One
+rule turns each rate (1/s) into a time in ms: 1e3 / rate, or ``inf``
+(numerical infinity) below 1e-12 per ms.
 """
 
 from __future__ import annotations
@@ -32,11 +33,13 @@ from .analysis import (
     LabeledSolution,
     charge_dispersion,
     dispersion_truncation,
+    dispersion_unresolved,
     dispersive_shift,
     plasmon_spacings,
 )
 from .cache import SolutionCache
-from .constants import (CHANNELS, DEFAULT_CONSTANTS, GHZ_TO_RAD_PER_S,
+from .constants import (CHANNELS, DEFAULT_CONSTANTS, DELTA_GAP, E_CHARGE,
+                        GHZ_TO_RAD_PER_S, HBAR, H_PLANCK, K_B, R_K,
                         T1_CHANNELS, PhysicalConstants)
 from .eigensolver import SHIFT_GAP, NonConvergenceError, factor_below_spectrum
 from .hamiltonians import UnsupportedBiasError, full_hamiltonian, josephson_term
@@ -109,9 +112,9 @@ def q_ind(omega: float, constants: PhysicalConstants = DEFAULT_CONSTANTS) -> flo
     """
     if omega == 0:
         raise ValueError("q_ind undefined at zero frequency")
-    two_kT = 2 * constants.k_B * constants.temperature
-    x_ref = constants.h * Q_IND_REF_HZ / two_kT
-    x = constants.hbar * abs(omega) / two_kT
+    two_kT = 2 * K_B * constants.temperature
+    x_ref = H_PLANCK * Q_IND_REF_HZ / two_kT
+    x = HBAR * abs(omega) / two_kT
     return constants.q_ind * (_k0(x_ref) * np.sinh(x_ref)) / (
         _k0(x) * np.sinh(x)
     )
@@ -172,8 +175,7 @@ def _quasiparticle_elements(params: CircuitParams, bias: BiasPoint, prim: Primit
     cos_quarter = displaced_cosine(prim.phi_zpf / 2.0, bias.phi_ext / 2.0, t.p0)
     embed = sp.kron(E, sp.identity((t.p0 + 1) * (t.q0 + 1)), format="csr")
     imb = sp.identity(t.q0 + 1)
-    for s in (+1.0, -1.0):
-        eps_J_i = (1.0 + s * params.delta_J_eff) * params.eps_J
+    for s, eps_J_i in zip((+1.0, -1.0), params.junction_energies):
         op = kron3(cos_half, sin_quarter, imb) + kron3(s * sin_half, cos_quarter, imb)
         yield eps_J_i, op, embed
 
@@ -202,7 +204,7 @@ def t1_channel(
     omega = ls.splitting * GHZ_TO_RAD_PER_S
     if omega == 0:
         raise ValueError("degenerate qubit pair: relaxation rate undefined")
-    x_th = constants.hbar * omega / (2 * constants.k_B * constants.temperature)
+    x_th = HBAR * omega / (2 * K_B * constants.temperature)
     coth = 1.0 / math.tanh(x_th)
 
     rate = 0.0
@@ -212,8 +214,8 @@ def t1_channel(
             me2, amp = _normalized_amp(op, embed @ lab0, embed @ lab1)
             if amp >= ME_FLOOR:
                 re_y = _re_y_qp(eps_J_i, omega, constants)
-                s_sum = 2.0 * constants.hbar * omega * re_y * coth
-                rate += me2 * s_sum / constants.e**2  # (2 phi0)^2 / hbar^2 = 1/e^2
+                s_sum = 2.0 * HBAR * omega * re_y * coth
+                rate += me2 * s_sum / E_CHARGE**2  # (2 phi0)^2 / hbar^2 = 1/e^2
     else:
         for energy, op, q in _golden_rule_elements(kind, params, prim):
             me2, amp = _normalized_amp(op, v0, v1)
@@ -225,14 +227,13 @@ def t1_channel(
 
 def _re_y_qp(eps_J_GHz: float, omega: float, constants: PhysicalConstants) -> float:
     """Dissipative junction admittance from thermal-equilibrium tunneling."""
-    eps_J = eps_J_GHz * 1e9 * constants.h  # J
-    delta = constants.delta_gap
-    hw = constants.hbar * abs(omega)
-    x = hw / (2 * constants.k_B * constants.temperature)
+    eps_J = eps_J_GHz * 1e9 * H_PLANCK  # J
+    hw = HBAR * abs(omega)
+    x = hw / (2 * K_B * constants.temperature)
     return (
         math.sqrt(2.0 / math.pi)
-        * (8.0 * eps_J / (constants.R_K * delta))
-        * (2.0 * delta / hw) ** 1.5
+        * (8.0 * eps_J / (R_K * DELTA_GAP))
+        * (2.0 * DELTA_GAP / hw) ** 1.5
         * constants.x_qp
         * math.sqrt(x)
         * _k0(x)
@@ -341,7 +342,7 @@ def tphi_shot(
     chi = chi_GHz * GHZ_TO_RAD_PER_S
     try:
         n_th = 1.0 / math.expm1(
-            constants.hbar * omega_p / (constants.k_B * constants.temperature)
+            HBAR * omega_p / (K_B * constants.temperature)
         )
     except OverflowError:
         n_th = 0.0
@@ -374,7 +375,8 @@ class CoherenceReport:
     """Per-channel lifetimes (ms, inf = numerical infinity) and totals.
 
     ``eps`` and ``defect`` are the charge dispersion (GHz) behind the charge
-    channel and its truncation defect; ``None`` when that channel is off.
+    channel and its truncation defect, and ``unresolved`` their
+    ``dispersion_unresolved`` verdict; ``None`` when that channel is off.
     """
 
     t1: dict
@@ -385,6 +387,7 @@ class CoherenceReport:
     inputs: dict
     eps: float | None
     defect: float | None
+    unresolved: bool | None
 
     def as_dict(self) -> dict:
         return {
@@ -395,6 +398,7 @@ class CoherenceReport:
             "t2_ms": self.t2,
             "charge_dispersion_ghz": self.eps,
             "charge_dispersion_defect": self.defect,
+            "charge_dispersion_unresolved": self.unresolved,
             "inputs": self.inputs,
         }
 
@@ -418,7 +422,8 @@ def full_report(
     ``CHANNELS`` raises ``ValueError``.  The charge dispersion, where
     truncation artifacts dominate first, is solved on
     ``dispersion_truncation`` of the circuit (its largest asymmetry), never
-    smaller than ``trunc``; shot dephasing reads ``plasmon_spacings``.
+    smaller than ``trunc``, and judged by ``dispersion_unresolved`` as in
+    ``disorder``; shot dephasing reads ``plasmon_spacings``.
     """
     unknown = sorted(set(channels) - set(CHANNELS))
     if unknown:
@@ -432,7 +437,7 @@ def full_report(
           for kind in T1_CHANNELS if kind in channels}
 
     tphi: dict[str, float] = {}
-    eps = defect = None
+    eps = defect = unresolved = None
     if "charge" in channels:
         # dispersions shrink exponentially with asymmetry and fall below the
         # truncation artifact of the working basis
@@ -440,6 +445,7 @@ def full_report(
             params, bias.phi_ext, dispersion_truncation(params, trunc),
             solver=solver,
         )
+        unresolved = bool(dispersion_unresolved(eps, defect))
         tphi["charge"] = tphi_charge(eps)
     if "flux" in channels:
         tphi["flux"] = tphi_flux(ls, constants)
@@ -465,4 +471,5 @@ def full_report(
         },
         eps=eps,
         defect=defect,
+        unresolved=unresolved,
     )

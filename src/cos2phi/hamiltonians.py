@@ -17,7 +17,9 @@ with the asymmetry terms
 
 where eL~ = eL/(1 - dL^2) and eC~ = eC/(1 - dC^2).  The element pairing
 conventions implied by these signs (which junction or superinductance is
-"left") are fixed once here and reused by the coherence module:
+"left") are fixed once here and reused by the coherence and instanton
+modules; the junction energies, in this order, are
+``CircuitParams.junction_energies``:
 
     junction i = +/-:        eps_J,i = (1 +/- dJ) eJ,   phase  phi/2 +/- vphi
     junction i = +/-:        eps_C,i = eC/(1 +/- dC),   charge n +/- (N-Ng-eta)/2

@@ -73,11 +73,6 @@ class MinimizationError(NonConvergenceError):
     """Newton search failed to locate a valid potential minimum."""
 
 
-def _junction_energies(params: CircuitParams) -> tuple[float, float]:
-    d = params.delta_J_eff
-    return (1.0 + d) * params.eps_J, (1.0 - d) * params.eps_J
-
-
 def potential(params: CircuitParams, bias: BiasPoint, point):
     """Classical potential energy (GHz) at (vphi, phi, theta).
 
@@ -88,7 +83,7 @@ def potential(params: CircuitParams, bias: BiasPoint, point):
     vphi, phi, th = q[..., 0], q[..., 1], q[..., 2]
     eL = params.eps_L_dressed
     dL = params.delta_L
-    ej1, ej2 = _junction_energies(params)
+    ej1, ej2 = params.junction_energies
     dphi = phi - bias.phi_ext
     u = eL * (0.25 * dphi**2 + th**2) + eL * dL * dphi * th
     u -= ej1 * np.cos(0.5 * phi + vphi)
@@ -102,7 +97,7 @@ def potential_gradient(params: CircuitParams, bias: BiasPoint, point) -> np.ndar
     vphi, phi, th = q[..., 0], q[..., 1], q[..., 2]
     eL = params.eps_L_dressed
     dL = params.delta_L
-    ej1, ej2 = _junction_energies(params)
+    ej1, ej2 = params.junction_energies
     dphi = phi - bias.phi_ext
     s1 = np.sin(0.5 * phi + vphi)
     s2 = np.sin(0.5 * phi - vphi)
@@ -122,7 +117,7 @@ def potential_hessian(params: CircuitParams, bias: BiasPoint, point) -> np.ndarr
     vphi, phi = q[..., 0], q[..., 1]
     eL = params.eps_L_dressed
     dL = params.delta_L
-    ej1, ej2 = _junction_energies(params)
+    ej1, ej2 = params.junction_energies
     c1 = ej1 * np.cos(0.5 * phi + vphi)
     c2 = ej2 * np.cos(0.5 * phi - vphi)
     H = np.zeros(q.shape[:-1] + (3, 3))

@@ -136,6 +136,13 @@ class CircuitParams:
         return self.delta_A if self.delta_A != 0.0 else self.delta_J
 
     @property
+    def junction_energies(self) -> tuple[float, float]:
+        """(eps_J,+, eps_J,-) = ((1 + dJ) eps_J, (1 - dJ) eps_J), with dJ
+        the ``delta_J_eff`` asymmetry, paired as in ``hamiltonians``."""
+        d = self.delta_J_eff
+        return (1.0 + d) * self.eps_J, (1.0 - d) * self.eps_J
+
+    @property
     def delta_C_eff(self) -> float:
         """Junction-capacitance asymmetry, whether direct or via area disorder."""
         return self.delta_A if self.delta_A != 0.0 else self.delta_C

@@ -19,7 +19,7 @@ from cos2phi.analysis import (
     FLUXON_MINUS,
     FLUXON_PLUS,
     charge_dispersion,
-    dispersion_truncation,
+    disorder_sweep,
     dispersive_shift,
     normalized_matrix_elements,
     plasmon_spacings,
@@ -278,15 +278,8 @@ def test_criterion_09_coherence_regression(canonical, half_flux, ls0, ls06):
 
 
 def test_criterion_10_disorder_trends(canonical):
-    eps, dEs, defects = [], [], []
-    for dL in (0.0, 0.3, 0.6, 0.9):
-        p = canonical.replace(delta_L=dL)
-        dE, e, defect = charge_dispersion(p, np.pi, dispersion_truncation(p))
-        eps.append(e)
-        dEs.append(abs(dE))
-        defects.append(defect)
-    eps = np.array(eps)
-    dEs = np.array(dEs)
+    res = disorder_sweep(canonical, "L", [0.0, 0.3, 0.6, 0.9])
+    eps, dEs, defects = res.eps, np.abs(res.dE), res.defect
     suppression = eps[0] / eps[-1]
     ok = (
         np.all(np.diff(eps) < 0)

@@ -4,6 +4,8 @@ import numpy as np
 import pytest
 
 from cos2phi.analysis import (
+    DEFECT_MAX,
+    DISPERSION_FLOOR,
     FLUXON_ABSENT,
     FLUXON_MINUS,
     FLUXON_PLUS,
@@ -12,6 +14,7 @@ from cos2phi.analysis import (
     LabelingError,
     charge_dispersion,
     dispersion_truncation,
+    dispersion_unresolved,
     dispersive_shift,
     disorder_sweep,
     flux_sweep,
@@ -182,7 +185,7 @@ class TestDisorderSweep:
     def test_zero_delta_identical_across_kinds(self, canonical, small_trunc):
         rows = {}
         for kind in ("J", "C", "A", "L"):
-            res = disorder_sweep(canonical, kind, [0.0], trunc=small_trunc)
+            res = disorder_sweep(canonical, kind, [0.0], floor=small_trunc)
             rows[kind] = (res.eps[0], res.dE[0])
         vals = list(rows.values())
         for v in vals[1:]:
@@ -195,7 +198,7 @@ class TestDisorderSweep:
         tr = BasisTruncation(7, 7, 30)
         eps = {}
         for kind in ("J", "C", "A", "L"):
-            res = disorder_sweep(canonical, kind, [0.3], trunc=tr)
+            res = disorder_sweep(canonical, kind, [0.3], floor=tr)
             eps[kind] = res.eps[0]
         assert eps["L"] < eps["J"]
         assert eps["L"] < eps["C"]
@@ -204,7 +207,7 @@ class TestDisorderSweep:
     def test_area_and_inductive_initial_splitting_slopes(self, canonical, medium_trunc):
         dEs = {}
         for kind in ("A", "L"):
-            res = disorder_sweep(canonical, kind, [0.15], trunc=medium_trunc)
+            res = disorder_sweep(canonical, kind, [0.15], floor=medium_trunc)
             dEs[kind] = abs(res.dE[0])
         assert dEs["A"] == pytest.approx(dEs["L"], rel=0.5)
 
@@ -230,11 +233,39 @@ class TestDisorderSweep:
         disorder_sweep(base, "J", [0.0], solver=solver)
         assert {t.as_tuple() for _, _, t, _ in solver.problems} == {(10, 10, 46)}
 
+    def test_sweep_solves_on_its_floor(self, canonical):
+        # a floor above the schedule row raises every solve of the sweep to
+        # it, as it raises coherence's dispersion solves
+        solver = _RecordingSolver({0.0: 3.0, 0.25: 2.0, 0.5: 1.0, 1.0: 3.0},
+                                  parity=1)
+        disorder_sweep(canonical, "L", [0.0], floor=BasisTruncation(7, 7, 40),
+                       solver=solver)
+        assert {t.as_tuple() for _, _, t, _ in solver.problems} == {(7, 7, 40)}
+
+
+class TestDispersionVerdict:
+    @pytest.mark.parametrize("eps, defect, unresolved", [
+        (DISPERSION_FLOOR, DEFECT_MAX, False),
+        (np.nextafter(DISPERSION_FLOOR, 0.0), DEFECT_MAX, True),
+        (DISPERSION_FLOOR, np.nextafter(DEFECT_MAX, 1.0), True),
+        (np.nextafter(DISPERSION_FLOOR, 0.0), np.nextafter(DEFECT_MAX, 1.0), True),
+        (1.0, 0.0, False),
+    ])
+    def test_bounds_are_resolved(self, eps, defect, unresolved):
+        # a dispersion at either bound is resolved; one ulp past it is not
+        assert dispersion_unresolved(eps, defect) == unresolved
+
+    def test_elementwise_over_a_sweep(self):
+        eps = np.array([1e-3, 1e-10, 1e-3])
+        defect = np.array([0.0, 0.0, 0.2])
+        np.testing.assert_array_equal(dispersion_unresolved(eps, defect),
+                                      [False, True, True])
+
     def test_grid_bounds(self, canonical, small_trunc):
         with pytest.raises(ValueError):
-            disorder_sweep(canonical, "L", [0.95], trunc=small_trunc)
+            disorder_sweep(canonical, "L", [0.95], floor=small_trunc)
         with pytest.raises(ValueError, match="at least one"):
-            disorder_sweep(canonical, "L", [], trunc=small_trunc)
+            disorder_sweep(canonical, "L", [], floor=small_trunc)
 
 
 class TestWavefunctions:
@@ -400,11 +431,19 @@ class TestDispersiveShift:
 
 class TestLabelConfidence:
     def test_chain_relative_assignment(self, canonical_medium):
-        # the occupation increments per chain step are close to one quantum,
-        # so confidences stay high despite the hybridization offset
-        labs = canonical_medium.labels
-        assert labs[0].confidence == 1.0 and not labs[0].warning
-        assert labs[2].m == 1 and labs[2].confidence > 0.7
+        # the occupation increments per chain step are close to one quantum
+        # despite the hybridization offset: within 0.15 of the rounded m
+        ls = canonical_medium
+        prim = ls.primitives
+        num_b = prim.kron((None, None, prim.num_b))
+        occ = [np.vdot(v, num_b @ v).real for v in ls.solution.vectors.T]
+        base = {}
+        for lab, n in zip(ls.labels, occ):
+            base.setdefault(lab.fluxon, n)
+        labs = ls.labels
+        inc = [n - base[lab.fluxon] for lab, n in zip(labs, occ)]
+        assert labs[0].m == 0 and inc[0] == 0.0
+        assert labs[2].m == 1 and abs(inc[2] - 1) < 0.15
 
     def test_labels_survive_strong_asymmetry(self, canonical, half_flux):
         # strong inductive asymmetry offsets all occupations; chain-relative

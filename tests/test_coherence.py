@@ -7,7 +7,7 @@ import scipy.linalg as sla
 import scipy.sparse as sp
 
 from cos2phi import coherence
-from cos2phi.analysis import solve_circuit
+from cos2phi.analysis import disorder_sweep, solve_circuit
 from cos2phi.cache import SolutionCache
 from cos2phi.coherence import (
     CHANNELS,
@@ -20,7 +20,8 @@ from cos2phi.coherence import (
     tphi_flux,
     tphi_shot,
 )
-from cos2phi.constants import DEFAULT_CONSTANTS, GHZ_TO_RAD_PER_S, PhysicalConstants
+from cos2phi.constants import (GHZ_TO_RAD_PER_S, HBAR, H_PLANCK, K_B,
+                               PhysicalConstants)
 from cos2phi.constants import T1_CHANNELS
 from cos2phi.eigensolver import NonConvergenceError
 from cos2phi.hamiltonians import UnsupportedBiasError, full_hamiltonian
@@ -54,12 +55,11 @@ class TestQualityFactors:
 
     def test_q_ind_small_frequency_series(self):
         # K0(x) sinh(x) -> x (ln 2 - ln x - gamma) for small x
-        c = DEFAULT_CONSTANTS
         T = 0.016
         w = 2 * np.pi * 1e5  # 100 kHz
-        x = c.hbar * w / (2 * c.k_B * T)
+        x = HBAR * w / (2 * K_B * T)
         series = x * (math.log(2.0) - math.log(x) - 0.5772156649015329)
-        x_ref = c.h * 0.5e9 / (2 * c.k_B * T)
+        x_ref = H_PLANCK * 0.5e9 / (2 * K_B * T)
         from scipy.special import kv
 
         ref = kv(0, x_ref) * np.sinh(x_ref)
@@ -190,9 +190,8 @@ class TestT1Channels:
         assert math.isfinite(t1_channel("purcell", ls))
 
     def test_detailed_balance_high_frequency_limit(self):
-        c = DEFAULT_CONSTANTS
-        xs = c.hbar * 2 * np.pi * np.array([1e9, 5e9, 2e10, 1e11]) / (
-            2 * c.k_B * 0.016
+        xs = HBAR * 2 * np.pi * np.array([1e9, 5e9, 2e10, 1e11]) / (
+            2 * K_B * 0.016
         )
         coths = 1.0 / np.tanh(xs)
         assert np.all(np.diff(coths) <= 0)
@@ -252,10 +251,9 @@ class TestDephasing:
 
     def test_shot_formula_and_sentinels(self):
         t = tphi_shot(-5e-3, 0.78)
-        c = DEFAULT_CONSTANTS
         wp = 0.78 * 2 * np.pi * 1e9
         chi = -5e-3 * 2 * np.pi * 1e9
-        n_th = 1 / math.expm1(c.hbar * wp / (c.k_B * 0.016))
+        n_th = 1 / math.expm1(HBAR * wp / (K_B * 0.016))
         kappa = wp / q_cap(wp)
         rate = n_th * kappa * chi**2 / (chi**2 + kappa**2)
         assert t == pytest.approx(1e3 / rate, rel=1e-9)
@@ -365,6 +363,7 @@ class TestFullReport:
         rep = full_report(canonical, BiasPoint(np.pi, 0.0), tr, channels=())
         assert math.isinf(rep.t2)
         assert rep.as_dict()["charge_dispersion_ghz"] is None
+        assert rep.as_dict()["charge_dispersion_unresolved"] is None
 
     def test_unknown_channel_rejected(self, canonical):
         # checked before any solve, so a typo costs nothing
@@ -384,6 +383,23 @@ class TestFullReport:
         assert d["charge_dispersion_ghz"] == report.eps > 0
         assert d["charge_dispersion_defect"] == report.defect >= 0
         assert report.tphi["charge"] == tphi_charge(report.eps)
+
+    def test_dispersion_verdict_is_the_sweep_verdict(self, tmp_path, canonical,
+                                                      half_flux):
+        # at delta_L = 0.9 the defect is about 0.35, above DEFECT_MAX: the
+        # budget flags its charge dispersion as disorder flags that point,
+        # from the same four solves
+        solver = SolutionCache(tmp_path / "store")
+        trunc = BasisTruncation()
+        rep = full_report(canonical.replace(delta_L=0.9), half_flux, trunc,
+                          channels=("charge",), solver=solver)
+        sweep = disorder_sweep(canonical, "L", [0.9], floor=trunc,
+                               solver=solver)
+        assert rep.unresolved is True
+        assert rep.as_dict()["charge_dispersion_unresolved"] is True
+        assert rep.unresolved == sweep.unresolved[0]
+        assert (rep.eps, rep.defect) == (sweep.eps[0], sweep.defect[0])
+        assert solver.misses == 1 + 4 and solver.hits == 4
 
     def test_solver_seed_reaches_every_channel(self, tmp_path, canonical):
         # the store keys on the solver's Krylov seed, so a store filled at

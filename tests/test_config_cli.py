@@ -717,6 +717,26 @@ class TestCli:
         log = json.loads((out / "coherence_runlog.json").read_text())
         assert log["diagonalizations"] == 1 and log["cache_hits"] == 4
 
+    def test_disorder_honours_a_truncation_above_the_schedule(self, tmp_path):
+        # the config's truncation is the floor of disorder's basis as of
+        # coherence's: at q0 = 40, above the (7, 7, 30) schedule row, the
+        # budget reads the four dispersion solves of the disorder point
+        out = tmp_path / "floor"
+        ref = str(_CONFIGS / "reference.yaml")
+        r = _cli("disorder", "--config", ref, "--set", "sweep.deltas=[0.0]",
+                 "--set", "truncation.q0=40", "--out", str(out), cwd=tmp_path)
+        assert r.returncode == 0, r.stderr
+        r = _cli("coherence", "--config", ref, "--set", "truncation.q0=40",
+                 "--set", "channels.enabled=[charge]", "--out", str(out),
+                 cwd=tmp_path)
+        assert r.returncode == 0, r.stderr
+        log = json.loads((out / "coherence_runlog.json").read_text())
+        assert log["diagonalizations"] == 1 and log["cache_hits"] == 4
+        _, (row,) = _csv_parts(out / "disorder.csv")
+        doc = json.loads((out / "coherence.json").read_text())
+        assert float(row["eps"]) == doc["charge_dispersion_ghz"]
+        assert doc["charge_dispersion_unresolved"] is (row["unresolved"] == "True")
+
     def test_disorder_artifacts(self, tmp_path, fast_config):
         out = tmp_path / "o4"
         r = _cli("disorder", "--config", str(fast_config), "--out", str(out),

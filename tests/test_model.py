@@ -1,9 +1,13 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
 from cos2phi.analysis import LabelingError, label_states
-from cos2phi.constants import PhysicalConstants
+from cos2phi.config import _CHANNEL_KEYS
+from cos2phi.constants import (DELTA_GAP, E_CHARGE, H_PLANCK, R_K,
+                               PhysicalConstants)
 from cos2phi.eigensolver import lowest_eigenpairs
 from cos2phi.hamiltonians import full_hamiltonian
 from cos2phi.model import (
@@ -22,11 +26,16 @@ import scipy.sparse as sp
 
 
 def test_constants_consistency():
-    c = PhysicalConstants()
-    assert c.R_K == pytest.approx(c.h / c.e**2, rel=1e-15)
-    assert c.temperature == pytest.approx(0.016)
+    assert R_K == pytest.approx(H_PLANCK / E_CHARGE**2, rel=1e-15)
+    assert PhysicalConstants().temperature == pytest.approx(0.016)
     # aluminum gap default around 180 ueV
-    assert c.delta_gap / 1.602176634e-19 == pytest.approx(181e-6, rel=0.02)
+    assert DELTA_GAP / 1.602176634e-19 == pytest.approx(181e-6, rel=0.02)
+
+
+def test_constants_record_holds_only_the_environment():
+    # every field is one a config sets; the SI constants are module constants
+    names = {f.name for f in dataclasses.fields(PhysicalConstants)}
+    assert names == {"temperature", *_CHANNEL_KEYS}
 
 
 class TestCircuitParams:
@@ -47,6 +56,13 @@ class TestCircuitParams:
             CircuitParams(15.0, 2.0, 1.0, 0.02, delta_A=0.2, delta_J=0.1)
         p = CircuitParams(15.0, 2.0, 1.0, 0.02, delta_A=0.2)
         assert p.delta_J_eff == 0.2 and p.delta_C_eff == 0.2
+
+    @pytest.mark.parametrize("disorder", [{}, {"delta_J": 0.3}, {"delta_A": 0.2}])
+    def test_junction_energies(self, disorder):
+        # junction + carries (1 + dJ) eps_J, junction - (1 - dJ) eps_J
+        p = CircuitParams(15.0, 2.0, 1.0, 0.02, **disorder)
+        d = p.delta_J_eff
+        assert p.junction_energies == ((1.0 + d) * 15.0, (1.0 - d) * 15.0)
 
     def test_z_warning(self):
         with pytest.warns(UserWarning, match="semiclassical"):
