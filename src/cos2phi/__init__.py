@@ -71,7 +71,6 @@ _EXPORTS = {
         "flux_sweep",
         "label_states",
         "normalized_matrix_elements",
-        "solve_circuit",
         "wavefunction_charge",
         "wavefunction_phase",
     ),

@@ -15,7 +15,6 @@ import numpy as np
 from .cache import (FLUXON_ABSENT, FLUXON_MINUS, FLUXON_PLUS, FLUXON_PRESENT,
                     FLUXON_UNLABELED, LabeledSolution, LabelingError,
                     SolutionCache, StateLabel, label_states)
-from .constants import DEFAULT_SEED
 from .eigensolver import NonConvergenceError, fix_global_phase
 from .model import BasisTruncation, BiasPoint, CircuitParams
 
@@ -24,7 +23,6 @@ __all__ = [
     "LabeledSolution",
     "DisorderSweep",
     "LabelingError",
-    "solve_circuit",
     "label_states",
     "flux_sweep",
     "charge_dispersion",
@@ -48,18 +46,6 @@ DEFECT_MAX = 0.1         # larger truncation defects are flagged unresolved
 ME_FLOOR = 1e-10         # normalized coupling amplitude below this is absent
 
 
-def solve_circuit(
-    params: CircuitParams,
-    bias: BiasPoint,
-    trunc: BasisTruncation = BasisTruncation(),
-    k: int = 6,
-    seed: int = DEFAULT_SEED,
-) -> LabeledSolution:
-    """The labelled solution of one problem, solved without a store:
-    ``SolutionCache(seed=seed).get_or_solve(params, bias, trunc, k)``."""
-    return SolutionCache(seed=seed).get_or_solve(params, bias, trunc, k)
-
-
 def flux_sweep(
     params: CircuitParams,
     phi_grid,
@@ -76,9 +62,9 @@ def flux_sweep(
     if len(phi_grid) > 1 and not np.all(np.diff(phi_grid) > 0):
         raise ValueError("flux grid must be strictly increasing")
     solver = solver or SolutionCache()
-    return list(solver.map(
+    return solver.map(
         [(params, BiasPoint(float(p), N_g), trunc, k) for p in phi_grid]
-    ))
+    )
 
 
 def charge_dispersion(
@@ -98,7 +84,6 @@ def charge_dispersion(
     Ng = 0 follows the parity labels, positive when the even state is lower.
     """
     solver = solver or SolutionCache()
-    # keep two numbers per point, not the solutions and their primitives;
     # N_g = 0 last: after its blocked solve a full-space one peaks 6 MB higher
     (s4, _), (s2, _), (s1, _), (s0, parity) = [
         (ls.splitting, ls.labels[0].parity)

@@ -32,7 +32,6 @@ import json
 import os
 import zipfile
 import zlib
-from collections.abc import Iterator
 from contextlib import contextmanager
 from dataclasses import astuple, dataclass
 from pathlib import Path
@@ -325,14 +324,12 @@ class SolutionCache:
             solution=sol, labels=labels, primitives=prim, params=params, bias=bias
         )
 
-    def map(self, problems: list) -> Iterator:
-        """``get_or_solve`` over ``(params, bias, trunc, k)`` tuples: an
-        iterator over the solutions, in order.
+    def map(self, problems: list) -> list[LabeledSolution]:
+        """``get_or_solve`` over ``(params, bias, trunc, k)`` tuples: the
+        list of solutions, in order.
 
-        With ``jobs`` 1, or a single problem, each problem is solved in this
-        process when the iterator reaches it, so a caller that keeps only
-        part of each solution holds one at a time.  Otherwise all problems
-        run before this returns, in a ``worker_pool`` of
+        With ``jobs`` 1, or a single problem, the problems are solved in
+        this process.  Otherwise they run in a ``worker_pool`` of
         ``min(jobs, len(problems))`` workers, each through a copy of this
         store; their hits and misses are added to this store's counts.  A
         worker's error, ``NonConvergenceError`` with its ``residuals``
@@ -340,13 +337,13 @@ class SolutionCache:
         """
         workers = min(self.jobs, len(problems))
         if workers <= 1:
-            return (self.get_or_solve(*p) for p in problems)
+            return [self.get_or_solve(*p) for p in problems]
         with worker_pool(workers) as ex:
             done = list(ex.map(self._solve_in_worker, problems))
         for _, hit in done:
             self.hits += hit
             self.misses += not hit
-        return iter([ls for ls, _ in done])
+        return [ls for ls, _ in done]
 
     def _solve_in_worker(self, problem) -> tuple:
         hits = self.hits

@@ -2,13 +2,15 @@
 
 One config file is the canonical input artifact of a run; every output
 carries the hash of the fully resolved config so results are traceable.
-Unknown keys are rejected rather than ignored.  Every value is typed once,
-at load, by its key's default: a float takes an int, a float or a string
-``float()`` reads (YAML 1.1 reads ``2.0e6`` as one) and must be finite; an
-int takes an integral number; a str a str; a list a list whose elements
-each take the type of the default's first element, and whose rows, where
-that element is itself a list, its length.  So ``15`` and ``15.0`` hash
-alike, and a ``converge.levels`` row is three ints.
+The defaults, the file and the overrides are merged first, and the result
+is validated and typed in one walk against the defaults: an unknown key,
+or a non-mapping where a section belongs, is rejected rather than ignored,
+and every value is typed by its key's default: a float takes an int, a
+float or a string ``float()`` reads (YAML 1.1 reads ``2.0e6`` as one) and
+must be finite; an int takes an integral number; a str a str; a list a
+list whose elements each take the type of the default's first element,
+and whose rows, where that element is itself a list, its length.  So
+``15`` and ``15.0`` hash alike, and a ``converge.levels`` row is three ints.
 How and where a run executes (``--jobs``, ``--no-cache``, ``--out``) is
 not config: those are command-line flags only.
 """
@@ -72,17 +74,6 @@ class ConfigError(ValueError):
     """Invalid or unknown configuration content."""
 
 
-def _validate(tree: dict, accepted: dict, path: str = "") -> None:
-    for key, val in tree.items():
-        if key not in accepted:
-            raise ConfigError(f"unknown config key {path + key!r}")
-        sub = accepted[key]
-        if isinstance(sub, dict):
-            if not isinstance(val, dict):
-                raise ConfigError(f"{path + key!r} must be a mapping")
-            _validate(val, sub, path + key + ".")
-
-
 def _merge(base: dict, override: dict) -> dict:
     out = dict(base)
     for k, v in override.items():
@@ -93,12 +84,11 @@ def _merge(base: dict, override: dict) -> dict:
     return out
 
 
-#: every key a config may set: those of ``_DEFAULTS`` and ``_RETIRED``
-_ACCEPTED = _merge(_DEFAULTS, _RETIRED)
-
-
-def _drop_retired(tree: dict, retired: dict = _RETIRED) -> dict:
-    """``tree`` without the leaves of ``retired``."""
+def _drop_retired(tree, retired: dict = _RETIRED):
+    """``tree`` without the leaves of ``retired``; a non-mapping as it is,
+    for ``_typed`` to refuse."""
+    if not isinstance(tree, dict):
+        return tree
     return {k: _drop_retired(v, retired[k]) if k in retired else v
             for k, v in tree.items() if retired.get(k, {}) is not None}
 
@@ -137,11 +127,24 @@ def _typed_leaf(key: str, value, default):
 
 
 def _typed(tree: dict, defaults: dict, path: str = "") -> dict:
-    """``tree`` with every leaf typed by its default in ``defaults``."""
-    return {k: _typed(v, defaults[k], path + k + ".")
-            if isinstance(defaults[k], dict)
-            else _typed_leaf(path + k, v, defaults[k])
-            for k, v in tree.items()}
+    """``tree`` with every leaf typed by its default in ``defaults``, or
+    ``ConfigError`` for a key ``defaults`` lacks or a non-mapping where it
+    has a section."""
+    out = {}
+    for k, v in tree.items():
+        if k not in defaults:
+            raise ConfigError(f"unknown config key {path + k!r}")
+        default = defaults[k]
+        if not isinstance(default, dict):
+            out[k] = _typed_leaf(path + k, v, default)
+        # the defaults merged first give every section all its keys; one
+        # lacks some only where a source set it to a non-mapping and a
+        # later source's section replaced that
+        elif not isinstance(v, dict) or not default.keys() <= v.keys():
+            raise ConfigError(f"{path + k!r} must be a mapping")
+        else:
+            out[k] = _typed(v, default, path + k + ".")
+    return out
 
 
 def parse_override(text: str) -> dict:
@@ -207,19 +210,17 @@ class RunConfig:
 
 
 def load_config(path: str | Path | None, overrides=()) -> RunConfig:
-    """Read, validate, default-fill, override and type a config file."""
+    """Merge the defaults, the file and the overrides, drop retired keys,
+    and validate and type the result in one walk."""
     tree: dict = {}
     if path is not None:
         with open(path) as fh:
             tree = yaml.safe_load(fh) or {}
         if not isinstance(tree, dict):
             raise ConfigError("config root must be a mapping")
-    _validate(tree, _ACCEPTED)
     merged = _merge(_DEFAULTS, tree)
     for text in overrides:
-        o = parse_override(text)
-        _validate(o, _ACCEPTED)
-        merged = _merge(merged, o)
+        merged = _merge(merged, parse_override(text))
     merged = _typed(_drop_retired(merged), _DEFAULTS)
     if merged["config_version"] != CONFIG_VERSION:
         raise ConfigError(

@@ -193,14 +193,11 @@ class EffectiveParams:
     half flux.  ``kinetic_prefactor`` multiplies 4 eps_C (N - Ng - eta)^2.
     """
 
-    z: float
     c1: float
     c2: float
     c3: float
     c4: float
     kinetic_prefactor: float
-    phi_ext_folded: float
-    order: str = "leading"
 
     def coefficients(self) -> tuple[float, float, float, float]:
         return (self.c1, self.c2, self.c3, self.c4)
@@ -217,22 +214,16 @@ def effective_params(
     f = np.pi - bias.phi_ext_folded
     if order == "leading":
         return EffectiveParams(
-            z=z,
             c1=-(16.0 / (3 * np.pi)) * eL * f,
             c2=-eJ * (1.0 - 1.25 * z),
             c3=0.0,
             c4=0.0,
             kinetic_prefactor=1.0 / (4.0 * (1.0 - z)),
-            phi_ext_folded=bias.phi_ext_folded,
-            order=order,
         )
     return EffectiveParams(
-        z=z,
         c1=-eL * (16.0 / (3 * np.pi) - 56.0 * z / (9 * np.pi)) * f,
         c2=-eJ * (1.0 - 1.25 * z + (81.0 - 2 * np.pi**2 - 6 * f**2) * z**2 / 48.0),
         c3=+eL * (16.0 / (45 * np.pi) - 88.0 * z / (75 * np.pi)) * f,
         c4=-eL * (1.0 / 12.0 - 17.0 * z / 72.0),
         kinetic_prefactor=0.5 / (1.0 + (1.0 + z) ** -2),
-        phi_ext_folded=bias.phi_ext_folded,
-        order=order,
     )

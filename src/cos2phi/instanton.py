@@ -214,14 +214,17 @@ def find_minima(
 class InstantonPath:
     """Discretized tunneling trajectory with its solver diagnostics.
 
-    ``samples`` has columns (tau, vphi, phi, theta); the endpoints are the
-    clamped points offset by ``endpoint_offset`` from the true minima along
-    the slowest unstable direction of the inverted dynamics.  ``action`` is
-    that of the returned beads.  ``residual`` carries the action
-    stationarity norm, the worst interior equation-of-motion defect, the
-    discrete energy-conservation span, the number of outer relaxation passes
-    (damped Newton steps, each followed by arc-length redistribution) on
-    the requested string, the last rung of the bead ladder
+    ``samples`` has columns (tau, vphi, phi, theta); its first and last
+    rows are the clamped points, offset by ``endpoint_offset`` from the
+    true minima along the slowest unstable direction of the inverted
+    dynamics, and ``endpoints`` holds the two true minima themselves.
+    ``tau`` holds about 8 significant digits: it integrates
+    seg / sqrt(2 (U - U0)), and U - U0 is about 1e-7 GHz at the clamped
+    ends.  ``action`` is that of the returned beads.  ``residual`` carries
+    the action stationarity norm, the worst interior equation-of-motion
+    defect, the discrete energy-conservation span, the number of outer
+    relaxation passes (damped Newton steps, each followed by arc-length
+    redistribution) on the requested string, the last rung of the bead ladder
     (``outer_iterations``), the action of the whole string after each of
     them (``action_history``), and whether the action plateau ended them
     (``action_stop``: a relative change of at most ``ACTION_PLATEAU``;
@@ -567,12 +570,11 @@ def reduce_to_effective(
     coefficients for k = 1..4.  The kinetic prefactor is taken from the
     leading-order closed-form reduction.
     """
-    z = params.z
     vg = np.arange(N_QUAD) * 2.0 * np.pi / N_QUAD
     if isinstance(path, str):
         if path != "approx":
             raise ValueError("path must be an InstantonPath or 'approx'")
-        phi_of_v = path_approx(vg, bias, z)
+        phi_of_v = path_approx(vg, bias, params.z)
     else:
         _require_degenerate_minima(bias)
         coords = path.coords
@@ -586,12 +588,9 @@ def reduce_to_effective(
     coeffs = [float(np.sum(u * np.cos(k * vg)) * 2.0 / N_QUAD) for k in range(1, 5)]
     ep = effective_params(params, bias, "leading")
     return EffectiveParams(
-        z=z,
         c1=coeffs[0],
         c2=coeffs[1],
         c3=coeffs[2],
         c4=coeffs[3],
         kinetic_prefactor=ep.kinetic_prefactor,
-        phi_ext_folded=bias.phi_ext_folded,
-        order="quadrature/leading",
     )

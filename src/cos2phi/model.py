@@ -363,7 +363,6 @@ class Primitives:
     sin_hop: sp.csr_matrix
     charge_parity: sp.csr_matrix
     # loop-sum mode
-    a: sp.csr_matrix
     num_a: sp.csr_matrix
     dphi: sp.csr_matrix
     n: sp.csr_matrix
@@ -475,7 +474,6 @@ def build_primitives(trunc: BasisTruncation, params: CircuitParams) -> Primitive
         cos_hop=cos_hop,
         sin_hop=sin_hop,
         charge_parity=sp.diags((-1.0) ** Nvals).tocsr(),
-        a=a,
         num_a=sp.diags(np.arange(na).astype(float)).tocsr(),
         dphi=phi_zpf * (a + adag),
         n=1j * (1.0 / (2.0 * phi_zpf)) * (adag - a),

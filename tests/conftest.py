@@ -1,5 +1,3 @@
-import warnings
-
 import hypothesis
 import numpy as np
 import pytest
@@ -10,11 +8,6 @@ hypothesis.settings.register_profile(
     "default", max_examples=25, deadline=None
 )
 hypothesis.settings.load_profile("default")
-
-# low truncations are exercised deliberately throughout the suite
-warnings.filterwarnings(
-    "ignore", message="truncation .* is below the recommended"
-)
 
 
 @pytest.fixture(scope="session")
@@ -41,6 +34,6 @@ def medium_trunc():
 @pytest.fixture(scope="session")
 def canonical_medium(canonical, half_flux, medium_trunc):
     """Shared labeled solution at half flux on the medium basis."""
-    from cos2phi.analysis import solve_circuit
+    from cos2phi.cache import SolutionCache
 
-    return solve_circuit(canonical, half_flux, medium_trunc, k=6)
+    return SolutionCache().get_or_solve(canonical, half_flux, medium_trunc, k=6)

@@ -23,8 +23,8 @@ from cos2phi.analysis import (
     dispersive_shift,
     normalized_matrix_elements,
     plasmon_spacings,
-    solve_circuit,
 )
+from cos2phi.cache import SolutionCache
 from cos2phi.coherence import (
     t1_channel,
     tphi_charge,
@@ -61,12 +61,13 @@ def _fresh_report():
 
 @pytest.fixture(scope="session")
 def ls0(canonical, half_flux):
-    return solve_circuit(canonical, half_flux, PROD, k=6)
+    return SolutionCache().get_or_solve(canonical, half_flux, PROD, k=6)
 
 
 @pytest.fixture(scope="session")
 def ls06(canonical, half_flux):
-    return solve_circuit(canonical.replace(delta_L=0.6), half_flux, PROD, k=2)
+    return SolutionCache().get_or_solve(
+        canonical.replace(delta_L=0.6), half_flux, PROD, k=2)
 
 
 def test_criterion_01_plasmon_spacing(ls0):
@@ -120,7 +121,7 @@ def test_criterion_04_fluxon_slope(canonical):
     tr = BasisTruncation(6, 6, 24)
     splits = []
     for d in dphis:
-        ls = solve_circuit(canonical, BiasPoint(np.pi + d, 0.0), tr, k=2)
+        ls = SolutionCache().get_or_solve(canonical, BiasPoint(np.pi + d, 0.0), tr, k=2)
         splits.append(ls.energies[1] - ls.energies[0])
     slope = np.polyfit(dphis, splits, 1)[0]
     target = 32.0 / (3 * np.pi) * canonical.eps_L
@@ -166,7 +167,7 @@ def test_criterion_07_selection_rules(canonical, half_flux, ls0):
     i_1p = ls0.find(1, FLUXON_PLUS)
     # completeness over the full eigenbasis of a dense-solved small instance
     tr = BasisTruncation(2, 2, 6)
-    ls_small = solve_circuit(canonical, half_flux, tr, k=tr.dim)
+    ls_small = SolutionCache().get_or_solve(canonical, half_flux, tr, k=tr.dim)
     sums = [normalized_matrix_elements(ls_small, op).sum()
             for op in ("eta", "phi")]
     ok = (
@@ -203,7 +204,8 @@ def test_criterion_08_quasiparticle_immunity(canonical, half_flux):
 
     worst = 0.0
     for dL in (0.0, 0.3, 0.6, 0.9):
-        ls = solve_circuit(canonical.replace(delta_L=dL), half_flux, PROD, k=2)
+        ls = SolutionCache().get_or_solve(
+            canonical.replace(delta_L=dL), half_flux, PROD, k=2)
         v0 = ls.solution.vectors[:, 0]
         v1 = ls.solution.vectors[:, 1]
         prim = ls.primitives

@@ -20,7 +20,6 @@ from cos2phi.analysis import (
     flux_sweep,
     normalized_matrix_elements,
     plasmon_spacings,
-    solve_circuit,
     wavefunction_charge,
     wavefunction_phase,
 )
@@ -46,8 +45,8 @@ class TestLabels:
         assert p == pytest.approx(1.0, abs=1e-6)
 
     def test_off_bias_symbols(self, canonical, medium_trunc):
-        ls = solve_circuit(canonical, BiasPoint(0.9 * np.pi, 0.0), medium_trunc,
-                           k=4)
+        ls = SolutionCache().get_or_solve(
+            canonical, BiasPoint(0.9 * np.pi, 0.0), medium_trunc, k=4)
         assert ls.labels[0].fluxon == FLUXON_ABSENT
         symbols = {l.fluxon for l in ls.labels}
         assert symbols <= {FLUXON_ABSENT, FLUXON_PRESENT}
@@ -65,8 +64,9 @@ class TestLabels:
         # parity for the symmetric circuit at half flux, the mirror for any
         # circuit there at N_g = 0, the full space otherwise; the states
         # are eigenstates of the symmetry the solve used
-        ls = solve_circuit(canonical.replace(**disorder), BiasPoint(*bias),
-                           BasisTruncation(3, 3, 8), k=4)
+        ls = SolutionCache().get_or_solve(
+            canonical.replace(**disorder), BiasPoint(*bias),
+            BasisTruncation(3, 3, 8), k=4)
         assert ("blocks" in ls.solution.meta) == (symmetry is not None)
         if symmetry is not None:
             S = getattr(ls.primitives, symmetry)()
@@ -75,15 +75,15 @@ class TestLabels:
             assert np.abs(np.abs(sv) - 1.0).max() < 1e-12
 
     def test_integer_flux_unlabeled(self, canonical, small_trunc):
-        ls = solve_circuit(canonical, BiasPoint(0.0, 0.0), small_trunc,
-                           k=2)
+        ls = SolutionCache().get_or_solve(canonical, BiasPoint(0.0, 0.0), small_trunc,
+                                          k=2)
         assert all(l.fluxon == FLUXON_UNLABELED for l in ls.labels)
 
 
 class TestFluxSweep:
     def test_single_point_matches_direct(self, canonical, half_flux, small_trunc):
         (res,) = flux_sweep(canonical, [np.pi], k=4, trunc=small_trunc)
-        ls = solve_circuit(canonical, half_flux, small_trunc, k=4)
+        ls = SolutionCache().get_or_solve(canonical, half_flux, small_trunc, k=4)
         assert np.allclose(res.energies, ls.energies, atol=1e-10)
 
     def test_plasmon_branch_flux_flat(self, canonical, medium_trunc):
@@ -366,7 +366,7 @@ class TestMatrixElements:
 
     def test_completeness_dense_instance(self, canonical, half_flux):
         tr = BasisTruncation(2, 2, 6)
-        ls = solve_circuit(canonical, half_flux, tr, k=tr.dim)
+        ls = SolutionCache().get_or_solve(canonical, half_flux, tr, k=tr.dim)
         for op in ("eta", "phi"):
             w = normalized_matrix_elements(ls, op)
             assert np.sum(w) == pytest.approx(1.0, abs=1e-6)
@@ -396,8 +396,8 @@ class TestDispersiveShift:
     def test_even_in_detuning(self, canonical, medium_trunc):
         chis = []
         for dphi in (-0.06, 0.06):
-            ls = solve_circuit(canonical, BiasPoint(np.pi + dphi, 0.0),
-                               medium_trunc, k=6)
+            ls = SolutionCache().get_or_solve(canonical, BiasPoint(np.pi + dphi, 0.0),
+                                              medium_trunc, k=6)
             chis.append(dispersive_shift(ls))
         assert chis[0] == pytest.approx(chis[1], rel=1e-3)
 
@@ -411,14 +411,15 @@ class TestDispersiveShift:
         assert dispersive_shift(ls) == present - absent
 
     def test_plasmon_spacings_off_half_flux(self, canonical, medium_trunc):
-        ls = solve_circuit(canonical, BiasPoint(0.9 * np.pi, 0.0),
-                           medium_trunc, k=6)
+        ls = SolutionCache().get_or_solve(canonical, BiasPoint(0.9 * np.pi, 0.0),
+                                          medium_trunc, k=6)
         E = ls.energies
         assert plasmon_spacings(ls) == tuple(
             E[ls.find(1, f)] - E[ls.find(0, f)]
             for f in (FLUXON_ABSENT, FLUXON_PRESENT))
         # at integer flux no state carries a fluxon symbol
-        ls = solve_circuit(canonical, BiasPoint(0.0, 0.0), medium_trunc, k=6)
+        ls = SolutionCache().get_or_solve(
+            canonical, BiasPoint(0.0, 0.0), medium_trunc, k=6)
         assert {l.fluxon for l in ls.labels} == {FLUXON_UNLABELED}
         with pytest.raises(LabelingError):
             plasmon_spacings(ls)
@@ -449,8 +450,8 @@ class TestLabelConfidence:
         # strong inductive asymmetry offsets all occupations; chain-relative
         # rounding still enumerates the plasmon ladder in both parity chains
         # (the parity order within excited doublets is truncation-sensitive)
-        ls = solve_circuit(canonical.replace(delta_L=0.6), half_flux,
-                           BasisTruncation(5, 5, 20), k=6)
+        ls = SolutionCache().get_or_solve(canonical.replace(delta_L=0.6), half_flux,
+                                          BasisTruncation(5, 5, 20), k=6)
         got = [(l.m, l.fluxon) for l in ls.labels]
         assert set(got[:2]) == {(0, FLUXON_PLUS), (0, FLUXON_MINUS)}
         assert set(got[2:4]) == {(1, FLUXON_PLUS), (1, FLUXON_MINUS)}

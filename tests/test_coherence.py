@@ -7,7 +7,7 @@ import scipy.linalg as sla
 import scipy.sparse as sp
 
 from cos2phi import coherence
-from cos2phi.analysis import disorder_sweep, solve_circuit
+from cos2phi.analysis import disorder_sweep
 from cos2phi.cache import SolutionCache
 from cos2phi.coherence import (
     CHANNELS,
@@ -117,16 +117,16 @@ class TestT1Channels:
         assert math.isinf(t1_channel("purcell", canonical_medium))
 
     def test_purcell_finite_with_asymmetry(self, canonical, half_flux, medium_trunc):
-        ls = solve_circuit(canonical.replace(delta_L=0.6), half_flux, medium_trunc,
-                           k=2)
+        ls = SolutionCache().get_or_solve(
+            canonical.replace(delta_L=0.6), half_flux, medium_trunc, k=2)
         t1 = t1_channel("purcell", ls)
         assert np.isfinite(t1) and t1 > 1.0
 
     def test_quasiparticle_sentinel_all_asymmetries(self, canonical, half_flux,
                                                     small_trunc):
         for dL in (0.0, 0.3, 0.6, 0.9):
-            ls = solve_circuit(canonical.replace(delta_L=dL), half_flux,
-                               small_trunc, k=2)
+            ls = SolutionCache().get_or_solve(canonical.replace(delta_L=dL), half_flux,
+                                              small_trunc, k=2)
             assert math.isinf(t1_channel("quasiparticle", ls))
 
     def test_quasiparticle_element_structurally_dark(self, canonical_medium):
@@ -150,7 +150,8 @@ class TestT1Channels:
         # lab-frame amplitudes to_lab(v) of a gauged vector v to D v there
         from cos2phi.coherence import _quasiparticle_elements
 
-        ls = solve_circuit(canonical, BiasPoint(0.9 * np.pi, 0.0), small_trunc, k=2)
+        ls = SolutionCache().get_or_solve(
+            canonical, BiasPoint(0.9 * np.pi, 0.0), small_trunc, k=2)
         t, prim = small_trunc, ls.primitives
         d = lab_phases(t)
         nN = 2 * t.N0 + 1
@@ -176,8 +177,8 @@ class TestT1Channels:
         # critical-current dephasing do: swapping the labels of states 0
         # and 2 moves (0, +) to state 2 and leaves every T1 channel bit for
         # bit as solved
-        ls = solve_circuit(canonical.replace(delta_L=0.6), half_flux,
-                           small_trunc, k=3)
+        ls = SolutionCache().get_or_solve(canonical.replace(delta_L=0.6), half_flux,
+                                          small_trunc, k=3)
         swap = {0: 2, 2: 0}
         relabeled = dataclasses.replace(ls, labels=[
             dataclasses.replace(lab, index=swap.get(lab.index, lab.index))
@@ -210,13 +211,14 @@ class TestDephasing:
         assert math.isinf(tphi_charge(0.0))
 
     def test_flux_sweet_spot_guard(self, canonical, small_trunc):
-        ls = solve_circuit(canonical, BiasPoint(0.9 * np.pi), small_trunc, k=2)
+        ls = SolutionCache().get_or_solve(
+            canonical, BiasPoint(0.9 * np.pi), small_trunc, k=2)
         with pytest.raises(UnsupportedBiasError):
             tphi_flux(ls)
 
     def test_flux_curvature_against_two_level_model(self, canonical):
         tr = BasisTruncation(4, 4, 14)
-        ls = solve_circuit(canonical, BiasPoint(np.pi, 0.0), tr, k=2)
+        ls = SolutionCache().get_or_solve(canonical, BiasPoint(np.pi, 0.0), tr, k=2)
         t = tphi_flux(ls)
         dE = ls.energies[1] - ls.energies[0]
         curv_model = (np.pi * canonical.eps_L) ** 2 / dE
@@ -228,7 +230,7 @@ class TestDephasing:
         h = 1e-3
 
         def split(p):
-            ls = solve_circuit(canonical, BiasPoint(p, 0.0), tr, k=2)
+            ls = SolutionCache().get_or_solve(canonical, BiasPoint(p, 0.0), tr, k=2)
             return ls.energies[1] - ls.energies[0]
 
         d1 = (split(np.pi + h) - split(np.pi - h)) / (2 * h)
@@ -241,7 +243,7 @@ class TestDephasing:
         for dL in (0.0, 0.3):
             p = canonical.replace(delta_L=dL)
             b = BiasPoint(np.pi, 0.0)
-            ls = solve_circuit(p, b, tr, k=2)
+            ls = SolutionCache().get_or_solve(p, b, tr, k=2)
             dE = ls.energies[1] - ls.energies[0]
             t = tphi_flux(ls)
             rate = 1e3 / t
@@ -262,13 +264,13 @@ class TestDephasing:
         assert math.isinf(tphi_shot(-5e-3, 0.78, constants=cold))
 
     def test_critical_current_zero_amplitude(self, canonical, small_trunc):
-        ls = solve_circuit(canonical, BiasPoint(np.pi), small_trunc, k=2)
+        ls = SolutionCache().get_or_solve(canonical, BiasPoint(np.pi), small_trunc, k=2)
         quiet = PhysicalConstants(sqrt_A_epsJ_rel=0.0)
         assert math.isinf(tphi_critical_current(ls, quiet))
 
     def test_critical_current_magnitude(self, canonical):
         tr = BasisTruncation(4, 4, 14)
-        ls = solve_circuit(canonical, BiasPoint(np.pi, 0.0), tr, k=2)
+        ls = SolutionCache().get_or_solve(canonical, BiasPoint(np.pi, 0.0), tr, k=2)
         t = tphi_critical_current(ls)
         # the splitting depends exponentially on the junction energy, so the
         # logarithmic derivative is a few times the splitting itself
@@ -286,7 +288,7 @@ class TestDephasing:
         tr = BasisTruncation(4, 4, 14)
         p = canonical.replace(**disorder)
         b = BiasPoint(np.pi, 0.0)
-        t = tphi_critical_current(solve_circuit(p, b, tr, k=2),
+        t = tphi_critical_current(SolutionCache().get_or_solve(p, b, tr, k=2),
                                   PhysicalConstants(sqrt_A_epsJ_rel=1.0))
         slope = 1e3 / (t * GHZ_TO_RAD_PER_S)
 
@@ -304,7 +306,7 @@ class TestDephasing:
         # quadratic, whose width scales with the splitting
         tr = BasisTruncation(4, 4, 14)
         p = canonical.replace(delta_L=0.3)
-        ls = solve_circuit(p, BiasPoint(np.pi, 0.0), tr, k=2)
+        ls = SolutionCache().get_or_solve(p, BiasPoint(np.pi, 0.0), tr, k=2)
         unit = PhysicalConstants(sqrt_A_flux=1.0)
         curv = 1e3 / (tphi_flux(ls, unit) * GHZ_TO_RAD_PER_S)
 
@@ -323,7 +325,8 @@ class TestDephasing:
                                           monkeypatch):
         # an unconverged Sternheimer solve is a non-convergence, not a number
         monkeypatch.setattr(coherence, "STERNHEIMER_MAX_ITER", 2)
-        ls = solve_circuit(canonical, BiasPoint(np.pi, 0.0), small_trunc, k=2)
+        ls = SolutionCache().get_or_solve(
+            canonical, BiasPoint(np.pi, 0.0), small_trunc, k=2)
         with pytest.raises(NonConvergenceError):
             tphi_flux(ls)
 

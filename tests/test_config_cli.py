@@ -151,6 +151,41 @@ class TestConfig:
         assert (load_config(root / "configs" / "protected_point.yaml").config_hash
                 == "d04f33bf28c4ec29")
 
+    @pytest.mark.parametrize("text, overrides, message", [
+        ("circuit:\n  eps_X: 3\n", (), "unknown config key 'circuit.eps_X'"),
+        (None, ("circuit.eps_X=3",), "unknown config key 'circuit.eps_X'"),
+        ("circuit: 5\n", (), "'circuit' must be a mapping"),
+        (None, ("sweep=3",), "'sweep' must be a mapping"),
+        # a later source's section does not hide the scalar an earlier set
+        ("circuit: 5\n", ("circuit.eps_J=3",), "'circuit' must be a mapping"),
+        ("dense_threshold: 16\n", (), None),
+        (None, ("dense_threshold=16",), None),
+    ], ids=["unknown-file", "unknown-set", "scalar-file", "scalar-set",
+            "scalar-file-section-set", "retired-file", "retired-set"])
+    def test_config_fault_table(self, tmp_path, text, overrides, message):
+        path = None
+        if text is not None:
+            path = tmp_path / "c.yaml"
+            path.write_text(text)
+        args = ["mathieu", "--out", str(tmp_path / "out"),
+                *(["--config", str(path)] if path else []),
+                *(a for o in overrides for a in ("--set", o))]
+        r = CliRunner().invoke(main, args)
+        if message is None:
+            assert (load_config(path, overrides).config_hash
+                    == load_config(None).config_hash)
+            assert r.exit_code == 0, r.output
+            return
+        with pytest.raises(ConfigError) as exc:
+            load_config(path, overrides)
+        assert str(exc.value) == message
+        assert r.exit_code == 1, r.output
+        diag = json.loads((tmp_path / "out" / "mathieu_diagnostics.json")
+                          .read_text())
+        assert diag["error_kind"] == "domain"
+        assert diag["error_type"] == "ConfigError"
+        assert diag["message"] == message
+
     def test_bad_version(self, tmp_path):
         p = tmp_path / "v.yaml"
         p.write_text("config_version: 99\n")
@@ -229,6 +264,15 @@ class TestSolutionCache:
         for a, b in zip(serial, pooled):
             assert a.solution.meta["backend"] == "krylov"
             assert np.abs(a.energies - b.energies).max() < 1e-12
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_map_returns_list_in_order(self, canonical, jobs):
+        tr = BasisTruncation(3, 3, 8)
+        problems = [(canonical, BiasPoint(phi, 0.0), tr, 2)
+                    for phi in (2.9, np.pi, 3.4)]
+        sols = SolutionCache(None, jobs=jobs).map(problems)
+        assert type(sols) is list
+        assert [ls.bias for ls in sols] == [p[1] for p in problems]
 
     def test_worker_runs_one_blas_thread(self, monkeypatch):
         # a library caller with no thread setting (importing ``cos2phi.cli``

@@ -4,7 +4,8 @@ import scipy.linalg as sla
 import scipy.sparse as sp
 
 import cos2phi.eigensolver as eigensolver
-from cos2phi.analysis import convergence_ladder, solve_circuit
+from cos2phi.analysis import convergence_ladder
+from cos2phi.cache import SolutionCache
 from cos2phi.eigensolver import (
     DENSE_THRESHOLD,
     FLOOR_TOL,
@@ -193,8 +194,8 @@ class TestLowestEigenpairs:
         # 1e-11 GHz: a full-space solve mixes the two parity states (<P> off
         # +-1 by 5e-10 here), and the parity blocks keep them apart, each the
         # ground state of its block
-        ls = solve_circuit(canonical, BiasPoint(np.pi, 0.5),
-                           BasisTruncation(9, 7, 30), k=2)
+        ls = SolutionCache().get_or_solve(canonical, BiasPoint(np.pi, 0.5),
+                                          BasisTruncation(9, 7, 30), k=2)
         assert ls.solution.meta["blocks"] == [2356, 2356]
         assert 0.0 <= ls.splitting < 1e-9
         P = ls.primitives.parity()

@@ -304,7 +304,7 @@ class TestGaugedFrame:
 
     @pytest.mark.parametrize("disorder", [{}, DISORDER_SETS[-1]])
     def test_energies_equal_lab_frame(self, canonical, disorder):
-        from cos2phi.analysis import solve_circuit
+        from cos2phi.cache import SolutionCache
 
         tr = BasisTruncation(4, 4, 14)
         params = canonical.replace(**disorder)
@@ -314,7 +314,7 @@ class TestGaugedFrame:
         lab = d[:, None] * H * d.conj()[None, :]
         assert np.abs(lab.imag).max() > 1e-3  # the lab frame is complex
         ref = np.linalg.eigvalsh(lab)[:6]
-        ls = solve_circuit(params, bias, tr, k=6)
+        ls = SolutionCache().get_or_solve(params, bias, tr, k=6)
         assert ls.solution.meta["backend"] == "krylov"
         assert ls.solution.vectors.dtype == np.float64
         assert np.abs(ls.energies - ref).max() <= 1e-12 * np.abs(ref).max()
@@ -341,11 +341,11 @@ class TestGaugedFrame:
         # to_lab is D v for the independent D, keeps the norm, and takes each
         # gauged single-mode block back to its lab-frame meaning:
         # to_lab(kron(B) v) = kron3(B) to_lab(v), so kron and to_lab share D
-        from cos2phi.analysis import solve_circuit
+        from cos2phi.cache import SolutionCache
 
         tr = BasisTruncation(3, 3, 8)
-        ls = solve_circuit(canonical.replace(**disorder), BiasPoint(phi_ext, 0.3),
-                           tr, k=2)
+        ls = SolutionCache().get_or_solve(
+            canonical.replace(**disorder), BiasPoint(phi_ext, 0.3), tr, k=2)
         prim = ls.primitives
         rng = np.random.default_rng(7)
         vectors = [*ls.solution.vectors.T,

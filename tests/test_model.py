@@ -20,6 +20,7 @@ from cos2phi.model import (
     build_primitives,
     displaced_cosine,
     displaced_sine,
+    ladder,
 )
 from oracles import displaced_trig_quadrature
 import scipy.sparse as sp
@@ -146,7 +147,7 @@ class TestPrimitives:
     def test_ladder_commutator(self, canonical):
         p0 = 6
         prim = build_primitives(BasisTruncation(1, p0, 0), canonical)
-        a = prim.kron((None, prim.a, None))
+        a = prim.kron((None, ladder(p0 + 1)[0], None))
         adag = a.conj().T
         comm = (a @ adag - adag @ a).toarray()
         eye = prim.kron((None, None, None)).toarray()
